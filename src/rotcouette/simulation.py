@@ -6,16 +6,19 @@ with an exact per-mode integrating factor (the closed-form antiderivative of
 the symbol) and the remaining rotation/pressure/advection terms with an
 explicit Runge-Kutta method in the transformed variables, so zero-frequency
 modes are advanced exactly and non-zero modes carry no stiffness restriction
-on the step size.  The quadratic term is evaluated on the physical grid with
-a sharp symmetric dealiasing mask and re-projected, which keeps the discrete
-advection energy-neutral.
+on the step size.  Inside a step the state is one half-spectrum array (the
+l >= 0 planes of a real field); the full-spectrum ``VelocityField`` is built
+only on return.  The quadratic term is evaluated in rotational form on the
+physical grid with a sharp symmetric dealiasing mask and re-projected, which
+keeps the discrete advection energy-neutral.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -155,27 +158,137 @@ class SimConfig:
 # frame symbols
 
 
-def _flat_waves(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    kk, ee, ll = grid.wave_arrays
-    return (np.ascontiguousarray(kk.ravel()), np.ascontiguousarray(ee.ravel()), np.ascontiguousarray(ll.ravel()))
+@dataclass(frozen=True, eq=False)
+class _Waves:
+    """Time-independent pieces of the frame symbols on one storage layout."""
+
+    k: np.ndarray  # (Nx, 1, 1)
+    eta: np.ndarray  # (1, Ny, 1)
+    l: np.ndarray  # (1, 1, nl)
+    k2: np.ndarray
+    l2: np.ndarray
+    flat: tuple[np.ndarray, np.ndarray, np.ndarray]  # k, eta, l per stored mode
+    mask: np.ndarray  # dealias mask, (Nx, Ny, nl)
+    amp_mask: np.ndarray  # dealias mask times the mode count
 
 
-def frame_symbols(grid: GridSpec, t: float, beta: float = 1.0):
-    """(K, ETA_L, L, w) arrays at frame time t with unit-safe w at the mean mode."""
-    kk, ee, ll = grid.wave_arrays
-    etal = ee - kk * (beta * t)
-    w = kk * kk + etal * etal + ll * ll
-    w_safe = w.copy()
-    w_safe[0, 0, 0] = 1.0
-    return kk, etal, ll, w_safe
+@lru_cache(maxsize=16)
+def _waves(grid: GridSpec, half: bool) -> _Waves:
+    """Built once per grid and layout; the symbol arrays are read-only."""
+    nl = grid.Nz // 2 + 1 if half else grid.Nz
+    k = grid.k_index.astype(np.float64)[:, None, None]
+    eta = grid.eta_values[None, :, None]
+    l = grid.l_index[:nl].astype(np.float64)[None, None, :]
+    shape = (grid.Nx, grid.Ny, nl)
+    flat = tuple(np.ascontiguousarray(np.broadcast_to(a, shape)).ravel() for a in (k, eta, l))
+    mask = np.ascontiguousarray(grid.dealias_mask[:, :, :nl])
+    for a in (k, eta, l):
+        a.flags.writeable = False
+    return _Waves(k, eta, l, k * k, l * l, flat, mask, mask * float(grid.n_modes))
 
 
-def propagator(grid: GridSpec, nu: float, t0: float, t1: float, beta: float = 1.0) -> np.ndarray:
-    """Per-mode exact diffusion factor exp(-nu * int_{t0}^{t1} w) (always <= 1)."""
-    kf, ef, lf = _flat_waves(grid)
-    i0 = _kernels.integral_w_values(t0, kf, ef, lf, beta)
-    i1 = _kernels.integral_w_values(t1, kf, ef, lf, beta)
-    return np.exp(-nu * (i1 - i0)).reshape(grid.shape)
+def frame_symbols(grid: GridSpec, t: float, beta: float = 1.0, half: bool = False):
+    """(K, ETA_L, L, w) at frame time t with unit-safe w at the mean mode.
+
+    The symbols broadcast as (Nx,1,1), (Nx,Ny,1), (1,1,nl) and (Nx,Ny,nl),
+    where nl is Nz for the full coefficient layout and Nz//2 + 1 for the
+    half-spectrum (``half=True``) layout of the stepper's state.
+    """
+    wv = _waves(grid, half)
+    etal = wv.eta - wv.k * (beta * t)
+    w = wv.k2 + etal * etal + wv.l2
+    w[0, 0, 0] = 1.0
+    return wv.k, etal, wv.l, w
+
+
+def _integral_w(grid: GridSpec, t: float, beta: float) -> np.ndarray:
+    """Exact integral of w over [0, t] on the half-spectrum layout."""
+    kf, ef, lf = _waves(grid, True).flat
+    return _kernels.integral_w_values(t, kf, ef, lf, beta).reshape(grid.Nx, grid.Ny, -1)
+
+
+# ---------------------------------------------------------------------------
+# array kernels
+#
+# They act on stacked (3, Nx, Ny, nl) coefficient arrays, on either layout
+# unless noted, with the symbols of ``frame_symbols``.
+
+
+def _project(f: np.ndarray, sym, src: np.ndarray | None = None) -> np.ndarray:
+    """In place: f + grad_L psi, with psi making div_L of the result ``src`` (0 if None).
+
+    The mean mode, whose symbol vanishes, passes through untouched.
+    """
+    k, etal, l, w = sym
+    div = 1j * (k * f[0] + etal * f[1] + l * f[2])
+    if src is not None:
+        div -= src
+    psi = div / w
+    psi[0, 0, 0] = 0.0
+    f[0] += 1j * k * psi
+    f[1] += 1j * etal * psi
+    f[2] += 1j * l * psi
+    return f
+
+
+def _forcing(u: np.ndarray, sym, beta: float, adv: np.ndarray | None = None) -> np.ndarray:
+    """Rotation forcing -beta (0, u1, 0) plus ``adv``, with one pressure solve.
+
+    The frame divergence of the rotation forcing is not zero: keeping
+    div_L u = 0 under d/dt (eta - beta k t) = -beta k asks for
+    div_L f = i beta k u2, so psi solves that, not the Leray condition.
+    The mean mode is excluded from the dynamics and returned as zero.
+    """
+    f = np.zeros_like(u) if adv is None else adv
+    f[1] -= beta * u[0]
+    f[:, 0, 0, 0] = 0.0
+    return _project(f, sym, src=1j * beta * sym[0] * u[1])
+
+
+def _advection(u: np.ndarray, sym, grid: GridSpec, t: float) -> np.ndarray:
+    """Dealiased rotational-form advection mask * (u x curl_L u), half-spectrum layout.
+
+    One batched inverse real FFT of (u, curl_L u) and one batched forward
+    real FFT of the three products.  After the Leray projection this equals
+    -P_L (u . grad_L u): with 3 kc < N the 2/3 mask removes every alias, and
+    P_L annihilates the gradient grad_L |u|^2 / 2 that separates the forms.
+    """
+    k, etal, l, _ = sym
+    wv = _waves(grid, True)
+    c = np.empty((6,) + u.shape[1:], dtype=np.complex128)
+    np.multiply(u, wv.mask, out=c[:3])
+    u1, u2, u3 = c[:3]
+    c[3] = 1j * (etal * u3 - l * u2)
+    c[4] = 1j * (l * u1 - k * u3)
+    c[5] = 1j * (k * u2 - etal * u1)
+    v1, v2, v3, o1, o2, o3 = np.fft.irfftn(c, s=grid.shape, axes=(1, 2, 3))
+    prod = np.empty((3,) + grid.shape)
+    np.subtract(v2 * o3, v3 * o2, out=prod[0])
+    np.subtract(v3 * o1, v1 * o3, out=prod[1])
+    np.subtract(v1 * o2, v2 * o1, out=prod[2])
+    # physical samples are n_modes * irfftn, amplitudes are rfftn / n_modes
+    a = np.fft.rfftn(prod, axes=(1, 2, 3))
+    a *= wv.amp_mask
+    if not np.isfinite(a).all():
+        raise BlowUpError("non-finite values in the advection term", time=t)
+    return a
+
+
+def _half(U: VelocityField) -> np.ndarray:
+    """The l >= 0 planes of the three components as one (3, Nx, Ny, Nz//2+1) array."""
+    nh = U.grid.Nz // 2 + 1
+    return np.stack([c[:, :, :nh] for c in U.coeff_arrays()])
+
+
+def _full(grid: GridSpec, h: np.ndarray, t: float) -> VelocityField:
+    """Expand a half-spectrum array by conjugate reflection: C(-k,-eta,-l) = conj C(k,eta,l)."""
+    nh = h.shape[-1]
+    full = np.empty((3,) + grid.shape, dtype=np.complex128)
+    full[..., :nh] = h
+    rx = (-np.arange(grid.Nx)) % grid.Nx
+    ry = (-np.arange(grid.Ny)) % grid.Ny
+    np.conjugate(h[..., grid.Nz - nh : 0 : -1][:, rx][:, :, ry], out=full[..., nh:])
+    return velocity_from_arrays(grid, full[0], full[1], full[2], t)
 
 
 # ---------------------------------------------------------------------------
@@ -191,15 +304,9 @@ def leray_project_L(
     through untouched (its symbol vanishes).
     """
     grid = fields[0].grid
-    c1, c2, c3 = (f.coeffs for f in fields)
-    kk, etal, ll, w = frame_symbols(grid, t, beta)
-    div = 1j * (kk * c1 + etal * c2 + ll * c3)
-    phi = div / w
-    phi[0, 0, 0] = 0.0
-    out1 = c1 + 1j * kk * phi
-    out2 = c2 + 1j * etal * phi
-    out3 = c3 + 1j * ll * phi
-    return velocity_from_arrays(grid, out1, out2, out3, t)
+    f = np.stack([x.coeffs for x in fields]).astype(np.complex128, copy=False)
+    out = _project(f, frame_symbols(grid, t, beta))
+    return velocity_from_arrays(grid, out[0], out[1], out[2], t)
 
 
 def divergence_defect(U: VelocityField, beta: float = 1.0) -> float:
@@ -212,58 +319,25 @@ def divergence_defect(U: VelocityField, beta: float = 1.0) -> float:
 def linear_rhs(U: VelocityField, t: float, beta: float = 1.0) -> VelocityField:
     """Non-diffusive linear terms: rotation forcing plus its pressure correction.
 
-    Returns -beta [ (0, U1, 0) + grad_L (-Delta_L)^{-1} (d_X U2 + d_Y^L U1) ].
-    On x-averaged modes this reproduces the nilpotent lift-up generator; the
-    diffusion part is handled separately by the exact integrating factor.
+    Returns -beta [ (0, U1, 0) + grad_L (-Delta_L)^{-1} (d_X U2 + d_Y^L U1) ],
+    whose frame divergence is i beta k U2.  On x-averaged modes this
+    reproduces the nilpotent lift-up generator; the diffusion part is handled
+    separately by the exact integrating factor.
     """
-    grid = U.grid
-    c1, c2, c3 = U.coeff_arrays()
-    kk, etal, ll, w = frame_symbols(grid, t, beta)
-    q = (1j * kk * c2 + 1j * etal * c1) / w
-    q[0, 0, 0] = 0.0
-    r1 = -beta * (1j * kk * q)
-    r2 = -beta * (c1 + 1j * etal * q)
-    r3 = -beta * (1j * ll * q)
-    r2[0, 0, 0] = 0.0
-    return velocity_from_arrays(grid, r1, r2, r3, t)
-
-
-def _physical(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
-    return np.real(np.fft.ifftn(coeffs)) * grid.n_modes
+    out = _forcing(np.stack(U.coeff_arrays()), frame_symbols(U.grid, t, beta), beta)
+    return velocity_from_arrays(U.grid, out[0], out[1], out[2], t)
 
 
 def nonlinear_rhs(U: VelocityField, t: float, beta: float = 1.0) -> VelocityField:
     """Dealiased advection with its pressure correction: -P_L (U . grad_L U).
 
-    The products are formed on the physical grid from masked coefficients, so
-    the quadratic interactions are alias free and the result is again
-    divergence free in the frame sense.
+    Evaluated in rotational form, P_L (U x curl_L U), on the half spectrum
+    of the (Hermitian) input; the result is divergence free in the frame
+    sense and Hermitian by construction.
     """
-    grid = U.grid
-    mask = grid.dealias_mask
-    kk, etal, ll, _ = frame_symbols(grid, t, beta)
-    cs = [c * mask for c in U.coeff_arrays()]
-    u_phys = [_physical(grid, c) for c in cs]
-    adv = []
-    for c in cs:
-        dx = _physical(grid, 1j * kk * c)
-        dy = _physical(grid, 1j * etal * c)
-        dz = _physical(grid, 1j * ll * c)
-        a = u_phys[0] * dx + u_phys[1] * dy + u_phys[2] * dz
-        adv.append(np.fft.fftn(a) / grid.n_modes * mask)
-    if not all(np.all(np.isfinite(a)) for a in adv):
-        raise BlowUpError("non-finite values in the advection term", time=t)
-    projected = leray_project_L(
-        (
-            SpectralField(grid, adv[0], t),
-            SpectralField(grid, adv[1], t),
-            SpectralField(grid, adv[2], t),
-        ),
-        t,
-        beta,
-    )
-    c1, c2, c3 = projected.coeff_arrays()
-    return velocity_from_arrays(grid, -c1, -c2, -c3, t)
+    sym = frame_symbols(U.grid, t, beta, half=True)
+    a = _project(_advection(_half(U), sym, U.grid, t), sym)
+    return _full(U.grid, a, t)
 
 
 def advective_rate_bound(U: VelocityField, t_horizon: float, beta: float = 1.0) -> float:
@@ -283,70 +357,56 @@ def advective_rate_bound(U: VelocityField, t_horizon: float, beta: float = 1.0) 
 # time stepping
 
 
-def _rhs(U: VelocityField, t: float, cfg: SimConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    lin = linear_rhs(U, t, cfg.beta)
-    r1, r2, r3 = lin.coeff_arrays()
-    if cfg.nonlinear_enabled:
-        nl = nonlinear_rhs(U, t, cfg.beta)
-        n1, n2, n3 = nl.coeff_arrays()
-        r1 = r1 + n1
-        r2 = r2 + n2
-        r3 = r3 + n3
-    return r1, r2, r3
-
-
 def step(U: VelocityField, t: float, dt: float, cfg: SimConfig) -> VelocityField:
     """Advance one step: exact diffusion factor + explicit RK on the rest.
 
     The Runge-Kutta stages act on diffusion-transformed variables, so the
     only step-size restrictions are accuracy of the rotation terms and the
-    advective CFL when the nonlinearity is on.  The result is re-projected,
-    re-masked and checked against the blow-up cap.
+    advective CFL when the nonlinearity is on.  The state lives in one
+    half-spectrum array for the whole step; symbols and the integral of w
+    are evaluated once per distinct stage time.  The result is re-projected,
+    re-masked, checked against the blow-up cap and expanded by conjugate
+    reflection, so it is Hermitian by construction.
     """
     grid = U.grid
-
-    def as_velocity(arrs, time):
-        return velocity_from_arrays(grid, arrs[0], arrs[1], arrs[2], time)
-
-    u0 = U.coeff_arrays()
-    e_half = propagator(grid, cfg.nu, t, t + 0.5 * dt, cfg.beta)
-    e_half2 = propagator(grid, cfg.nu, t + 0.5 * dt, t + dt, cfg.beta)
+    beta = cfg.beta
+    tm, t1 = t + 0.5 * dt, t + dt
+    sym0, symm, sym1 = (frame_symbols(grid, s, beta, half=True) for s in (t, tm, t1))
+    i0, im, i1 = (_integral_w(grid, s, beta) for s in (t, tm, t1))
+    e_half = np.exp(-cfg.nu * (im - i0))
+    e_half2 = np.exp(-cfg.nu * (i1 - im))
     e_full = e_half * e_half2
-    tm = t + 0.5 * dt
 
-    k1 = _rhs(U, t, cfg)
+    def rhs(u, sym, s):
+        adv = _advection(u, sym, grid, s) if cfg.nonlinear_enabled else None
+        return _forcing(u, sym, beta, adv)
+
+    u0 = _half(U)
+    k1 = rhs(u0, sym0, t)
+    k2 = rhs(e_half * (u0 + 0.5 * dt * k1), symm, tm)
     if cfg.rk_stages == 2:
-        s2 = tuple(e_half * (u0[i] + 0.5 * dt * k1[i]) for i in range(3))
-        k2 = _rhs(as_velocity(s2, tm), tm, cfg)
-        new = tuple(e_full * u0[i] + dt * e_half2 * k2[i] for i in range(3))
+        new = e_full * u0 + dt * e_half2 * k2
     else:
-        s2 = tuple(e_half * (u0[i] + 0.5 * dt * k1[i]) for i in range(3))
-        k2 = _rhs(as_velocity(s2, tm), tm, cfg)
-        s3 = tuple(e_half * u0[i] + 0.5 * dt * k2[i] for i in range(3))
-        k3 = _rhs(as_velocity(s3, tm), tm, cfg)
-        s4 = tuple(e_half2 * (e_half * u0[i] + dt * k3[i]) for i in range(3))
-        k4 = _rhs(as_velocity(s4, t + dt), t + dt, cfg)
-        new = tuple(
-            e_full * u0[i]
-            + dt / 6.0 * (e_full * k1[i] + 2.0 * e_half2 * (k2[i] + k3[i]) + k4[i])
-            for i in range(3)
-        )
+        eu0 = e_half * u0
+        k3 = rhs(eu0 + 0.5 * dt * k2, symm, tm)
+        k4 = rhs(e_half2 * (eu0 + dt * k3), sym1, t1)
+        new = e_full * u0 + dt / 6.0 * (e_full * k1 + 2.0 * e_half2 * (k2 + k3) + k4)
 
-    t_new = t + dt
-    out = leray_project_L(
-        tuple(SpectralField(grid, c, t_new) for c in new), t_new, cfg.beta
+    new = _project(new, sym1)
+    new *= _waves(grid, True).mask
+    new[:, 0, 0, 0] = 0.0
+
+    # full-spectrum l2: the l = 0 and l = Nz/2 planes are stored once, the
+    # others stand for themselves and their conjugate reflection
+    power = new.real**2 + new.imag**2
+    l2 = math.sqrt(
+        float(2.0 * np.sum(power) - np.sum(power[..., 0]) - np.sum(power[..., -1]))
     )
-    mask = grid.dealias_mask
-    for c in out.coeff_arrays():
-        c *= mask
-        c[0, 0, 0] = 0.0
-
-    l2 = math.sqrt(sum(float(np.sum(np.abs(c) ** 2)) for c in out.coeff_arrays()))
     if not math.isfinite(l2):
-        raise BlowUpError("non-finite state after step", time=t_new)
+        raise BlowUpError("non-finite state after step", time=t1)
     if l2 > cfg.blowup_cap:
-        raise BlowUpError(f"state norm {l2:.3e} exceeded the cap {cfg.blowup_cap:.3e}", time=t_new)
-    return out
+        raise BlowUpError(f"state norm {l2:.3e} exceeded the cap {cfg.blowup_cap:.3e}", time=t1)
+    return _full(grid, new, t1)
 
 
 # ---------------------------------------------------------------------------
@@ -520,8 +580,3 @@ def run(cfg: SimConfig, report_fn: Callable | None = None) -> RunResult:
             emit(t, U)
     return result
 
-
-def velocity_replace_time(U: VelocityField, t: float) -> VelocityField:
-    return VelocityField(
-        replace(U.u1, time=t), replace(U.u2, time=t), replace(U.u3, time=t)
-    )

@@ -18,7 +18,7 @@ integrating factors cheap everywhere else in the package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -293,6 +293,3 @@ def resolve_eta_index(grid: GridSpec, j: int) -> int:
         raise ValueError(f"eta index {j} outside [-{half}, {half})")
     return j % grid.Ny
 
-
-def replace_time(f: SpectralField, time: float) -> SpectralField:
-    return replace(f, time=time)

@@ -142,6 +142,21 @@ def _run_cell(cfg: SweepConfig, nu: float, eps: float, seed: int) -> CellResult:
     )
 
 
+def _guarded_cell(cfg: SweepConfig, nu: float, eps: float, seed: int) -> CellResult:
+    """``_run_cell`` with failures recorded as an inconclusive error cell."""
+    try:
+        return _run_cell(cfg, nu, eps, seed)
+    except Exception as exc:  # cell failures must not abort the sweep
+        return CellResult(
+            nu=nu,
+            eps=eps,
+            outcome="inconclusive",
+            peak_norm=math.nan,
+            t_peak=math.nan,
+            status=f"error: {exc}",
+        )
+
+
 def _repair_monotone(cells: list[CellResult]) -> list[tuple[float, float]]:
     """Mark order-violating (stable above unstable) pairs inconclusive."""
     repaired = []
@@ -193,17 +208,7 @@ def sweep(cfg: SweepConfig, threads: int = 1, checkpoint=None) -> ThresholdResul
         key = (nu, eps)
         if key in checkpoint:
             return key, checkpoint[key]
-        try:
-            return key, _run_cell(cfg, nu, eps, _cell_seed(cfg.base.seed, i_nu, i_eps))
-        except Exception as exc:  # cell failures must not abort the sweep
-            return key, CellResult(
-                nu=nu,
-                eps=eps,
-                outcome="inconclusive",
-                peak_norm=math.nan,
-                t_peak=math.nan,
-                status=f"error: {exc}",
-            )
+        return key, _guarded_cell(cfg, nu, eps, _cell_seed(cfg.base.seed, i_nu, i_eps))
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -219,7 +224,7 @@ def sweep(cfg: SweepConfig, threads: int = 1, checkpoint=None) -> ThresholdResul
     repaired: list[tuple[float, float]] = []
     eps_star: dict[float, float | None] = {}
     censored: dict[float, bool] = {}
-    for nu in cfg.nu_grid:
+    for i_nu, nu in enumerate(cfg.nu_grid):
         nu = float(nu)
         per_nu = [c for c in cells if c.nu == nu]
         repaired.extend(_repair_monotone(per_nu))
@@ -237,7 +242,7 @@ def sweep(cfg: SweepConfig, threads: int = 1, checkpoint=None) -> ThresholdResul
             continue
         upper = min(u for u in unstable if u > star)
         if cfg.bisect:
-            star, upper, extra = _bisect(cfg, nu, star, upper)
+            star, upper, extra = _bisect(cfg, i_nu, nu, star, upper)
             cells.extend(extra)
         eps_star[nu] = star
         censored[nu] = False
@@ -257,13 +262,17 @@ def sweep(cfg: SweepConfig, threads: int = 1, checkpoint=None) -> ThresholdResul
     )
 
 
-def _bisect(cfg: SweepConfig, nu: float, lo: float, hi: float):
-    """Geometric bisection of the stable/unstable bracket to the target width."""
+def _bisect(cfg: SweepConfig, i_nu: int, nu: float, lo: float, hi: float):
+    """Geometric bisection of the stable/unstable bracket to the target width.
+
+    Refinement cells are seeded like grid cells of the same viscosity, with
+    amplitude indices from 10000 on; a failing cell ends the refinement.
+    """
     extra: list[CellResult] = []
     i_extra = 10_000
     while hi / lo - 1.0 > cfg.bisect_rel_width:
         mid = math.sqrt(lo * hi)
-        cell = _run_cell(cfg, nu, mid, _cell_seed(cfg.base.seed, 0, i_extra))
+        cell = _guarded_cell(cfg, nu, mid, _cell_seed(cfg.base.seed, i_nu, i_extra))
         cell.refined = True
         extra.append(cell)
         i_extra += 1

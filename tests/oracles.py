@@ -185,3 +185,33 @@ def random_modes(rng, n, kmax=8, eta_max=50.0, lmax=8, nonzero_k=True):
             continue
         out.append(WaveVector(k=k, eta=float(rng.uniform(-eta_max, eta_max)), l=int(rng.integers(-lmax, lmax + 1))))
     return out
+
+
+def convective_nonlinear_rhs(grid: GridSpec, coeffs, t: float, beta: float = 1.0):
+    """Convective-form advection -P_L (u . grad_L u) with 15 complex FFTs.
+
+    Each of the nine velocity gradients is synthesised separately on the
+    physical grid from 2/3-masked full-spectrum coefficients, the products
+    are analysed back, masked, and projected with an inline frame Leray
+    projection.  Returns the three coefficient arrays.
+    """
+    n = grid.n_modes
+    mask = grid.dealias_mask
+    kk, ee, ll = grid.wave_arrays
+    etal = ee - kk * (beta * t)
+    cs = [c * mask for c in coeffs]
+
+    def physical(c):
+        return np.real(np.fft.ifftn(c)) * n
+
+    u = [physical(c) for c in cs]
+    adv = []
+    for c in cs:
+        grads = [physical(1j * sym * c) for sym in (kk, etal, ll)]
+        a = u[0] * grads[0] + u[1] * grads[1] + u[2] * grads[2]
+        adv.append(np.fft.fftn(a) / n * mask)
+    w = kk * kk + etal * etal + ll * ll
+    w[0, 0, 0] = 1.0
+    phi = 1j * (kk * adv[0] + etal * adv[1] + ll * adv[2]) / w
+    phi[0, 0, 0] = 0.0
+    return [-(a + 1j * sym * phi) for a, sym in zip(adv, (kk, etal, ll))]

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracles import convective_nonlinear_rhs
 
 from rotcouette.linear import ModeStateK, ZeroModeState, evolve_K_closed, zero_mode_evolve
 from rotcouette.simulation import (
@@ -12,6 +13,7 @@ from rotcouette.simulation import (
     SimConfig,
     advective_rate_bound,
     divergence_defect,
+    frame_symbols,
     initial_condition,
     leray_project_L,
     linear_rhs,
@@ -32,9 +34,10 @@ from rotcouette.spectral import (
 
 
 GRID = GridSpec(8, 16, 8, Ly=32.0)
+NONCUBIC = GridSpec(6, 24, 10, Ly=16.0)
 
 
-def random_velocity(grid, rng, t=0.0, project=True):
+def random_velocity(grid, rng, t=0.0, project=True, beta=1.0):
     arrs = []
     for _ in range(3):
         c = (rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
@@ -42,10 +45,18 @@ def random_velocity(grid, rng, t=0.0, project=True):
         arrs.append(f.coeffs)
     U = velocity_from_arrays(grid, *arrs, time=t)
     if project:
-        U = leray_project_L(U.components(), t)
+        U = leray_project_L(U.components(), t, beta)
         for c in U.coeff_arrays():
             c[0, 0, 0] = 0.0
     return U
+
+
+def l0_plane_defect(c):
+    """Hermitian defect of the l = 0 plane: C(k, eta, 0) against conj C(-k, -eta, 0)."""
+    nx, ny, _ = c.shape
+    plane = c[:, :, 0]
+    flip = plane[(-np.arange(nx)) % nx][:, (-np.arange(ny)) % ny]
+    return float(np.max(np.abs(plane - np.conj(flip))))
 
 
 def mode_index(grid, k, j, l):
@@ -116,6 +127,19 @@ class TestLinearRhs:
         assert out.u2.coeffs[i] == pytest.approx(-(l * l) / rho, rel=1e-12)
         assert out.u3.coeffs[i] == pytest.approx(eta * l / rho, rel=1e-12)
 
+    @pytest.mark.parametrize("beta", [1.0, 2.0])
+    def test_frame_divergence_is_rotation_source(self, beta):
+        # the pressure keeps div_L u = 0 under d/dt (eta - beta k t) = -beta k,
+        # so the forcing itself has div_L = i beta k u2, not zero
+        rng = np.random.default_rng(65)
+        t = 0.9
+        U = random_velocity(GRID, rng, t=t, beta=beta)
+        out = linear_rhs(U, t, beta)
+        kk, etal, ll, _ = frame_symbols(GRID, t, beta)
+        div = 1j * (kk * out.u1.coeffs + etal * out.u2.coeffs + ll * out.u3.coeffs)
+        want = 1j * beta * kk * U.u2.coeffs
+        assert np.max(np.abs(div - want)) <= 1e-14 * np.max(np.abs(want))
+
     def test_single_mode_matches_closed_form(self):
         # short linear integration of one k != 0 mode against the exact pair
         cfg = SimConfig(
@@ -171,6 +195,18 @@ class TestNonlinearRhs:
             ) * math.sqrt(sum(float(np.sum(np.abs(b) ** 2)) for b in N.coeff_arrays()))
             assert abs(flux) <= 1e-8 * scale
 
+    @pytest.mark.parametrize("grid", [GRID, NONCUBIC], ids=["8x16x8", "6x24x10"])
+    @pytest.mark.parametrize("t", [0.0, 1.7])
+    def test_matches_convective_oracle(self, grid, t):
+        rng = np.random.default_rng(66)
+        U = random_velocity(grid, rng, t=t)
+        got = nonlinear_rhs(U, t)
+        want = convective_nonlinear_rhs(grid, U.coeff_arrays(), t)
+        scale = max(np.max(np.abs(c)) for c in want)
+        assert scale > 0.0
+        for a, b in zip(got.coeff_arrays(), want):
+            assert np.max(np.abs(a - b)) <= 1e-12 * scale
+
     def test_blowup_detection(self):
         g = GRID
         arrs = [np.full(g.shape, np.nan, dtype=complex) for _ in range(3)]
@@ -211,6 +247,42 @@ class TestStep:
             norm = max(np.max(np.abs(c)) for c in U.coeff_arrays())
             assert max(hermitian_defect(f) for f in U.components()) <= 1e-12 * max(norm, 1e-30)
             assert all(c[0, 0, 0] == 0.0 for c in U.coeff_arrays())
+
+    def test_twenty_nonlinear_steps_keep_invariants(self):
+        # one pressure solve per stage keeps the frame divergence at rounding
+        # level; the half-spectrum state keeps the output Hermitian
+        cfg = SimConfig(nu=1e-2, grid=GRID, dt=0.02, eps=1e-2, nonlinear_enabled=True)
+        U = random_velocity(GRID, np.random.default_rng(67))
+        for c in U.coeff_arrays():
+            c *= 0.5 / np.max(np.abs(c))
+        t = 0.0
+        for i in range(20):
+            U = step(U, t, cfg.dt, cfg)
+            t = (i + 1) * cfg.dt
+            norm = max(np.max(np.abs(c)) for c in U.coeff_arrays())
+            assert divergence_defect(U) <= 1e-10
+            assert max(hermitian_defect(f) for f in U.components()) <= 1e-13 * norm
+            assert max(l0_plane_defect(c) for c in U.coeff_arrays()) <= 1e-13 * norm
+        assert U.time == pytest.approx(20 * cfg.dt)
+
+    def test_blowup_cap_on_full_spectrum_norm(self):
+        # the cap reads the full-spectrum l2 norm: the half-spectrum state
+        # must weigh the l = 0 plane once and every other plane twice
+        cfg = SimConfig(nu=1e-2, grid=GRID, dt=0.01, nonlinear_enabled=False, blowup_cap=1.0)
+        U = random_velocity(GRID, np.random.default_rng(68))
+        free = step(U, 0.0, cfg.dt, replace(cfg, blowup_cap=math.inf))
+        l2 = math.sqrt(sum(float(np.sum(np.abs(c) ** 2)) for c in free.coeff_arrays()))
+        assert np.any(U.u1.coeffs[:, :, 0] != 0.0) and np.any(U.u1.coeffs[:, :, 1] != 0.0)
+
+        def scaled(factor):
+            return velocity_from_arrays(
+                GRID, *(c * (factor / l2) for c in U.coeff_arrays()), time=0.0
+            )
+
+        step(scaled(1.0 - 1e-9), 0.0, cfg.dt, cfg)
+        with pytest.raises(BlowUpError) as info:
+            step(scaled(1.0 + 1e-9), 0.0, cfg.dt, cfg)
+        assert info.value.time == pytest.approx(cfg.dt)
 
     def test_convergence_order(self):
         # halving dt must cut the closed-form error by at least 3.5x

@@ -8,11 +8,13 @@ import pytest
 
 from rotcouette.diagnostics import EnergyReport
 from rotcouette.simulation import RunResult, SimConfig, run
+from rotcouette import threshold
 from rotcouette.spectral import GridSpec
 from rotcouette.threshold import (
     CellResult,
     ClassifyCriteria,
     SweepConfig,
+    _cell_seed,
     _repair_monotone,
     classify_run,
     default_horizon,
@@ -166,6 +168,62 @@ class TestSweep:
             assert not result.censored[nu]
             assert result.eps_star[nu] is not None
         assert result.gamma is not None
+
+
+class TestBisect:
+    """Refinement driven by a stand-in cell runner with a known threshold."""
+
+    THRESHOLD = {2e-2: 3e-5, 1e-2: 2e-6}
+
+    def config(self):
+        base = SimConfig(nu=1e-2, grid=GRID, dt=0.05, seed=11)
+        return SweepConfig(
+            nu_grid=(2e-2, 1e-2), eps_min=1e-7, eps_max=1e-3, eps_points=3, base=base,
+            classify=ClassifyCriteria(horizon=1.0), bisect=True, bisect_rel_width=0.5,
+        )
+
+    def fake_runner(self, calls, fail_refined=False):
+        grid_eps = set(self.config().eps_grid().tolist())
+
+        def run_cell(cfg, nu, eps, seed):
+            calls.append((nu, eps, seed))
+            if fail_refined and eps not in grid_eps:
+                raise FloatingPointError("injected failure")
+            outcome = "stable" if eps < self.THRESHOLD[nu] else "unstable"
+            return CellResult(nu=nu, eps=eps, outcome=outcome, peak_norm=eps,
+                              t_peak=0.0, status="completed")
+
+        return run_cell
+
+    def test_refinement_seeded_with_viscosity_index(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(threshold, "_run_cell", self.fake_runner(calls))
+        cfg = self.config()
+        result = sweep(cfg)
+        grid_eps = set(cfg.eps_grid().tolist())
+        for i_nu, nu in enumerate(cfg.nu_grid):
+            refined = [seed for n, eps, seed in calls if n == nu and eps not in grid_eps]
+            assert refined, f"no refinement at nu = {nu}"
+            want = [_cell_seed(cfg.base.seed, i_nu, 10_000 + i) for i in range(len(refined))]
+            assert refined == want
+            star = result.eps_star[nu]
+            assert star < self.THRESHOLD[nu] and not result.censored[nu]
+        assert sum(c.refined for c in result.cells) == len(calls) - 6
+
+    def test_failing_refinement_cell_does_not_abort(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(threshold, "_run_cell", self.fake_runner(calls, fail_refined=True))
+        cfg = self.config()
+        result = sweep(cfg)
+        refined = [c for c in result.cells if c.refined]
+        assert len(refined) == len(cfg.nu_grid)  # one failed cell ends each refinement
+        for c in refined:
+            assert c.outcome == "inconclusive" and c.status.startswith("error:")
+            assert math.isnan(c.peak_norm)
+        for nu in cfg.nu_grid:
+            assert result.eps_star[nu] == max(
+                e for e in cfg.eps_grid() if e < self.THRESHOLD[nu]
+            )
 
 
 def replace_cell_status(cell, status):
