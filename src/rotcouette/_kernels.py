@@ -1,191 +1,66 @@
-"""Hot per-mode kernels: numba fast path with a pure-numpy fallback.
+"""Per-mode kernels: the diffusion integral and the two spectral weights.
 
-The simulator and the diagnostics evaluate the shear-frame symbol, its time
-integral and the two spectral weights over full 3D mode grids at every step
-or report.  Those evaluations are the branch-heavy inner loops of the
-package, so they are compiled with numba when it is available.  Setting
-``ROTCOUETTE_DISABLE_NUMBA=1`` selects the numpy implementations instead
-(the two paths agree to rounding and are benchmarked against each other in
-``benchmarks/bench_kernels.py``).
-
-All kernels take flat float64 arrays of the same length plus scalars and
-return a new float64 array.
+The simulator and the diagnostics evaluate the exact time integral of the
+shear-frame symbol and the weights m, M and -Mdot/M over whole mode grids at
+every step or report.  Each kernel is one numpy expression that broadcasts
+over its ``k, eta, l`` arguments, so callers pass the (Nx,1,1), (1,Ny,1) and
+(1,1,nl) wave arrays and get the broadcast shape back; the values equal those
+of the same kernel on raveled full-grid arrays exactly.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-
-def _numba_requested() -> bool:
-    flag = os.environ.get("ROTCOUETTE_DISABLE_NUMBA", "").strip().lower()
-    return flag not in {"1", "true", "yes", "on"}
+USE_NUMBA = False  # no compiled kernels; kept because perfbench/run.py records it
 
 
-try:  # pragma: no cover - exercised indirectly through the dispatch tests
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    numba = None
-    HAVE_NUMBA = False
-
-USE_NUMBA = HAVE_NUMBA and _numba_requested()
+def _ratio(k, eta):
+    """eta/k where k != 0 (0 elsewhere), with the k != 0 mask."""
+    nonzero = k != 0
+    return nonzero, np.where(nonzero, eta / np.where(nonzero, k, 1.0), 0.0)
 
 
-# ---------------------------------------------------------------------------
-# numpy implementations
-
-
-def w_values_np(t, k, eta, l):
-    d = eta - k * t
-    return k * k + d * d + l * l
-
-
-def integral_w_values_np(t, k, eta, l, beta=1.0):
+def integral_w_values(t, k, eta, l, beta=1.0):
     half = eta - 0.5 * beta * k * t
     shear = beta * k * t
     return (k * k + l * l) * t + (half * half + shear * shear / 12.0) * t
 
 
-def m_values_np(t, k, eta, l, nu, window=1000.0):
+def m_values(t, k, eta, l, nu, window=1000.0):
     lw = window * nu ** (-1.0 / 3.0)
-    nonzero = k != 0
-    ratio = np.where(nonzero, eta / np.where(nonzero, k, 1.0), 0.0)
+    nonzero, ratio = _ratio(k, eta)
     wt = k * k + (eta - k * t) ** 2 + l * l
     w_end = k * k + (window * k) ** 2 * nu ** (-2.0 / 3.0) + l * l
     w0 = k * k + eta * eta + l * l
     kl2 = k * k + l * l
     tend = ratio + lw
 
-    out = np.ones_like(wt)
     neg = nonzero & (ratio > -lw) & (ratio < 0.0)
     pos = nonzero & (ratio >= 0.0)
     safe_wt = np.where(wt > 0.0, wt, 1.0)
     safe_end = np.where(w_end > 0.0, w_end, 1.0)
-    out = np.where(neg, np.where(t < tend, w0 / safe_wt, w0 / safe_end), out)
-    out = np.where(
+    out = np.where(neg, np.where(t < tend, w0 / safe_wt, w0 / safe_end), 1.0)
+    return np.where(
         pos,
         np.where(t < ratio, 1.0, np.where(t < tend, kl2 / safe_wt, kl2 / safe_end)),
         out,
     )
-    return out
 
 
-def M_values_np(t, k, eta, l, nu):
-    nonzero = k != 0
-    third = nu ** (1.0 / 3.0)
-    ratio = np.where(nonzero, eta / np.where(nonzero, k, 1.0), 0.0)
+def _M(t, nonzero, ratio, third):
     expo = -(np.arctan(third * (t - ratio)) + np.arctan(third * ratio))
     return np.where(nonzero, np.exp(expo), 1.0)
 
 
-def neg_MdotM_values_np(t, k, eta, l, nu):
-    nonzero = k != 0
+def M_values(t, k, eta, l, nu):
+    nonzero, ratio = _ratio(k, eta)
+    return _M(t, nonzero, ratio, nu ** (1.0 / 3.0))
+
+
+def neg_MdotM_values(t, k, eta, l, nu):
+    nonzero, ratio = _ratio(k, eta)
     third = nu ** (1.0 / 3.0)
-    ratio = np.where(nonzero, eta / np.where(nonzero, k, 1.0), 0.0)
-    M = M_values_np(t, k, eta, l, nu)
+    M = _M(t, nonzero, ratio, third)
     x = third * (t - ratio)
     return np.where(nonzero, M * M * third / (1.0 + x * x), 0.0)
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-
-if HAVE_NUMBA:
-
-    @numba.njit(cache=True)
-    def w_values_nb(t, k, eta, l):
-        n = k.shape[0]
-        out = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            d = eta[i] - k[i] * t
-            out[i] = k[i] * k[i] + d * d + l[i] * l[i]
-        return out
-
-    @numba.njit(cache=True)
-    def integral_w_values_nb(t, k, eta, l, beta=1.0):
-        n = k.shape[0]
-        out = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            half = eta[i] - 0.5 * beta * k[i] * t
-            shear = beta * k[i] * t
-            out[i] = (k[i] * k[i] + l[i] * l[i]) * t + (half * half + shear * shear / 12.0) * t
-        return out
-
-    @numba.njit(cache=True)
-    def m_values_nb(t, k, eta, l, nu, window=1000.0):
-        n = k.shape[0]
-        out = np.empty(n, dtype=np.float64)
-        lw = window * nu ** (-1.0 / 3.0)
-        for i in range(n):
-            ki = k[i]
-            if ki == 0.0:
-                out[i] = 1.0
-                continue
-            ratio = eta[i] / ki
-            if ratio <= -lw:
-                out[i] = 1.0
-                continue
-            d = eta[i] - ki * t
-            wt = ki * ki + d * d + l[i] * l[i]
-            w_end = ki * ki + (window * ki) ** 2 * nu ** (-2.0 / 3.0) + l[i] * l[i]
-            if ratio < 0.0:
-                w0 = ki * ki + eta[i] * eta[i] + l[i] * l[i]
-                if t < ratio + lw:
-                    out[i] = w0 / wt
-                else:
-                    out[i] = w0 / w_end
-            else:
-                kl2 = ki * ki + l[i] * l[i]
-                if t < ratio:
-                    out[i] = 1.0
-                elif t < ratio + lw:
-                    out[i] = kl2 / wt
-                else:
-                    out[i] = kl2 / w_end
-        return out
-
-    @numba.njit(cache=True)
-    def M_values_nb(t, k, eta, l, nu):
-        n = k.shape[0]
-        out = np.empty(n, dtype=np.float64)
-        third = nu ** (1.0 / 3.0)
-        for i in range(n):
-            if k[i] == 0.0:
-                out[i] = 1.0
-            else:
-                ratio = eta[i] / k[i]
-                out[i] = np.exp(-(np.arctan(third * (t - ratio)) + np.arctan(third * ratio)))
-        return out
-
-    @numba.njit(cache=True)
-    def neg_MdotM_values_nb(t, k, eta, l, nu):
-        n = k.shape[0]
-        out = np.empty(n, dtype=np.float64)
-        third = nu ** (1.0 / 3.0)
-        for i in range(n):
-            if k[i] == 0.0:
-                out[i] = 0.0
-            else:
-                ratio = eta[i] / k[i]
-                M = np.exp(-(np.arctan(third * (t - ratio)) + np.arctan(third * ratio)))
-                x = third * (t - ratio)
-                out[i] = M * M * third / (1.0 + x * x)
-        return out
-
-
-if USE_NUMBA:
-    w_values = w_values_nb
-    integral_w_values = integral_w_values_nb
-    m_values = m_values_nb
-    M_values = M_values_nb
-    neg_MdotM_values = neg_MdotM_values_nb
-else:
-    w_values = w_values_np
-    integral_w_values = integral_w_values_np
-    m_values = m_values_np
-    M_values = M_values_np
-    neg_MdotM_values = neg_MdotM_values_np

@@ -61,8 +61,6 @@ def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=str, default=None, help="INI config file")
     common.add_argument("--out", type=str, default=".", help="output directory")
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--threads", type=int, default=1)
 
     lin = sub.add_parser("linear", parents=[common], help="closed-form per-mode trajectories")
     lin.add_argument("--mode", action="append", default=None, metavar="K,ETA,L",
@@ -85,6 +83,7 @@ def _build_parser() -> _Parser:
     mult.add_argument("--window", type=float, default=1000.0)
 
     sim = sub.add_parser("simulate", parents=[common], help="run the pseudospectral integrator")
+    sim.add_argument("--seed", type=int, default=None)
     sim.add_argument("--nu", type=float, default=None)
     sim.add_argument("--eps", type=float, default=None)
     sim.add_argument("--t-end", type=float, default=None)
@@ -95,6 +94,8 @@ def _build_parser() -> _Parser:
     sim.add_argument("--snapshots", type=int, default=None, help="snapshot cadence in steps")
 
     sw = sub.add_parser("sweep", parents=[common], help="amplitude/viscosity threshold sweep")
+    sw.add_argument("--seed", type=int, default=None)
+    sw.add_argument("--threads", type=int, default=1)
     sw.add_argument("--resume", action="store_true", help="reuse cells.csv rows in --out")
 
     return p

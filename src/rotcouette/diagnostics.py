@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from .simulation import SimConfig, VelocityField, frame_symbols
+from .simulation import SimConfig, VelocityField, _waves, frame_symbols
 from .spectral import GridSpec, SpectralField
 
 __all__ = [
@@ -174,12 +174,11 @@ def _weighted_norm(grid: GridSpec, coeffs: np.ndarray, weight_sq: np.ndarray | f
 
 
 def _multiplier_grids(grid: GridSpec, t: float, nu: float, window: float):
-    kf = np.ascontiguousarray(grid.wave_arrays[0].ravel())
-    ef = np.ascontiguousarray(grid.wave_arrays[1].ravel())
-    lf = np.ascontiguousarray(grid.wave_arrays[2].ravel())
-    m = _kernels.m_values(t, kf, ef, lf, nu, window).reshape(grid.shape)
-    M = _kernels.M_values(t, kf, ef, lf, nu).reshape(grid.shape)
-    dmm = _kernels.neg_MdotM_values(t, kf, ef, lf, nu).reshape(grid.shape)
+    """m over the coefficient layout; M and -Mdot/M, which have no l, as (Nx,Ny,1)."""
+    wv = _waves(grid, False)
+    m = _kernels.m_values(t, wv.k, wv.eta, wv.l, nu, window)
+    M = _kernels.M_values(t, wv.k, wv.eta, wv.l, nu)
+    dmm = _kernels.neg_MdotM_values(t, wv.k, wv.eta, wv.l, nu)
     return m, M, dmm
 
 

@@ -65,8 +65,12 @@ def write_snapshot_csv(path: str | Path, U: VelocityField, nu: float) -> Path:
     path = Path(path)
     grid = U.grid
     mask = grid.dealias_mask
-    idx = np.argwhere(mask)
-    c1, c2, c3 = U.coeff_arrays()
+    ik, ij, il = np.nonzero(mask)
+    columns = [grid.k_index[ik].tolist(), grid.j_index[ij].tolist(), grid.l_index[il].tolist(),
+               grid.eta_values[ij].tolist()]
+    for c in U.coeff_arrays():
+        kept = c[mask]
+        columns += [kept.real.tolist(), kept.imag.tolist()]
     lines = [
         f"# grid {grid.Nx} {grid.Ny} {grid.Nz}",
         f"# ly {fmt(grid.Ly)}",
@@ -74,18 +78,8 @@ def write_snapshot_csv(path: str | Path, U: VelocityField, nu: float) -> Path:
         f"# time {fmt(U.time)}",
         "k,j,l,eta,u1_re,u1_im,u2_re,u2_im,u3_re,u3_im",
     ]
-    kix = grid.k_index
-    jix = grid.j_index
-    lix = grid.l_index
-    eta = grid.eta_values
-    for ik, ij, il in idx:
-        vals = (c1[ik, ij, il], c2[ik, ij, il], c3[ik, ij, il])
-        lines.append(
-            ",".join(
-                [str(kix[ik]), str(jix[ij]), str(lix[il]), fmt(eta[ij])]
-                + [fmt(part) for v in vals for part in (v.real, v.imag)]
-            )
-        )
+    for k, j, l, *values in zip(*columns):
+        lines.append(",".join([str(k), str(j), str(l)] + [fmt(v) for v in values]))
     path.write_text("\n".join(lines) + "\n")
     return path
 
@@ -108,9 +102,8 @@ def read_snapshot_csv(path: str | Path) -> VelocityField:
         k, j, l = int(row[0]), int(row[1]), int(row[2])
         ik, ij, il = k % nx, j % ny, l % nz
         for ci, c in enumerate(arrs):
-            re = float(row[4 + 2 * ci])
-            im = float(row[5 + 2 * ci])
-            c[ik, ij, il] = re + 1j * im
+            # complex(re, im), not re + 1j * im, which turns a -0.0 real part into 0.0
+            c[ik, ij, il] = complex(float(row[4 + 2 * ci]), float(row[5 + 2 * ci]))
     return velocity_from_arrays(grid, arrs[0], arrs[1], arrs[2], t)
 
 

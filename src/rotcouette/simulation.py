@@ -167,7 +167,6 @@ class _Waves:
     l: np.ndarray  # (1, 1, nl)
     k2: np.ndarray
     l2: np.ndarray
-    flat: tuple[np.ndarray, np.ndarray, np.ndarray]  # k, eta, l per stored mode
     mask: np.ndarray  # dealias mask, (Nx, Ny, nl)
     amp_mask: np.ndarray  # dealias mask times the mode count
 
@@ -179,12 +178,10 @@ def _waves(grid: GridSpec, half: bool) -> _Waves:
     k = grid.k_index.astype(np.float64)[:, None, None]
     eta = grid.eta_values[None, :, None]
     l = grid.l_index[:nl].astype(np.float64)[None, None, :]
-    shape = (grid.Nx, grid.Ny, nl)
-    flat = tuple(np.ascontiguousarray(np.broadcast_to(a, shape)).ravel() for a in (k, eta, l))
     mask = np.ascontiguousarray(grid.dealias_mask[:, :, :nl])
     for a in (k, eta, l):
         a.flags.writeable = False
-    return _Waves(k, eta, l, k * k, l * l, flat, mask, mask * float(grid.n_modes))
+    return _Waves(k, eta, l, k * k, l * l, mask, mask * float(grid.n_modes))
 
 
 def frame_symbols(grid: GridSpec, t: float, beta: float = 1.0, half: bool = False):
@@ -203,8 +200,8 @@ def frame_symbols(grid: GridSpec, t: float, beta: float = 1.0, half: bool = Fals
 
 def _integral_w(grid: GridSpec, t: float, beta: float) -> np.ndarray:
     """Exact integral of w over [0, t] on the half-spectrum layout."""
-    kf, ef, lf = _waves(grid, True).flat
-    return _kernels.integral_w_values(t, kf, ef, lf, beta).reshape(grid.Nx, grid.Ny, -1)
+    wv = _waves(grid, True)
+    return _kernels.integral_w_values(t, wv.k, wv.eta, wv.l, beta)
 
 
 # ---------------------------------------------------------------------------

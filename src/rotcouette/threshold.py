@@ -191,8 +191,9 @@ def sweep(cfg: SweepConfig, threads: int = 1, checkpoint=None) -> ThresholdResul
     Cells are independent and may execute concurrently; results are merged in
     grid order so the outcome is independent of scheduling.  ``checkpoint``
     may map (nu, eps) to precomputed ``CellResult`` rows (e.g. parsed from a
-    partial sweep CSV); matching cells are not recomputed.  Failures inside a
-    cell are recorded as blown-up/unstable rather than aborting the sweep.
+    partial sweep CSV); matching cells are not recomputed.  An exception inside
+    a cell does not abort the sweep: the cell is recorded as ``inconclusive``
+    with an ``error: ...`` status.
     """
     eps_grid = cfg.eps_grid()
     jobs = []

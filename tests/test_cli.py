@@ -42,6 +42,46 @@ class TestUsageErrors:
         cfg.write_text("[sim]\nbogus = 1\n")
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["linear", "--k", "1", "--eta", "0", "--l", "0", "--nu", "1e-3", "--threads", "2"],
+            ["multipliers", "--mode", "1,2,0", "--nu", "1e-3", "--seed", "1"],
+            ["simulate", "--threads", "2"],
+        ],
+        ids=["linear-threads", "multipliers-seed", "simulate-threads"],
+    )
+    def test_flag_without_effect_rejected(self, tmp_path, argv):
+        cfg = tmp_path / "tiny.ini"
+        cfg.write_text("[sim]\nnx = 8\nny = 16\nnz = 8\nt_end = 0.1\n")
+        out = tmp_path / "out"
+        assert main(argv + ["--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+
+
+class TestSnapshotFormat:
+    def test_round_trip_is_bitwise(self, tmp_path):
+        from rotcouette.reporting import read_snapshot_csv, write_snapshot_csv
+        from rotcouette.simulation import velocity_from_arrays
+        from rotcouette.spectral import GridSpec
+
+        grid = GridSpec(Nx=6, Ny=20, Nz=10, Ly=7.3)
+        rng = np.random.default_rng(5)
+        mask = grid.dealias_mask
+        arrays = []
+        for _ in range(3):
+            c = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+            arrays.append(np.where(mask, c, 0.0))
+        arrays[0][1, 2, 3] = complex(-0.0, 5e-324)  # signed zero and a subnormal
+        arrays[1][0, 1, 0] = complex(1e308, -1e-300)
+        t = 0.1 + 0.2  # not a short decimal
+        path = write_snapshot_csv(tmp_path / "snap.csv", velocity_from_arrays(grid, *arrays, t), 3e-3)
+        U = read_snapshot_csv(path)
+        assert U.grid == grid
+        assert U.time == t
+        for written, read in zip(arrays, U.coeff_arrays()):
+            assert read.tobytes() == written.tobytes()
+
 
 class TestLinearCommand:
     def test_nonzero_mode_envelopes(self, tmp_path):
@@ -197,6 +237,13 @@ class TestSweepCommand:
         assert len(summary["nu"]) == 2
         gamma = json.loads((out / "gamma.json").read_text())
         assert "gamma" in gamma
+
+    def test_seed_and_threads_flags(self, tmp_path):
+        cfg = self.ini(tmp_path)
+        out = tmp_path / "out"
+        argv = ["sweep", "--config", str(cfg), "--out", str(out), "--seed", "5", "--threads", "1"]
+        assert main(argv) == EXIT_OK
+        assert json.loads((out / "manifest.json").read_text())["config"]["base"]["seed"] == 5
 
     def test_resume_reproduces_identical_csv(self, tmp_path):
         cfg = self.ini(tmp_path)
