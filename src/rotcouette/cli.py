@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import json
 import math
 import sys
 from dataclasses import replace
@@ -59,7 +60,6 @@ def _build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", type=str, default=None, help="INI config file")
     common.add_argument("--out", type=str, default=".", help="output directory")
 
     lin = sub.add_parser("linear", parents=[common], help="closed-form per-mode trajectories")
@@ -83,6 +83,7 @@ def _build_parser() -> _Parser:
     mult.add_argument("--window", type=float, default=1000.0)
 
     sim = sub.add_parser("simulate", parents=[common], help="run the pseudospectral integrator")
+    sim.add_argument("--config", type=str, default=None, help="INI config file")
     sim.add_argument("--seed", type=int, default=None)
     sim.add_argument("--nu", type=float, default=None)
     sim.add_argument("--eps", type=float, default=None)
@@ -94,6 +95,7 @@ def _build_parser() -> _Parser:
     sim.add_argument("--snapshots", type=int, default=None, help="snapshot cadence in steps")
 
     sw = sub.add_parser("sweep", parents=[common], help="amplitude/viscosity threshold sweep")
+    sw.add_argument("--config", type=str, default=None, help="INI config file")
     sw.add_argument("--seed", type=int, default=None)
     sw.add_argument("--threads", type=int, default=1)
     sw.add_argument("--resume", action="store_true", help="reuse cells.csv rows in --out")
@@ -373,8 +375,6 @@ def cmd_sweep(args) -> int:
     base = _sim_config(cp, {"seed": args.seed} if args.seed is not None else {})
     scfg = _sweep_config(cp, base)
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    checkpoint = reporting.read_cells_csv(outdir / "cells.csv") if args.resume else {}
     manifest = reporting.Manifest(
         {"command": "sweep", "base": _cfg_dict(base),
          "nu_grid": list(scfg.nu_grid), "eps_min": scfg.eps_min, "eps_max": scfg.eps_max,
@@ -382,6 +382,16 @@ def cmd_sweep(args) -> int:
          "horizon": scfg.classify.horizon, "norm_name": scfg.classify.norm_name,
          "bisect": scfg.bisect}
     )
+    previous = outdir / "manifest.json"
+    if args.resume and previous.exists():
+        recorded = json.loads(previous.read_text()).get("config_hash")
+        if recorded != manifest.hash:
+            raise UsageError(
+                f"--resume: {outdir} holds a sweep with config hash {recorded}, "
+                f"this sweep has {manifest.hash}"
+            )
+    outdir.mkdir(parents=True, exist_ok=True)
+    checkpoint = reporting.read_cells_csv(outdir / "cells.csv") if args.resume else {}
     result = sweep(scfg, threads=max(1, args.threads), checkpoint=checkpoint)
     manifest.add(reporting.write_cells_csv(outdir / "cells.csv", result.cells))
     manifest.add(reporting.write_summary_csv(outdir / "summary.csv", result))

@@ -18,8 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from .simulation import SimConfig, VelocityField, _waves, frame_symbols
-from .spectral import GridSpec, SpectralField
+from .simulation import SimConfig, VelocityField, _waves, divergence_defect, frame_symbols
+from .spectral import SpectralField
 
 __all__ = [
     "EnergyReport",
@@ -168,22 +168,23 @@ def compute_K_check(U: VelocityField, t: float | None = None, beta: float = 1.0)
     return (SpectralField(grid, k1, t), SpectralField(grid, k2, t))
 
 
-def _weighted_norm(grid: GridSpec, coeffs: np.ndarray, weight_sq: np.ndarray | float) -> float:
-    power = coeffs.real**2 + coeffs.imag**2
-    return float(np.sqrt(np.sum(weight_sq * power) * grid.cell_measure))
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """sum(a * b) for equal shapes, without the product temporary.
 
-
-def _multiplier_grids(grid: GridSpec, t: float, nu: float, window: float):
-    """m over the coefficient layout; M and -Mdot/M, which have no l, as (Nx,Ny,1)."""
-    wv = _waves(grid, False)
-    m = _kernels.m_values(t, wv.k, wv.eta, wv.l, nu, window)
-    M = _kernels.M_values(t, wv.k, wv.eta, wv.l, nu)
-    dmm = _kernels.neg_MdotM_values(t, wv.k, wv.eta, wv.l, nu)
-    return m, M, dmm
+    einsum, not np.dot: a multithreaded BLAS dot was tens of times slower on
+    the 1 MiB weight arrays of a 32x128x32 grid.
+    """
+    return float(np.einsum("i,i->", a.ravel(), b.ravel()))
 
 
 def bootstrap_report(U: VelocityField, t: float, cfg: SimConfig, acc: Accumulators) -> EnergyReport:
     """Evaluate every tracked norm at time t and update the time integrals.
+
+    Every norm is a weighted sum of one power spectrum P_i = |c_i|^2, since
+    |K1|^2 = |k,l|^2 w P1, |K2|^2 = k^2 w P2 and |Q_i|^2 = w^2 P_i.  M^2 and
+    -Mdot/M have no l, so each k != 0 family (K1, K2, m Q3) takes one
+    product with the Sobolev weight, one sum over l and dot products over
+    (k, eta); the x-averaged norms are taken on the k = 0 plane alone.
 
     Combination values (running max plus the viscosity-weighted running
     integrals) are compared against the a-priori bound shapes with the
@@ -192,67 +193,66 @@ def bootstrap_report(U: VelocityField, t: float, cfg: SimConfig, acc: Accumulato
     """
     grid = U.grid
     N = cfg.N
-    kk, etal, ll, _ = frame_symbols(grid, t, cfg.beta)
-    w = kk * kk + etal * etal + ll * ll
+    _, _, _, w = frame_symbols(grid, t, cfg.beta)
+    w[0, 0, 0] = 0.0  # not the unit-safe 1: grad_U0 must not count the mean mode
     hsN = grid.sobolev_weights(N)
     hsNm1 = grid.sobolev_weights(N - 1.0)
-    m, M, dmm = _multiplier_grids(grid, t, cfg.nu, cfg.mult_window)
-    nonzero = kk != 0.0
-    zero = ~nonzero
+    P = [c.real**2 + c.imag**2 for c in U.coeff_arrays()]
 
-    c1, c2, c3 = U.coeff_arrays()
-    Q1, Q2, Q3 = (f.coeffs for f in compute_Q(U, t, cfg.beta))
-    K1, K2 = (f.coeffs for f in compute_K_check(U, t, cfg.beta))
-
-    def hn_neq(coeffs, extra=1.0):
-        return _weighted_norm(grid, coeffs * nonzero, hsN * extra**2)
-
-    def hn_zero(coeffs, weights, extra=1.0):
-        return _weighted_norm(grid, coeffs * zero, weights * extra**2)
-
-    sq_dmm = np.sqrt(dmm)
-    sq_w = np.sqrt(w)
+    def norm(total: float) -> float:
+        return math.sqrt(total * grid.cell_measure)
 
     norms: dict[str, float] = {}
-    norms["MK1_neq_HN"] = hn_neq(K1, M)
-    norms["MK2_neq_HN"] = hn_neq(K2, M)
-    norms["mMQ3_neq_HN"] = hn_neq(Q3, m * M)
-    norms["Q0_1_HN"] = hn_zero(Q1, hsN)
-    norms["Q0_2_HN"] = hn_zero(Q2, hsN)
-    norms["Q0_3_HN"] = hn_zero(Q3, hsN)
-    norms["U0_1_HNm1"] = hn_zero(c1, hsNm1)
-    norms["U0_2_HNm1"] = hn_zero(c2, hsNm1)
-    norms["U0_3_HNm1"] = hn_zero(c3, hsNm1)
-    norms["U1_neq_HN"] = hn_neq(c1)
-    norms["U2_neq_HN"] = hn_neq(c2)
-    norms["U3_neq_HN"] = hn_neq(c3)
+
+    # k != 0: rows 1.. of the coefficient layout
+    wv = _waves(grid, False)
+    k = wv.k[1:]
+    M2 = _kernels.M_values(t, k, wv.eta, wv.l, cfg.nu)[..., 0] ** 2
+    dmm = _kernels.neg_MdotM_values(t, k, wv.eta, wv.l, cfg.nu)[..., 0]
+    m = _kernels.m_values(t, k, wv.eta, wv.l, cfg.nu, cfg.mult_window)
+    wn = w[1:]
+    h = hsN[1:]
+    P1, P2, P3 = (p[1:] for p in P)
+    hw = h * wn
+    hwP1 = hw * P1
+    hwP2 = hw * P2
+    families = (  # hsN times |K1|^2, |K2|^2 and |m Q3|^2
+        ("MK1_neq_HN", "dMM_K1_HN", "gradL_MK1_HN", hwP1 * (wv.k2[1:] + wv.l2)),
+        ("MK2_neq_HN", "dMM_K2_HN", "gradL_MK2_HN", hwP2 * wv.k2[1:]),
+        ("mMQ3_neq_HN", "dMM_mQ3_HN", "gradL_mMQ3_HN", h * (m * wn) ** 2 * P3),
+    )
+    plain = []
+    for name_M, name_dmm, name_grad, A in families:
+        a = A.sum(axis=2)
+        b = np.einsum("ijk,ijk->ij", A, wn)
+        plain.append(float(a.sum()))
+        norms[name_M] = norm(_dot(a, M2))
+        norms[name_dmm] = norm(_dot(a, dmm))
+        norms[name_grad] = norm(_dot(b, M2))
+    norms["Kcheck_neq_HN"] = norm(plain[0] + plain[1])
+    norms["mQ3_neq_HN"] = norm(plain[2])
+    for i, p in enumerate((P1, P2, P3), start=1):
+        norms[f"U{i}_neq_HN"] = norm(_dot(h, p))
     norms["U_neq_HN_total"] = math.sqrt(
         norms["U1_neq_HN"] ** 2 + norms["U2_neq_HN"] ** 2 + norms["U3_neq_HN"] ** 2
     )
-    norms["U12_neq_L2"] = math.sqrt(
-        _weighted_norm(grid, c1 * nonzero, 1.0) ** 2
-        + _weighted_norm(grid, c2 * nonzero, 1.0) ** 2
-    )
-    norms["dMM_K1_HN"] = hn_neq(K1, sq_dmm)
-    norms["dMM_K2_HN"] = hn_neq(K2, sq_dmm)
-    norms["dMM_mQ3_HN"] = hn_neq(Q3, sq_dmm * m)
-    norms["gradL_MK1_HN"] = hn_neq(K1, M * sq_w)
-    norms["gradL_MK2_HN"] = hn_neq(K2, M * sq_w)
-    norms["gradL_mMQ3_HN"] = hn_neq(Q3, m * M * sq_w)
-    norms["grad_Q0_1_HN"] = hn_zero(Q1, hsN, sq_w)
-    norms["grad_Q0_2_HN"] = hn_zero(Q2, hsN, sq_w)
-    norms["grad_Q0_3_HN"] = hn_zero(Q3, hsN, sq_w)
-    norms["grad_U0_1_HNm1"] = hn_zero(c1, hsNm1, sq_w)
-    norms["grad_U0_2_HNm1"] = hn_zero(c2, hsNm1, sq_w)
-    norms["grad_U0_3_HNm1"] = hn_zero(c3, hsNm1, sq_w)
-    norms["Kcheck_neq_HN"] = math.sqrt(hn_neq(K1) ** 2 + hn_neq(K2) ** 2)
-    norms["mQ3_neq_HN"] = hn_neq(Q3, m)
-    norms["gradL_U12_neq_HN"] = math.sqrt(
-        hn_neq(c1, sq_w) ** 2 + hn_neq(c2, sq_w) ** 2
-    )
+    norms["U12_neq_L2"] = norm(float(P1.sum() + P2.sum()))
+    norms["gradL_U12_neq_HN"] = norm(float(hwP1.sum() + hwP2.sum()))
 
-    div = kk * c1 + etal * c2 + ll * c3
-    norms["div_defect"] = float(np.max(np.abs(div)))
+    # k = 0: the x-averaged plane, where w = eta^2 + l^2
+    w0 = w[0]
+    hq = hsN[0] * w0 * w0
+    weights0 = {
+        "Q0_{}_HN": hq,
+        "grad_Q0_{}_HN": hq * w0,
+        "U0_{}_HNm1": hsNm1[0],
+        "grad_U0_{}_HNm1": hsNm1[0] * w0,
+    }
+    for i, p in enumerate(P, start=1):
+        for name, weight in weights0.items():
+            norms[name.format(i)] = norm(_dot(weight, p[0]))
+
+    norms["div_defect"] = divergence_defect(U, cfg.beta, t)
 
     integrands = {
         "int_dMM_K1_HN": norms["dMM_K1_HN"],

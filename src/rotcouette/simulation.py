@@ -306,9 +306,12 @@ def leray_project_L(
     return velocity_from_arrays(grid, out[0], out[1], out[2], t)
 
 
-def divergence_defect(U: VelocityField, beta: float = 1.0) -> float:
-    """Max per-mode |i k u1 + i (eta - k t) u2 + i l u3| (frame divergence)."""
-    kk, etal, ll, _ = frame_symbols(U.grid, U.time, beta)
+def divergence_defect(U: VelocityField, beta: float = 1.0, t: float | None = None) -> float:
+    """Max per-mode |i k u1 + i (eta - k t) u2 + i l u3| (frame divergence).
+
+    The frame time t defaults to the time tag of U.
+    """
+    kk, etal, ll, _ = frame_symbols(U.grid, U.time if t is None else t, beta)
     c1, c2, c3 = U.coeff_arrays()
     return float(np.max(np.abs(kk * c1 + etal * c2 + ll * c3)))
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -174,9 +174,16 @@ class GridSpec:
         return mx[:, None, None] & my[None, :, None] & mz[None, None, :]
 
     def sobolev_weights(self, s: float) -> np.ndarray:
-        """(1 + k^2 + eta^2 + l^2)^s over the coefficient layout."""
-        kk, ee, ll = self.wave_arrays
-        return (1.0 + kk * kk + ee * ee + ll * ll) ** s
+        """(1 + k^2 + eta^2 + l^2)^s over the coefficient layout (cached, read-only)."""
+        return _sobolev_weights(self, float(s))
+
+
+@lru_cache(maxsize=16)
+def _sobolev_weights(grid: GridSpec, s: float) -> np.ndarray:
+    kk, ee, ll = grid.wave_arrays
+    out = (1.0 + kk * kk + ee * ee + ll * ll) ** s
+    out.flags.writeable = False
+    return out
 
 
 @dataclass

@@ -43,20 +43,26 @@ class TestUsageErrors:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, flag",
         [
-            ["linear", "--k", "1", "--eta", "0", "--l", "0", "--nu", "1e-3", "--threads", "2"],
-            ["multipliers", "--mode", "1,2,0", "--nu", "1e-3", "--seed", "1"],
-            ["simulate", "--threads", "2"],
+            (["linear", "--k", "1", "--eta", "0", "--l", "0", "--nu", "1e-3"], ["--threads", "2"]),
+            (["multipliers", "--mode", "1,2,0", "--nu", "1e-3"], ["--seed", "1"]),
+            (["simulate", "--config", "CFG"], ["--threads", "2"]),
+            (["linear", "--k", "1", "--eta", "0", "--l", "0", "--nu", "1e-3"], ["--config", "CFG"]),
+            (["multipliers", "--mode", "1,2,0", "--nu", "1e-3"], ["--config", "CFG"]),
         ],
-        ids=["linear-threads", "multipliers-seed", "simulate-threads"],
+        ids=["linear-threads", "multipliers-seed", "simulate-threads", "linear-config",
+             "multipliers-config"],
     )
-    def test_flag_without_effect_rejected(self, tmp_path, argv):
+    def test_flag_without_effect_rejected(self, tmp_path, argv, flag):
         cfg = tmp_path / "tiny.ini"
         cfg.write_text("[sim]\nnx = 8\nny = 16\nnz = 8\nt_end = 0.1\n")
+        argv, flag = ([str(cfg) if a == "CFG" else a for a in x] for x in (argv, flag))
         out = tmp_path / "out"
-        assert main(argv + ["--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert main(argv + flag + ["--out", str(out)]) == EXIT_USAGE
         assert not out.exists()
+        # the same command without the flag runs
+        assert main(argv + ["--out", str(tmp_path / "ok")]) == EXIT_OK
 
 
 class TestSnapshotFormat:
@@ -255,3 +261,20 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(cfg), "--out", str(out), "--resume"]) == EXIT_OK
         assert (out / "cells.csv").read_bytes() == cells_first
         assert (out / "summary.csv").read_bytes() == summary_first
+
+    def test_resume_against_other_config_rejected(self, tmp_path, capsys):
+        cfg = self.ini(tmp_path)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        names = ("cells.csv", "summary.csv", "manifest.json")
+        before = {name: (out / name).read_bytes() for name in names}
+        recorded = json.loads(before["manifest.json"])["config_hash"]
+        argv = ["sweep", "--config", str(cfg), "--out", str(out), "--resume", "--seed", "9"]
+        assert main(argv) == EXIT_USAGE
+        assert {name: (out / name).read_bytes() for name in names} == before
+        err = capsys.readouterr().err
+        other = tmp_path / "other"
+        assert main(argv[:4] + [str(other), "--seed", "9"]) == EXIT_OK
+        current = json.loads((other / "manifest.json").read_text())["config_hash"]
+        assert current != recorded
+        assert recorded in err and current in err

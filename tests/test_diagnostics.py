@@ -15,15 +15,18 @@ from rotcouette.diagnostics import (
     dissipation_scaling_fits,
 )
 from rotcouette.multipliers import MultiplierParams, M_closed, m_exact, neg_MdotM
+from rotcouette.reporting import energy_columns
 from rotcouette.simulation import (
     SimConfig,
+    initial_condition,
     run,
+    step,
     velocity_from_arrays,
     zero_velocity,
 )
 from rotcouette.spectral import GridSpec, WaveVector
 
-from oracles import slow_weighted_norm
+from oracles import reference_bootstrap_report, slow_weighted_norm
 
 GRID = GridSpec(8, 16, 8, Ly=32.0)
 
@@ -202,6 +205,64 @@ class TestBootstrapReport:
         cfg = self.cfg(eps=1e-8)
         rep = bootstrap_report(U, 0.0, cfg, Accumulators())
         assert all(rep.flags.values())
+
+
+def _random_field(grid, seed):
+    rng = np.random.default_rng(seed)
+    arrs = [
+        rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+        for _ in range(3)
+    ]
+    return velocity_from_arrays(grid, *arrs, time=0.0)
+
+
+def _zero_plane_field(grid, seed):
+    U = _random_field(grid, seed)
+    for c in U.coeff_arrays():
+        c[1:] = 0.0
+    return U
+
+
+def _stepped_field(grid, seed):
+    cfg = SimConfig(nu=5e-2, grid=grid, eps=1.0, dt=0.01, seed=seed, ic_kind="random_band")
+    U = initial_condition(cfg)
+    for i in range(3):
+        U = step(U, i * cfg.dt, cfg.dt, cfg)
+    return U
+
+
+class TestReportMatchesReference:
+    """The one-pass ledger against the thirty-pass report it replaced."""
+
+    @pytest.mark.parametrize(
+        "make, grid",
+        [
+            (_random_field, GridSpec(4, 8, 4, Ly=32.0)),
+            (_random_field, GridSpec(8, 16, 8, Ly=32.0)),
+            (_zero_plane_field, GridSpec(8, 16, 8, Ly=32.0)),
+            (lambda grid, seed: zero_velocity(grid), GridSpec(8, 16, 8, Ly=32.0)),
+            (_stepped_field, GridSpec(16, 64, 16, Ly=8.0)),
+        ],
+        ids=["random-4x8x4", "random-8x16x8", "zero-plane", "zero", "stepped-16x64x16"],
+    )
+    def test_norms_and_flags(self, make, grid):
+        U = make(grid, 74)
+        cfg = SimConfig(nu=3e-2, grid=grid, eps=1e-4)
+        acc, ref_acc = Accumulators(), Accumulators()
+        for t in (0.0, 0.8, 5.5):
+            rep = bootstrap_report(U, t, cfg, acc)
+            ref = reference_bootstrap_report(U, t, cfg, ref_acc)
+            assert rep.t == ref.t
+            assert rep.norms.keys() == ref.norms.keys()
+            for name, want in ref.norms.items():
+                assert rep.norms[name] == pytest.approx(want, rel=1e-12, abs=0.0), name
+            assert rep.flags == ref.flags
+
+    def test_energy_columns_unchanged(self):
+        ref = reference_bootstrap_report(
+            _random_field(GRID, 75), 0.8, SimConfig(nu=1e-2, grid=GRID), Accumulators()
+        )
+        assert energy_columns() == ["t"] + list(ref.norms) + list(ref.flags)
 
 
 class TestEnergyIdentity:
