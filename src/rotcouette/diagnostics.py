@@ -146,9 +146,8 @@ def compute_Q(U: VelocityField, t: float | None = None, beta: float = 1.0):
     if t is None:
         t = U.time
     _, _, _, w = frame_symbols(U.grid, t, beta)
-    w = w.copy()
     w[0, 0, 0] = 0.0  # excluded mean mode
-    return tuple(SpectralField(U.grid, -w * c, t) for c in U.coeff_arrays())
+    return tuple(SpectralField(U.grid, -w * c, t) for c in U.coeffs)
 
 
 def compute_K_check(U: VelocityField, t: float | None = None, beta: float = 1.0):
@@ -163,8 +162,8 @@ def compute_K_check(U: VelocityField, t: float | None = None, beta: float = 1.0)
     kk, etal, ll, w = frame_symbols(grid, t, beta)
     rw = np.sqrt(kk * kk + etal * etal + ll * ll)
     kl = np.sqrt(kk * kk + ll * ll)
-    k1 = -kl * rw * U.u1.coeffs
-    k2 = -np.abs(kk) * rw * U.u2.coeffs
+    k1 = -kl * rw * U.coeffs[0]
+    k2 = -np.abs(kk) * rw * U.coeffs[1]
     return (SpectralField(grid, k1, t), SpectralField(grid, k2, t))
 
 
@@ -197,7 +196,8 @@ def bootstrap_report(U: VelocityField, t: float, cfg: SimConfig, acc: Accumulato
     w[0, 0, 0] = 0.0  # not the unit-safe 1: grad_U0 must not count the mean mode
     hsN = grid.sobolev_weights(N)
     hsNm1 = grid.sobolev_weights(N - 1.0)
-    P = [c.real**2 + c.imag**2 for c in U.coeff_arrays()]
+    c = U.coeffs
+    P = c.real**2 + c.imag**2
 
     def norm(total: float) -> float:
         return math.sqrt(total * grid.cell_measure)
@@ -212,7 +212,7 @@ def bootstrap_report(U: VelocityField, t: float, cfg: SimConfig, acc: Accumulato
     m = _kernels.m_values(t, k, wv.eta, wv.l, cfg.nu, cfg.mult_window)
     wn = w[1:]
     h = hsN[1:]
-    P1, P2, P3 = (p[1:] for p in P)
+    P1, P2, P3 = P[:, 1:]
     hw = h * wn
     hwP1 = hw * P1
     hwP2 = hw * P2

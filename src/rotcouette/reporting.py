@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import ACCUMULATED_COLUMNS, FLAG_NAMES, INSTANT_COLUMNS, EnergyReport
-from .simulation import VelocityField, velocity_from_arrays
+from .simulation import VelocityField
 from .spectral import GridSpec
 
 __all__ = [
@@ -68,8 +68,7 @@ def write_snapshot_csv(path: str | Path, U: VelocityField, nu: float) -> Path:
     ik, ij, il = np.nonzero(mask)
     columns = [grid.k_index[ik].tolist(), grid.j_index[ij].tolist(), grid.l_index[il].tolist(),
                grid.eta_values[ij].tolist()]
-    for c in U.coeff_arrays():
-        kept = c[mask]
+    for kept in U.coeffs[:, mask]:
         columns += [kept.real.tolist(), kept.imag.tolist()]
     lines = [
         f"# grid {grid.Nx} {grid.Ny} {grid.Nz}",
@@ -85,26 +84,20 @@ def write_snapshot_csv(path: str | Path, U: VelocityField, nu: float) -> Path:
 
 
 def read_snapshot_csv(path: str | Path) -> VelocityField:
-    path = Path(path)
-    header: dict[str, str] = {}
-    rows = []
-    for line in path.read_text().splitlines():
-        if line.startswith("#"):
-            parts = line[1:].strip().split()
-            header[parts[0]] = " ".join(parts[1:])
-        elif line and not line.startswith("k,"):
-            rows.append(line.split(","))
+    lines = Path(path).read_text().splitlines()
+    n_header = next((i for i, line in enumerate(lines) if not line.startswith("#")), len(lines))
+    header = dict(line[1:].split(maxsplit=1) for line in lines[:n_header])
     nx, ny, nz = (int(v) for v in header["grid"].split())
     grid = GridSpec(Nx=nx, Ny=ny, Nz=nz, Ly=float(header["ly"]))
     t = float(header["time"])
-    arrs = [np.zeros(grid.shape, dtype=np.complex128) for _ in range(3)]
-    for row in rows:
-        k, j, l = int(row[0]), int(row[1]), int(row[2])
-        ik, ij, il = k % nx, j % ny, l % nz
-        for ci, c in enumerate(arrs):
-            # complex(re, im), not re + 1j * im, which turns a -0.0 real part into 0.0
-            c[ik, ij, il] = complex(float(row[4 + 2 * ci]), float(row[5 + 2 * ci]))
-    return velocity_from_arrays(grid, arrs[0], arrs[1], arrs[2], t)
+    # after the header, one line of column names, then one row per mode
+    cols = np.loadtxt(lines[n_header + 1 :], delimiter=",", ndmin=2, usecols=range(10)).T
+    ik, ij, il = (cols[a].astype(np.int64) % n for a, n in enumerate(grid.shape))
+    coeffs = np.zeros((3,) + grid.shape, dtype=np.complex128)
+    # real and imaginary parts assigned apart: re + 1j * im turns a -0.0 real part into 0.0
+    coeffs.real[:, ik, ij, il] = cols[4::2]
+    coeffs.imag[:, ik, ij, il] = cols[5::2]
+    return VelocityField(grid, coeffs, t)
 
 
 def config_hash(config: dict) -> str:

@@ -1,16 +1,17 @@
 """Pseudospectral integration of the perturbation system in the shear frame.
 
 The state is a divergence-free (with respect to the frame gradient) triple of
-spectral velocity components.  Time stepping treats the stiff frame Laplacian
-with an exact per-mode integrating factor (the closed-form antiderivative of
-the symbol) and the remaining rotation/pressure/advection terms with an
-explicit Runge-Kutta method in the transformed variables, so zero-frequency
-modes are advanced exactly and non-zero modes carry no stiffness restriction
-on the step size.  Inside a step the state is one half-spectrum array (the
-l >= 0 planes of a real field); the full-spectrum ``VelocityField`` is built
-only on return.  The quadratic term is evaluated in rotational form on the
-physical grid with a sharp symmetric dealiasing mask and re-projected, which
-keeps the discrete advection energy-neutral.
+spectral velocity components, held as one (3, Nx, Ny, Nz) coefficient array.
+Time stepping treats the stiff frame Laplacian with an exact per-mode
+integrating factor (the closed-form antiderivative of the symbol) and the
+remaining rotation/pressure/advection terms with an explicit Runge-Kutta
+method in the transformed variables, so zero-frequency modes are advanced
+exactly and non-zero modes carry no stiffness restriction on the step size.
+Inside a step the state is one half-spectrum array (the l >= 0 planes of a
+real field, a view of the input's array); the full-spectrum ``VelocityField``
+is built only on return.  The quadratic term is evaluated in rotational form
+on the physical grid with a sharp symmetric dealiasing mask and re-projected,
+which keeps the discrete advection energy-neutral.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .spectral import (
     hermitian_symmetrize,
     high_eta_energy_fraction,
     resolve_eta_index,
-    zeros_field,
 )
 
 __all__ = [
@@ -61,49 +61,28 @@ class BlowUpError(RuntimeError):
 
 @dataclass
 class VelocityField:
-    """Three spectral components sharing one grid and one frame time."""
+    """The three spectral velocity components as one (3, Nx, Ny, Nz) array at one frame time."""
 
-    u1: SpectralField
-    u2: SpectralField
-    u3: SpectralField
+    grid: GridSpec
+    coeffs: np.ndarray
+    time: float = 0.0
 
     def __post_init__(self) -> None:
-        g = self.u1.grid
-        t = self.u1.time
-        for c in (self.u2, self.u3):
-            if c.grid != g:
-                raise ValueError("velocity components must share one grid")
-            if c.time != t:
-                raise ValueError("velocity components must share one time")
-
-    @property
-    def grid(self) -> GridSpec:
-        return self.u1.grid
-
-    @property
-    def time(self) -> float:
-        return self.u1.time
+        if self.coeffs.shape != (3,) + self.grid.shape:
+            raise ValueError(
+                f"velocity shape {self.coeffs.shape} does not match 3 x grid {self.grid.shape}"
+            )
 
     def components(self) -> tuple[SpectralField, SpectralField, SpectralField]:
-        return (self.u1, self.u2, self.u3)
+        """Views of the three components as spectral fields."""
+        return tuple(SpectralField(self.grid, c, self.time) for c in self.coeffs)
 
     def coeff_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return (self.u1.coeffs, self.u2.coeffs, self.u3.coeffs)
+        """Views of the three component arrays."""
+        return tuple(self.coeffs)
 
     def copy(self) -> "VelocityField":
-        return VelocityField(self.u1.copy(), self.u2.copy(), self.u3.copy())
-
-
-def velocity_from_arrays(grid: GridSpec, c1, c2, c3, time: float) -> VelocityField:
-    return VelocityField(
-        SpectralField(grid, c1, time),
-        SpectralField(grid, c2, time),
-        SpectralField(grid, c3, time),
-    )
-
-
-def zero_velocity(grid: GridSpec, time: float = 0.0) -> VelocityField:
-    return VelocityField(zeros_field(grid, time), zeros_field(grid, time), zeros_field(grid, time))
+        return VelocityField(self.grid, self.coeffs.copy(), self.time)
 
 
 @dataclass(frozen=True)
@@ -271,12 +250,6 @@ def _advection(u: np.ndarray, sym, grid: GridSpec, t: float) -> np.ndarray:
     return a
 
 
-def _half(U: VelocityField) -> np.ndarray:
-    """The l >= 0 planes of the three components as one (3, Nx, Ny, Nz//2+1) array."""
-    nh = U.grid.Nz // 2 + 1
-    return np.stack([c[:, :, :nh] for c in U.coeff_arrays()])
-
-
 def _full(grid: GridSpec, h: np.ndarray, t: float) -> VelocityField:
     """Expand a half-spectrum array by conjugate reflection: C(-k,-eta,-l) = conj C(k,eta,l)."""
     nh = h.shape[-1]
@@ -285,25 +258,22 @@ def _full(grid: GridSpec, h: np.ndarray, t: float) -> VelocityField:
     rx = (-np.arange(grid.Nx)) % grid.Nx
     ry = (-np.arange(grid.Ny)) % grid.Ny
     np.conjugate(h[..., grid.Nz - nh : 0 : -1][:, rx][:, :, ry], out=full[..., nh:])
-    return velocity_from_arrays(grid, full[0], full[1], full[2], t)
+    return VelocityField(grid, full, t)
 
 
 # ---------------------------------------------------------------------------
 # spatial operators
 
 
-def leray_project_L(
-    fields: tuple[SpectralField, SpectralField, SpectralField], t: float, beta: float = 1.0
-) -> VelocityField:
-    """Remove the frame-gradient part: f - grad_L (Delta_L)^{-1} (div_L f).
+def leray_project_L(U: VelocityField, t: float, beta: float = 1.0) -> VelocityField:
+    """Remove the frame-gradient part: U - grad_L (Delta_L)^{-1} (div_L U).
 
     Idempotent, annihilates pure gradients, and passes the excluded mean mode
     through untouched (its symbol vanishes).
     """
-    grid = fields[0].grid
-    f = np.stack([x.coeffs for x in fields]).astype(np.complex128, copy=False)
-    out = _project(f, frame_symbols(grid, t, beta))
-    return velocity_from_arrays(grid, out[0], out[1], out[2], t)
+    # astype copies, so the in-place projection leaves the input alone
+    out = _project(U.coeffs.astype(np.complex128), frame_symbols(U.grid, t, beta))
+    return VelocityField(U.grid, out, t)
 
 
 def divergence_defect(U: VelocityField, beta: float = 1.0, t: float | None = None) -> float:
@@ -312,8 +282,8 @@ def divergence_defect(U: VelocityField, beta: float = 1.0, t: float | None = Non
     The frame time t defaults to the time tag of U.
     """
     kk, etal, ll, _ = frame_symbols(U.grid, U.time if t is None else t, beta)
-    c1, c2, c3 = U.coeff_arrays()
-    return float(np.max(np.abs(kk * c1 + etal * c2 + ll * c3)))
+    c = U.coeffs
+    return float(np.max(np.abs(kk * c[0] + etal * c[1] + ll * c[2])))
 
 
 def linear_rhs(U: VelocityField, t: float, beta: float = 1.0) -> VelocityField:
@@ -324,8 +294,7 @@ def linear_rhs(U: VelocityField, t: float, beta: float = 1.0) -> VelocityField:
     reproduces the nilpotent lift-up generator; the diffusion part is handled
     separately by the exact integrating factor.
     """
-    out = _forcing(np.stack(U.coeff_arrays()), frame_symbols(U.grid, t, beta), beta)
-    return velocity_from_arrays(U.grid, out[0], out[1], out[2], t)
+    return VelocityField(U.grid, _forcing(U.coeffs, frame_symbols(U.grid, t, beta), beta), t)
 
 
 def nonlinear_rhs(U: VelocityField, t: float, beta: float = 1.0) -> VelocityField:
@@ -336,7 +305,8 @@ def nonlinear_rhs(U: VelocityField, t: float, beta: float = 1.0) -> VelocityFiel
     sense and Hermitian by construction.
     """
     sym = frame_symbols(U.grid, t, beta, half=True)
-    a = _project(_advection(_half(U), sym, U.grid, t), sym)
+    u = U.coeffs[..., : U.grid.Nz // 2 + 1]
+    a = _project(_advection(u, sym, U.grid, t), sym)
     return _full(U.grid, a, t)
 
 
@@ -381,7 +351,7 @@ def step(U: VelocityField, t: float, dt: float, cfg: SimConfig) -> VelocityField
         adv = _advection(u, sym, grid, s) if cfg.nonlinear_enabled else None
         return _forcing(u, sym, beta, adv)
 
-    u0 = _half(U)
+    u0 = U.coeffs[..., : grid.Nz // 2 + 1]
     k1 = rhs(u0, sym0, t)
     k2 = rhs(e_half * (u0 + 0.5 * dt * k1), symm, tm)
     if cfg.rk_stages == 2:
@@ -432,7 +402,7 @@ def initial_condition(cfg: SimConfig) -> VelocityField:
             raise ValueError("snapshot grid does not match the configured grid")
         return U
 
-    arrs = [np.zeros(grid.shape, dtype=np.complex128) for _ in range(3)]
+    c = np.zeros((3,) + grid.shape, dtype=np.complex128)
     if cfg.ic_kind == "single_mode":
         k0, j0, l0 = cfg.ic_mode
         if (k0, j0, l0) == (0, 0, 0):
@@ -447,38 +417,33 @@ def initial_condition(cfg: SimConfig) -> VelocityField:
             amp = (cfg.eps, 0.0, 0.0)
         else:
             amp = (cfg.eps / math.sqrt(3.0),) * 3
-        for a, c in zip(amp, arrs):
+        for a, ci in zip(amp, c):
             if a != 0.0:
-                _place_conjugate_pair(grid, c, idx, complex(a))
+                _place_conjugate_pair(grid, ci, idx, complex(a))
     else:  # random_band
         rng = np.random.default_rng(cfg.seed)
         cx, cy, cz = grid.dealias_cutoffs
         jmax = min(cy, int(math.floor(2.0 / grid.eta_spacing)))
-        for c in arrs:
-            band = np.zeros(grid.shape, dtype=np.complex128)
+        for i in range(3):
             for k in range(-min(2, cx), min(2, cx) + 1):
                 for j in range(-jmax, jmax + 1):
                     for l in range(-min(2, cz), min(2, cz) + 1):
                         if (k, j, l) == (0, 0, 0):
                             continue
                         re, im = rng.standard_normal(2)
-                        band[k % grid.Nx, j % grid.Ny, l % grid.Nz] = re + 1j * im
-            c += band
-        for i, c in enumerate(arrs):
-            arrs[i] = hermitian_symmetrize(SpectralField(grid, c, 0.0)).coeffs
+                        c[i, k % grid.Nx, j % grid.Ny, l % grid.Nz] = re + 1j * im
+            c[i] = hermitian_symmetrize(SpectralField(grid, c[i], 0.0)).coeffs
 
-    U = leray_project_L(tuple(SpectralField(grid, c, 0.0) for c in arrs), 0.0, cfg.beta)
-    for c in U.coeff_arrays():
-        c[0, 0, 0] = 0.0
-        c *= grid.dealias_mask
+    c = _project(c, frame_symbols(grid, 0.0, cfg.beta))
+    c[:, 0, 0, 0] = 0.0
+    c *= grid.dealias_mask
+    U = VelocityField(grid, c, 0.0)
 
     if cfg.ic_kind == "random_band":
         from .spectral import sobolev_norm
 
         total = math.sqrt(sum(sobolev_norm(f, cfg.sigma) ** 2 for f in U.components()))
-        scale = cfg.eps / total if total > 0 else 0.0
-        for c in U.coeff_arrays():
-            c *= scale
+        c *= (cfg.eps / total) if total > 0 else 0.0
     return U
 
 
@@ -523,15 +488,14 @@ def run(cfg: SimConfig, report_fn: Callable | None = None) -> RunResult:
     acc = Accumulators()
     report = report_fn or bootstrap_report
 
+    rate = advective_rate_bound(U, cfg.t_end, cfg.beta)
     dt = cfg.dt
     if dt is None:
-        rate = advective_rate_bound(U, cfg.t_end, cfg.beta)
         dt = min(0.01, 0.5 / rate) if rate > 0 else 0.01
     n_steps = max(1, int(math.ceil(cfg.t_end / dt - 1e-12))) if cfg.t_end > 0 else 0
     if cfg.t_end > 0:
         dt = cfg.t_end / n_steps
 
-    rate = advective_rate_bound(U, cfg.t_end, cfg.beta)
     if cfg.nonlinear_enabled and rate > 0 and dt > 0.5 / rate:
         msg = f"dt={dt:.3e} exceeds the advective CFL estimate {0.5 / rate:.3e}"
         logger.warning(msg)

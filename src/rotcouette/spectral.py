@@ -148,17 +148,6 @@ class GridSpec:
     def eta_values(self) -> np.ndarray:
         return self.eta_spacing * self.j_index.astype(np.float64)
 
-    @cached_property
-    def wave_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Broadcast 3D float arrays (K, ETA, L) over the coefficient layout."""
-        k3 = self.k_index.astype(np.float64)[:, None, None]
-        e3 = self.eta_values[None, :, None]
-        l3 = self.l_index.astype(np.float64)[None, None, :]
-        kk = np.broadcast_to(k3, self.shape)
-        ee = np.broadcast_to(e3, self.shape)
-        ll = np.broadcast_to(l3, self.shape)
-        return kk, ee, ll
-
     @property
     def dealias_cutoffs(self) -> tuple[int, int, int]:
         # largest kc with 3*kc < N: products of kept modes alias only onto
@@ -180,8 +169,10 @@ class GridSpec:
 
 @lru_cache(maxsize=16)
 def _sobolev_weights(grid: GridSpec, s: float) -> np.ndarray:
-    kk, ee, ll = grid.wave_arrays
-    out = (1.0 + kk * kk + ee * ee + ll * ll) ** s
+    k = grid.k_index.astype(np.float64)[:, None, None]
+    eta = grid.eta_values[None, :, None]
+    l = grid.l_index.astype(np.float64)[None, None, :]
+    out = (1.0 + k * k + eta * eta + l * l) ** s
     out.flags.writeable = False
     return out
 
@@ -210,10 +201,6 @@ class SpectralField:
 
     def with_coeffs(self, coeffs: np.ndarray) -> "SpectralField":
         return SpectralField(self.grid, coeffs, self.time)
-
-
-def zeros_field(grid: GridSpec, time: float = 0.0) -> SpectralField:
-    return SpectralField(grid, np.zeros(grid.shape, dtype=np.complex128), time)
 
 
 def field_from_physical(grid: GridSpec, values: np.ndarray, time: float = 0.0) -> SpectralField:

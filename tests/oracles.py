@@ -190,6 +190,15 @@ def random_modes(rng, n, kmax=8, eta_max=50.0, lmax=8, nonzero_k=True):
     return out
 
 
+def wave_numbers(grid: GridSpec):
+    """Float (k, eta, l) arrays that broadcast over the coefficient layout."""
+    return (
+        grid.k_index.astype(np.float64)[:, None, None],
+        grid.eta_values[None, :, None],
+        grid.l_index.astype(np.float64)[None, None, :],
+    )
+
+
 def convective_nonlinear_rhs(grid: GridSpec, coeffs, t: float, beta: float = 1.0):
     """Convective-form advection -P_L (u . grad_L u) with 15 complex FFTs.
 
@@ -200,7 +209,7 @@ def convective_nonlinear_rhs(grid: GridSpec, coeffs, t: float, beta: float = 1.0
     """
     n = grid.n_modes
     mask = grid.dealias_mask
-    kk, ee, ll = grid.wave_arrays
+    kk, ee, ll = wave_numbers(grid)
     etal = ee - kk * (beta * t)
     cs = [c * mask for c in coeffs]
 

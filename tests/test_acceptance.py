@@ -263,11 +263,11 @@ def test_criterion_06_simulator_vs_closed_form(linear_run16, zero_run16):
     i0 = (0, j, 1)
     eta = ACCEPT_GRID.eta_values[j]
     _, W0 = res0.snapshots[0]
-    s0 = ZeroModeState(W0.u1.coeffs[i0], W0.u2.coeffs[i0], W0.u3.coeffs[i0])
+    s0 = ZeroModeState(*(c[i0] for c in W0.coeffs))
     worst0 = 0.0
     for t, U in res0.snapshots[1:]:
         want = zero_mode_evolve(s0, t, cfg0.nu, eta, 1)
-        got = (U.u1.coeffs[i0], U.u2.coeffs[i0], U.u3.coeffs[i0])
+        got = [c[i0] for c in U.coeffs]
         scale = abs(want.u1) + abs(want.u2) + abs(want.u3)
         err = (
             abs(got[0] - want.u1) + abs(got[1] - want.u2) + abs(got[2] - want.u3)
@@ -313,15 +313,14 @@ def _streak_wave_seed(grid, eps, sigma=5.0):
     one strongly coupled streamwise wave, concentrates the same norm budget
     into an interacting pair.
     """
-    from rotcouette.simulation import leray_project_L
-    from rotcouette.spectral import SpectralField
+    from rotcouette.simulation import VelocityField, leray_project_L
 
-    arrs = [np.zeros(grid.shape, dtype=complex) for _ in range(3)]
-    arrs[2][(1, 0, 0)] = 1.0
-    arrs[2][(grid.Nx - 1, 0, 0)] = 1.0
-    arrs[0][(0, 1, 1)] = 1.0
-    arrs[0][(0, grid.Ny - 1, grid.Nz - 1)] = 1.0
-    U = leray_project_L(tuple(SpectralField(grid, c, 0.0) for c in arrs), 0.0)
+    c = np.zeros((3,) + grid.shape, dtype=complex)
+    c[2][(1, 0, 0)] = 1.0
+    c[2][(grid.Nx - 1, 0, 0)] = 1.0
+    c[0][(0, 1, 1)] = 1.0
+    c[0][(0, grid.Ny - 1, grid.Nz - 1)] = 1.0
+    U = leray_project_L(VelocityField(grid, c, 0.0), 0.0)
     total = math.sqrt(sum(sobolev_norm(f, sigma) ** 2 for f in U.components()))
     for c in U.coeff_arrays():
         c *= eps / total

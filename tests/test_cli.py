@@ -68,25 +68,25 @@ class TestUsageErrors:
 class TestSnapshotFormat:
     def test_round_trip_is_bitwise(self, tmp_path):
         from rotcouette.reporting import read_snapshot_csv, write_snapshot_csv
-        from rotcouette.simulation import velocity_from_arrays
+        from rotcouette.simulation import VelocityField
         from rotcouette.spectral import GridSpec
 
         grid = GridSpec(Nx=6, Ny=20, Nz=10, Ly=7.3)
         rng = np.random.default_rng(5)
         mask = grid.dealias_mask
-        arrays = []
-        for _ in range(3):
-            c = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-            arrays.append(np.where(mask, c, 0.0))
+        arrays = np.array([
+            rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+            for _ in range(3)
+        ])
+        arrays[:, ~mask] = 0.0
         arrays[0][1, 2, 3] = complex(-0.0, 5e-324)  # signed zero and a subnormal
         arrays[1][0, 1, 0] = complex(1e308, -1e-300)
         t = 0.1 + 0.2  # not a short decimal
-        path = write_snapshot_csv(tmp_path / "snap.csv", velocity_from_arrays(grid, *arrays, t), 3e-3)
+        path = write_snapshot_csv(tmp_path / "snap.csv", VelocityField(grid, arrays, t), 3e-3)
         U = read_snapshot_csv(path)
         assert U.grid == grid
         assert U.time == t
-        for written, read in zip(arrays, U.coeff_arrays()):
-            assert read.tobytes() == written.tobytes()
+        assert U.coeffs.tobytes() == arrays.tobytes()
 
 
 class TestLinearCommand:

@@ -16,17 +16,10 @@ from rotcouette.diagnostics import (
 )
 from rotcouette.multipliers import MultiplierParams, M_closed, m_exact, neg_MdotM
 from rotcouette.reporting import energy_columns
-from rotcouette.simulation import (
-    SimConfig,
-    initial_condition,
-    run,
-    step,
-    velocity_from_arrays,
-    zero_velocity,
-)
+from rotcouette.simulation import SimConfig, VelocityField, initial_condition, run, step
 from rotcouette.spectral import GridSpec, WaveVector
 
-from oracles import reference_bootstrap_report, slow_weighted_norm
+from oracles import reference_bootstrap_report, slow_weighted_norm, wave_numbers
 
 GRID = GridSpec(8, 16, 8, Ly=32.0)
 
@@ -35,29 +28,31 @@ def mode_index(grid, k, j, l):
     return (k % grid.Nx, j % grid.Ny, l % grid.Nz)
 
 
+def zero_state(grid):
+    return VelocityField(grid, np.zeros((3,) + grid.shape, dtype=complex))
+
+
 class TestComputeQ:
     def test_single_mode_value(self):
-        arrs = [np.zeros(GRID.shape, dtype=complex) for _ in range(3)]
-        arrs[0][mode_index(GRID, 1, 0, 0)] = 1.0
-        U = velocity_from_arrays(GRID, *arrs, time=0.0)
+        U = zero_state(GRID)
+        U.coeffs[0][mode_index(GRID, 1, 0, 0)] = 1.0
         Q1, Q2, Q3 = compute_Q(U, 0.0)
         assert Q1.coeffs[mode_index(GRID, 1, 0, 0)] == pytest.approx(-1.0)
 
     def test_zero_field(self):
-        Q = compute_Q(zero_velocity(GRID), 0.0)
+        Q = compute_Q(zero_state(GRID), 0.0)
         assert all(np.all(q.coeffs == 0.0) for q in Q)
 
     def test_round_trip(self):
         rng = np.random.default_rng(70)
-        arrs = [
+        arrs = np.array([
             rng.standard_normal(GRID.shape) + 1j * rng.standard_normal(GRID.shape)
             for _ in range(3)
-        ]
-        for a in arrs:
-            a[0, 0, 0] = 0.0
-        U = velocity_from_arrays(GRID, *arrs, time=0.9)
+        ])
+        arrs[:, 0, 0, 0] = 0.0
+        U = VelocityField(GRID, arrs, 0.9)
         Qs = compute_Q(U, 0.9)
-        kk, ee, ll = GRID.wave_arrays
+        kk, ee, ll = wave_numbers(GRID)
         etal = ee - kk * 0.9
         w = kk**2 + etal**2 + ll**2
         w[0, 0, 0] = 1.0
@@ -69,10 +64,9 @@ class TestComputeQ:
 
 class TestComputeKCheck:
     def test_vanishing_prefactors(self):
-        arrs = [np.zeros(GRID.shape, dtype=complex) for _ in range(3)]
-        arrs[0][mode_index(GRID, 0, 0, 0)] = 0.7  # k = l = 0 plane
-        arrs[1][mode_index(GRID, 0, 3, 2)] = 1.0  # k = 0
-        U = velocity_from_arrays(GRID, *arrs, time=0.0)
+        U = zero_state(GRID)
+        U.coeffs[0][mode_index(GRID, 0, 0, 0)] = 0.7  # k = l = 0 plane
+        U.coeffs[1][mode_index(GRID, 0, 3, 2)] = 1.0  # k = 0
         K1, K2 = compute_K_check(U, 0.0)
         assert K1.coeffs[mode_index(GRID, 0, 0, 0)] == 0.0
         assert K2.coeffs[mode_index(GRID, 0, 3, 2)] == 0.0
@@ -80,9 +74,9 @@ class TestComputeKCheck:
     def test_symmetrized_magnitude_identity(self):
         # |K1| from the velocity equals |k,l| w^{-1/2} |Q1| on a single mode
         i = mode_index(GRID, 2, 1, 1)
-        arrs = [np.zeros(GRID.shape, dtype=complex) for _ in range(3)]
-        arrs[0][i] = 0.3 - 0.8j
-        U = velocity_from_arrays(GRID, *arrs, time=1.7)
+        coeffs = np.zeros((3,) + GRID.shape, dtype=complex)
+        coeffs[0][i] = 0.3 - 0.8j
+        U = VelocityField(GRID, coeffs, 1.7)
         K1, _ = compute_K_check(U, 1.7)
         Q1, _, _ = compute_Q(U, 1.7)
         kv = WaveVector(2, GRID.eta_values[1], 1)
@@ -93,13 +87,13 @@ class TestComputeKCheck:
 
     def test_velocity_recovery(self):
         rng = np.random.default_rng(71)
-        arrs = [
+        arrs = np.array([
             rng.standard_normal(GRID.shape) + 1j * rng.standard_normal(GRID.shape)
             for _ in range(3)
-        ]
-        U = velocity_from_arrays(GRID, *arrs, time=0.3)
+        ])
+        U = VelocityField(GRID, arrs, 0.3)
         K1, K2 = compute_K_check(U, 0.3)
-        kk, ee, ll = GRID.wave_arrays
+        kk, ee, ll = wave_numbers(GRID)
         etal = ee - kk * 0.3
         rw = np.sqrt(kk**2 + etal**2 + ll**2)
         kl = np.sqrt(kk**2 + ll**2)
@@ -119,20 +113,19 @@ class TestBootstrapReport:
 
     def test_zero_field_no_flags(self):
         cfg = self.cfg(eps=0.0)
-        rep = bootstrap_report(zero_velocity(GRID), 0.0, cfg, Accumulators())
+        rep = bootstrap_report(zero_state(GRID), 0.0, cfg, Accumulators())
         assert all(v == 0.0 for v in rep.norms.values())
         assert not any(rep.flags.values())
 
     def test_slow_path_agreement(self):
         rng = np.random.default_rng(72)
         small = GridSpec(4, 8, 4, Ly=32.0)
-        arrs = [
+        arrs = np.array([
             rng.standard_normal(small.shape) + 1j * rng.standard_normal(small.shape)
             for _ in range(3)
-        ]
-        for a in arrs:
-            a[0, 0, 0] = 0.0
-        U = velocity_from_arrays(small, *arrs, time=0.8)
+        ])
+        arrs[:, 0, 0, 0] = 0.0
+        U = VelocityField(small, arrs, 0.8)
         cfg = SimConfig(nu=3e-2, grid=small, eps=1e-4)
         rep = bootstrap_report(U, 0.8, cfg, Accumulators())
         p = MultiplierParams(nu=cfg.nu, window=cfg.mult_window)
@@ -197,11 +190,10 @@ class TestBootstrapReport:
 
     def test_flags_fire_on_oversized_state(self):
         rng = np.random.default_rng(73)
-        arrs = [
+        U = VelocityField(GRID, np.array([
             1e3 * (rng.standard_normal(GRID.shape) + 1j * rng.standard_normal(GRID.shape))
             for _ in range(3)
-        ]
-        U = velocity_from_arrays(GRID, *arrs, time=0.0)
+        ]))
         cfg = self.cfg(eps=1e-8)
         rep = bootstrap_report(U, 0.0, cfg, Accumulators())
         assert all(rep.flags.values())
@@ -209,17 +201,15 @@ class TestBootstrapReport:
 
 def _random_field(grid, seed):
     rng = np.random.default_rng(seed)
-    arrs = [
+    return VelocityField(grid, np.array([
         rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
         for _ in range(3)
-    ]
-    return velocity_from_arrays(grid, *arrs, time=0.0)
+    ]))
 
 
 def _zero_plane_field(grid, seed):
     U = _random_field(grid, seed)
-    for c in U.coeff_arrays():
-        c[1:] = 0.0
+    U.coeffs[:, 1:] = 0.0
     return U
 
 
@@ -240,7 +230,7 @@ class TestReportMatchesReference:
             (_random_field, GridSpec(4, 8, 4, Ly=32.0)),
             (_random_field, GridSpec(8, 16, 8, Ly=32.0)),
             (_zero_plane_field, GridSpec(8, 16, 8, Ly=32.0)),
-            (lambda grid, seed: zero_velocity(grid), GridSpec(8, 16, 8, Ly=32.0)),
+            (lambda grid, seed: zero_state(grid), GridSpec(8, 16, 8, Ly=32.0)),
             (_stepped_field, GridSpec(16, 64, 16, Ly=8.0)),
         ],
         ids=["random-4x8x4", "random-8x16x8", "zero-plane", "zero", "stepped-16x64x16"],

@@ -5,12 +5,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import convective_nonlinear_rhs
+from oracles import convective_nonlinear_rhs, wave_numbers
 
 from rotcouette.linear import ModeStateK, ZeroModeState, evolve_K_closed, zero_mode_evolve
 from rotcouette.simulation import (
     BlowUpError,
     SimConfig,
+    VelocityField,
     advective_rate_bound,
     divergence_defect,
     frame_symbols,
@@ -20,8 +21,6 @@ from rotcouette.simulation import (
     nonlinear_rhs,
     run,
     step,
-    velocity_from_arrays,
-    zero_velocity,
 )
 from rotcouette.spectral import (
     GridSpec,
@@ -38,17 +37,19 @@ NONCUBIC = GridSpec(6, 24, 10, Ly=16.0)
 
 
 def random_velocity(grid, rng, t=0.0, project=True, beta=1.0):
-    arrs = []
-    for _ in range(3):
+    coeffs = np.empty((3,) + grid.shape, dtype=complex)
+    for i in range(3):
         c = (rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
-        f = hermitian_symmetrize(SpectralField(grid, c * grid.dealias_mask, t))
-        arrs.append(f.coeffs)
-    U = velocity_from_arrays(grid, *arrs, time=t)
+        coeffs[i] = hermitian_symmetrize(SpectralField(grid, c * grid.dealias_mask, t)).coeffs
+    U = VelocityField(grid, coeffs, t)
     if project:
-        U = leray_project_L(U.components(), t, beta)
-        for c in U.coeff_arrays():
-            c[0, 0, 0] = 0.0
+        U = leray_project_L(U, t, beta)
+        U.coeffs[:, 0, 0, 0] = 0.0
     return U
+
+
+def zero_state(grid):
+    return VelocityField(grid, np.zeros((3,) + grid.shape, dtype=complex))
 
 
 def l0_plane_defect(c):
@@ -63,11 +64,46 @@ def mode_index(grid, k, j, l):
     return (k % grid.Nx, j % grid.Ny, l % grid.Nz)
 
 
+class TestVelocityField:
+    def test_views_share_the_array(self):
+        U = random_velocity(GRID, np.random.default_rng(58), t=0.2)
+        U.coeff_arrays()[1][2, 3, 1] = 7.0
+        U.components()[2].coeffs[1, 1, 1] = -3.0j
+        assert U.coeffs[1, 2, 3, 1] == 7.0
+        assert U.coeffs[2, 1, 1, 1] == -3.0j
+        assert all(f.grid == GRID and f.time == 0.2 for f in U.components())
+
+    @pytest.mark.parametrize(
+        "shape", [(2,) + GRID.shape, (3,) + NONCUBIC.shape], ids=["two-components", "other-grid"]
+    )
+    def test_rejects_wrong_shape(self, shape):
+        with pytest.raises(ValueError):
+            VelocityField(GRID, np.zeros(shape, dtype=complex))
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda U: step(U, 0.6, 0.02, SimConfig(nu=1e-2, grid=GRID)),
+            lambda U: leray_project_L(U, 0.6),
+            lambda U: linear_rhs(U, 0.6),
+            lambda U: nonlinear_rhs(U, 0.6),
+        ],
+        ids=["step", "leray_project_L", "linear_rhs", "nonlinear_rhs"],
+    )
+    def test_operators_leave_input_unchanged(self, op):
+        # not projected, so that a projection in place would change it
+        U = random_velocity(GRID, np.random.default_rng(59), t=0.6, project=False)
+        before = U.coeffs.copy()
+        out = op(U)
+        assert out.coeffs is not U.coeffs
+        assert U.coeffs.tobytes() == before.tobytes()
+
+
 class TestLerayProjection:
     def test_divergence_free_unchanged(self):
         rng = np.random.default_rng(60)
         U = random_velocity(GRID, rng, t=0.4)
-        again = leray_project_L(U.components(), 0.4)
+        again = leray_project_L(U, 0.4)
         for a, b in zip(U.coeff_arrays(), again.coeff_arrays()):
             assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(a)))
 
@@ -77,38 +113,34 @@ class TestLerayProjection:
             SpectralField(GRID, rng.standard_normal(GRID.shape) * GRID.dealias_mask + 0j, 0.7)
         ).coeffs
         t = 0.7
-        kk, ee, ll = GRID.wave_arrays
+        kk, ee, ll = wave_numbers(GRID)
         etal = ee - kk * t
-        grad = (1j * kk * phi, 1j * etal * phi, 1j * ll * phi)
-        out = leray_project_L(
-            tuple(SpectralField(GRID, g, t) for g in grad), t
-        )
-        scale = max(np.max(np.abs(g)) for g in grad)
+        grad = np.array([1j * kk * phi, 1j * etal * phi, 1j * ll * phi])
+        out = leray_project_L(VelocityField(GRID, grad, t), t)
+        scale = np.max(np.abs(grad))
         for c in out.coeff_arrays():
             assert np.max(np.abs(c)) <= 1e-12 * scale
 
     def test_idempotent(self):
         rng = np.random.default_rng(62)
-        arrs = [
+        coeffs = np.array([
             (rng.standard_normal(GRID.shape) + 1j * rng.standard_normal(GRID.shape))
             for _ in range(3)
-        ]
+        ])
         t = 1.3
-        once = leray_project_L(tuple(SpectralField(GRID, a, t) for a in arrs), t)
-        twice = leray_project_L(once.components(), t)
+        once = leray_project_L(VelocityField(GRID, coeffs, t), t)
+        twice = leray_project_L(once, t)
         for a, b in zip(once.coeff_arrays(), twice.coeff_arrays()):
             assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(a)))
 
     def test_mean_mode_passthrough(self):
-        arrs = [np.zeros(GRID.shape, dtype=complex) for _ in range(3)]
-        arrs[0][0, 0, 0] = 0.0
-        out = leray_project_L(tuple(SpectralField(GRID, a, 0.0) for a in arrs), 0.0)
-        assert all(c[0, 0, 0] == 0.0 for c in out.coeff_arrays())
+        out = leray_project_L(zero_state(GRID), 0.0)
+        assert np.all(out.coeffs[:, 0, 0, 0] == 0.0)
 
 
 class TestLinearRhs:
     def test_zero_input(self):
-        U = zero_velocity(GRID)
+        U = zero_state(GRID)
         out = linear_rhs(U, 0.0)
         assert all(np.all(c == 0.0) for c in out.coeff_arrays())
 
@@ -118,14 +150,13 @@ class TestLinearRhs:
         j, l = 2, 1
         eta = g.eta_values[j]
         rho = eta * eta + l * l
-        arrs = [np.zeros(g.shape, dtype=complex) for _ in range(3)]
-        arrs[0][mode_index(g, 0, j, l)] = 1.0
-        U = velocity_from_arrays(g, *arrs, time=0.0)
+        U = zero_state(g)
+        U.coeffs[0][mode_index(g, 0, j, l)] = 1.0
         out = linear_rhs(U, 0.0)
         i = mode_index(g, 0, j, l)
-        assert out.u1.coeffs[i] == pytest.approx(0.0, abs=1e-15)
-        assert out.u2.coeffs[i] == pytest.approx(-(l * l) / rho, rel=1e-12)
-        assert out.u3.coeffs[i] == pytest.approx(eta * l / rho, rel=1e-12)
+        assert out.coeffs[0][i] == pytest.approx(0.0, abs=1e-15)
+        assert out.coeffs[1][i] == pytest.approx(-(l * l) / rho, rel=1e-12)
+        assert out.coeffs[2][i] == pytest.approx(eta * l / rho, rel=1e-12)
 
     @pytest.mark.parametrize("beta", [1.0, 2.0])
     def test_frame_divergence_is_rotation_source(self, beta):
@@ -136,8 +167,8 @@ class TestLinearRhs:
         U = random_velocity(GRID, rng, t=t, beta=beta)
         out = linear_rhs(U, t, beta)
         kk, etal, ll, _ = frame_symbols(GRID, t, beta)
-        div = 1j * (kk * out.u1.coeffs + etal * out.u2.coeffs + ll * out.u3.coeffs)
-        want = 1j * beta * kk * U.u2.coeffs
+        div = 1j * (kk * out.coeffs[0] + etal * out.coeffs[1] + ll * out.coeffs[2])
+        want = 1j * beta * kk * U.coeffs[1]
         assert np.max(np.abs(div - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_single_mode_matches_closed_form(self):
@@ -164,16 +195,16 @@ class TestLinearRhs:
 
 class TestNonlinearRhs:
     def test_zero_input(self):
-        out = nonlinear_rhs(zero_velocity(GRID), 0.0)
+        out = nonlinear_rhs(zero_state(GRID), 0.0)
         assert all(np.all(c == 0.0) for c in out.coeff_arrays())
 
     def test_single_mode_support(self):
         # one conjugate pair: quadratic output only on sums/differences
         g = GRID
-        arrs = [np.zeros(g.shape, dtype=complex) for _ in range(3)]
-        arrs[2][mode_index(g, 1, 1, 1)] = 0.5
-        arrs[2][mode_index(g, -1, -1, -1)] = 0.5
-        U = leray_project_L(tuple(SpectralField(g, a, 0.0) for a in arrs), 0.0)
+        U = zero_state(g)
+        U.coeffs[2][mode_index(g, 1, 1, 1)] = 0.5
+        U.coeffs[2][mode_index(g, -1, -1, -1)] = 0.5
+        U = leray_project_L(U, 0.0)
         out = nonlinear_rhs(U, 0.0)
         allowed = {mode_index(g, *m) for m in [(0, 0, 0), (2, 2, 2), (-2, -2, -2)]}
         for c in out.coeff_arrays():
@@ -209,8 +240,7 @@ class TestNonlinearRhs:
 
     def test_blowup_detection(self):
         g = GRID
-        arrs = [np.full(g.shape, np.nan, dtype=complex) for _ in range(3)]
-        U = velocity_from_arrays(g, *arrs, time=0.0)
+        U = VelocityField(g, np.full((3,) + g.shape, np.nan, dtype=complex))
         with pytest.raises(BlowUpError):
             nonlinear_rhs(U, 0.0)
 
@@ -227,10 +257,10 @@ class TestStep:
         i = mode_index(g, 0, 2, 1)
         eta = g.eta_values[2]
         t0, U0 = res.snapshots[0]
-        s0 = ZeroModeState(U0.u1.coeffs[i], U0.u2.coeffs[i], U0.u3.coeffs[i])
+        s0 = ZeroModeState(*(c[i] for c in U0.coeffs))
         for t, U in res.snapshots[1:]:
             want = zero_mode_evolve(s0, t, cfg.nu, eta, 1)
-            got = (U.u1.coeffs[i], U.u2.coeffs[i], U.u3.coeffs[i])
+            got = [c[i] for c in U.coeffs]
             scale = abs(want.u1) + abs(want.u2) + abs(want.u3)
             err = abs(got[0] - want.u1) + abs(got[1] - want.u2) + abs(got[2] - want.u3)
             assert err <= 1e-11 * scale
@@ -272,12 +302,10 @@ class TestStep:
         U = random_velocity(GRID, np.random.default_rng(68))
         free = step(U, 0.0, cfg.dt, replace(cfg, blowup_cap=math.inf))
         l2 = math.sqrt(sum(float(np.sum(np.abs(c) ** 2)) for c in free.coeff_arrays()))
-        assert np.any(U.u1.coeffs[:, :, 0] != 0.0) and np.any(U.u1.coeffs[:, :, 1] != 0.0)
+        assert np.any(U.coeffs[0, :, :, 0] != 0.0) and np.any(U.coeffs[0, :, :, 1] != 0.0)
 
         def scaled(factor):
-            return velocity_from_arrays(
-                GRID, *(c * (factor / l2) for c in U.coeff_arrays()), time=0.0
-            )
+            return VelocityField(GRID, U.coeffs * (factor / l2))
 
         step(scaled(1.0 - 1e-9), 0.0, cfg.dt, cfg)
         with pytest.raises(BlowUpError) as info:
@@ -329,13 +357,13 @@ class TestInitialConditions:
         assert max(hermitian_defect(f) for f in U.components()) == 0.0
         # projection of the symmetric seed leaves only the wall-normal part
         i = mode_index(GRID, 1, 0, 1)
-        assert abs(U.u2.coeffs[i]) == pytest.approx(1e-3 / math.sqrt(3.0), rel=1e-12)
+        assert abs(U.coeffs[1][i]) == pytest.approx(1e-3 / math.sqrt(3.0), rel=1e-12)
 
     def test_zero_k_seed(self):
         cfg = SimConfig(nu=1e-2, grid=GRID, eps=2e-4, ic_mode=(0, 2, 1))
         U = initial_condition(cfg)
         i = mode_index(GRID, 0, 2, 1)
-        assert U.u1.coeffs[i] == pytest.approx(2e-4)
+        assert U.coeffs[0][i] == pytest.approx(2e-4)
         assert divergence_defect(U) <= 1e-15
 
     def test_random_band_norm(self):
@@ -414,11 +442,11 @@ class TestRun:
         res = run(cfg)
         assert res.status == "completed"
         for t, U in res.snapshots:
-            kk, ee, ll = GRID.wave_arrays
+            kk, ee, ll = wave_numbers(GRID)
             etal = ee - kk * (2.0 * t)
             div = np.max(
                 np.abs(
-                    kk * U.u1.coeffs + etal * U.u2.coeffs + ll * U.u3.coeffs
+                    kk * U.coeffs[0] + etal * U.coeffs[1] + ll * U.coeffs[2]
                 )
             )
             assert div <= 1e-10
