@@ -47,8 +47,8 @@ from .simulation import (
     SimConfig,
     VelocityField,
     leray_project_L,
-    linear_rhs,
     nonlinear_rhs,
+    propagator,
     run,
     step,
 )
@@ -99,8 +99,8 @@ __all__ = [
     "SimConfig",
     "VelocityField",
     "leray_project_L",
-    "linear_rhs",
     "nonlinear_rhs",
+    "propagator",
     "run",
     "step",
     "Accumulators",

@@ -1,8 +1,7 @@
-"""Per-mode kernels: the diffusion integral and the two spectral weights.
+"""Per-mode kernels: the two spectral weights.
 
-The simulator and the diagnostics evaluate the exact time integral of the
-shear-frame symbol and the weights m, M and -Mdot/M over whole mode grids at
-every step or report.  Each kernel is one numpy expression that broadcasts
+The diagnostics evaluate the weights m, M and -Mdot/M over whole mode grids
+at every report.  Each kernel is one numpy expression that broadcasts
 over its ``k, eta, l`` arguments, so callers pass the (Nx,1,1), (1,Ny,1) and
 (1,1,nl) wave arrays and get the broadcast shape back; the values equal those
 of the same kernel on raveled full-grid arrays exactly.
@@ -19,12 +18,6 @@ def _ratio(k, eta):
     """eta/k where k != 0 (0 elsewhere), with the k != 0 mask."""
     nonzero = k != 0
     return nonzero, np.where(nonzero, eta / np.where(nonzero, k, 1.0), 0.0)
-
-
-def integral_w_values(t, k, eta, l, beta=1.0):
-    half = eta - 0.5 * beta * k * t
-    shear = beta * k * t
-    return (k * k + l * l) * t + (half * half + shear * shear / 12.0) * t
 
 
 def m_values(t, k, eta, l, nu, window=1000.0):

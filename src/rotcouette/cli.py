@@ -20,9 +20,7 @@ import numpy as np
 from . import reporting
 from .linear import (
     ModeStateK,
-    QuadratureError,
     ZeroModeState,
-    closed_K_path,
     evolve_K_closed,
     evolve_U3,
     inviscid_damping_rates,
@@ -256,7 +254,6 @@ def cmd_linear(args) -> int:
 def _write_k_mode_csv(path, kv, args, ts):
     state0 = ModeStateK(K1=complex(args.k1), K2=complex(args.k2))
     u30 = complex(args.u30)
-    kpath = closed_K_path(state0, args.nu, kv)
     k0_abs = state0.magnitude
     ref_norm = math.sqrt(k0_abs**2 + abs(u30) ** 2)
     lines = [
@@ -265,7 +262,7 @@ def _write_k_mode_csv(path, kv, args, ts):
     ]
     for t in ts:
         st = evolve_K_closed(state0, t, args.nu, kv)
-        u3 = evolve_U3(u30, kpath, t, args.nu, kv)
+        u3 = evolve_U3(u30, state0, t, args.nu, kv)
         env_k = math.exp(-(args.nu / 12.0) * kv.k**2 * t**3) * k0_abs
         env_u3 = math.exp(-(args.nu / 12.0) * kv.k**2 * t**3) * (abs(u30) + 12.0 / abs(kv.k) * k0_abs)
         b12, b3 = inviscid_damping_rates(ref_norm, t, args.nu)
@@ -414,7 +411,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (BlowUpError, QuadratureError, FloatingPointError) as exc:
+    except (BlowUpError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

@@ -8,9 +8,12 @@ number Z = K1 + i K2, the evolution is exactly
 
 so the modulus decays by the exact dissipation integral while the pair
 rotates through a total angle bounded by pi.  The third velocity component
-is slaved to the pair through a forced scalar equation with the same
-integrating factor, and the x-averaged (k = 0) modes evolve by a nilpotent
-3x3 semigroup that produces the secular lift-up growth.
+is slaved to the pair: integrating its forced equation against the rotating
+pair gives the closed form of ``evolve_U3``, a heat decay plus a term
+linear in t and rational in the frame symbols.  The x-averaged (k = 0) modes
+evolve by a nilpotent 3x3 semigroup that produces the secular lift-up
+growth.  ``simulation.propagator`` is the same solution operator vectorised
+over a whole mode grid.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from .spectral import WaveVector, integral_w, w_symbol
 
@@ -26,21 +28,15 @@ __all__ = [
     "ModeStateK",
     "ModeStateQ",
     "ZeroModeState",
-    "QuadratureError",
     "phase_angle",
     "evolve_K_closed",
     "enhanced_dissipation_check",
     "evolve_U3",
-    "closed_K_path",
     "zero_mode_evolve",
     "inviscid_damping_rates",
     "q_to_k",
     "k_to_q",
 ]
-
-
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
 
 
 @dataclass(frozen=True)
@@ -141,96 +137,26 @@ def enhanced_dissipation_check(
     return evolved.magnitude**2 <= envelope + slack
 
 
-def closed_K_path(state0: ModeStateK, nu: float, kv: WaveVector) -> Callable[[float], ModeStateK]:
-    """Time-parametrised closed-form trajectory starting from ``state0``."""
-    _require_nonzero_k(kv, "closed_K_path")
-    return lambda s: evolve_K_closed(state0, s, nu, kv)
-
-
-def _adaptive_simpson(
-    f: Callable[[float], complex], a: float, b: float, tol: float, max_depth: int = 48
-) -> complex:
-    """Adaptive Simpson quadrature for a smooth complex integrand."""
-
-    def simpson(fa: complex, fm: complex, fb: complex, h: float) -> complex:
-        return h / 6.0 * (fa + 4.0 * fm + fb)
-
-    def recurse(x0, x2, f0, f1, f2, whole, eps, depth):
-        x1l = 0.5 * (x0 + 0.5 * (x0 + x2))
-        x1r = 0.5 * (0.5 * (x0 + x2) + x2)
-        fl = f(x1l)
-        fr = f(x1r)
-        h = 0.5 * (x2 - x0)
-        left = simpson(f0, fl, f1, h)
-        right = simpson(f1, fr, f2, h)
-        err = abs(left + right - whole)
-        if err <= 15.0 * eps or (x2 - x0) < 1e-14:
-            return left + right + (left + right - whole) / 15.0
-        if depth >= max_depth:
-            raise QuadratureError(
-                f"adaptive quadrature did not converge on [{x0}, {x2}] (error {err:.3e})"
-            )
-        xm = 0.5 * (x0 + x2)
-        return recurse(x0, xm, f0, fl, f1, left, 0.5 * eps, depth + 1) + recurse(
-            xm, x2, f1, fr, f2, right, 0.5 * eps, depth + 1
-        )
-
-    if b <= a:
-        return 0.0 + 0.0j
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = simpson(fa, fm, fb, b - a)
-    return recurse(a, b, fa, fm, fb, whole, tol, 0)
-
-
-def evolve_U3(
-    u3_0: complex,
-    Kpath: Callable[[float], ModeStateK],
-    t: float,
-    nu: float,
-    kv: WaveVector,
-    tol: float = 1e-10,
-) -> complex:
-    """Integrate the slaved third-component equation with its exact decay factor.
+def evolve_U3(u3_0: complex, state0: ModeStateK, t: float, nu: float, kv: WaveVector) -> complex:
+    """Exact third component at time t, slaved to the pair that starts at ``state0``.
 
     Solves dU3/ds + nu w U3 = k l w^{-1} U2 + l (eta - k s) w^{-1} U1 with the
-    velocity pair reconstructed from ``Kpath`` via U1 = -K1 / (|k,l| sqrt(w)),
-    U2 = -K2 / (|k| sqrt(w)).  The integrating factor is applied in the
-    backward form exp(-nu [I(t) - I(s)]) so nothing overflows for strongly
-    damped modes.
+    velocity pair U1 = -K1 / (|k,l| sqrt(w)), U2 = -K2 / (|k| sqrt(w)) of the
+    closed-form rotation.  The forcing integrates exactly to
+
+        U3(t) = e^{-nu I(t)} [u3_0 + t l ((eta - k t) U1(0) + k U2(0)) / w(t)],
+
+    which carries no trig and no division by l; for l = 0 it is a pure heat
+    decay.  This is the third row of ``simulation.propagator`` at t0 = 0.
     """
     _require_nonzero_k(kv, "evolve_U3")
     if t < 0:
         raise ValueError(f"evolve_U3 requires t >= 0, got {t}")
-    I_t = integral_w(t, kv)
-    homogeneous = cmath.exp(-nu * I_t) * u3_0
-    if kv.l == 0 or t == 0.0:
-        # both forcing terms carry a factor l
-        return homogeneous
-
-    b = kv.kl_magnitude
-    kl_over_k = kv.k * kv.l / abs(kv.k)
-
-    def integrand(s: float) -> complex:
-        state = Kpath(s)
-        w = w_symbol(s, kv)
-        rhs = -(kl_over_k * state.K2 + kv.l * (kv.eta - kv.k * s) / b * state.K1) * w**-1.5
-        return math.exp(-nu * (I_t - integral_w(s, kv))) * rhs
-
-    # split at the critical time where w is smallest, then at unit scale
-    points = [0.0, t]
-    crit = kv.eta / kv.k
-    for p in (crit - 1.0, crit, crit + 1.0):
-        if 0.0 < p < t:
-            points.append(p)
-    points = sorted(set(points))
-    total = 0.0 + 0.0j
-    for a, b2 in zip(points[:-1], points[1:]):
-        nseg = max(1, min(32, int(math.ceil(b2 - a))))
-        seg = (b2 - a) / nseg
-        for i in range(nseg):
-            x0 = a + i * seg
-            total += _adaptive_simpson(integrand, x0, x0 + seg, tol * seg / max(t, 1.0))
-    return homogeneous + total
+    rw0 = math.sqrt(w_symbol(0.0, kv))
+    u1 = -state0.K1 / (kv.kl_magnitude * rw0)
+    u2 = -state0.K2 / (abs(kv.k) * rw0)
+    lift = t * kv.l * ((kv.eta - kv.k * t) * u1 + kv.k * u2) / w_symbol(t, kv)
+    return cmath.exp(-nu * integral_w(t, kv)) * (u3_0 + lift)
 
 
 def zero_mode_evolve(s0: ZeroModeState, t: float, nu: float, eta: float, l: int) -> ZeroModeState:

@@ -2,16 +2,19 @@
 
 The state is a divergence-free (with respect to the frame gradient) triple of
 spectral velocity components, held as one (3, Nx, Ny, Nz) coefficient array.
-Time stepping treats the stiff frame Laplacian with an exact per-mode
-integrating factor (the closed-form antiderivative of the symbol) and the
-remaining rotation/pressure/advection terms with an explicit Runge-Kutta
-method in the transformed variables, so zero-frequency modes are advanced
-exactly and non-zero modes carry no stiffness restriction on the step size.
-Inside a step the state is one half-spectrum array (the l >= 0 planes of a
-real field, a view of the input's array); the full-spectrum ``VelocityField``
-is built only on return.  The quadratic term is evaluated in rotational form
-on the physical grid with a sharp symmetric dealiasing mask and re-projected,
-which keeps the discrete advection energy-neutral.
+The whole linearised system (frame Laplacian, rotation and the pressure that
+keeps the velocity divergence free) is solved exactly mode by mode: the
+``propagator`` is the closed-form damped rotation of the paper's good
+unknowns, written out as a rational 3x3 map per mode, and the x-averaged
+modes follow the nilpotent lift-up as its k = 0 case.  Time stepping is
+Lawson's integrating-factor Runge-Kutta method with that operator, so only
+the projected advection goes through the explicit stages; a linearised run
+is exact at any step size.  Inside a step the state is one half-spectrum
+array (the l >= 0 planes of a real field); the full-spectrum
+``VelocityField`` is built only on return.  The quadratic term
+is evaluated in rotational form on the physical grid with a sharp symmetric
+dealiasing mask and re-projected, which keeps the discrete advection
+energy-neutral.
 """
 
 from __future__ import annotations
@@ -24,11 +27,10 @@ from typing import Callable
 
 import numpy as np
 
-from . import _kernels
 from .spectral import (
     GridSpec,
     SpectralField,
-    hermitian_symmetrize,
+    _conjugate_flip,
     high_eta_energy_fraction,
     resolve_eta_index,
 )
@@ -39,8 +41,8 @@ __all__ = [
     "VelocityField",
     "RunResult",
     "leray_project_L",
-    "linear_rhs",
     "nonlinear_rhs",
+    "propagator",
     "step",
     "run",
     "initial_condition",
@@ -146,6 +148,7 @@ class _Waves:
     l: np.ndarray  # (1, 1, nl)
     k2: np.ndarray
     l2: np.ndarray
+    kl2: np.ndarray  # k^2 + l^2, (Nx, 1, nl)
     mask: np.ndarray  # dealias mask, (Nx, Ny, nl)
     amp_mask: np.ndarray  # dealias mask times the mode count
 
@@ -160,7 +163,7 @@ def _waves(grid: GridSpec, half: bool) -> _Waves:
     mask = np.ascontiguousarray(grid.dealias_mask[:, :, :nl])
     for a in (k, eta, l):
         a.flags.writeable = False
-    return _Waves(k, eta, l, k * k, l * l, mask, mask * float(grid.n_modes))
+    return _Waves(k, eta, l, k * k, l * l, k * k + l * l, mask, mask * float(grid.n_modes))
 
 
 def frame_symbols(grid: GridSpec, t: float, beta: float = 1.0, half: bool = False):
@@ -177,12 +180,6 @@ def frame_symbols(grid: GridSpec, t: float, beta: float = 1.0, half: bool = Fals
     return wv.k, etal, wv.l, w
 
 
-def _integral_w(grid: GridSpec, t: float, beta: float) -> np.ndarray:
-    """Exact integral of w over [0, t] on the half-spectrum layout."""
-    wv = _waves(grid, True)
-    return _kernels.integral_w_values(t, wv.k, wv.eta, wv.l, beta)
-
-
 # ---------------------------------------------------------------------------
 # array kernels
 #
@@ -190,35 +187,18 @@ def _integral_w(grid: GridSpec, t: float, beta: float) -> np.ndarray:
 # unless noted, with the symbols of ``frame_symbols``.
 
 
-def _project(f: np.ndarray, sym, src: np.ndarray | None = None) -> np.ndarray:
-    """In place: f + grad_L psi, with psi making div_L of the result ``src`` (0 if None).
+def _project(f: np.ndarray, sym) -> np.ndarray:
+    """In place: f + grad_L psi, with psi making the result frame divergence free.
 
     The mean mode, whose symbol vanishes, passes through untouched.
     """
     k, etal, l, w = sym
-    div = 1j * (k * f[0] + etal * f[1] + l * f[2])
-    if src is not None:
-        div -= src
-    psi = div / w
+    psi = 1j * (k * f[0] + etal * f[1] + l * f[2]) / w
     psi[0, 0, 0] = 0.0
     f[0] += 1j * k * psi
     f[1] += 1j * etal * psi
     f[2] += 1j * l * psi
     return f
-
-
-def _forcing(u: np.ndarray, sym, beta: float, adv: np.ndarray | None = None) -> np.ndarray:
-    """Rotation forcing -beta (0, u1, 0) plus ``adv``, with one pressure solve.
-
-    The frame divergence of the rotation forcing is not zero: keeping
-    div_L u = 0 under d/dt (eta - beta k t) = -beta k asks for
-    div_L f = i beta k u2, so psi solves that, not the Leray condition.
-    The mean mode is excluded from the dynamics and returned as zero.
-    """
-    f = np.zeros_like(u) if adv is None else adv
-    f[1] -= beta * u[0]
-    f[:, 0, 0, 0] = 0.0
-    return _project(f, sym, src=1j * beta * sym[0] * u[1])
 
 
 def _advection(u: np.ndarray, sym, grid: GridSpec, t: float) -> np.ndarray:
@@ -286,17 +266,6 @@ def divergence_defect(U: VelocityField, beta: float = 1.0, t: float | None = Non
     return float(np.max(np.abs(kk * c[0] + etal * c[1] + ll * c[2])))
 
 
-def linear_rhs(U: VelocityField, t: float, beta: float = 1.0) -> VelocityField:
-    """Non-diffusive linear terms: rotation forcing plus its pressure correction.
-
-    Returns -beta [ (0, U1, 0) + grad_L (-Delta_L)^{-1} (d_X U2 + d_Y^L U1) ],
-    whose frame divergence is i beta k U2.  On x-averaged modes this
-    reproduces the nilpotent lift-up generator; the diffusion part is handled
-    separately by the exact integrating factor.
-    """
-    return VelocityField(U.grid, _forcing(U.coeffs, frame_symbols(U.grid, t, beta), beta), t)
-
-
 def nonlinear_rhs(U: VelocityField, t: float, beta: float = 1.0) -> VelocityField:
     """Dealiased advection with its pressure correction: -P_L (U . grad_L U).
 
@@ -327,40 +296,97 @@ def advective_rate_bound(U: VelocityField, t_horizon: float, beta: float = 1.0) 
 # time stepping
 
 
-def step(U: VelocityField, t: float, dt: float, cfg: SimConfig) -> VelocityField:
-    """Advance one step: exact diffusion factor + explicit RK on the rest.
+def propagator(
+    grid: GridSpec, t0: float, t1: float, nu: float, beta: float = 1.0
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Exact solution operator of the linearised system from t0 to t1, half-spectrum layout.
 
-    The Runge-Kutta stages act on diffusion-transformed variables, so the
-    only step-size restrictions are accuracy of the rotation terms and the
-    advective CFL when the nonlinearity is on.  The state lives in one
-    half-spectrum array for the whole step; symbols and the integral of w
-    are evaluated once per distinct stage time.  The result is re-projected,
-    re-masked, checked against the blow-up cap and expanded by conjugate
-    reflection, so it is Hermitian by construction.
+    With e_i = eta - beta k t_i, w1 = k^2 + e1^2 + l^2, q = beta (t1 - t0)
+    and D = exp(-nu int_{t0}^{t1} w), the damped rotation of the good unknowns
+    (K1, K2) by ``linear.phase_angle`` reads, in velocity variables,
+
+        u1' = (D / w1) [(k^2 + l^2 + e0 e1) u1 + q k^2 u2]
+        u2' = (D / w1) [(k^2 + l^2 + e0 e1) u2 - q (k^2 + l^2) u1]
+        u3' = D u3 + (D q l / w1) (e1 u1 + k u2)
+
+    since cos and sin of a difference of two arctangents are rational in the
+    frame symbols.  At k = 0 this is the nilpotent lift-up of
+    ``linear.zero_mode_evolve``.  It maps the frame divergence at t0 to D times
+    the frame divergence at t1, and frame gradients to frame gradients, so it
+    commutes with the Leray projection.  Returns a function that applies the
+    operator to a (3, Nx, Ny, nl) array and leaves its argument unchanged.
+    """
+    wv = _waves(grid, True)
+    e0 = wv.eta - wv.k * (beta * t0)
+    e1 = wv.eta - wv.k * (beta * t1)
+    e01 = e0 * e1
+    q = beta * (t1 - t0)
+    # e is linear in s, so the mean of e^2 over [t0, t1] is (e0^2 + e0 e1 + e1^2) / 3
+    decay = np.exp((-nu * (t1 - t0)) * (wv.kl2 + (e0 * e0 + e01 + e1 * e1) / 3.0))
+    w1 = wv.kl2 + e1 * e1
+    w1[0, 0, 0] = 1.0
+    dw = decay / w1
+    diag = dw * (wv.kl2 + e01)
+    qdw = q * dw
+    c12 = qdw * wv.k2
+    c21 = qdw * wv.kl2
+    qldw = qdw * wv.l
+    c31 = qldw * e1
+    c32 = qldw * wv.k
+
+    def apply(u: np.ndarray) -> np.ndarray:
+        out = np.empty_like(u)
+        np.multiply(diag, u[0], out=out[0])
+        out[0] += c12 * u[1]
+        np.multiply(diag, u[1], out=out[1])
+        out[1] -= c21 * u[0]
+        np.multiply(decay, u[2], out=out[2])
+        out[2] += c31 * u[0]
+        out[2] += c32 * u[1]
+        return out
+
+    return apply
+
+
+def step(U: VelocityField, t: float, dt: float, cfg: SimConfig) -> VelocityField:
+    """Advance one step: exact linear propagator + explicit RK on the advection.
+
+    Lawson's integrating-factor Runge-Kutta method: the stages carry only the
+    projected advection and every linear term is applied exactly by the two
+    half-step propagators, so a linearised step is one propagator application
+    and the step size is limited only by the advective CFL.  The state lives
+    in one half-spectrum array for the whole step; symbols are evaluated once
+    per distinct stage time.  The result is re-projected, re-masked, checked
+    against the blow-up cap and expanded by conjugate reflection, so it is
+    Hermitian by construction.
     """
     grid = U.grid
-    beta = cfg.beta
+    nu, beta = cfg.nu, cfg.beta
     tm, t1 = t + 0.5 * dt, t + dt
-    sym0, symm, sym1 = (frame_symbols(grid, s, beta, half=True) for s in (t, tm, t1))
-    i0, im, i1 = (_integral_w(grid, s, beta) for s in (t, tm, t1))
-    e_half = np.exp(-cfg.nu * (im - i0))
-    e_half2 = np.exp(-cfg.nu * (i1 - im))
-    e_full = e_half * e_half2
+    # a contiguous copy: the propagator reads it seven times, a strided view is slower
+    u0 = np.ascontiguousarray(U.coeffs[..., : grid.Nz // 2 + 1])
+    sym1 = frame_symbols(grid, t1, beta, half=True)
 
-    def rhs(u, sym, s):
-        adv = _advection(u, sym, grid, s) if cfg.nonlinear_enabled else None
-        return _forcing(u, sym, beta, adv)
-
-    u0 = U.coeffs[..., : grid.Nz // 2 + 1]
-    k1 = rhs(u0, sym0, t)
-    k2 = rhs(e_half * (u0 + 0.5 * dt * k1), symm, tm)
-    if cfg.rk_stages == 2:
-        new = e_full * u0 + dt * e_half2 * k2
+    if not cfg.nonlinear_enabled:
+        new = propagator(grid, t, t1, nu, beta)(u0)
     else:
-        eu0 = e_half * u0
-        k3 = rhs(eu0 + 0.5 * dt * k2, symm, tm)
-        k4 = rhs(e_half2 * (eu0 + dt * k3), sym1, t1)
-        new = e_full * u0 + dt / 6.0 * (e_full * k1 + 2.0 * e_half2 * (k2 + k3) + k4)
+        ph = propagator(grid, t, tm, nu, beta)
+        ph2 = propagator(grid, tm, t1, nu, beta)
+        symm = frame_symbols(grid, tm, beta, half=True)
+
+        def rhs(u, sym, s):
+            return _project(_advection(u, sym, grid, s), sym)
+
+        k1 = rhs(u0, frame_symbols(grid, t, beta, half=True), t)
+        pu, pk = ph(u0), ph(k1)
+        k2 = rhs(pu + 0.5 * dt * pk, symm, tm)
+        if cfg.rk_stages == 2:
+            new = ph2(pu + dt * k2)
+        else:
+            k3 = rhs(pu + 0.5 * dt * k2, symm, tm)
+            k4 = rhs(ph2(pu + dt * k3), sym1, t1)
+            new = ph2(pu + dt / 6.0 * (pk + 2.0 * (k2 + k3)))
+            new += dt / 6.0 * k4
 
     new = _project(new, sym1)
     new *= _waves(grid, True).mask
@@ -389,6 +415,26 @@ def _place_conjugate_pair(grid: GridSpec, coeffs: np.ndarray, idx: tuple[int, in
     coeffs[(-ik) % grid.Nx, (-ij) % grid.Ny, (-il) % grid.Nz] += np.conj(value)
 
 
+def _random_band(grid: GridSpec, seed: int) -> np.ndarray:
+    """Hermitian Gaussian coefficients on |k| <= 2, |eta| <= 2, |l| <= 2, before projection.
+
+    One draw of (re, im) pairs per component, in (k, j, l) order over the
+    band clipped to the dealiased one; the mean mode is left out.
+    """
+    cx, cy, cz = grid.dealias_cutoffs
+    kx, jmax, lz = min(2, cx), min(cy, int(math.floor(2.0 / grid.eta_spacing))), min(2, cz)
+    axes = (np.arange(-kx, kx + 1), np.arange(-jmax, jmax + 1), np.arange(-lz, lz + 1))
+    band = np.stack(np.meshgrid(*axes, indexing="ij")).reshape(3, -1)
+    band = band[:, np.any(band != 0, axis=0)]
+    idx = tuple(b % n for b, n in zip(band, grid.shape))
+    rng = np.random.default_rng(seed)
+    c = np.zeros((3,) + grid.shape, dtype=np.complex128)
+    for ci in c:
+        z = rng.standard_normal((band.shape[1], 2))
+        ci[idx] = z[:, 0] + 1j * z[:, 1]
+    return 0.5 * (c + _conjugate_flip(grid, c))
+
+
 def initial_condition(cfg: SimConfig) -> VelocityField:
     """Build the configured divergence-free, mean-free initial state."""
     grid = cfg.grid
@@ -402,8 +448,10 @@ def initial_condition(cfg: SimConfig) -> VelocityField:
             raise ValueError("snapshot grid does not match the configured grid")
         return U
 
-    c = np.zeros((3,) + grid.shape, dtype=np.complex128)
-    if cfg.ic_kind == "single_mode":
+    if cfg.ic_kind == "random_band":
+        c = _random_band(grid, cfg.seed)
+    else:  # single_mode
+        c = np.zeros((3,) + grid.shape, dtype=np.complex128)
         k0, j0, l0 = cfg.ic_mode
         if (k0, j0, l0) == (0, 0, 0):
             raise ValueError("single_mode initial condition cannot sit on the mean mode")
@@ -420,19 +468,6 @@ def initial_condition(cfg: SimConfig) -> VelocityField:
         for a, ci in zip(amp, c):
             if a != 0.0:
                 _place_conjugate_pair(grid, ci, idx, complex(a))
-    else:  # random_band
-        rng = np.random.default_rng(cfg.seed)
-        cx, cy, cz = grid.dealias_cutoffs
-        jmax = min(cy, int(math.floor(2.0 / grid.eta_spacing)))
-        for i in range(3):
-            for k in range(-min(2, cx), min(2, cx) + 1):
-                for j in range(-jmax, jmax + 1):
-                    for l in range(-min(2, cz), min(2, cz) + 1):
-                        if (k, j, l) == (0, 0, 0):
-                            continue
-                        re, im = rng.standard_normal(2)
-                        c[i, k % grid.Nx, j % grid.Ny, l % grid.Nz] = re + 1j * im
-            c[i] = hermitian_symmetrize(SpectralField(grid, c[i], 0.0)).coeffs
 
     c = _project(c, frame_symbols(grid, 0.0, cfg.beta))
     c[:, 0, 0, 0] = 0.0

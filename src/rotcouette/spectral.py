@@ -251,7 +251,8 @@ def _conjugate_flip(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
     ix = _reverse_index(grid.Nx)
     iy = _reverse_index(grid.Ny)
     iz = _reverse_index(grid.Nz)
-    return np.conj(coeffs[np.ix_(ix, iy, iz)])
+    # over the last three axes, so stacked components flip in one call
+    return np.conj(coeffs[(Ellipsis,) + np.ix_(ix, iy, iz)])
 
 
 def hermitian_defect(f: SpectralField) -> float:

@@ -18,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .diagnostics import ACCUMULATED_COLUMNS, INSTANT_COLUMNS
 from .simulation import RunResult, SimConfig, run
 
 __all__ = [
@@ -48,6 +49,8 @@ class ClassifyCriteria:
     def __post_init__(self) -> None:
         if self.growth_factor <= 1.0:
             raise ValueError(f"growth_factor must exceed 1, got {self.growth_factor}")
+        if self.norm_name not in INSTANT_COLUMNS + ACCUMULATED_COLUMNS:
+            raise ValueError(f"norm_name {self.norm_name!r} is not an energy.csv norm column")
 
 
 @dataclass(frozen=True)
@@ -70,6 +73,9 @@ class SweepConfig:
             raise ValueError("need 0 < eps_min <= eps_max")
         if self.eps_points < 1:
             raise ValueError("eps_points must be at least 1")
+        if not self.bisect_rel_width > 0:
+            # the bisection stops only once the bracket is narrower than this
+            raise ValueError(f"bisect_rel_width must be positive, got {self.bisect_rel_width}")
 
     def eps_grid(self) -> np.ndarray:
         if self.eps_points == 1:

@@ -3,7 +3,8 @@
 Everything here recomputes quantities by a route disjoint from the package
 code path: quadrature instead of closed-form antiderivatives, fixed-step RK4
 instead of exact solutions, dense matrix exponentials instead of nilpotent
-shortcuts, and plain mode loops instead of vectorised norms.
+shortcuts, the linear generator instead of its exact propagator, and plain
+mode loops instead of vectorised norms.
 """
 
 from __future__ import annotations
@@ -16,8 +17,15 @@ from scipy.linalg import expm
 
 from rotcouette import _kernels
 from rotcouette.diagnostics import EnergyReport, compute_K_check, compute_Q
-from rotcouette.simulation import _waves, frame_symbols
-from rotcouette.spectral import GridSpec, SpectralField, WaveVector, integral_w, w_symbol
+from rotcouette.simulation import VelocityField, _waves, frame_symbols
+from rotcouette.spectral import (
+    GridSpec,
+    SpectralField,
+    WaveVector,
+    hermitian_symmetrize,
+    integral_w,
+    w_symbol,
+)
 
 
 def quad_integral_w(t: float, kv: WaveVector) -> float:
@@ -227,6 +235,51 @@ def convective_nonlinear_rhs(grid: GridSpec, coeffs, t: float, beta: float = 1.0
     phi = 1j * (kk * adv[0] + etal * adv[1] + ll * adv[2]) / w
     phi[0, 0, 0] = 0.0
     return [-(a + 1j * sym * phi) for a, sym in zip(adv, (kk, etal, ll))]
+
+
+def linear_rhs(U: VelocityField, t: float, beta: float = 1.0) -> VelocityField:
+    """Non-diffusive linear generator: rotation forcing plus its pressure correction.
+
+    Returns -beta [ (0, U1, 0) + grad_L (-Delta_L)^{-1} (d_X U2 + d_Y^L U1) ],
+    whose frame divergence is i beta k U2: keeping div_L u = 0 under
+    d/dt (eta - beta k t) = -beta k asks for exactly that.  On x-averaged
+    modes this is the nilpotent lift-up generator; with -nu w U added it is
+    the generator of ``simulation.propagator``.
+    """
+    k, etal, l, w = frame_symbols(U.grid, t, beta)
+    c = U.coeffs
+    f = np.zeros_like(c)
+    f[1] = -beta * c[0]
+    psi = (1j * (k * f[0] + etal * f[1] + l * f[2]) - 1j * beta * k * c[1]) / w
+    psi[0, 0, 0] = 0.0
+    f[0] += 1j * k * psi
+    f[1] += 1j * etal * psi
+    f[2] += 1j * l * psi
+    f[:, 0, 0, 0] = 0.0
+    return VelocityField(U.grid, f, t)
+
+
+def random_band_loop(grid: GridSpec, seed: int) -> np.ndarray:
+    """The random-band draw as four nested mode loops, before projection.
+
+    One (re, im) pair per mode of the band |k| <= 2, |eta| <= 2, |l| <= 2
+    (clipped to the dealiased band), component by component in (k, j, l)
+    order, then each component averaged with its conjugate reflection.
+    """
+    rng = np.random.default_rng(seed)
+    cx, cy, cz = grid.dealias_cutoffs
+    jmax = min(cy, int(math.floor(2.0 / grid.eta_spacing)))
+    c = np.zeros((3,) + grid.shape, dtype=np.complex128)
+    for i in range(3):
+        for k in range(-min(2, cx), min(2, cx) + 1):
+            for j in range(-jmax, jmax + 1):
+                for l in range(-min(2, cz), min(2, cz) + 1):
+                    if (k, j, l) == (0, 0, 0):
+                        continue
+                    re, im = rng.standard_normal(2)
+                    c[i, k % grid.Nx, j % grid.Ny, l % grid.Nz] = re + 1j * im
+        c[i] = hermitian_symmetrize(SpectralField(grid, c[i], 0.0)).coeffs
+    return c
 
 
 def _weighted_norm(grid: GridSpec, coeffs: np.ndarray, weight_sq) -> float:

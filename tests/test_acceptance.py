@@ -14,7 +14,6 @@ import pytest
 from rotcouette.diagnostics import compute_K_check
 from rotcouette.linear import (
     ModeStateK,
-    closed_K_path,
     enhanced_dissipation_check,
     evolve_K_closed,
     evolve_U3,
@@ -111,7 +110,7 @@ def test_criterion_03_third_component_bound():
             K2=complex(rng.standard_normal(), rng.standard_normal()),
         )
         u3_0 = complex(rng.standard_normal(), rng.standard_normal())
-        got = evolve_U3(u3_0, closed_K_path(state0, nu, kv), t, nu, kv)
+        got = evolve_U3(u3_0, state0, t, nu, kv)
         bound = math.exp(-(nu / 12.0) * kv.k**2 * t**3) * (
             abs(u3_0) + 12.0 / abs(kv.k) * state0.magnitude
         )

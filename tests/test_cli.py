@@ -244,6 +244,21 @@ class TestSweepCommand:
         gamma = json.loads((out / "gamma.json").read_text())
         assert "gamma" in gamma
 
+    @pytest.mark.parametrize(
+        "extra", ["norm_name = U_neq_HN_totl\n", "bisect = true\nbisect_rel_width = 0\n"],
+        ids=["misspelt-norm-name", "zero-bisect-width"],
+    )
+    def test_bad_sweep_key_rejected_before_any_cell(self, tmp_path, monkeypatch, extra):
+        from rotcouette import threshold
+
+        calls = []
+        monkeypatch.setattr(threshold, "_run_cell", lambda *a: calls.append(a))
+        cfg = self.ini(tmp_path)
+        cfg.write_text(cfg.read_text() + extra)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert calls == [] and not out.exists()
+
     def test_seed_and_threads_flags(self, tmp_path):
         cfg = self.ini(tmp_path)
         out = tmp_path / "out"

@@ -5,12 +5,11 @@ import pytest
 
 from rotcouette import _kernels
 from rotcouette.multipliers import MultiplierParams, M_closed, m_exact, neg_MdotM
-from rotcouette.spectral import GridSpec, WaveVector, integral_w
+from rotcouette.spectral import GridSpec, WaveVector
 
 TIMES = (0.0, 5.5, 120.0)
 NU, WINDOW = 2e-3, 1000.0
 KERNELS = {
-    "integral_w_values": lambda t, k, e, l: _kernels.integral_w_values(t, k, e, l, 1.0),
     "m_values": lambda t, k, e, l: _kernels.m_values(t, k, e, l, NU, WINDOW),
     "M_values": lambda t, k, e, l: _kernels.M_values(t, k, e, l, NU),
     "neg_MdotM_values": lambda t, k, e, l: _kernels.neg_MdotM_values(t, k, e, l, NU),
@@ -29,13 +28,11 @@ def test_grid_kernels_match_scalar_functions():
     k, eta, l = sample_arrays(rng, 500)
     p = MultiplierParams(nu=NU)
     for t in TIMES:
-        iw = KERNELS["integral_w_values"](t, k, eta, l)
         m = KERNELS["m_values"](t, k, eta, l)
         M = KERNELS["M_values"](t, k, eta, l)
         dmm = KERNELS["neg_MdotM_values"](t, k, eta, l)
         for i in range(len(k)):
             kv = WaveVector(int(k[i]), float(eta[i]), int(l[i]))
-            assert iw[i] == pytest.approx(integral_w(t, kv), rel=1e-12, abs=1e-12)
             assert m[i] == pytest.approx(m_exact(t, kv, p), rel=1e-13)
             assert M[i] == pytest.approx(M_closed(t, kv, p), rel=1e-13)
             assert dmm[i] == pytest.approx(neg_MdotM(t, kv, p), rel=1e-12, abs=1e-300)
@@ -43,7 +40,7 @@ def test_grid_kernels_match_scalar_functions():
 
 @pytest.mark.parametrize("name", sorted(KERNELS))
 def test_broadcast_inputs_match_raveled_grid_exactly(name):
-    # the simulator and the diagnostics pass (Nx,1,1), (1,Ny,1), (1,1,Nz) wave
+    # the diagnostics pass (Nx,1,1), (1,Ny,1), (1,1,Nz) wave
     # arrays; byte-reproducible CSVs need the same values as on a raveled grid
     grid = GridSpec(Nx=6, Ny=20, Nz=10, Ly=7.0)
     k = grid.k_index.astype(float)[:, None, None]

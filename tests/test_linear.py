@@ -10,7 +10,6 @@ from rotcouette.linear import (
     ModeStateK,
     ModeStateQ,
     ZeroModeState,
-    closed_K_path,
     enhanced_dissipation_check,
     evolve_K_closed,
     evolve_U3,
@@ -156,17 +155,15 @@ class TestEvolveU3:
     def test_homogeneous_decay(self):
         kv = WaveVector(2, 1.0, 3)
         nu = 1e-2
-        path = closed_K_path(ModeStateK(0.0, 0.0), nu, kv)
         for t in (0.0, 1.0, 7.5):
-            got = evolve_U3(1.0 + 2.0j, path, t, nu, kv)
+            got = evolve_U3(1.0 + 2.0j, ModeStateK(0.0, 0.0), t, nu, kv)
             want = cmath.exp(-nu * integral_w(t, kv)) * (1.0 + 2.0j)
             assert abs(got - want) <= 1e-12 * abs(want)
 
     def test_l_zero_pure_decay(self):
         kv = WaveVector(1, -3.0, 0)
         nu = 5e-2
-        path = closed_K_path(ModeStateK(1.0, 1.0j), nu, kv)
-        got = evolve_U3(0.5, path, 4.0, nu, kv)
+        got = evolve_U3(0.5, ModeStateK(1.0, 1.0j), 4.0, nu, kv)
         want = cmath.exp(-nu * integral_w(4.0, kv)) * 0.5
         assert abs(got - want) <= 1e-12
 
@@ -176,7 +173,10 @@ class TestEvolveU3:
         kv = WaveVector(1, 2.0, 1)
         nu = 1e-2
         state0 = ModeStateK(0.8 - 0.4j, 0.1 + 1.1j)
-        path = closed_K_path(state0, nu, kv)
+
+        def path(s):
+            return evolve_K_closed(state0, s, nu, kv)
+
         t = 6.0
         I_t = integral_w(t, kv)
 
@@ -193,7 +193,7 @@ class TestEvolveU3:
         re, _ = quad(lambda s: integrand(s, 0), 0.0, t, limit=400)
         im, _ = quad(lambda s: integrand(s, 1), 0.0, t, limit=400)
         want = cmath.exp(-nu * I_t) * (0.3 + 0.0j) + complex(re, im)
-        got = evolve_U3(0.3, path, t, nu, kv)
+        got = evolve_U3(0.3, state0, t, nu, kv)
         assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
 
     def test_apriori_bound(self):
@@ -207,7 +207,7 @@ class TestEvolveU3:
                 K2=complex(rng.standard_normal(), rng.standard_normal()),
             )
             u3_0 = complex(rng.standard_normal(), rng.standard_normal())
-            got = evolve_U3(u3_0, closed_K_path(state0, nu, kv), t, nu, kv)
+            got = evolve_U3(u3_0, state0, t, nu, kv)
             bound = math.exp(-(nu / 12.0) * kv.k**2 * t**3) * (
                 abs(u3_0) + 12.0 / abs(kv.k) * state0.magnitude
             )
@@ -215,7 +215,7 @@ class TestEvolveU3:
 
     def test_rejects_zero_k(self):
         with pytest.raises(ValueError):
-            evolve_U3(1.0, lambda s: ModeStateK(0, 0), 1.0, 0.01, WaveVector(0, 1.0, 1))
+            evolve_U3(1.0, ModeStateK(0, 0), 1.0, 0.01, WaveVector(0, 1.0, 1))
 
 
 class TestZeroMode:

@@ -5,20 +5,27 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import convective_nonlinear_rhs, wave_numbers
+from oracles import convective_nonlinear_rhs, linear_rhs, random_band_loop, wave_numbers
 
-from rotcouette.linear import ModeStateK, ZeroModeState, evolve_K_closed, zero_mode_evolve
+from rotcouette.linear import (
+    ModeStateK,
+    ZeroModeState,
+    evolve_K_closed,
+    evolve_U3,
+    zero_mode_evolve,
+)
 from rotcouette.simulation import (
     BlowUpError,
     SimConfig,
     VelocityField,
+    _random_band,
     advective_rate_bound,
     divergence_defect,
     frame_symbols,
     initial_condition,
     leray_project_L,
-    linear_rhs,
     nonlinear_rhs,
+    propagator,
     run,
     step,
 )
@@ -64,6 +71,37 @@ def mode_index(grid, k, j, l):
     return (k % grid.Nx, j % grid.Ny, l % grid.Nz)
 
 
+def closed_form_mode(grid, u, t, nu, beta, i):
+    """The velocity at mode index i evolved from u (at time 0) to t by the closed forms.
+
+    beta enters by the rescaling tau = beta t, nu' = nu / beta; u need not be
+    divergence free, since u3 is evolved from its own initial value.
+    """
+    k, eta, l = int(grid.k_index[i[0]]), float(grid.eta_values[i[1]]), int(grid.l_index[i[2]])
+    tau, nu_b = beta * t, nu / beta
+    c = u[(slice(None),) + i]
+    if k == 0:
+        s = zero_mode_evolve(ZeroModeState(*c), tau, nu_b, eta, l)
+        return np.array([s.u1, s.u2, s.u3])
+    kv = WaveVector(k, eta, l)
+    rw0, rw = (math.sqrt(k * k + (eta - k * s) ** 2 + l * l) for s in (0.0, tau))
+    K0 = ModeStateK(-kv.kl_magnitude * rw0 * c[0], -abs(k) * rw0 * c[1])
+    K = evolve_K_closed(K0, tau, nu_b, kv)
+    return np.array(
+        [-K.K1 / (kv.kl_magnitude * rw), -K.K2 / (abs(k) * rw), evolve_U3(c[2], K0, tau, nu_b, kv)]
+    )
+
+
+def half_modes(grid):
+    """Every mode index of the half-spectrum layout except the mean mode."""
+    return [i for i in np.ndindex(grid.Nx, grid.Ny, grid.Nz // 2 + 1) if i != (0, 0, 0)]
+
+
+def random_half(grid, rng):
+    shape = (3, grid.Nx, grid.Ny, grid.Nz // 2 + 1)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
 class TestVelocityField:
     def test_views_share_the_array(self):
         U = random_velocity(GRID, np.random.default_rng(58), t=0.2)
@@ -83,19 +121,19 @@ class TestVelocityField:
     @pytest.mark.parametrize(
         "op",
         [
-            lambda U: step(U, 0.6, 0.02, SimConfig(nu=1e-2, grid=GRID)),
-            lambda U: leray_project_L(U, 0.6),
-            lambda U: linear_rhs(U, 0.6),
-            lambda U: nonlinear_rhs(U, 0.6),
+            lambda U: step(U, 0.6, 0.02, SimConfig(nu=1e-2, grid=GRID)).coeffs,
+            lambda U: leray_project_L(U, 0.6).coeffs,
+            lambda U: propagator(GRID, 0.6, 0.62, 1e-2)(U.coeffs[..., : GRID.Nz // 2 + 1]),
+            lambda U: nonlinear_rhs(U, 0.6).coeffs,
         ],
-        ids=["step", "leray_project_L", "linear_rhs", "nonlinear_rhs"],
+        ids=["step", "leray_project_L", "propagator", "nonlinear_rhs"],
     )
     def test_operators_leave_input_unchanged(self, op):
         # not projected, so that a projection in place would change it
         U = random_velocity(GRID, np.random.default_rng(59), t=0.6, project=False)
         before = U.coeffs.copy()
         out = op(U)
-        assert out.coeffs is not U.coeffs
+        assert not np.shares_memory(out, U.coeffs)
         assert U.coeffs.tobytes() == before.tobytes()
 
 
@@ -139,6 +177,8 @@ class TestLerayProjection:
 
 
 class TestLinearRhs:
+    """The generator oracle of the propagator, and linearised runs against the closed forms."""
+
     def test_zero_input(self):
         U = zero_state(GRID)
         out = linear_rhs(U, 0.0)
@@ -191,6 +231,62 @@ class TestLinearRhs:
             want = evolve_K_closed(K0, t, cfg.nu, kv)
             err = abs(K1f.coeffs[i] - want.K1) + abs(K2f.coeffs[i] - want.K2)
             assert err <= 1e-6 * want.magnitude
+
+
+class TestPropagator:
+    @pytest.mark.parametrize("beta", [1.0, 2.0])
+    @pytest.mark.parametrize("t0", [0.0, 0.7])
+    def test_matches_closed_forms(self, t0, beta):
+        # random modes, not divergence free: u3 is not slaved to the pair
+        rng = np.random.default_rng(70)
+        u0 = random_half(GRID, rng)
+        nu, t1 = 1e-2, 2.9
+        ut0 = propagator(GRID, 0.0, t0, nu, beta)(u0)
+        ut1 = propagator(GRID, t0, t1, nu, beta)(ut0)
+        for i in half_modes(GRID):
+            for got, t in ((ut0, t0), (ut1, t1)):
+                want = closed_form_mode(GRID, u0, t, nu, beta, i)
+                err = np.linalg.norm(got[(slice(None),) + i] - want)
+                assert err <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("beta", [1.0, 2.0])
+    def test_semigroup(self, beta):
+        rng = np.random.default_rng(71)
+        u = random_half(GRID, rng)
+        t0, tm, t1, nu = 0.4, 1.9, 3.3, 2e-2
+        two = propagator(GRID, tm, t1, nu, beta)(propagator(GRID, t0, tm, nu, beta)(u))
+        one = propagator(GRID, t0, t1, nu, beta)(u)
+        assert np.max(np.abs(two - one)) <= 1e-13 * np.max(np.abs(one))
+
+    @pytest.mark.parametrize("beta", [1.0, 2.0])
+    def test_generator_is_linear_rhs_oracle(self, beta):
+        # central difference in t1 at t0 against linear_rhs - nu w u
+        rng = np.random.default_rng(72)
+        u = random_half(GRID, rng)
+        t0, h, nu = 1.2, 1e-4, 1e-2
+        d = (propagator(GRID, t0, t0 + h, nu, beta)(u) - propagator(GRID, t0, t0 - h, nu, beta)(u))
+        d /= 2.0 * h
+        full = np.zeros((3,) + GRID.shape, dtype=complex)
+        full[..., : u.shape[-1]] = u
+        gen = linear_rhs(VelocityField(GRID, full, t0), t0, beta).coeffs[..., : u.shape[-1]]
+        want = gen - nu * frame_symbols(GRID, t0, beta, half=True)[3] * u
+        d[:, 0, 0, 0] = want[:, 0, 0, 0] = 0.0  # the mean mode is not dynamic
+        assert np.max(np.abs(d - want)) <= 1e-6 * np.max(np.abs(want))
+
+    def test_divergence_scales_by_decay(self):
+        # div_L at t1 of the image is D times div_L at t0 of the input
+        rng = np.random.default_rng(73)
+        u = random_half(GRID, rng)
+        t0, t1, nu, beta = 0.3, 1.1, 1e-2, 2.0
+        out = propagator(GRID, t0, t1, nu, beta)(u)
+        lone = np.zeros_like(u)
+        lone[2] = 1.0
+        decay = propagator(GRID, t0, t1, nu, beta)(lone)[2]
+        k0, e0, l0, _ = frame_symbols(GRID, t0, beta, half=True)
+        k1, e1, l1, _ = frame_symbols(GRID, t1, beta, half=True)
+        div0 = k0 * u[0] + e0 * u[1] + l0 * u[2]
+        div1 = k1 * out[0] + e1 * out[1] + l1 * out[2]
+        assert np.max(np.abs(div1 - decay * div0)) <= 1e-13 * np.max(np.abs(div1))
 
 
 class TestNonlinearRhs:
@@ -313,31 +409,36 @@ class TestStep:
         assert info.value.time == pytest.approx(cfg.dt)
 
     def test_convergence_order(self):
-        # halving dt must cut the closed-form error by at least 3.5x
-        from rotcouette.diagnostics import compute_K_check
+        # the linear part is exact, so the RK2 error is the advection's:
+        # halving dt must cut it by at least 3.5x against a fine-dt reference
+        base = SimConfig(
+            nu=2e-2, grid=GRID, dt=0.1, t_end=2.0, eps=1.0, ic_kind="random_band", seed=4,
+            nonlinear_enabled=True, diag_every=10**6, snapshot_every=10**6, rk_stages=2,
+        )
 
-        g = GRID
-        kv = WaveVector(1, g.eta_values[1], 1)
-        i = mode_index(g, 1, 1, 1)
+        def final(cfg):
+            return run(cfg).snapshots[-1][1].coeffs
 
-        def final_error(dt):
-            cfg = SimConfig(
-                nu=2e-2, grid=g, dt=dt, t_end=2.0, eps=1e-3,
-                nonlinear_enabled=False, diag_every=10**6,
-                snapshot_every=10**6, ic_mode=(1, 1, 1), rk_stages=2,
-            )
-            res = run(cfg)
-            t0, U0 = res.snapshots[0]
-            K1f, K2f = compute_K_check(U0)
-            K0 = ModeStateK(K1f.coeffs[i], K2f.coeffs[i])
-            t, U = res.snapshots[-1]
-            K1f, K2f = compute_K_check(U, t)
-            want = evolve_K_closed(K0, t, 2e-2, kv)
-            return abs(K1f.coeffs[i] - want.K1) + abs(K2f.coeffs[i] - want.K2)
-
-        e1 = final_error(0.1)
-        e2 = final_error(0.05)
+        ref = final(replace(base, dt=0.1 / 32, rk_stages=4))
+        e1 = np.max(np.abs(final(base) - ref))
+        e2 = np.max(np.abs(final(replace(base, dt=0.05)) - ref))
         assert e1 / e2 >= 3.5
+
+    @pytest.mark.parametrize("rk_stages", [2, 4])
+    @pytest.mark.parametrize("dt", [1.0, 0.25, 0.01])
+    def test_linear_run_exact_at_any_dt(self, dt, rk_stages):
+        cfg = SimConfig(
+            nu=2e-2, grid=GRID, dt=dt, t_end=2.0, eps=1e-3, ic_mode=(1, 1, 1),
+            nonlinear_enabled=False, diag_every=10**6, snapshot_every=10**6,
+            rk_stages=rk_stages,
+        )
+        res = run(cfg)
+        (_, U0), (t, U) = res.snapshots[0], res.snapshots[-1]
+        assert t == pytest.approx(2.0)
+        for i in (mode_index(GRID, 1, 1, 1), mode_index(GRID, -1, -1, 1)):
+            want = closed_form_mode(GRID, U0.coeffs, t, cfg.nu, 1.0, i)
+            err = np.linalg.norm(U.coeffs[(slice(None),) + i] - want)
+            assert err <= 1e-12 * np.linalg.norm(want)
 
     def test_blowup_cap(self):
         cfg = SimConfig(
@@ -382,6 +483,11 @@ class TestInitialConditions:
         b = initial_condition(cfg)
         for x, y in zip(a.coeff_arrays(), b.coeff_arrays()):
             assert np.array_equal(x, y)
+
+    @pytest.mark.parametrize("grid", [GridSpec(4, 8, 4), GRID, GridSpec(16, 64, 16, Ly=8.0)])
+    @pytest.mark.parametrize("seed", [0, 9])
+    def test_random_band_draw_matches_loop(self, grid, seed):
+        assert _random_band(grid, seed).tobytes() == random_band_loop(grid, seed).tobytes()
 
     def test_rejects_mean_mode(self):
         cfg = SimConfig(nu=1e-2, grid=GRID, ic_mode=(0, 0, 0))
@@ -450,6 +556,21 @@ class TestRun:
                 )
             )
             assert div <= 1e-10
+
+    def test_beta_two_linear_closed_form(self):
+        # beta enters the closed forms through tau = beta t and nu / beta
+        cfg = SimConfig(
+            nu=1e-2, grid=GRID, dt=0.05, t_end=1.5, eps=1e-4, beta=2.0,
+            ic_kind="random_band", seed=6, nonlinear_enabled=False,
+            diag_every=10, snapshot_every=10,
+        )
+        res = run(cfg)
+        U0 = res.snapshots[0][1].coeffs
+        for t, U in res.snapshots[1:]:
+            for i in half_modes(GRID):
+                want = closed_form_mode(GRID, U0, t, cfg.nu, 2.0, i)
+                err = np.linalg.norm(U.coeffs[(slice(None),) + i] - want)
+                assert err <= 1e-10 * np.linalg.norm(want)
 
     def test_cfl_warning(self):
         cfg = SimConfig(

@@ -51,6 +51,11 @@ class TestClassify:
         res = fake_result([1.0, 1.5, 0.2])
         assert classify_run(res, ClassifyCriteria(horizon=2.0)) == "stable"
 
+    def test_unknown_norm_name_rejected(self):
+        with pytest.raises(ValueError, match="U_neq_HN_totl"):
+            ClassifyCriteria(norm_name="U_neq_HN_totl")
+        assert ClassifyCriteria(norm_name="int_Kcheck_neq_HN").norm_name == "int_Kcheck_neq_HN"
+
     def test_flat_is_inconclusive(self):
         res = fake_result([1.0, 1.0, 1.0])
         assert classify_run(res, ClassifyCriteria(horizon=2.0)) == "inconclusive"
@@ -209,6 +214,15 @@ class TestBisect:
             star = result.eps_star[nu]
             assert star < self.THRESHOLD[nu] and not result.censored[nu]
         assert sum(c.refined for c in result.cells) == len(calls) - 6
+
+    @pytest.mark.parametrize("width", [0.0, -0.1, math.nan])
+    def test_nonpositive_width_rejected(self, monkeypatch, width):
+        # the bracket never gets narrower than a width <= 0: refuse it before any cell runs
+        calls = []
+        monkeypatch.setattr(threshold, "_run_cell", self.fake_runner(calls))
+        with pytest.raises(ValueError, match="bisect_rel_width"):
+            replace(self.config(), bisect_rel_width=width)
+        assert calls == []
 
     def test_failing_refinement_cell_does_not_abort(self, monkeypatch):
         calls = []
