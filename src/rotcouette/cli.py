@@ -354,6 +354,10 @@ def cmd_simulate(args) -> int:
     for i, (t, U) in enumerate(result.snapshots):
         spath = reporting.write_snapshot_csv(outdir / f"snapshot_{i:05d}.csv", U, cfg.nu)
         manifest.add(spath)
+    manifest.run = {
+        "status": result.status, "t_fail": result.t_fail, "warnings": result.warnings,
+        "n_steps": result.n_steps, "dt": result.dt,
+    }
     manifest.add(manifest.write(outdir))
     if result.blown_up:
         print(f"numerical blow-up at t = {result.t_fail}", file=sys.stderr)

@@ -4,7 +4,8 @@ All floats are written with ``repr`` (shortest round-trip form), columns and
 row order are fixed, and nothing time- or host-dependent enters the CSV
 bodies, so re-running a command with an identical config and seed reproduces
 the data files byte for byte.  The manifest records the config hash, the
-code version, wall times and the produced file list.
+code and numpy versions, wall times, the produced file list and, for a
+simulation, how the run ended.
 """
 
 from __future__ import annotations
@@ -55,31 +56,53 @@ def write_energy_csv(path: str | Path, reports: Sequence[EnergyReport]) -> Path:
     return path
 
 
+# rows per formatted block of a snapshot; bounds the strings alive at once
+_SNAPSHOT_BLOCK = 512
+
+
+def _strings(values: np.ndarray, lead: str) -> np.ndarray:
+    """``lead + repr(v)`` for each value, as an object array to gather rows from."""
+    return np.array([lead + repr(v) for v in values.tolist()], dtype=object)
+
+
 def write_snapshot_csv(path: str | Path, U: VelocityField, nu: float) -> Path:
     """Spectral dump of the dealiased band: one row per retained mode.
 
     Header comment lines carry the grid, the y period, the viscosity and the
     frame time; data columns are the integer mode indices, eta, and the real
     and imaginary parts of the three components.
+
+    Every field is the ``repr`` of its value, as if formatted row by row,
+    but each distinct string is formatted once: the index and eta columns
+    are gathered from per-axis tables, and the coefficient parts of each
+    block of rows from a table of the block's distinct bit patterns (bit
+    patterns, not float values, so that 0.0 and -0.0 stay apart).
     """
     path = Path(path)
     grid = U.grid
     mask = grid.dealias_mask
     ik, ij, il = np.nonzero(mask)
-    columns = [grid.k_index[ik].tolist(), grid.j_index[ij].tolist(), grid.l_index[il].tolist(),
-               grid.eta_values[ij].tolist()]
-    for kept in U.coeffs[:, mask]:
-        columns += [kept.real.tolist(), kept.imag.tolist()]
-    lines = [
+    k_s, j_s = _strings(grid.k_index, "\n"), _strings(grid.j_index, ",")
+    l_s, eta_s = _strings(grid.l_index, ","), _strings(grid.eta_values, ",")
+    # (rows, 6) bit patterns: u1_re, u1_im, u2_re, u2_im, u3_re, u3_im
+    bits = np.ascontiguousarray(U.coeffs[:, mask].T).view(np.int64)
+    header = [
         f"# grid {grid.Nx} {grid.Ny} {grid.Nz}",
         f"# ly {fmt(grid.Ly)}",
         f"# nu {fmt(nu)}",
         f"# time {fmt(U.time)}",
         "k,j,l,eta,u1_re,u1_im,u2_re,u2_im,u3_re,u3_im",
     ]
-    for k, j, l, *values in zip(*columns):
-        lines.append(",".join([str(k), str(j), str(l)] + [fmt(v) for v in values]))
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w") as f:
+        f.write("\n".join(header))
+        for a in range(0, len(bits), _SNAPSHOT_BLOCK):
+            rows = slice(a, a + _SNAPSHOT_BLOCK)
+            patterns, inverse = np.unique(bits[rows], return_inverse=True)
+            values = _strings(patterns.view(np.float64), ",")[inverse.reshape(-1, 6)]
+            # each row starts with its line break and each value with its comma
+            head = k_s[ik[rows]] + j_s[ij[rows]] + l_s[il[rows]] + eta_s[ij[rows]]
+            f.write("".join(np.column_stack((head, values)).ravel().tolist()))
+        f.write("\n")
     return path
 
 
@@ -113,6 +136,7 @@ class Manifest:
         self.hash = config_hash(config)
         self.started = _time.time()
         self.outputs: list[str] = []
+        self.run: dict | None = None  # outcome of a simulate run; not part of the hash
 
     def add(self, path: str | Path) -> None:
         self.outputs.append(str(path))
@@ -122,11 +146,14 @@ class Manifest:
         payload = {
             "config_hash": self.hash,
             "version": __version__,
+            "numpy": np.__version__,
             "started_unix": self.started,
             "finished_unix": _time.time(),
             "config": self.config,
             "outputs": sorted(self.outputs),
         }
+        if self.run is not None:
+            payload["run"] = self.run
         path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n")
         return path
 

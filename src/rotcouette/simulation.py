@@ -83,9 +83,6 @@ class VelocityField:
         """Views of the three component arrays."""
         return tuple(self.coeffs)
 
-    def copy(self) -> "VelocityField":
-        return VelocityField(self.grid, self.coeffs.copy(), self.time)
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -497,6 +494,8 @@ class RunResult:
     status: str = "completed"  # completed | blown_up
     t_fail: float | None = None
     warnings: list[str] = field(default_factory=list)
+    dt: float | None = None  # the step size used
+    n_steps: int = 0  # steps of size dt to t_end
 
     @property
     def blown_up(self) -> bool:
@@ -530,6 +529,7 @@ def run(cfg: SimConfig, report_fn: Callable | None = None) -> RunResult:
     n_steps = max(1, int(math.ceil(cfg.t_end / dt - 1e-12))) if cfg.t_end > 0 else 0
     if cfg.t_end > 0:
         dt = cfg.t_end / n_steps
+    result.dt, result.n_steps = dt, n_steps
 
     if cfg.nonlinear_enabled and rate > 0 and dt > 0.5 / rate:
         msg = f"dt={dt:.3e} exceeds the advective CFL estimate {0.5 / rate:.3e}"
@@ -541,8 +541,9 @@ def run(cfg: SimConfig, report_fn: Callable | None = None) -> RunResult:
         result.reports.append(report(state, t, cfg, acc))
 
     def snap(t: float, state: VelocityField) -> None:
+        # step and initial_condition return fresh arrays that nothing mutates later
         if cfg.snapshot_every > 0:
-            result.snapshots.append((t, state.copy()))
+            result.snapshots.append((t, state))
 
     emit(0.0, U)
     snap(0.0, U)

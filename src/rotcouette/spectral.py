@@ -196,9 +196,6 @@ class SpectralField:
                 f"coefficient shape {self.coeffs.shape} does not match grid {self.grid.shape}"
             )
 
-    def copy(self) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs.copy(), self.time)
-
     def with_coeffs(self, coeffs: np.ndarray) -> "SpectralField":
         return SpectralField(self.grid, coeffs, self.time)
 

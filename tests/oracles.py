@@ -3,13 +3,15 @@
 Everything here recomputes quantities by a route disjoint from the package
 code path: quadrature instead of closed-form antiderivatives, fixed-step RK4
 instead of exact solutions, dense matrix exponentials instead of nilpotent
-shortcuts, the linear generator instead of its exact propagator, and plain
-mode loops instead of vectorised norms.
+shortcuts, the linear generator instead of its exact propagator, plain
+mode loops instead of vectorised norms, and one ``repr`` per CSV field
+instead of deduplicated string tables.
 """
 
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 from scipy.integrate import quad
@@ -280,6 +282,29 @@ def random_band_loop(grid: GridSpec, seed: int) -> np.ndarray:
                     c[i, k % grid.Nx, j % grid.Ny, l % grid.Nz] = re + 1j * im
         c[i] = hermitian_symmetrize(SpectralField(grid, c[i], 0.0)).coeffs
     return c
+
+
+def row_by_row_snapshot_csv(path, U: VelocityField, nu: float) -> Path:
+    """The snapshot CSV formatted one ``repr`` per field, row by row."""
+    path = Path(path)
+    grid = U.grid
+    mask = grid.dealias_mask
+    ik, ij, il = np.nonzero(mask)
+    columns = [grid.k_index[ik].tolist(), grid.j_index[ij].tolist(), grid.l_index[il].tolist(),
+               grid.eta_values[ij].tolist()]
+    for kept in U.coeffs[:, mask]:
+        columns += [kept.real.tolist(), kept.imag.tolist()]
+    lines = [
+        f"# grid {grid.Nx} {grid.Ny} {grid.Nz}",
+        f"# ly {float(grid.Ly)!r}",
+        f"# nu {float(nu)!r}",
+        f"# time {float(U.time)!r}",
+        "k,j,l,eta,u1_re,u1_im,u2_re,u2_im,u3_re,u3_im",
+    ]
+    for k, j, l, *values in zip(*columns):
+        lines.append(",".join([str(k), str(j), str(l)] + [repr(v) for v in values]))
+    path.write_text("\n".join(lines) + "\n")
+    return path
 
 
 def _weighted_norm(grid: GridSpec, coeffs: np.ndarray, weight_sq) -> float:

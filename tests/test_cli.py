@@ -65,28 +65,67 @@ class TestUsageErrors:
         assert main(argv + ["--out", str(tmp_path / "ok")]) == EXIT_OK
 
 
+def snapshot_state(name):
+    """The states the snapshot writer is checked on, by name."""
+    from rotcouette.simulation import SimConfig, VelocityField, initial_condition, step
+    from rotcouette.spectral import GridSpec
+
+    if name.startswith("stepped"):
+        linear = name == "stepped-linear"
+        grid = GridSpec(16, 32, 16, Ly=8.0) if linear else GridSpec(8, 16, 8, Ly=32.0)
+        cfg = SimConfig(nu=1e-2, grid=grid, dt=0.05, eps=1e-6 if linear else 1e2, seed=4,
+                        ic_kind="random_band", nonlinear_enabled=not linear)
+        U = initial_condition(cfg)
+        for i in range(3):
+            U = step(U, i * cfg.dt, cfg.dt, cfg)
+        return U
+    grid = GridSpec(Nx=6, Ny=20, Nz=10, Ly=7.3)
+    rng = np.random.default_rng(11)
+    coeffs = rng.standard_normal((3,) + grid.shape) + 1j * rng.standard_normal((3,) + grid.shape)
+    coeffs[:, ~grid.dealias_mask] = 0.0
+    u1 = coeffs[0]
+    if name == "signed-zeros":
+        u1[0, 1, 0], u1[0, 1, 1], u1[1, 2, 3] = complex(0.0, -0.0), complex(-0.0, 0.0), -0.0
+    elif name == "extremes":
+        u1[0, 1, 0], u1[0, 1, 1], u1[1, 2, 3] = complex(5e-324, np.inf), -np.inf, complex(np.nan, 1.0)
+        u1[1, 2, 2], u1[0, 2, 3] = complex(-0.0, 5e-324), complex(1e308, -1e-300)
+    elif name == "one-ulp":
+        u1[0, 1, 0] = u1[0, 1, 1] = complex(0.1, np.nextafter(0.1, 1.0))
+        u1[1, 2, 3] = np.nextafter(0.1, 1.0)
+    return VelocityField(grid, coeffs, 0.1 + 0.2)  # t is not a short decimal
+
+
+SNAPSHOT_STATES = ["stepped-linear", "stepped-nonlinear", "signed-zeros", "extremes", "one-ulp"]
+
+
 class TestSnapshotFormat:
+    @pytest.mark.parametrize("block", [None, 7], ids=["default-block", "block-7"])
+    @pytest.mark.parametrize("name", SNAPSHOT_STATES)
+    def test_writer_matches_row_by_row_oracle(self, tmp_path, monkeypatch, name, block):
+        from oracles import row_by_row_snapshot_csv
+
+        from rotcouette import reporting
+
+        if block is not None:  # many blocks, with a short last one
+            monkeypatch.setattr(reporting, "_SNAPSHOT_BLOCK", block)
+        U = snapshot_state(name)
+        got = reporting.write_snapshot_csv(tmp_path / "new.csv", U, 3e-3).read_bytes()
+        want = row_by_row_snapshot_csv(tmp_path / "oracle.csv", U, 3e-3).read_bytes()
+        assert got == want
+
     def test_round_trip_is_bitwise(self, tmp_path):
         from rotcouette.reporting import read_snapshot_csv, write_snapshot_csv
-        from rotcouette.simulation import VelocityField
-        from rotcouette.spectral import GridSpec
 
-        grid = GridSpec(Nx=6, Ny=20, Nz=10, Ly=7.3)
-        rng = np.random.default_rng(5)
-        mask = grid.dealias_mask
-        arrays = np.array([
-            rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-            for _ in range(3)
-        ])
-        arrays[:, ~mask] = 0.0
-        arrays[0][1, 2, 3] = complex(-0.0, 5e-324)  # signed zero and a subnormal
-        arrays[1][0, 1, 0] = complex(1e308, -1e-300)
-        t = 0.1 + 0.2  # not a short decimal
-        path = write_snapshot_csv(tmp_path / "snap.csv", VelocityField(grid, arrays, t), 3e-3)
-        U = read_snapshot_csv(path)
-        assert U.grid == grid
-        assert U.time == t
-        assert U.coeffs.tobytes() == arrays.tobytes()
+        for name in SNAPSHOT_STATES:
+            U = snapshot_state(name)
+            mask = U.grid.dealias_mask
+            nonzero = np.count_nonzero(U.coeffs[:, mask]) / U.coeffs[:, mask].size
+            if name.startswith("stepped"):  # advection fills the band, a linear run keeps it sparse
+                assert nonzero > 0.95 if name == "stepped-nonlinear" else nonzero < 0.1
+            back = read_snapshot_csv(write_snapshot_csv(tmp_path / f"{name}.csv", U, 3e-3))
+            assert back.grid == U.grid and back.time == U.time
+            assert back.coeffs[:, mask].tobytes() == U.coeffs[:, mask].tobytes(), name
+            assert not np.any(back.coeffs[:, ~mask])
 
 
 class TestLinearCommand:
@@ -180,6 +219,8 @@ class TestSimulateCommand:
         assert (out1 / "snapshot_00000.csv").read_bytes() == (out2 / "snapshot_00000.csv").read_bytes()
 
     def test_manifest_references_outputs(self, tmp_path):
+        from rotcouette.reporting import config_hash
+
         cfg = self.ini(tmp_path, snapshot_every="25")
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
@@ -189,7 +230,12 @@ class TestSimulateCommand:
         assert outputs <= produced
         assert "energy.csv" in outputs
         assert manifest["version"]
-        assert manifest["config_hash"]
+        assert manifest["numpy"] == np.__version__
+        assert manifest["run"] == {
+            "status": "completed", "t_fail": None, "warnings": [], "n_steps": 50, "dt": 0.02,
+        }
+        # the run record stays out of the hashed config, so sweep --resume is unaffected
+        assert manifest["config_hash"] == config_hash(manifest["config"])
 
     def test_linear_flag_reproduces_closed_form(self, tmp_path):
         from rotcouette.reporting import read_snapshot_csv
@@ -217,6 +263,11 @@ class TestSimulateCommand:
         cfg = self.ini(tmp_path, eps="1.0", blowup_cap="1e-9")
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_NUMERICAL
+        run = json.loads((out / "manifest.json").read_text())["run"]
+        assert run["status"] == "blown_up"
+        assert run["t_fail"] == pytest.approx(0.02)
+        assert any("exceeded the cap" in w for w in run["warnings"])
+        assert (run["n_steps"], run["dt"]) == (50, 0.02)
 
 
 class TestSweepCommand:

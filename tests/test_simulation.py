@@ -572,6 +572,19 @@ class TestRun:
                 err = np.linalg.norm(U.coeffs[(slice(None),) + i] - want)
                 assert err <= 1e-10 * np.linalg.norm(want)
 
+    @pytest.mark.parametrize("nonlinear", [False, True], ids=["linear", "nonlinear"])
+    def test_snapshots_share_no_memory(self, nonlinear):
+        cfg = SimConfig(
+            nu=1e-2, grid=GRID, dt=0.05, t_end=0.2, eps=1e-4, ic_kind="random_band", seed=2,
+            nonlinear_enabled=nonlinear, diag_every=1, snapshot_every=1,
+        )
+        res = run(cfg)
+        assert (res.n_steps, res.dt) == (4, 0.05)
+        stored = [U.coeffs for _, U in res.snapshots]
+        assert len(stored) == 5
+        for i, a in enumerate(stored):
+            assert not any(np.shares_memory(a, b) for b in stored[i + 1 :])
+
     def test_cfl_warning(self):
         cfg = SimConfig(
             nu=1e-2, grid=GRID, dt=0.5, t_end=1.0, eps=10.0,
