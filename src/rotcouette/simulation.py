@@ -9,12 +9,12 @@ unknowns, written out as a rational 3x3 map per mode, and the x-averaged
 modes follow the nilpotent lift-up as its k = 0 case.  Time stepping is
 Lawson's integrating-factor Runge-Kutta method with that operator, so only
 the projected advection goes through the explicit stages; a linearised run
-is exact at any step size.  Inside a step the state is one half-spectrum
-array (the l >= 0 planes of a real field); the full-spectrum
-``VelocityField`` is built only on return.  The quadratic term
-is evaluated in rotational form on the physical grid with a sharp symmetric
-dealiasing mask and re-projected, which keeps the discrete advection
-energy-neutral.
+is exact at any step size.  Inside a step the state is one (3, 2cx+1,
+2cy+1, cz+1) array in FFT order: the retained 2/3 box |k| <= cx, |j| <= cy,
+0 <= l <= cz of a real field, outside which every mode is zero, so no mask
+is applied; the full ``VelocityField`` is built only on return.  Advection
+is evaluated in rotational form on the physical grid, zero-padded from the
+box and cut back to it, and re-projected, which keeps it energy-neutral.
 """
 
 from __future__ import annotations
@@ -27,13 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .spectral import (
-    GridSpec,
-    SpectralField,
-    _conjugate_flip,
-    high_eta_energy_fraction,
-    resolve_eta_index,
-)
+from .spectral import GridSpec, SpectralField, _conjugate_flip, resolve_eta_index, sobolev_norm
 
 __all__ = [
     "BlowUpError",
@@ -140,37 +134,50 @@ class SimConfig:
 class _Waves:
     """Time-independent pieces of the frame symbols on one storage layout."""
 
-    k: np.ndarray  # (Nx, 1, 1)
-    eta: np.ndarray  # (1, Ny, 1)
+    k: np.ndarray  # (nk, 1, 1)
+    eta: np.ndarray  # (1, nj, 1)
     l: np.ndarray  # (1, 1, nl)
     k2: np.ndarray
     l2: np.ndarray
-    kl2: np.ndarray  # k^2 + l^2, (Nx, 1, nl)
-    mask: np.ndarray  # dealias mask, (Nx, Ny, nl)
-    amp_mask: np.ndarray  # dealias mask times the mode count
+    kl2: np.ndarray  # k^2 + l^2, (nk, 1, nl)
+    index: np.ndarray | None = None  # box only: flat positions of the box in (Nx, Ny, Nz),
+    mirror: np.ndarray | None = None  # of the reflections of its l > 0 modes there,
+    fft_index: np.ndarray | None = None  # and of the box in (Nx, Ny, Nz//2 + 1)
 
 
 @lru_cache(maxsize=16)
-def _waves(grid: GridSpec, half: bool) -> _Waves:
-    """Built once per grid and layout; the symbol arrays are read-only."""
-    nl = grid.Nz // 2 + 1 if half else grid.Nz
-    k = grid.k_index.astype(np.float64)[:, None, None]
-    eta = grid.eta_values[None, :, None]
-    l = grid.l_index[:nl].astype(np.float64)[None, None, :]
-    mask = np.ascontiguousarray(grid.dealias_mask[:, :, :nl])
-    for a in (k, eta, l):
+def _waves(grid: GridSpec, box: bool) -> _Waves:
+    """Built once per grid and layout; the arrays are read-only."""
+    (nx, ny, nz), (cx, cy, cz) = grid.shape, grid.dealias_cutoffs
+    ix, iy, iz = np.arange(nx), np.arange(ny), np.arange(nz)
+    if box:
+        ix, iy, iz = np.r_[: cx + 1, -cx:0] % nx, np.r_[: cy + 1, -cy:0] % ny, iz[: cz + 1]
+    k = grid.k_index[ix].astype(np.float64)[:, None, None]
+    eta = grid.eta_values[iy][None, :, None]
+    l = grid.l_index[iz].astype(np.float64)[None, None, :]
+    arrays = [k, eta, l, k * k, l * l, k * k + l * l]
+    if box:
+        pos, flip = np.ix_(ix, iy, iz), np.ix_(-ix % nx, -iy % ny, -iz[1:] % nz)
+        for at, shape in ((pos, grid.shape), (flip, grid.shape), (pos, (nx, ny, nz // 2 + 1))):
+            arrays.append(np.ravel_multi_index(at, shape))
+    for a in arrays:
         a.flags.writeable = False
-    return _Waves(k, eta, l, k * k, l * l, k * k + l * l, mask, mask * float(grid.n_modes))
+    return _Waves(*arrays)
 
 
-def frame_symbols(grid: GridSpec, t: float, beta: float = 1.0, half: bool = False):
+def _box(U: VelocityField) -> np.ndarray:
+    """The retained box of U as a fresh (3, 2cx+1, 2cy+1, cz+1) array."""
+    return U.coeffs.reshape(3, -1)[:, _waves(U.grid, True).index]
+
+
+def frame_symbols(grid: GridSpec, t: float, beta: float = 1.0, box: bool = False):
     """(K, ETA_L, L, w) at frame time t with unit-safe w at the mean mode.
 
-    The symbols broadcast as (Nx,1,1), (Nx,Ny,1), (1,1,nl) and (Nx,Ny,nl),
-    where nl is Nz for the full coefficient layout and Nz//2 + 1 for the
-    half-spectrum (``half=True``) layout of the stepper's state.
+    The symbols broadcast as (nk,1,1), (nk,nj,1), (1,1,nl) and (nk,nj,nl):
+    (Nx, Ny, Nz) on the full coefficient layout, and (2cx+1, 2cy+1, cz+1)
+    on the retained box (``box=True``) that holds the stepper's state.
     """
-    wv = _waves(grid, half)
+    wv = _waves(grid, box)
     etal = wv.eta - wv.k * (beta * t)
     w = wv.k2 + etal * etal + wv.l2
     w[0, 0, 0] = 1.0
@@ -180,7 +187,7 @@ def frame_symbols(grid: GridSpec, t: float, beta: float = 1.0, half: bool = Fals
 # ---------------------------------------------------------------------------
 # array kernels
 #
-# They act on stacked (3, Nx, Ny, nl) coefficient arrays, on either layout
+# They act on stacked (3, nk, nj, nl) coefficient arrays, on either layout
 # unless noted, with the symbols of ``frame_symbols``.
 
 
@@ -199,42 +206,39 @@ def _project(f: np.ndarray, sym) -> np.ndarray:
 
 
 def _advection(u: np.ndarray, sym, grid: GridSpec, t: float) -> np.ndarray:
-    """Dealiased rotational-form advection mask * (u x curl_L u), half-spectrum layout.
+    """Dealiased rotational-form advection u x curl_L u, box layout.
 
-    One batched inverse real FFT of (u, curl_L u) and one batched forward
-    real FFT of the three products.  After the Leray projection this equals
-    -P_L (u . grad_L u): with 3 kc < N the 2/3 mask removes every alias, and
-    P_L annihilates the gradient grad_L |u|^2 / 2 that separates the forms.
+    One batched inverse real FFT of (u, curl_L u), zero-padded from the box,
+    and one batched forward real FFT of the three products, cut back to it.
+    After the Leray projection this equals -P_L (u . grad_L u): with 3 kc < N
+    the cut removes every alias, and P_L annihilates the gradient
+    grad_L |u|^2 / 2 that separates the forms.
     """
     k, etal, l, _ = sym
-    wv = _waves(grid, True)
-    c = np.empty((6,) + u.shape[1:], dtype=np.complex128)
-    np.multiply(u, wv.mask, out=c[:3])
-    u1, u2, u3 = c[:3]
-    c[3] = 1j * (etal * u3 - l * u2)
-    c[4] = 1j * (l * u1 - k * u3)
-    c[5] = 1j * (k * u2 - etal * u1)
+    u1, u2, u3 = u
+    curl = (1j * (etal * u3 - l * u2), 1j * (l * u1 - k * u3), 1j * (k * u2 - etal * u1))
+    index = _waves(grid, True).fft_index
+    c = np.zeros((6, grid.Nx, grid.Ny, grid.Nz // 2 + 1), dtype=np.complex128)
+    c.reshape(6, -1)[:, index] = (u1, u2, u3) + curl
     v1, v2, v3, o1, o2, o3 = np.fft.irfftn(c, s=grid.shape, axes=(1, 2, 3))
     prod = np.empty((3,) + grid.shape)
     np.subtract(v2 * o3, v3 * o2, out=prod[0])
     np.subtract(v3 * o1, v1 * o3, out=prod[1])
     np.subtract(v1 * o2, v2 * o1, out=prod[2])
     # physical samples are n_modes * irfftn, amplitudes are rfftn / n_modes
-    a = np.fft.rfftn(prod, axes=(1, 2, 3))
-    a *= wv.amp_mask
+    a = np.fft.rfftn(prod, axes=(1, 2, 3)).reshape(3, -1)[:, index]
+    a *= float(grid.n_modes)
     if not np.isfinite(a).all():
         raise BlowUpError("non-finite values in the advection term", time=t)
     return a
 
 
-def _full(grid: GridSpec, h: np.ndarray, t: float) -> VelocityField:
-    """Expand a half-spectrum array by conjugate reflection: C(-k,-eta,-l) = conj C(k,eta,l)."""
-    nh = h.shape[-1]
-    full = np.empty((3,) + grid.shape, dtype=np.complex128)
-    full[..., :nh] = h
-    rx = (-np.arange(grid.Nx)) % grid.Nx
-    ry = (-np.arange(grid.Ny)) % grid.Ny
-    np.conjugate(h[..., grid.Nz - nh : 0 : -1][:, rx][:, :, ry], out=full[..., nh:])
+def _full(grid: GridSpec, b: np.ndarray, t: float) -> VelocityField:
+    """Expand a box array by conjugate reflection, C(-k,-eta,-l) = conj C(k,eta,l), and zeros."""
+    wv = _waves(grid, True)
+    full = np.zeros((3,) + grid.shape, dtype=np.complex128)
+    flat = full.reshape(3, -1)
+    flat[:, wv.index], flat[:, wv.mirror] = b, np.conjugate(b[..., 1:])
     return VelocityField(grid, full, t)
 
 
@@ -266,13 +270,12 @@ def divergence_defect(U: VelocityField, beta: float = 1.0, t: float | None = Non
 def nonlinear_rhs(U: VelocityField, t: float, beta: float = 1.0) -> VelocityField:
     """Dealiased advection with its pressure correction: -P_L (U . grad_L U).
 
-    Evaluated in rotational form, P_L (U x curl_L U), on the half spectrum
+    Evaluated in rotational form, P_L (U x curl_L U), on the retained box
     of the (Hermitian) input; the result is divergence free in the frame
     sense and Hermitian by construction.
     """
-    sym = frame_symbols(U.grid, t, beta, half=True)
-    u = U.coeffs[..., : U.grid.Nz // 2 + 1]
-    a = _project(_advection(u, sym, U.grid, t), sym)
+    sym = frame_symbols(U.grid, t, beta, box=True)
+    a = _project(_advection(_box(U), sym, U.grid, t), sym)
     return _full(U.grid, a, t)
 
 
@@ -296,7 +299,7 @@ def advective_rate_bound(U: VelocityField, t_horizon: float, beta: float = 1.0) 
 def propagator(
     grid: GridSpec, t0: float, t1: float, nu: float, beta: float = 1.0
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """Exact solution operator of the linearised system from t0 to t1, half-spectrum layout.
+    """Exact solution operator of the linearised system from t0 to t1, box layout.
 
     With e_i = eta - beta k t_i, w1 = k^2 + e1^2 + l^2, q = beta (t1 - t0)
     and D = exp(-nu int_{t0}^{t1} w), the damped rotation of the good unknowns
@@ -311,7 +314,7 @@ def propagator(
     ``linear.zero_mode_evolve``.  It maps the frame divergence at t0 to D times
     the frame divergence at t1, and frame gradients to frame gradients, so it
     commutes with the Leray projection.  Returns a function that applies the
-    operator to a (3, Nx, Ny, nl) array and leaves its argument unchanged.
+    operator to a (3, 2cx+1, 2cy+1, cz+1) array and leaves its argument unchanged.
     """
     wv = _waves(grid, True)
     e0 = wv.eta - wv.k * (beta * t0)
@@ -352,29 +355,28 @@ def step(U: VelocityField, t: float, dt: float, cfg: SimConfig) -> VelocityField
     projected advection and every linear term is applied exactly by the two
     half-step propagators, so a linearised step is one propagator application
     and the step size is limited only by the advective CFL.  The state lives
-    in one half-spectrum array for the whole step; symbols are evaluated once
-    per distinct stage time.  The result is re-projected, re-masked, checked
-    against the blow-up cap and expanded by conjugate reflection, so it is
-    Hermitian by construction.
+    in one retained-box array for the whole step; symbols are evaluated once
+    per distinct stage time.  The result is re-projected, checked against the
+    blow-up cap and expanded by conjugate reflection, so it is Hermitian by
+    construction and zero outside the box.
     """
     grid = U.grid
     nu, beta = cfg.nu, cfg.beta
     tm, t1 = t + 0.5 * dt, t + dt
-    # a contiguous copy: the propagator reads it seven times, a strided view is slower
-    u0 = np.ascontiguousarray(U.coeffs[..., : grid.Nz // 2 + 1])
-    sym1 = frame_symbols(grid, t1, beta, half=True)
+    u0 = _box(U)
+    sym1 = frame_symbols(grid, t1, beta, box=True)
 
     if not cfg.nonlinear_enabled:
         new = propagator(grid, t, t1, nu, beta)(u0)
     else:
         ph = propagator(grid, t, tm, nu, beta)
         ph2 = propagator(grid, tm, t1, nu, beta)
-        symm = frame_symbols(grid, tm, beta, half=True)
+        symm = frame_symbols(grid, tm, beta, box=True)
 
         def rhs(u, sym, s):
             return _project(_advection(u, sym, grid, s), sym)
 
-        k1 = rhs(u0, frame_symbols(grid, t, beta, half=True), t)
+        k1 = rhs(u0, frame_symbols(grid, t, beta, box=True), t)
         pu, pk = ph(u0), ph(k1)
         k2 = rhs(pu + 0.5 * dt * pk, symm, tm)
         if cfg.rk_stages == 2:
@@ -386,15 +388,12 @@ def step(U: VelocityField, t: float, dt: float, cfg: SimConfig) -> VelocityField
             new += dt / 6.0 * k4
 
     new = _project(new, sym1)
-    new *= _waves(grid, True).mask
     new[:, 0, 0, 0] = 0.0
 
-    # full-spectrum l2: the l = 0 and l = Nz/2 planes are stored once, the
-    # others stand for themselves and their conjugate reflection
+    # full-spectrum l2: the l = 0 plane is stored once, the others stand for
+    # themselves and their conjugate reflection (cz < Nz/2 keeps l = Nz/2 out)
     power = new.real**2 + new.imag**2
-    l2 = math.sqrt(
-        float(2.0 * np.sum(power) - np.sum(power[..., 0]) - np.sum(power[..., -1]))
-    )
+    l2 = math.sqrt(float(2.0 * np.sum(power) - np.sum(power[..., 0])))
     if not math.isfinite(l2):
         raise BlowUpError("non-finite state after step", time=t1)
     if l2 > cfg.blowup_cap:
@@ -404,12 +403,6 @@ def step(U: VelocityField, t: float, dt: float, cfg: SimConfig) -> VelocityField
 
 # ---------------------------------------------------------------------------
 # initial conditions
-
-
-def _place_conjugate_pair(grid: GridSpec, coeffs: np.ndarray, idx: tuple[int, int, int], value: complex):
-    ik, ij, il = idx
-    coeffs[ik, ij, il] += value
-    coeffs[(-ik) % grid.Nx, (-ij) % grid.Ny, (-il) % grid.Nz] += np.conj(value)
 
 
 def _random_band(grid: GridSpec, seed: int) -> np.ndarray:
@@ -443,6 +436,8 @@ def initial_condition(cfg: SimConfig) -> VelocityField:
         U = read_snapshot_csv(cfg.ic_file)
         if U.grid != grid:
             raise ValueError("snapshot grid does not match the configured grid")
+        if np.any(U.coeffs[:, ~grid.dealias_mask]):
+            raise ValueError("snapshot holds modes outside the dealiased band")
         return U
 
     if cfg.ic_kind == "random_band":
@@ -462,9 +457,10 @@ def initial_condition(cfg: SimConfig) -> VelocityField:
             amp = (cfg.eps, 0.0, 0.0)
         else:
             amp = (cfg.eps / math.sqrt(3.0),) * 3
+        mirror = tuple(-i % n for i, n in zip(idx, grid.shape))
         for a, ci in zip(amp, c):
-            if a != 0.0:
-                _place_conjugate_pair(grid, ci, idx, complex(a))
+            ci[idx] += a
+            ci[mirror] += a  # a real amplitude is its own conjugate
 
     c = _project(c, frame_symbols(grid, 0.0, cfg.beta))
     c[:, 0, 0, 0] = 0.0
@@ -472,8 +468,6 @@ def initial_condition(cfg: SimConfig) -> VelocityField:
     U = VelocityField(grid, c, 0.0)
 
     if cfg.ic_kind == "random_band":
-        from .spectral import sobolev_norm
-
         total = math.sqrt(sum(sobolev_norm(f, cfg.sigma) ** 2 for f in U.components()))
         c *= (cfg.eps / total) if total > 0 else 0.0
     return U
@@ -505,6 +499,16 @@ class RunResult:
         ts = np.array([r.t for r in self.reports])
         ys = np.array([r.norms[name] for r in self.reports])
         return ts, ys
+
+
+def _band_edge_fraction(U: VelocityField) -> float:
+    """Largest ``high_eta_energy_fraction(f, j_limit=cy)`` of U's components; U zero off the box."""
+    b = _box(U)
+    power = b.real**2 + b.imag**2
+    power[..., 1:] *= 2.0  # an l > 0 plane stands for itself and its conjugate reflection
+    j = np.fft.fftfreq(power.shape[2], 1.0 / power.shape[2])  # FFT-ordered j of the box
+    near = power[:, :, np.abs(j) >= 0.9 * U.grid.dealias_cutoffs[1]].sum(axis=(1, 2, 3))
+    return max((float(n / s) if s > 0.0 else 0.0) for n, s in zip(near, power.sum(axis=(1, 2, 3))))
 
 
 def run(cfg: SimConfig, report_fn: Callable | None = None) -> RunResult:
@@ -556,12 +560,7 @@ def run(cfg: SimConfig, report_fn: Callable | None = None) -> RunResult:
             if i % cfg.diag_every == 0 or i == n_steps:
                 emit(t, U)
                 if not warned_resolution:
-                    # the dealias mask empties the outer third, so the live
-                    # resolution limit is the retained band edge
-                    jband = cfg.grid.dealias_cutoffs[1]
-                    frac = max(
-                        high_eta_energy_fraction(f, j_limit=jband) for f in U.components()
-                    )
+                    frac = _band_edge_fraction(U)
                     if frac > 1e-8:
                         msg = (
                             f"t={t:.3f}: fraction {frac:.2e} of spectral energy within 10% "

@@ -4,8 +4,9 @@ Everything here recomputes quantities by a route disjoint from the package
 code path: quadrature instead of closed-form antiderivatives, fixed-step RK4
 instead of exact solutions, dense matrix exponentials instead of nilpotent
 shortcuts, the linear generator instead of its exact propagator, plain
-mode loops instead of vectorised norms, and one ``repr`` per CSV field
-instead of deduplicated string tables.
+mode loops instead of vectorised norms, one ``repr`` per CSV field
+instead of deduplicated string tables, and the half-spectrum stepper with
+dealias masks instead of the one on the retained box.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from scipy.linalg import expm
 
 from rotcouette import _kernels
 from rotcouette.diagnostics import EnergyReport, compute_K_check, compute_Q
-from rotcouette.simulation import VelocityField, _waves, frame_symbols
+from rotcouette.simulation import BlowUpError, VelocityField, _waves, frame_symbols
 from rotcouette.spectral import (
     GridSpec,
     SpectralField,
@@ -459,3 +460,123 @@ def reference_bootstrap_report(U, t: float, cfg, acc):
         "flag_U0_3": combo("U0_3_HNm1", "int_grad_U0_3_HNm1") > 8.0 * cfg.C0 * eps / nu,
     }
     return EnergyReport(t=t, norms=norms, flags=flags)
+
+
+def _half_symbols(grid: GridSpec, t: float, beta: float):
+    """(K, ETA_L, L, w) on the (Nx, Ny, Nz//2 + 1) half-spectrum layout."""
+    nl = grid.Nz // 2 + 1
+    k = grid.k_index.astype(np.float64)[:, None, None]
+    l = grid.l_index[:nl].astype(np.float64)[None, None, :]
+    etal = grid.eta_values[None, :, None] - k * (beta * t)
+    w = k * k + etal * etal + l * l
+    w[0, 0, 0] = 1.0
+    return k, etal, l, w
+
+
+def _half_project(f, sym):
+    k, etal, l, w = sym
+    psi = 1j * (k * f[0] + etal * f[1] + l * f[2]) / w
+    psi[0, 0, 0] = 0.0
+    f[0] += 1j * k * psi
+    f[1] += 1j * etal * psi
+    f[2] += 1j * l * psi
+    return f
+
+
+def _half_advection(u, sym, grid: GridSpec, t: float):
+    """mask * (u x curl_L u) with the whole half spectrum through both real FFTs."""
+    k, etal, l, _ = sym
+    mask = np.ascontiguousarray(grid.dealias_mask[:, :, : u.shape[-1]])
+    c = np.empty((6,) + u.shape[1:], dtype=np.complex128)
+    np.multiply(u, mask, out=c[:3])
+    u1, u2, u3 = c[:3]
+    c[3] = 1j * (etal * u3 - l * u2)
+    c[4] = 1j * (l * u1 - k * u3)
+    c[5] = 1j * (k * u2 - etal * u1)
+    v1, v2, v3, o1, o2, o3 = np.fft.irfftn(c, s=grid.shape, axes=(1, 2, 3))
+    prod = np.empty((3,) + grid.shape)
+    np.subtract(v2 * o3, v3 * o2, out=prod[0])
+    np.subtract(v3 * o1, v1 * o3, out=prod[1])
+    np.subtract(v1 * o2, v2 * o1, out=prod[2])
+    a = np.fft.rfftn(prod, axes=(1, 2, 3))
+    a *= mask * float(grid.n_modes)
+    if not np.isfinite(a).all():
+        raise BlowUpError("non-finite values in the advection term", time=t)
+    return a
+
+
+def _half_propagator(grid: GridSpec, t0: float, t1: float, nu: float, beta: float):
+    k, e0, l, _ = _half_symbols(grid, t0, beta)
+    e1 = _half_symbols(grid, t1, beta)[1]
+    kl2 = k * k + l * l
+    e01 = e0 * e1
+    q = beta * (t1 - t0)
+    decay = np.exp((-nu * (t1 - t0)) * (kl2 + (e0 * e0 + e01 + e1 * e1) / 3.0))
+    w1 = kl2 + e1 * e1
+    w1[0, 0, 0] = 1.0
+    dw = decay / w1
+    diag = dw * (kl2 + e01)
+    qdw = q * dw
+    c12 = qdw * (k * k)
+    c21 = qdw * kl2
+    qldw = qdw * l
+    c31 = qldw * e1
+    c32 = qldw * k
+
+    def apply(u):
+        out = np.empty_like(u)
+        np.multiply(diag, u[0], out=out[0])
+        out[0] += c12 * u[1]
+        np.multiply(diag, u[1], out=out[1])
+        out[1] -= c21 * u[0]
+        np.multiply(decay, u[2], out=out[2])
+        out[2] += c31 * u[0]
+        out[2] += c32 * u[1]
+        return out
+
+    return apply
+
+
+def half_spectrum_step(U: VelocityField, t: float, dt: float, cfg) -> VelocityField:
+    """One Lawson RK step with the whole (3, Nx, Ny, Nz//2 + 1) half spectrum as state.
+
+    Every spectral operation runs on the half spectrum and the result is
+    multiplied by the 2/3 dealias mask; the full layout is rebuilt by
+    conjugate reflection of the half spectrum.  No blow-up cap.
+    """
+    grid = U.grid
+    nu, beta = cfg.nu, cfg.beta
+    tm, t1 = t + 0.5 * dt, t + dt
+    nh = grid.Nz // 2 + 1
+    u0 = np.ascontiguousarray(U.coeffs[..., :nh])
+    sym1 = _half_symbols(grid, t1, beta)
+    if not cfg.nonlinear_enabled:
+        new = _half_propagator(grid, t, t1, nu, beta)(u0)
+    else:
+        ph = _half_propagator(grid, t, tm, nu, beta)
+        ph2 = _half_propagator(grid, tm, t1, nu, beta)
+        symm = _half_symbols(grid, tm, beta)
+
+        def rhs(u, sym, s):
+            return _half_project(_half_advection(u, sym, grid, s), sym)
+
+        k1 = rhs(u0, _half_symbols(grid, t, beta), t)
+        pu, pk = ph(u0), ph(k1)
+        k2 = rhs(pu + 0.5 * dt * pk, symm, tm)
+        if cfg.rk_stages == 2:
+            new = ph2(pu + dt * k2)
+        else:
+            k3 = rhs(pu + 0.5 * dt * k2, symm, tm)
+            k4 = rhs(ph2(pu + dt * k3), sym1, t1)
+            new = ph2(pu + dt / 6.0 * (pk + 2.0 * (k2 + k3)))
+            new += dt / 6.0 * k4
+    new = _half_project(new, sym1)
+    new *= grid.dealias_mask[:, :, :nh]
+    new[:, 0, 0, 0] = 0.0
+
+    full = np.empty((3,) + grid.shape, dtype=np.complex128)
+    full[..., :nh] = new
+    rx = (-np.arange(grid.Nx)) % grid.Nx
+    ry = (-np.arange(grid.Ny)) % grid.Ny
+    np.conjugate(new[..., grid.Nz - nh : 0 : -1][:, rx][:, :, ry], out=full[..., nh:])
+    return VelocityField(grid, full, t1)

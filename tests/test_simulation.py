@@ -5,7 +5,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import convective_nonlinear_rhs, linear_rhs, random_band_loop, wave_numbers
+from oracles import (
+    convective_nonlinear_rhs,
+    half_spectrum_step,
+    linear_rhs,
+    random_band_loop,
+    wave_numbers,
+)
 
 from rotcouette.linear import (
     ModeStateK,
@@ -18,6 +24,7 @@ from rotcouette.simulation import (
     BlowUpError,
     SimConfig,
     VelocityField,
+    _band_edge_fraction,
     _random_band,
     advective_rate_bound,
     divergence_defect,
@@ -35,6 +42,7 @@ from rotcouette.spectral import (
     WaveVector,
     hermitian_defect,
     hermitian_symmetrize,
+    high_eta_energy_fraction,
     sobolev_norm,
 )
 
@@ -71,15 +79,14 @@ def mode_index(grid, k, j, l):
     return (k % grid.Nx, j % grid.Ny, l % grid.Nz)
 
 
-def closed_form_mode(grid, u, t, nu, beta, i):
-    """The velocity at mode index i evolved from u (at time 0) to t by the closed forms.
+def closed_form_mode(grid, c, t, nu, beta, i):
+    """Velocity c of the mode at full-layout index i, evolved from time 0 to t by the closed forms.
 
-    beta enters by the rescaling tau = beta t, nu' = nu / beta; u need not be
+    beta enters by the rescaling tau = beta t, nu' = nu / beta; c need not be
     divergence free, since u3 is evolved from its own initial value.
     """
     k, eta, l = int(grid.k_index[i[0]]), float(grid.eta_values[i[1]]), int(grid.l_index[i[2]])
     tau, nu_b = beta * t, nu / beta
-    c = u[(slice(None),) + i]
     if k == 0:
         s = zero_mode_evolve(ZeroModeState(*c), tau, nu_b, eta, l)
         return np.array([s.u1, s.u2, s.u3])
@@ -92,13 +99,32 @@ def closed_form_mode(grid, u, t, nu, beta, i):
     )
 
 
-def half_modes(grid):
-    """Every mode index of the half-spectrum layout except the mean mode."""
-    return [i for i in np.ndindex(grid.Nx, grid.Ny, grid.Nz // 2 + 1) if i != (0, 0, 0)]
+def box_axes(grid):
+    """Full-layout positions of the retained box along each axis, in FFT order."""
+    cx, cy, cz = grid.dealias_cutoffs
+    return (
+        np.r_[0 : cx + 1, grid.Nx - cx : grid.Nx],
+        np.r_[0 : cy + 1, grid.Ny - cy : grid.Ny],
+        np.arange(cz + 1),
+    )
 
 
-def random_half(grid, rng):
-    shape = (3, grid.Nx, grid.Ny, grid.Nz // 2 + 1)
+def box_shape(grid):
+    return tuple(len(a) for a in box_axes(grid))
+
+
+def box_modes(grid):
+    """(box index, full-layout index) of every box mode except the mean mode."""
+    axes = box_axes(grid)
+    return [
+        (i, tuple(int(a[n]) for a, n in zip(axes, i)))
+        for i in np.ndindex(*box_shape(grid))
+        if i != (0, 0, 0)
+    ]
+
+
+def random_box(grid, rng):
+    shape = (3,) + box_shape(grid)
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
@@ -123,7 +149,10 @@ class TestVelocityField:
         [
             lambda U: step(U, 0.6, 0.02, SimConfig(nu=1e-2, grid=GRID)).coeffs,
             lambda U: leray_project_L(U, 0.6).coeffs,
-            lambda U: propagator(GRID, 0.6, 0.62, 1e-2)(U.coeffs[..., : GRID.Nz // 2 + 1]),
+            # a view of box shape into U, so that work in place would show
+            lambda U: propagator(GRID, 0.6, 0.62, 1e-2)(
+                U.coeffs[(slice(None),) + tuple(map(slice, box_shape(GRID)))]
+            ),
             lambda U: nonlinear_rhs(U, 0.6).coeffs,
         ],
         ids=["step", "leray_project_L", "propagator", "nonlinear_rhs"],
@@ -239,20 +268,21 @@ class TestPropagator:
     def test_matches_closed_forms(self, t0, beta):
         # random modes, not divergence free: u3 is not slaved to the pair
         rng = np.random.default_rng(70)
-        u0 = random_half(GRID, rng)
+        u0 = random_box(GRID, rng)
         nu, t1 = 1e-2, 2.9
         ut0 = propagator(GRID, 0.0, t0, nu, beta)(u0)
         ut1 = propagator(GRID, t0, t1, nu, beta)(ut0)
-        for i in half_modes(GRID):
+        for ib, i in box_modes(GRID):
+            ib = (slice(None),) + ib
             for got, t in ((ut0, t0), (ut1, t1)):
-                want = closed_form_mode(GRID, u0, t, nu, beta, i)
-                err = np.linalg.norm(got[(slice(None),) + i] - want)
+                want = closed_form_mode(GRID, u0[ib], t, nu, beta, i)
+                err = np.linalg.norm(got[ib] - want)
                 assert err <= 1e-12 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("beta", [1.0, 2.0])
     def test_semigroup(self, beta):
         rng = np.random.default_rng(71)
-        u = random_half(GRID, rng)
+        u = random_box(GRID, rng)
         t0, tm, t1, nu = 0.4, 1.9, 3.3, 2e-2
         two = propagator(GRID, tm, t1, nu, beta)(propagator(GRID, t0, tm, nu, beta)(u))
         one = propagator(GRID, t0, t1, nu, beta)(u)
@@ -262,28 +292,29 @@ class TestPropagator:
     def test_generator_is_linear_rhs_oracle(self, beta):
         # central difference in t1 at t0 against linear_rhs - nu w u
         rng = np.random.default_rng(72)
-        u = random_half(GRID, rng)
+        u = random_box(GRID, rng)
         t0, h, nu = 1.2, 1e-4, 1e-2
         d = (propagator(GRID, t0, t0 + h, nu, beta)(u) - propagator(GRID, t0, t0 - h, nu, beta)(u))
         d /= 2.0 * h
+        box = (slice(None),) + np.ix_(*box_axes(GRID))
         full = np.zeros((3,) + GRID.shape, dtype=complex)
-        full[..., : u.shape[-1]] = u
-        gen = linear_rhs(VelocityField(GRID, full, t0), t0, beta).coeffs[..., : u.shape[-1]]
-        want = gen - nu * frame_symbols(GRID, t0, beta, half=True)[3] * u
+        full[box] = u
+        gen = linear_rhs(VelocityField(GRID, full, t0), t0, beta).coeffs[box]
+        want = gen - nu * frame_symbols(GRID, t0, beta, box=True)[3] * u
         d[:, 0, 0, 0] = want[:, 0, 0, 0] = 0.0  # the mean mode is not dynamic
         assert np.max(np.abs(d - want)) <= 1e-6 * np.max(np.abs(want))
 
     def test_divergence_scales_by_decay(self):
         # div_L at t1 of the image is D times div_L at t0 of the input
         rng = np.random.default_rng(73)
-        u = random_half(GRID, rng)
+        u = random_box(GRID, rng)
         t0, t1, nu, beta = 0.3, 1.1, 1e-2, 2.0
         out = propagator(GRID, t0, t1, nu, beta)(u)
         lone = np.zeros_like(u)
         lone[2] = 1.0
         decay = propagator(GRID, t0, t1, nu, beta)(lone)[2]
-        k0, e0, l0, _ = frame_symbols(GRID, t0, beta, half=True)
-        k1, e1, l1, _ = frame_symbols(GRID, t1, beta, half=True)
+        k0, e0, l0, _ = frame_symbols(GRID, t0, beta, box=True)
+        k1, e1, l1, _ = frame_symbols(GRID, t1, beta, box=True)
         div0 = k0 * u[0] + e0 * u[1] + l0 * u[2]
         div1 = k1 * out[0] + e1 * out[1] + l1 * out[2]
         assert np.max(np.abs(div1 - decay * div0)) <= 1e-13 * np.max(np.abs(div1))
@@ -376,7 +407,7 @@ class TestStep:
 
     def test_twenty_nonlinear_steps_keep_invariants(self):
         # one pressure solve per stage keeps the frame divergence at rounding
-        # level; the half-spectrum state keeps the output Hermitian
+        # level; the state on the l >= 0 half of the box keeps the output Hermitian
         cfg = SimConfig(nu=1e-2, grid=GRID, dt=0.02, eps=1e-2, nonlinear_enabled=True)
         U = random_velocity(GRID, np.random.default_rng(67))
         for c in U.coeff_arrays():
@@ -392,8 +423,8 @@ class TestStep:
         assert U.time == pytest.approx(20 * cfg.dt)
 
     def test_blowup_cap_on_full_spectrum_norm(self):
-        # the cap reads the full-spectrum l2 norm: the half-spectrum state
-        # must weigh the l = 0 plane once and every other plane twice
+        # the cap reads the full-spectrum l2 norm: the box state must weigh
+        # the l = 0 plane once and every other plane twice
         cfg = SimConfig(nu=1e-2, grid=GRID, dt=0.01, nonlinear_enabled=False, blowup_cap=1.0)
         U = random_velocity(GRID, np.random.default_rng(68))
         free = step(U, 0.0, cfg.dt, replace(cfg, blowup_cap=math.inf))
@@ -424,6 +455,33 @@ class TestStep:
         e2 = np.max(np.abs(final(replace(base, dt=0.05)) - ref))
         assert e1 / e2 >= 3.5
 
+    @pytest.mark.parametrize(
+        "grid",
+        [GRID, NONCUBIC, GridSpec(16, 64, 16, Ly=8.0)],
+        ids=["8x16x8", "6x24x10", "16x64x16"],
+    )
+    @pytest.mark.parametrize("beta", [1.0, 2.0])
+    @pytest.mark.parametrize(
+        "nonlinear, rk_stages", [(False, 4), (True, 2), (True, 4)], ids=["linear", "rk2", "rk4"]
+    )
+    def test_box_step_matches_half_spectrum_oracle(self, nonlinear, rk_stages, beta, grid):
+        # the stepper on the retained box against the whole half spectrum with
+        # dealias masks: equal to the bit, up to the sign of a zero, which the
+        # oracle's mask multiply can flip; exact zeros outside the box
+        cfg = SimConfig(
+            nu=1e-2, grid=grid, dt=0.02, beta=beta, nonlinear_enabled=nonlinear,
+            rk_stages=rk_stages,
+        )
+        U = random_velocity(grid, np.random.default_rng(69), beta=beta)
+        U.coeffs *= 0.5 / np.max(np.abs(U.coeffs))
+        want, t = U, 0.0
+        for _ in range(3):
+            U, want = step(U, t, cfg.dt, cfg), half_spectrum_step(want, t, cfg.dt, cfg)
+            t += cfg.dt
+            assert np.array_equal(U.coeffs, want.coeffs)
+            assert not np.any(U.coeffs[:, ~grid.dealias_mask])
+            assert U.time == want.time
+
     @pytest.mark.parametrize("rk_stages", [2, 4])
     @pytest.mark.parametrize("dt", [1.0, 0.25, 0.01])
     def test_linear_run_exact_at_any_dt(self, dt, rk_stages):
@@ -436,7 +494,7 @@ class TestStep:
         (_, U0), (t, U) = res.snapshots[0], res.snapshots[-1]
         assert t == pytest.approx(2.0)
         for i in (mode_index(GRID, 1, 1, 1), mode_index(GRID, -1, -1, 1)):
-            want = closed_form_mode(GRID, U0.coeffs, t, cfg.nu, 1.0, i)
+            want = closed_form_mode(GRID, U0.coeffs[(slice(None),) + i], t, cfg.nu, 1.0, i)
             err = np.linalg.norm(U.coeffs[(slice(None),) + i] - want)
             assert err <= 1e-12 * np.linalg.norm(want)
 
@@ -499,6 +557,19 @@ class TestInitialConditions:
         with pytest.raises(ValueError):
             initial_condition(cfg)
 
+    def test_file_rejects_mode_outside_band(self, tmp_path):
+        from rotcouette.reporting import write_snapshot_csv
+
+        U = random_velocity(GRID, np.random.default_rng(74))
+        path = write_snapshot_csv(tmp_path / "ic.csv", U, 1e-2)
+        cfg = SimConfig(nu=1e-2, grid=GRID, ic_kind="file", ic_file=str(path))
+        assert initial_condition(cfg).coeffs.tobytes() == U.coeffs.tobytes()
+        # k = 3 lies past the cutoff cx = 2
+        with path.open("a") as f:
+            f.write(f"3,1,0,{float(GRID.eta_values[1])!r},0.0,0.0,1e-3,0.0,0.0,0.0\n")
+        with pytest.raises(ValueError, match="outside the dealiased band"):
+            initial_condition(cfg)
+
 
 class TestRun:
     def test_zero_amplitude(self):
@@ -540,6 +611,25 @@ class TestRun:
         res = run(cfg)  # j = 5 exactly at the dealias band edge (cutoff 5)
         assert any("eta band edge" in w for w in res.warnings)
 
+    def test_no_resolution_warning_inside_band(self):
+        cfg = SimConfig(
+            nu=1e-2, grid=GRID, dt=0.02, t_end=0.5, eps=1e-4,
+            nonlinear_enabled=False, diag_every=5, ic_mode=(1, 2, 1),
+        )
+        res = run(cfg)  # j = 2, well inside the edge band |j| >= 4.5
+        assert res.status == "completed" and len(res.times) == 6
+        assert not any("eta band edge" in w for w in res.warnings)
+
+    def test_band_edge_fraction_matches_spectral(self):
+        cfg = SimConfig(
+            nu=1e-2, grid=GRID, dt=0.02, eps=1e-3, ic_kind="random_band", seed=1,
+        )
+        U = step(initial_condition(cfg), 0.0, cfg.dt, cfg)
+        cy = GRID.dealias_cutoffs[1]
+        want = max(high_eta_energy_fraction(f, j_limit=cy) for f in U.components())
+        assert want > 1e-3
+        assert _band_edge_fraction(U) == pytest.approx(want, rel=1e-12, abs=0.0)
+
     def test_beta_two_smoke(self):
         cfg = SimConfig(
             nu=1e-2, grid=GRID, dt=0.02, t_end=1.0, eps=1e-4, beta=2.0,
@@ -567,9 +657,12 @@ class TestRun:
         res = run(cfg)
         U0 = res.snapshots[0][1].coeffs
         for t, U in res.snapshots[1:]:
-            for i in half_modes(GRID):
-                want = closed_form_mode(GRID, U0, t, cfg.nu, 2.0, i)
-                err = np.linalg.norm(U.coeffs[(slice(None),) + i] - want)
+            for i in np.ndindex(*GRID.shape):
+                if i == (0, 0, 0):
+                    continue
+                i = (slice(None),) + i
+                want = closed_form_mode(GRID, U0[i], t, cfg.nu, 2.0, i[1:])
+                err = np.linalg.norm(U.coeffs[i] - want)
                 assert err <= 1e-10 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("nonlinear", [False, True], ids=["linear", "nonlinear"])
