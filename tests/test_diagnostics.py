@@ -198,6 +198,47 @@ class TestBootstrapReport:
         rep = bootstrap_report(U, 0.0, cfg, Accumulators())
         assert all(rep.flags.values())
 
+    def test_each_flag_switches_at_its_bound(self):
+        # Each hypothesis reads  max_s X(s) + sqrt(nu) ||Y||_{L2(0,t)} (+ ||Z||_{L2(0,t)})
+        # <= 8 F eps, so its flag must flip at eps* = lhs / (8 F) and nowhere else.
+        U = _random_field(GRID, 76)
+        nu, C0, C1 = 2e-2, 100.0, 10.0  # C0 != C1 and nu != 1: four distinct sizes F
+        cfg = SimConfig(nu=nu, grid=GRID, C0=C0, C1=C1)
+        times = (0.4, 1.9)
+
+        def rows(eps):
+            acc = Accumulators()
+            return [bootstrap_report(U, t, replace(cfg, eps=eps), acc) for t in times]
+
+        a, b = (r.norms for r in rows(1.0))
+        r = math.sqrt(nu)
+
+        def top(name):
+            return max(a[name], b[name])
+
+        lhs_and_size = {
+            "flag_K1": (top("MK1_neq_HN") + r * b["int_gradL_MK1_HN"] + b["int_dMM_K1_HN"], 1.0),
+            "flag_K2": (top("MK2_neq_HN") + r * b["int_gradL_MK2_HN"] + b["int_dMM_K2_HN"], 1.0),
+            "flag_Q3": (
+                top("mMQ3_neq_HN") + r * b["int_gradL_mMQ3_HN"] + b["int_dMM_mQ3_HN"],
+                C0 * nu ** (-1.0 / 3.0),
+            ),
+            "flag_Q0_1": (top("Q0_1_HN") + r * b["int_grad_Q0_1_HN"], 1.0),
+            "flag_Q0_2": (top("Q0_2_HN") + r * b["int_grad_Q0_2_HN"], C1 / nu),
+            "flag_Q0_3": (top("Q0_3_HN") + r * b["int_grad_Q0_3_HN"], C0 / nu),
+            "flag_U0_1": (top("U0_1_HNm1") + r * b["int_grad_U0_1_HNm1"], 1.0),
+            "flag_U0_2": (
+                top("U0_2_HNm1") + r * (b["int_grad_U0_2_HNm1"] + b["int_U0_2_HNm1"]),
+                C1 / nu,
+            ),
+            "flag_U0_3": (top("U0_3_HNm1") + r * b["int_grad_U0_3_HNm1"], C0 / nu),
+        }
+        assert lhs_and_size.keys() == rows(1.0)[-1].flags.keys()
+        for flag, (lhs, size) in lhs_and_size.items():
+            eps_star = lhs / (8.0 * size)
+            assert rows(eps_star * (1.0 - 1e-6))[-1].flags[flag], flag
+            assert not rows(eps_star * (1.0 + 1e-6))[-1].flags[flag], flag
+
 
 def _random_field(grid, seed):
     rng = np.random.default_rng(seed)
