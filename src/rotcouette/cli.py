@@ -112,27 +112,47 @@ _SIM_DEFAULTS = dict(
     blowup_cap=1e6, c0=100.0, c1=10.0, mult_window=1000.0,
 )
 
+_SWEEP_DEFAULTS = dict(
+    nu_grid="1e-2", eps_min=1e-8, eps_max=1e-2, eps_points=5,
+    horizon=None, growth_factor=10.0, norm_name="U_neq_HN_total",
+    bisect=False, bisect_rel_width=0.10,
+)
 
-def _read_ini(path: str | None) -> configparser.ConfigParser:
+_DEFAULTS = {"sim": _SIM_DEFAULTS, "sweep": _SWEEP_DEFAULTS}
+
+
+def _read_ini(path: str | None) -> dict[str, dict[str, str]]:
+    """[sim] and [sweep] of an INI file as dicts; anything else in it is a usage error."""
+    if not path:
+        return {}
+    if not Path(path).exists():
+        raise UsageError(f"config file not found: {path}")
     cp = configparser.ConfigParser()
-    if path:
-        if not Path(path).exists():
-            raise UsageError(f"config file not found: {path}")
+    try:
         cp.read(path)
-    return cp
+        ini = {name: dict(cp[name]) for name in cp.sections()}
+    except configparser.Error as exc:
+        raise UsageError(f"malformed config file {path}: {exc}") from exc
+    for name, section in ini.items():
+        if name not in _DEFAULTS:
+            raise UsageError(f"unknown section [{name}] in {path}; expected [sim] or [sweep]")
+        unknown = [key for key in section if key not in _DEFAULTS[name]]
+        if unknown:
+            raise UsageError(f"unknown [{name}] key: {unknown[0]}")
+    return ini
 
 
-def _sim_config(cp: configparser.ConfigParser, overrides: dict) -> SimConfig:
-    raw = dict(_SIM_DEFAULTS)
-    if cp.has_section("sim"):
-        for key in cp["sim"]:
-            if key not in raw:
-                raise UsageError(f"unknown [sim] key: {key}")
-            raw[key] = cp["sim"][key]
+def _as_bool(key: str, value) -> bool:
+    """A bool, or an INI boolean: 1/yes/true/on or 0/no/false/off in any case."""
+    states = configparser.ConfigParser.BOOLEAN_STATES
+    if str(value).lower() not in states:
+        raise UsageError(f"{key} must be a boolean such as true or false, got {value!r}")
+    return states[str(value).lower()]
+
+
+def _sim_config(ini: dict, overrides: dict) -> SimConfig:
+    raw = {**_SIM_DEFAULTS, **ini.get("sim", {})}
     raw.update({k: v for k, v in overrides.items() if v is not None})
-
-    def as_bool(v):
-        return v if isinstance(v, bool) else str(v).strip().lower() in {"1", "true", "yes", "on"}
 
     def as_opt_float(v):
         if v is None or v == "" or str(v).lower() == "none":
@@ -153,7 +173,7 @@ def _sim_config(cp: configparser.ConfigParser, overrides: dict) -> SimConfig:
             ic_mode=(int(raw["ic_k"]), int(raw["ic_j"]), int(raw["ic_l"])),
             ic_file=raw["ic_file"] if raw["ic_file"] else None,
             sigma=float(raw["sigma"]),
-            nonlinear_enabled=as_bool(raw["nonlinear_enabled"]),
+            nonlinear_enabled=_as_bool("nonlinear_enabled", raw["nonlinear_enabled"]),
             rk_stages=int(raw["rk_stages"]),
             diag_every=int(raw["diag_every"]),
             snapshot_every=int(raw["snapshot_every"]),
@@ -166,20 +186,8 @@ def _sim_config(cp: configparser.ConfigParser, overrides: dict) -> SimConfig:
         raise UsageError(str(exc)) from exc
 
 
-_SWEEP_DEFAULTS = dict(
-    nu_grid="1e-2", eps_min=1e-8, eps_max=1e-2, eps_points=5,
-    horizon=None, growth_factor=10.0, norm_name="U_neq_HN_total",
-    bisect=False, bisect_rel_width=0.10,
-)
-
-
-def _sweep_config(cp: configparser.ConfigParser, base: SimConfig) -> SweepConfig:
-    raw = dict(_SWEEP_DEFAULTS)
-    if cp.has_section("sweep"):
-        for key in cp["sweep"]:
-            if key not in raw:
-                raise UsageError(f"unknown [sweep] key: {key}")
-            raw[key] = cp["sweep"][key]
+def _sweep_config(ini: dict, base: SimConfig) -> SweepConfig:
+    raw = {**_SWEEP_DEFAULTS, **ini.get("sweep", {})}
     nu_grid = tuple(float(v) for v in str(raw["nu_grid"]).replace(",", " ").split())
     horizon = raw["horizon"]
     horizon = None if horizon in (None, "", "none", "auto") else float(horizon)
@@ -195,7 +203,7 @@ def _sweep_config(cp: configparser.ConfigParser, base: SimConfig) -> SweepConfig
                 growth_factor=float(raw["growth_factor"]),
                 norm_name=str(raw["norm_name"]),
             ),
-            bisect=str(raw["bisect"]).strip().lower() in {"1", "true", "yes", "on"},
+            bisect=_as_bool("bisect", raw["bisect"]),
             bisect_rel_width=float(raw["bisect_rel_width"]),
         )
     except ValueError as exc:
@@ -330,7 +338,7 @@ def cmd_multipliers(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cp = _read_ini(args.config)
+    ini = _read_ini(args.config)
     overrides = dict(
         nu=args.nu, eps=args.eps, t_end=args.t_end, dt=args.dt, seed=args.seed,
         ly=args.ly, snapshot_every=args.snapshots,
@@ -343,7 +351,7 @@ def cmd_simulate(args) -> int:
         overrides.update(nx=nx, ny=ny, nz=nz)
     if args.linear:
         overrides["nonlinear_enabled"] = False
-    cfg = _sim_config(cp, overrides)
+    cfg = _sim_config(ini, overrides)
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -372,9 +380,9 @@ def _cfg_dict(cfg: SimConfig) -> dict:
 
 
 def cmd_sweep(args) -> int:
-    cp = _read_ini(args.config)
-    base = _sim_config(cp, {"seed": args.seed} if args.seed is not None else {})
-    scfg = _sweep_config(cp, base)
+    ini = _read_ini(args.config)
+    base = _sim_config(ini, {"seed": args.seed} if args.seed is not None else {})
+    scfg = _sweep_config(ini, base)
     outdir = Path(args.out)
     manifest = reporting.Manifest(
         {"command": "sweep", "base": _cfg_dict(base),

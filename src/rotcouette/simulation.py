@@ -464,7 +464,6 @@ def initial_condition(cfg: SimConfig) -> VelocityField:
 
     c = _project(c, frame_symbols(grid, 0.0, cfg.beta))
     c[:, 0, 0, 0] = 0.0
-    c *= grid.dealias_mask
     U = VelocityField(grid, c, 0.0)
 
     if cfg.ic_kind == "random_band":
@@ -511,7 +510,7 @@ def _band_edge_fraction(U: VelocityField) -> float:
     return max((float(n / s) if s > 0.0 else 0.0) for n, s in zip(near, power.sum(axis=(1, 2, 3))))
 
 
-def run(cfg: SimConfig, report_fn: Callable | None = None) -> RunResult:
+def run(cfg: SimConfig) -> RunResult:
     """Integrate from the configured initial state to t_end.
 
     Emits one diagnostic row every ``diag_every`` steps (and at t = 0 and the
@@ -524,7 +523,6 @@ def run(cfg: SimConfig, report_fn: Callable | None = None) -> RunResult:
     U = initial_condition(cfg)
     result = RunResult(cfg=cfg)
     acc = Accumulators()
-    report = report_fn or bootstrap_report
 
     rate = advective_rate_bound(U, cfg.t_end, cfg.beta)
     dt = cfg.dt
@@ -542,7 +540,7 @@ def run(cfg: SimConfig, report_fn: Callable | None = None) -> RunResult:
 
     def emit(t: float, state: VelocityField) -> None:
         result.times.append(t)
-        result.reports.append(report(state, t, cfg, acc))
+        result.reports.append(bootstrap_report(state, t, cfg, acc))
 
     def snap(t: float, state: VelocityField) -> None:
         # step and initial_condition return fresh arrays that nothing mutates later

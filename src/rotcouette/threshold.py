@@ -67,8 +67,8 @@ class SweepConfig:
     bisect_rel_width: float = 0.10
 
     def __post_init__(self) -> None:
-        if not self.nu_grid or any(nu <= 0 for nu in self.nu_grid):
-            raise ValueError("nu_grid must be nonempty and positive")
+        if not self.nu_grid or not all(0.0 < nu < 1.0 for nu in self.nu_grid):
+            raise ValueError(f"nu_grid must be nonempty and lie in (0, 1), got {self.nu_grid}")
         if self.eps_min <= 0 or self.eps_max < self.eps_min:
             raise ValueError("need 0 < eps_min <= eps_max")
         if self.eps_points < 1:

@@ -43,6 +43,25 @@ class TestUsageErrors:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
 
     @pytest.mark.parametrize(
+        "text",
+        [
+            "[sim]\nnonlinear_enabled = ture\n",
+            "[sim]\nnx = 8\nnx = 16\n",
+            "nx = 8\n[sim]\nny = 16\n",
+            "[sim]\nic_file = 50%.csv\n",
+            "[simm]\nnx = 8\n",
+        ],
+        ids=["misspelt-boolean", "duplicate-key", "key-before-section", "bad-interpolation",
+             "misspelt-section"],
+    )
+    def test_malformed_config_file(self, tmp_path, text):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "argv, flag",
         [
             (["linear", "--k", "1", "--eta", "0", "--l", "0", "--nu", "1e-3"], ["--threads", "2"]),
@@ -296,8 +315,14 @@ class TestSweepCommand:
         assert "gamma" in gamma
 
     @pytest.mark.parametrize(
-        "extra", ["norm_name = U_neq_HN_totl\n", "bisect = true\nbisect_rel_width = 0\n"],
-        ids=["misspelt-norm-name", "zero-bisect-width"],
+        "extra",
+        [
+            "norm_name = U_neq_HN_totl\n",
+            "bisect = true\nbisect_rel_width = 0\n",
+            "bisect = flase\n",
+            "nu_grid = 2 1e-2\n",
+        ],
+        ids=["misspelt-norm-name", "zero-bisect-width", "misspelt-boolean", "nu-out-of-range"],
     )
     def test_bad_sweep_key_rejected_before_any_cell(self, tmp_path, monkeypatch, extra):
         from rotcouette import threshold
@@ -305,7 +330,9 @@ class TestSweepCommand:
         calls = []
         monkeypatch.setattr(threshold, "_run_cell", lambda *a: calls.append(a))
         cfg = self.ini(tmp_path)
-        cfg.write_text(cfg.read_text() + extra)
+        keys = {line.split("=")[0] for line in extra.splitlines()}  # replaced, not duplicated
+        lines = cfg.read_text().splitlines(keepends=True)
+        cfg.write_text("".join(l for l in lines if l.split("=")[0] not in keys) + extra)
         out = tmp_path / "out"
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
         assert calls == [] and not out.exists()

@@ -543,6 +543,15 @@ class TestInitialConditions:
             assert np.array_equal(x, y)
 
     @pytest.mark.parametrize("grid", [GridSpec(4, 8, 4), GRID, GridSpec(16, 64, 16, Ly=8.0)])
+    @pytest.mark.parametrize("kind", ["random_band", "single_mode"])
+    def test_zero_outside_dealiased_band(self, grid, kind):
+        cx, cy, cz = grid.dealias_cutoffs
+        cfg = SimConfig(nu=1e-2, grid=grid, eps=1e-4, ic_kind=kind, seed=3, ic_mode=(cx, -cy, cz))
+        U = initial_condition(cfg)
+        assert np.any(U.coeffs)
+        assert not np.any(U.coeffs[:, ~grid.dealias_mask])
+
+    @pytest.mark.parametrize("grid", [GridSpec(4, 8, 4), GRID, GridSpec(16, 64, 16, Ly=8.0)])
     @pytest.mark.parametrize("seed", [0, 9])
     def test_random_band_draw_matches_loop(self, grid, seed):
         assert _random_band(grid, seed).tobytes() == random_band_loop(grid, seed).tobytes()
