@@ -1,8 +1,10 @@
 """Command-line entry point: linear, multipliers, simulate, sweep.
 
-Configs are INI files with [sim] and [sweep] sections mirroring the
-``SimConfig``/``SweepConfig`` field names; command-line flags override file
-values.  Exit codes: 0 success, 1 usage error, 2 numerical failure.
+Configs are INI files with [sim] and [sweep] sections whose keys are the
+lower-case ``SimConfig``/``SweepConfig`` field names, except nx/ny/nz/ly for
+``grid``, ic_k/ic_j/ic_l for ``ic_mode`` and c0/c1 for ``C0``/``C1``;
+command-line flags override file values.  Exit codes: 0 success, 1 usage
+error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import configparser
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -210,7 +212,8 @@ def _sweep_config(ini: dict, base: SimConfig) -> SweepConfig:
         raise UsageError(str(exc)) from exc
 
 
-def _parse_modes(args) -> list[WaveVector]:
+def _parse_modes(args) -> tuple[list[WaveVector], np.ndarray]:
+    """The modes and the sample times of ``linear`` and ``multipliers``."""
     modes: list[WaveVector] = []
     if args.mode:
         for spec in args.mode:
@@ -219,16 +222,25 @@ def _parse_modes(args) -> list[WaveVector]:
                 modes.append(WaveVector(k=int(k_s), eta=float(eta_s), l=int(l_s)))
             except ValueError as exc:
                 raise UsageError(f"bad --mode triple {spec!r}: expected K,ETA,L") from exc
-    k = getattr(args, "k", None)
-    eta = getattr(args, "eta", None)
-    l = getattr(args, "l", None)
+    k, eta, l = (getattr(args, name, None) for name in ("k", "eta", "l"))  # linear only
     if k is not None or eta is not None or l is not None:
         if None in (k, eta, l):
             raise UsageError("--k, --eta and --l must be given together")
         modes.append(WaveVector(k=k, eta=eta, l=l))
     if not modes:
         raise UsageError("no mode given; use --mode K,ETA,L or --k/--eta/--l")
-    return modes
+    for kv in modes:
+        _require_finite(f"eta of mode ({kv.k}, {kv.eta}, {kv.l})", kv.eta)
+    _require_finite("--t-max", args.t_max, minimum=0.0)
+    if args.points < 1:
+        raise UsageError(f"--points must be at least 1, got {args.points}")
+    return modes, np.linspace(0.0, args.t_max, args.points)
+
+
+def _require_finite(name: str, value: float, minimum: float | None = None) -> None:
+    if not math.isfinite(value) or (minimum is not None and value < minimum):
+        bound = "" if minimum is None else f" and at least {minimum:g}"
+        raise UsageError(f"{name} must be finite{bound}, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +248,12 @@ def _parse_modes(args) -> list[WaveVector]:
 
 
 def cmd_linear(args) -> int:
-    modes = _parse_modes(args)
+    modes, ts = _parse_modes(args)
+    if any(kv.k == 0 and kv.eta == 0.0 and kv.l == 0 for kv in modes):
+        raise UsageError("mode (0, 0, 0) has no dynamics; it is pinned to zero")
+    _require_finite("--nu", args.nu, minimum=0.0)
+    for flag in ("k1", "k2", "u30"):
+        _require_finite(f"--{flag}", getattr(args, flag))
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     manifest = reporting.Manifest(
@@ -244,18 +261,11 @@ def cmd_linear(args) -> int:
          "modes": [(kv.k, kv.eta, kv.l) for kv in modes],
          "k1": args.k1, "k2": args.k2, "u30": args.u30}
     )
-    ts = np.linspace(0.0, args.t_max, args.points)
     for kv in modes:
-        if kv.k == 0 and kv.eta == 0.0 and kv.l == 0:
-            raise UsageError("mode (0, 0, 0) has no dynamics; it is pinned to zero")
-        name = f"linear_k{kv.k}_eta{kv.eta:g}_l{kv.l}.csv"
-        path = outdir / name
-        if kv.k == 0:
-            _write_zero_mode_csv(path, kv, args)
-        else:
-            _write_k_mode_csv(path, kv, args, ts)
-        manifest.add(path)
-    manifest.add(manifest.write(outdir))
+        path = outdir / f"linear_k{kv.k}_eta{kv.eta:g}_l{kv.l}.csv"
+        write = _write_zero_mode_csv if kv.k == 0 else _write_k_mode_csv
+        manifest.add(write(path, kv, args, ts))
+    manifest.write(outdir)
     return EXIT_OK
 
 
@@ -264,48 +274,39 @@ def _write_k_mode_csv(path, kv, args, ts):
     u30 = complex(args.u30)
     k0_abs = state0.magnitude
     ref_norm = math.sqrt(k0_abs**2 + abs(u30) ** 2)
-    lines = [
+    columns = (
         "t,K1_re,K1_im,K2_re,K2_im,K_abs,U3_re,U3_im,U3_abs,"
         "env_K_abs,env_U3_abs,env_inviscid_12,env_inviscid_3"
-    ]
+    ).split(",")
+    rows = []
     for t in ts:
         st = evolve_K_closed(state0, t, args.nu, kv)
         u3 = evolve_U3(u30, state0, t, args.nu, kv)
         env_k = math.exp(-(args.nu / 12.0) * kv.k**2 * t**3) * k0_abs
         env_u3 = math.exp(-(args.nu / 12.0) * kv.k**2 * t**3) * (abs(u30) + 12.0 / abs(kv.k) * k0_abs)
         b12, b3 = inviscid_damping_rates(ref_norm, t, args.nu)
-        lines.append(
-            ",".join(
-                reporting.fmt(v)
-                for v in (
-                    t, st.K1.real, st.K1.imag, st.K2.real, st.K2.imag, st.magnitude,
-                    u3.real, u3.imag, abs(u3), env_k, env_u3, b12, b3,
-                )
-            )
-        )
-    path.write_text("\n".join(lines) + "\n")
+        rows.append((
+            t, st.K1.real, st.K1.imag, st.K2.real, st.K2.imag, st.magnitude,
+            u3.real, u3.imag, abs(u3), env_k, env_u3, b12, b3,
+        ))
+    return reporting.write_csv(path, columns, rows)
 
 
-def _write_zero_mode_csv(path, kv, args):
+def _write_zero_mode_csv(path, kv, args, ts):
     s0 = ZeroModeState(u1=complex(args.k1), u2=complex(args.k2), u3=complex(args.u30))
-    ts = np.linspace(0.0, args.t_max, args.points)
-    lines = ["t,u1_re,u1_im,u2_re,u2_im,u3_re,u3_im,u1_abs,u2_abs,u3_abs"]
+    columns = "t,u1_re,u1_im,u2_re,u2_im,u3_re,u3_im,u1_abs,u2_abs,u3_abs".split(",")
+    rows = []
     for t in ts:
         st = zero_mode_evolve(s0, t, args.nu, kv.eta, kv.l)
-        lines.append(
-            ",".join(
-                reporting.fmt(v)
-                for v in (
-                    t, st.u1.real, st.u1.imag, st.u2.real, st.u2.imag,
-                    st.u3.real, st.u3.imag, abs(st.u1), abs(st.u2), abs(st.u3),
-                )
-            )
-        )
-    path.write_text("\n".join(lines) + "\n")
+        rows.append((
+            t, st.u1.real, st.u1.imag, st.u2.real, st.u2.imag,
+            st.u3.real, st.u3.imag, abs(st.u1), abs(st.u2), abs(st.u3),
+        ))
+    return reporting.write_csv(path, columns, rows)
 
 
 def cmd_multipliers(args) -> int:
-    modes = _parse_modes(args)
+    modes, ts = _parse_modes(args)
     p = MultiplierParams(nu=args.nu, window=args.window)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -314,26 +315,20 @@ def cmd_multipliers(args) -> int:
          "t_max": args.t_max, "points": args.points,
          "modes": [(kv.k, kv.eta, kv.l) for kv in modes]}
     )
+    columns = "t,k,eta,l,nu,m,M,mdot_over_m,Mdot_over_M,m_ode_residual".split(",")
     rows = []
-    ts = np.linspace(0.0, args.t_max, args.points)
     for kv in modes:
-        for t in ts:
+        for t in ts.tolist():
             try:
-                resid = m_ode_residual(float(t), kv, p)
-            except SwitchingTimeError:
-                resid = float("nan")
-            rows.append(
-                dict(
-                    t=float(t), k=kv.k, eta=kv.eta, l=kv.l, nu=args.nu,
-                    m=m_exact(float(t), kv, p), M=M_closed(float(t), kv, p),
-                    mdot_over_m=m_log_derivative(float(t), kv, p),
-                    Mdot_over_M=M_log_derivative(float(t), kv, p),
-                    m_ode_residual=resid,
-                )
-            )
-    path = reporting.write_multiplier_csv(outdir / "multipliers.csv", rows)
-    manifest.add(path)
-    manifest.add(manifest.write(outdir))
+                resid = m_ode_residual(t, kv, p)
+            except SwitchingTimeError:  # not differentiable there: an empty field
+                resid = None
+            rows.append((
+                t, str(kv.k), kv.eta, str(kv.l), args.nu, m_exact(t, kv, p), M_closed(t, kv, p),
+                m_log_derivative(t, kv, p), M_log_derivative(t, kv, p), resid,
+            ))
+    manifest.add(reporting.write_csv(outdir / "multipliers.csv", columns, rows))
+    manifest.write(outdir)
     return EXIT_OK
 
 
@@ -355,28 +350,20 @@ def cmd_simulate(args) -> int:
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    manifest = reporting.Manifest({"command": "simulate", **_cfg_dict(cfg)})
+    manifest = reporting.Manifest({"command": "simulate", **asdict(cfg)})
     result = run(cfg)
-    path = reporting.write_energy_csv(outdir / "energy.csv", result.reports)
-    manifest.add(path)
+    manifest.add(reporting.write_energy_csv(outdir / "energy.csv", result.reports))
     for i, (t, U) in enumerate(result.snapshots):
-        spath = reporting.write_snapshot_csv(outdir / f"snapshot_{i:05d}.csv", U, cfg.nu)
-        manifest.add(spath)
+        manifest.add(reporting.write_snapshot_csv(outdir / f"snapshot_{i:05d}.csv", U, cfg.nu))
     manifest.run = {
         "status": result.status, "t_fail": result.t_fail, "warnings": result.warnings,
         "n_steps": result.n_steps, "dt": result.dt,
     }
-    manifest.add(manifest.write(outdir))
+    manifest.write(outdir)
     if result.blown_up:
         print(f"numerical blow-up at t = {result.t_fail}", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK
-
-
-def _cfg_dict(cfg: SimConfig) -> dict:
-    d = dict(vars(cfg))
-    d["grid"] = {"Nx": cfg.grid.Nx, "Ny": cfg.grid.Ny, "Nz": cfg.grid.Nz, "Ly": cfg.grid.Ly}
-    return d
 
 
 def cmd_sweep(args) -> int:
@@ -384,13 +371,7 @@ def cmd_sweep(args) -> int:
     base = _sim_config(ini, {"seed": args.seed} if args.seed is not None else {})
     scfg = _sweep_config(ini, base)
     outdir = Path(args.out)
-    manifest = reporting.Manifest(
-        {"command": "sweep", "base": _cfg_dict(base),
-         "nu_grid": list(scfg.nu_grid), "eps_min": scfg.eps_min, "eps_max": scfg.eps_max,
-         "eps_points": scfg.eps_points, "growth_factor": scfg.classify.growth_factor,
-         "horizon": scfg.classify.horizon, "norm_name": scfg.classify.norm_name,
-         "bisect": scfg.bisect}
-    )
+    manifest = reporting.Manifest({"command": "sweep", **asdict(scfg)})
     previous = outdir / "manifest.json"
     if args.resume and previous.exists():
         recorded = json.loads(previous.read_text()).get("config_hash")
@@ -405,7 +386,7 @@ def cmd_sweep(args) -> int:
     manifest.add(reporting.write_cells_csv(outdir / "cells.csv", result.cells))
     manifest.add(reporting.write_summary_csv(outdir / "summary.csv", result))
     manifest.add(reporting.write_gamma_json(outdir / "gamma.json", result))
-    manifest.add(manifest.write(outdir))
+    manifest.write(outdir)
     return EXIT_OK
 
 

@@ -51,8 +51,8 @@ class MultiplierParams:
     def __post_init__(self) -> None:
         if not (0.0 < self.nu < 1.0):
             raise ValueError(f"nu must lie in (0, 1), got {self.nu}")
-        if self.window <= 0:
-            raise ValueError(f"window must be positive, got {self.window}")
+        if not 0.0 < self.window < math.inf:
+            raise ValueError(f"window must be positive and finite, got {self.window}")
 
     @property
     def window_length(self) -> float:

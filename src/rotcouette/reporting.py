@@ -3,9 +3,12 @@
 All floats are written with ``repr`` (shortest round-trip form), columns and
 row order are fixed, and nothing time- or host-dependent enters the CSV
 bodies, so re-running a command with an identical config and seed reproduces
-the data files byte for byte.  The manifest records the config hash, the
-code and numpy versions, wall times, the produced file list and, for a
-simulation, how the run ended.
+the data files byte for byte.  Every CSV except the snapshots goes through
+``write_csv``, whose one field rule writes a flag as 1 or 0, a missing value
+(None) as an empty field, text as it is, and anything else as the ``repr`` of
+its float.  The manifest records the config hash, the code and numpy
+versions, wall times, the produced file list and, for a simulation, how the
+run ended.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .spectral import GridSpec
 
 __all__ = [
     "fmt",
+    "write_csv",
     "energy_columns",
     "write_energy_csv",
     "write_snapshot_csv",
@@ -42,18 +46,32 @@ def energy_columns() -> list[str]:
     return ["t"] + INSTANT_COLUMNS + ACCUMULATED_COLUMNS + FLAG_NAMES
 
 
-def write_energy_csv(path: str | Path, reports: Sequence[EnergyReport]) -> Path:
+def _field(v) -> str:
+    """The one rule for a CSV field: a flag is 1 or 0, None is empty, text is kept."""
+    if isinstance(v, (bool, np.bool_)):
+        return "1" if v else "0"
+    if v is None:
+        return ""
+    if isinstance(v, str):
+        return v
+    return fmt(v)
+
+
+def write_csv(path: str | Path, columns: Sequence[str], rows: Iterable[Sequence]) -> Path:
+    """A header line of ``columns``, then one line per row; each field as ``_field`` writes it."""
     path = Path(path)
-    cols = energy_columns()
-    lines = [",".join(cols)]
-    for r in reports:
-        row = [fmt(r.t)]
-        row += [fmt(r.norms.get(c, float("nan"))) for c in INSTANT_COLUMNS]
-        row += [fmt(r.norms.get(c, float("nan"))) for c in ACCUMULATED_COLUMNS]
-        row += ["1" if r.flags.get(c, False) else "0" for c in FLAG_NAMES]
-        lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("".join(",".join(map(_field, row)) + "\n" for row in (columns, *rows)))
     return path
+
+
+def write_energy_csv(path: str | Path, reports: Sequence[EnergyReport]) -> Path:
+    rows = (
+        [r.t]
+        + [r.norms.get(c, np.nan) for c in INSTANT_COLUMNS + ACCUMULATED_COLUMNS]
+        + [r.flags.get(c, False) for c in FLAG_NAMES]
+        for r in reports
+    )
+    return write_csv(path, energy_columns(), rows)
 
 
 # rows per formatted block of a snapshot; bounds the strings alive at once
@@ -159,24 +177,11 @@ class Manifest:
 
 
 def write_cells_csv(path: str | Path, cells) -> Path:
-    path = Path(path)
-    lines = ["nu,eps,stable,peak_norm,t_peak,status,refined"]
-    for c in sorted(cells, key=lambda c: (c.nu, c.eps)):
-        lines.append(
-            ",".join(
-                [
-                    fmt(c.nu),
-                    fmt(c.eps),
-                    c.outcome,
-                    fmt(c.peak_norm),
-                    fmt(c.t_peak),
-                    c.status.replace(",", ";"),
-                    "1" if c.refined else "0",
-                ]
-            )
-        )
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    rows = (
+        (c.nu, c.eps, c.outcome, c.peak_norm, c.t_peak, c.status.replace(",", ";"), c.refined)
+        for c in sorted(cells, key=lambda c: (c.nu, c.eps))
+    )
+    return write_csv(path, ["nu", "eps", "stable", "peak_norm", "t_peak", "status", "refined"], rows)
 
 
 def read_cells_csv(path: str | Path) -> dict:
@@ -206,15 +211,8 @@ def read_cells_csv(path: str | Path) -> dict:
 
 
 def write_summary_csv(path: str | Path, result) -> Path:
-    path = Path(path)
-    lines = ["nu,eps_star,censored"]
-    for nu in sorted(result.eps_star):
-        star = result.eps_star[nu]
-        lines.append(
-            ",".join([fmt(nu), fmt(star) if star is not None else "", "1" if result.censored[nu] else "0"])
-        )
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    rows = ((nu, result.eps_star[nu], result.censored[nu]) for nu in sorted(result.eps_star))
+    return write_csv(path, ["nu", "eps_star", "censored"], rows)
 
 
 def write_gamma_json(path: str | Path, result) -> Path:
@@ -227,23 +225,4 @@ def write_gamma_json(path: str | Path, result) -> Path:
         "repaired_cells": [[nu, eps] for nu, eps in result.repaired],
     }
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def write_multiplier_csv(path: str | Path, rows: Iterable[dict]) -> Path:
-    path = Path(path)
-    cols = ["t", "k", "eta", "l", "nu", "m", "M", "mdot_over_m", "Mdot_over_M", "m_ode_residual"]
-    lines = [",".join(cols)]
-    for row in rows:
-        out = []
-        for c in cols:
-            v = row[c]
-            if isinstance(v, float) and v != v:  # NaN at non-differentiable times
-                out.append("")
-            elif c in ("k", "l"):
-                out.append(str(int(v)))
-            else:
-                out.append(fmt(v))
-        lines.append(",".join(out))
-    path.write_text("\n".join(lines) + "\n")
     return path

@@ -24,6 +24,31 @@ def floats(col):
     return np.array([float(v) for v in col])
 
 
+def sim_ini(tmp_path, **kv):
+    base = dict(
+        nu="1e-2", nx="8", ny="16", nz="8", ly="32.0", dt="0.02", t_end="1.0",
+        eps="1e-4", seed="3", ic_kind="single_mode", ic_k="1", ic_j="0",
+        ic_l="1", diag_every="5", snapshot_every="0",
+    )
+    base.update({k: str(v) for k, v in kv.items()})
+    path = tmp_path / "sim.ini"
+    path.write_text("[sim]\n" + "\n".join(f"{k} = {v}" for k, v in base.items()) + "\n")
+    return path
+
+
+def sweep_ini(tmp_path):
+    path = tmp_path / "sweep.ini"
+    path.write_text(
+        "[sim]\n"
+        "nu = 1e-2\nnx = 8\nny = 16\nnz = 8\nly = 32.0\ndt = 0.05\n"
+        "eps = 1.0\nseed = 2\nic_k = 1\nic_j = 0\nic_l = 1\ndiag_every = 5\n"
+        "[sweep]\n"
+        "nu_grid = 2e-2 1e-2\neps_min = 1e-7\neps_max = 1e-6\neps_points = 2\n"
+        "horizon = 2.0\ngrowth_factor = 10.0\n"
+    )
+    return path
+
+
 class TestUsageErrors:
     def test_missing_required_flag(self, capsys):
         assert main(["linear", "--k", "1", "--eta", "0", "--l", "0"]) == EXIT_USAGE
@@ -36,6 +61,33 @@ class TestUsageErrors:
             ["linear", "--k", "0", "--eta", "0", "--l", "0", "--nu", "1e-3", "--out", str(tmp_path)]
         )
         assert rc == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["linear", "--k", "1", "--eta", "nan", "--l", "0", "--nu", "1e-3"],
+            ["linear", "--k", "1", "--eta", "0", "--l", "0", "--nu", "nan"],
+            ["linear", "--k", "1", "--eta", "0", "--l", "0", "--nu", "1e-3", "--k1", "nan"],
+            ["linear", "--k", "1", "--eta", "0", "--l", "0", "--nu", "1e-3", "--k2", "inf"],
+            ["linear", "--k", "1", "--eta", "0", "--l", "0", "--nu", "1e-3", "--u30=-inf"],
+            ["linear", "--k", "0", "--eta", "1", "--l", "1", "--nu", "-1"],
+            ["linear", "--mode", "1,0,0", "--mode", "0,0,0", "--nu", "1e-3"],
+            ["linear", "--k", "1", "--eta", "0", "--l", "0", "--nu", "1e-3", "--t-max", "inf"],
+            ["linear", "--k", "1", "--eta", "0", "--l", "0", "--nu", "1e-3", "--points", "-1"],
+            ["multipliers", "--mode", "1,inf,0", "--nu", "1e-3"],
+            ["multipliers", "--mode", "1,2,0", "--nu", "1e-3", "--t-max", "-1"],
+            ["multipliers", "--mode", "1,2,0", "--nu", "1e-3", "--t-max", "nan"],
+            ["multipliers", "--mode", "1,2,0", "--nu", "1e-3", "--window", "nan"],
+        ],
+        ids=["linear-nan-eta", "linear-nan-nu", "linear-nan-k1", "linear-inf-k2",
+             "linear-inf-u30", "linear-negative-nu-zero-mode", "linear-mean-mode-in-list",
+             "linear-inf-t-max", "linear-negative-points", "multipliers-inf-eta",
+             "multipliers-negative-t-max", "multipliers-nan-t-max", "multipliers-nan-window"],
+    )
+    def test_bad_mode_or_sampling_rejected(self, tmp_path, argv):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
 
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "bad.ini"
@@ -147,6 +199,45 @@ class TestSnapshotFormat:
             assert not np.any(back.coeffs[:, ~mask])
 
 
+class TestCsvFields:
+    def test_field_rule(self, tmp_path):
+        from rotcouette.reporting import write_csv
+
+        row = [True, False, None, "stable", "12", 0.0, -0.0, 5e-324, math.inf, math.nan,
+               np.float64(0.1), 1, np.True_]
+        path = write_csv(tmp_path / "row.csv", [f"c{i}" for i in range(len(row))], [row])
+        assert path.read_bytes() == (
+            b"c0,c1,c2,c3,c4,c5,c6,c7,c8,c9,c10,c11,c12\n"
+            b"1,0,,stable,12,0.0,-0.0,5e-324,inf,nan,0.1,1.0,1\n"
+        )
+
+
+class TestReproducibility:
+    @pytest.mark.parametrize("command", ["linear", "multipliers", "simulate", "sweep"])
+    def test_byte_identical_rerun(self, tmp_path, command):
+        argv = {
+            "linear": ["linear", "--mode", "1,0.5,0", "--mode", "0,1,1", "--nu", "1e-3",
+                       "--k2", "0.3", "--points", "41"],
+            "multipliers": ["multipliers", "--mode", "1,2,0", "--mode", "0,3,1", "--nu", "1e-3",
+                            "--points", "41"],
+            "simulate": ["simulate", "--config",
+                         str(sim_ini(tmp_path, ic_kind="random_band", snapshot_every="10"))],
+            "sweep": ["sweep", "--config", str(sweep_ini(tmp_path))],
+        }[command]
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert main(argv + ["--out", str(out1)]) == EXIT_OK
+        assert main(argv + ["--out", str(out2)]) == EXIT_OK
+        names = sorted(p.name for p in out1.iterdir())
+        assert names == sorted(p.name for p in out2.iterdir())
+        assert len(names) >= 2  # the manifest and at least one data file
+        for name in names:
+            if name == "manifest.json":  # holds wall-clock stamps
+                hashes = [json.loads((d / name).read_text())["config_hash"] for d in (out1, out2)]
+                assert hashes[0] == hashes[1]
+            else:
+                assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
 class TestLinearCommand:
     def test_nonzero_mode_envelopes(self, tmp_path):
         rc = main(
@@ -211,36 +302,17 @@ class TestMultipliersCommand:
 
 
 class TestSimulateCommand:
-    def ini(self, tmp_path, **kv):
-        base = dict(
-            nu="1e-2", nx="8", ny="16", nz="8", ly="32.0", dt="0.02", t_end="1.0",
-            eps="1e-4", seed="3", ic_kind="single_mode", ic_k="1", ic_j="0",
-            ic_l="1", diag_every="5", snapshot_every="0",
-        )
-        base.update({k: str(v) for k, v in kv.items()})
-        path = tmp_path / "sim.ini"
-        path.write_text("[sim]\n" + "\n".join(f"{k} = {v}" for k, v in base.items()) + "\n")
-        return path
-
     def test_zero_amplitude_zero_csv(self, tmp_path):
-        cfg = self.ini(tmp_path, eps="0.0")
+        cfg = sim_ini(tmp_path, eps="0.0")
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         cols = read_csv(out / "energy.csv")
         assert np.all(floats(cols["U_neq_HN_total"]) == 0.0)
 
-    def test_byte_identical_rerun(self, tmp_path):
-        cfg = self.ini(tmp_path, ic_kind="random_band", snapshot_every="10")
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert main(["simulate", "--config", str(cfg), "--out", str(out1)]) == EXIT_OK
-        assert main(["simulate", "--config", str(cfg), "--out", str(out2)]) == EXIT_OK
-        assert (out1 / "energy.csv").read_bytes() == (out2 / "energy.csv").read_bytes()
-        assert (out1 / "snapshot_00000.csv").read_bytes() == (out2 / "snapshot_00000.csv").read_bytes()
-
     def test_manifest_references_outputs(self, tmp_path):
         from rotcouette.reporting import config_hash
 
-        cfg = self.ini(tmp_path, snapshot_every="25")
+        cfg = sim_ini(tmp_path, snapshot_every="25")
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         manifest = json.loads((out / "manifest.json").read_text())
@@ -262,7 +334,7 @@ class TestSimulateCommand:
         from rotcouette.linear import ModeStateK, evolve_K_closed
         from rotcouette.spectral import WaveVector
 
-        cfg = self.ini(tmp_path, snapshot_every="10", t_end="2.0")
+        cfg = sim_ini(tmp_path, snapshot_every="10", t_end="2.0")
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(cfg), "--out", str(out), "--linear"]) == EXIT_OK
         snaps = sorted(out.glob("snapshot_*.csv"))
@@ -279,7 +351,7 @@ class TestSimulateCommand:
             assert err <= 1e-6 * want.magnitude
 
     def test_blowup_exit_code(self, tmp_path):
-        cfg = self.ini(tmp_path, eps="1.0", blowup_cap="1e-9")
+        cfg = sim_ini(tmp_path, eps="1.0", blowup_cap="1e-9")
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_NUMERICAL
         run = json.loads((out / "manifest.json").read_text())["run"]
@@ -290,20 +362,8 @@ class TestSimulateCommand:
 
 
 class TestSweepCommand:
-    def ini(self, tmp_path):
-        path = tmp_path / "sweep.ini"
-        path.write_text(
-            "[sim]\n"
-            "nu = 1e-2\nnx = 8\nny = 16\nnz = 8\nly = 32.0\ndt = 0.05\n"
-            "eps = 1.0\nseed = 2\nic_k = 1\nic_j = 0\nic_l = 1\ndiag_every = 5\n"
-            "[sweep]\n"
-            "nu_grid = 2e-2 1e-2\neps_min = 1e-7\neps_max = 1e-6\neps_points = 2\n"
-            "horizon = 2.0\ngrowth_factor = 10.0\n"
-        )
-        return path
-
     def test_sweep_outputs(self, tmp_path):
-        cfg = self.ini(tmp_path)
+        cfg = sweep_ini(tmp_path)
         out = tmp_path / "out"
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         cells = read_csv(out / "cells.csv")
@@ -329,7 +389,7 @@ class TestSweepCommand:
 
         calls = []
         monkeypatch.setattr(threshold, "_run_cell", lambda *a: calls.append(a))
-        cfg = self.ini(tmp_path)
+        cfg = sweep_ini(tmp_path)
         keys = {line.split("=")[0] for line in extra.splitlines()}  # replaced, not duplicated
         lines = cfg.read_text().splitlines(keepends=True)
         cfg.write_text("".join(l for l in lines if l.split("=")[0] not in keys) + extra)
@@ -338,14 +398,14 @@ class TestSweepCommand:
         assert calls == [] and not out.exists()
 
     def test_seed_and_threads_flags(self, tmp_path):
-        cfg = self.ini(tmp_path)
+        cfg = sweep_ini(tmp_path)
         out = tmp_path / "out"
         argv = ["sweep", "--config", str(cfg), "--out", str(out), "--seed", "5", "--threads", "1"]
         assert main(argv) == EXIT_OK
         assert json.loads((out / "manifest.json").read_text())["config"]["base"]["seed"] == 5
 
     def test_resume_reproduces_identical_csv(self, tmp_path):
-        cfg = self.ini(tmp_path)
+        cfg = sweep_ini(tmp_path)
         out = tmp_path / "out"
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         cells_first = (out / "cells.csv").read_bytes()
@@ -356,18 +416,55 @@ class TestSweepCommand:
         assert (out / "summary.csv").read_bytes() == summary_first
 
     def test_resume_against_other_config_rejected(self, tmp_path, capsys):
-        cfg = self.ini(tmp_path)
+        from dataclasses import fields
+
+        from rotcouette.simulation import SimConfig
+        from rotcouette.threshold import ClassifyCriteria, SweepConfig
+
+        cfg = sweep_ini(tmp_path)
         out = tmp_path / "out"
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         names = ("cells.csv", "summary.csv", "manifest.json")
         before = {name: (out / name).read_bytes() for name in names}
-        recorded = json.loads(before["manifest.json"])["config_hash"]
-        argv = ["sweep", "--config", str(cfg), "--out", str(out), "--resume", "--seed", "9"]
-        assert main(argv) == EXIT_USAGE
-        assert {name: (out / name).read_bytes() for name in names} == before
-        err = capsys.readouterr().err
-        other = tmp_path / "other"
-        assert main(argv[:4] + [str(other), "--seed", "9"]) == EXIT_OK
-        current = json.loads((other / "manifest.json").read_text())["config_hash"]
-        assert current != recorded
-        assert recorded in err and current in err
+        manifest = json.loads(before["manifest.json"])
+        recorded = manifest["config_hash"]
+        # the manifest records the whole SweepConfig, so a change to any field is caught
+        assert set(manifest["config"]) == {f.name for f in fields(SweepConfig)} | {"command"}
+        assert set(manifest["config"]["classify"]) == {f.name for f in fields(ClassifyCriteria)}
+        assert set(manifest["config"]["base"]) == {f.name for f in fields(SimConfig)}
+        wider = tmp_path / "wider.ini"  # [sweep] is the last section, so the line lands there
+        wider.write_text(cfg.read_text() + "bisect_rel_width = 0.2\n")
+        cases = {"seed": (cfg, ["--seed", "9"]), "bisect-rel-width": (wider, [])}
+        for case, (config, extra) in cases.items():
+            argv = ["sweep", "--config", str(config), "--out", str(out), "--resume"] + extra
+            assert main(argv) == EXIT_USAGE, case
+            assert {name: (out / name).read_bytes() for name in names} == before, case
+            err = capsys.readouterr().err
+            other = tmp_path / f"other-{case}"
+            assert main(argv[:4] + [str(other)] + extra) == EXIT_OK, case
+            current = json.loads((other / "manifest.json").read_text())["config_hash"]
+            assert current != recorded, case
+            assert recorded in err and current in err, case
+
+
+class TestReadmeExample:
+    def test_example_config_runs(self, tmp_path, monkeypatch):
+        from rotcouette import threshold
+
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        blocks = readme.split("```ini\n")
+        assert len(blocks) == 2, "README.md should hold one ini example"
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(blocks[1].split("```")[0])
+        argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim"), "--t-end", "0.05"]
+        assert main(argv) == EXIT_OK
+
+        cells = []
+
+        def fake_cell(scfg, nu, eps, seed):
+            cells.append((nu, eps))
+            return threshold.CellResult(nu, eps, "stable", eps, 0.0, "completed")
+
+        monkeypatch.setattr(threshold, "_run_cell", fake_cell)
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep")]) == EXIT_OK
+        assert cells  # every cell ran through the stub
