@@ -16,16 +16,11 @@ from .spectral import (
     SpectralField,
     WaveVector,
     integral_w,
-    nabla_L_magnitude,
-    project_nonzero,
-    project_zero,
     sobolev_norm,
-    w_dot_symbol,
     w_symbol,
 )
 from .linear import (
     ModeStateK,
-    ModeStateQ,
     ZeroModeState,
     enhanced_dissipation_check,
     evolve_K_closed,
@@ -74,14 +69,9 @@ __all__ = [
     "SpectralField",
     "WaveVector",
     "integral_w",
-    "nabla_L_magnitude",
-    "project_nonzero",
-    "project_zero",
     "sobolev_norm",
-    "w_dot_symbol",
     "w_symbol",
     "ModeStateK",
-    "ModeStateQ",
     "ZeroModeState",
     "enhanced_dissipation_check",
     "evolve_K_closed",

@@ -108,8 +108,8 @@ def _build_parser() -> _Parser:
 
 
 _SIM_DEFAULTS = dict(
-    nu=1e-2, nx=16, ny=64, nz=16, ly=32.0, dt=None, t_end=10.0, eps=1e-6, beta=1.0,
-    seed=0, ic_kind="single_mode", ic_k=1, ic_j=0, ic_l=1, ic_file=None, sigma=5.0,
+    nu=1e-2, nx=16, ny=64, nz=16, ly=32.0, dt=None, t_end=10.0, eps=1e-6, seed=0,
+    ic_kind="single_mode", ic_k=1, ic_j=0, ic_l=1, ic_file=None, sigma=5.0,
     nonlinear_enabled=True, rk_stages=4, diag_every=10, snapshot_every=0,
     blowup_cap=1e6, c0=100.0, c1=10.0, mult_window=1000.0,
 )
@@ -169,7 +169,6 @@ def _sim_config(ini: dict, overrides: dict) -> SimConfig:
             dt=as_opt_float(raw["dt"]),
             t_end=float(raw["t_end"]),
             eps=float(raw["eps"]),
-            beta=float(raw["beta"]),
             seed=int(raw["seed"]),
             ic_kind=str(raw["ic_kind"]),
             ic_mode=(int(raw["ic_k"]), int(raw["ic_j"]), int(raw["ic_l"])),

@@ -146,16 +146,16 @@ class Accumulators:
             self.maxima[name] = max(self.maxima.get(name, 0.0), v)
 
 
-def compute_Q(U: VelocityField, t: float | None = None, beta: float = 1.0):
+def compute_Q(U: VelocityField, t: float | None = None):
     """Laplacian unknowns: Q_i = -w(t) * U_i per mode."""
     if t is None:
         t = U.time
-    _, _, _, w = frame_symbols(U.grid, t, beta)
+    _, _, _, w = frame_symbols(U.grid, t)
     w[0, 0, 0] = 0.0  # excluded mean mode
     return tuple(SpectralField(U.grid, -w * c, t) for c in U.coeffs)
 
 
-def compute_K_check(U: VelocityField, t: float | None = None, beta: float = 1.0):
+def compute_K_check(U: VelocityField, t: float | None = None):
     """Symmetrised good unknowns for the planar pair.
 
     K1 = -|k,l| |k, eta-kt, l| U1 and K2 = -|k| |k, eta-kt, l| U2; the planar
@@ -164,7 +164,7 @@ def compute_K_check(U: VelocityField, t: float | None = None, beta: float = 1.0)
     if t is None:
         t = U.time
     grid = U.grid
-    kk, etal, ll, w = frame_symbols(grid, t, beta)
+    kk, etal, ll, w = frame_symbols(grid, t)
     rw = np.sqrt(kk * kk + etal * etal + ll * ll)
     kl = np.sqrt(kk * kk + ll * ll)
     k1 = -kl * rw * U.coeffs[0]
@@ -197,7 +197,7 @@ def bootstrap_report(U: VelocityField, t: float, cfg: SimConfig, acc: Accumulato
     """
     grid = U.grid
     N = cfg.N
-    _, _, _, w = frame_symbols(grid, t, cfg.beta)
+    _, _, _, w = frame_symbols(grid, t)
     w[0, 0, 0] = 0.0  # not the unit-safe 1: grad_U0 must not count the mean mode
     hsN = grid.sobolev_weights(N)
     hsNm1 = grid.sobolev_weights(N - 1.0)
@@ -257,7 +257,7 @@ def bootstrap_report(U: VelocityField, t: float, cfg: SimConfig, acc: Accumulato
         for name, weight in weights0.items():
             norms[name.format(i)] = norm(_dot(weight, p[0]))
 
-    norms["div_defect"] = divergence_defect(U, cfg.beta, t)
+    norms["div_defect"] = divergence_defect(U, t)
 
     norms.update(acc.update(t, {c: norms[c[4:]] for c in ACCUMULATED_COLUMNS}))
     acc.note_max({x: norms[x] for x, *_ in _BOUNDS.values()})

@@ -26,7 +26,6 @@ from .spectral import WaveVector, integral_w, w_symbol
 
 __all__ = [
     "ModeStateK",
-    "ModeStateQ",
     "ZeroModeState",
     "phase_angle",
     "evolve_K_closed",
@@ -34,8 +33,6 @@ __all__ = [
     "evolve_U3",
     "zero_mode_evolve",
     "inviscid_damping_rates",
-    "q_to_k",
-    "k_to_q",
 ]
 
 
@@ -53,14 +50,6 @@ class ModeStateK:
 
 
 @dataclass(frozen=True)
-class ModeStateQ:
-    """Laplacian-of-velocity pair (moving frame) at one mode."""
-
-    Q1: complex
-    Q2: complex
-
-
-@dataclass(frozen=True)
 class ZeroModeState:
     """x-averaged velocity coefficients at one (eta, l)."""
 
@@ -72,20 +61,6 @@ class ZeroModeState:
 def _require_nonzero_k(kv: WaveVector, what: str) -> None:
     if kv.k == 0:
         raise ValueError(f"{what} is defined only for k != 0 (zero-frequency modes evolve separately)")
-
-
-def q_to_k(q: ModeStateQ, t: float, kv: WaveVector) -> ModeStateK:
-    """Convert the Laplacian pair to the symmetrised pair at time t."""
-    _require_nonzero_k(kv, "q_to_k")
-    rw = math.sqrt(w_symbol(t, kv))
-    return ModeStateK(K1=kv.kl_magnitude / rw * q.Q1, K2=abs(kv.k) / rw * q.Q2)
-
-
-def k_to_q(state: ModeStateK, t: float, kv: WaveVector) -> ModeStateQ:
-    """Inverse of ``q_to_k``; exact round trip for k != 0."""
-    _require_nonzero_k(kv, "k_to_q")
-    rw = math.sqrt(w_symbol(t, kv))
-    return ModeStateQ(Q1=rw / kv.kl_magnitude * state.K1, Q2=rw / abs(kv.k) * state.K2)
 
 
 def phase_angle(t: float, kv: WaveVector, t0: float = 0.0) -> float:

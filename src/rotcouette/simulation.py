@@ -1,7 +1,8 @@
 """Pseudospectral integration of the perturbation system in the shear frame.
 
-The state is a divergence-free (with respect to the frame gradient) triple of
-spectral velocity components, held as one (3, Nx, Ny, Nz) coefficient array.
+The shear rate and the rotation are both 1, as in the paper.  The state is
+a divergence-free (with respect to the frame gradient) triple of spectral
+velocity components, held as one (3, Nx, Ny, Nz) coefficient array.
 The whole linearised system (frame Laplacian, rotation and the pressure that
 keeps the velocity divergence free) is solved exactly mode by mode: the
 ``propagator`` is the closed-form damped rotation of the paper's good
@@ -87,7 +88,6 @@ class SimConfig:
     dt: float | None = None  # None: min(0.01, 0.5 / advective rate of the IC)
     t_end: float = 10.0
     eps: float = 1e-6
-    beta: float = 1.0
     seed: int = 0
     ic_kind: str = "single_mode"  # single_mode | random_band | file
     ic_mode: tuple[int, int, int] = (1, 0, 1)  # (k, j, l) with eta = 2 pi j / Ly
@@ -105,13 +105,17 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not (0.0 < self.nu < 1.0):
             raise ValueError(f"nu must lie in (0, 1), got {self.nu}")
-        if self.dt is not None and self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.t_end < 0:
-            raise ValueError(f"t_end must be nonnegative, got {self.t_end}")
-        if self.eps < 0:
-            raise ValueError(f"eps must be nonnegative, got {self.eps}")
-        if self.sigma <= 4.5:
+        # chained comparisons with math.inf are false for NaN and for infinities
+        if self.dt is not None and not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        for name, v in (("t_end", self.t_end), ("eps", self.eps)):
+            if not 0.0 <= v < math.inf:
+                raise ValueError(f"{name} must be nonnegative and finite, got {v}")
+        for name in ("blowup_cap", "C0", "C1", "mult_window"):
+            v = getattr(self, name)
+            if not 0.0 < v < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {v}")
+        if not 4.5 < self.sigma < math.inf:
             raise ValueError(f"sigma must exceed 9/2 for the weighted diagnostics, got {self.sigma}")
         if self.rk_stages not in (2, 4):
             raise ValueError(f"rk_stages must be 2 or 4, got {self.rk_stages}")
@@ -170,7 +174,7 @@ def _box(U: VelocityField) -> np.ndarray:
     return U.coeffs.reshape(3, -1)[:, _waves(U.grid, True).index]
 
 
-def frame_symbols(grid: GridSpec, t: float, beta: float = 1.0, box: bool = False):
+def frame_symbols(grid: GridSpec, t: float, box: bool = False):
     """(K, ETA_L, L, w) at frame time t with unit-safe w at the mean mode.
 
     The symbols broadcast as (nk,1,1), (nk,nj,1), (1,1,nl) and (nk,nj,nl):
@@ -178,7 +182,7 @@ def frame_symbols(grid: GridSpec, t: float, beta: float = 1.0, box: bool = False
     on the retained box (``box=True``) that holds the stepper's state.
     """
     wv = _waves(grid, box)
-    etal = wv.eta - wv.k * (beta * t)
+    etal = wv.eta - wv.k * t
     w = wv.k2 + etal * etal + wv.l2
     w[0, 0, 0] = 1.0
     return wv.k, etal, wv.l, w
@@ -246,40 +250,40 @@ def _full(grid: GridSpec, b: np.ndarray, t: float) -> VelocityField:
 # spatial operators
 
 
-def leray_project_L(U: VelocityField, t: float, beta: float = 1.0) -> VelocityField:
+def leray_project_L(U: VelocityField, t: float) -> VelocityField:
     """Remove the frame-gradient part: U - grad_L (Delta_L)^{-1} (div_L U).
 
     Idempotent, annihilates pure gradients, and passes the excluded mean mode
     through untouched (its symbol vanishes).
     """
     # astype copies, so the in-place projection leaves the input alone
-    out = _project(U.coeffs.astype(np.complex128), frame_symbols(U.grid, t, beta))
+    out = _project(U.coeffs.astype(np.complex128), frame_symbols(U.grid, t))
     return VelocityField(U.grid, out, t)
 
 
-def divergence_defect(U: VelocityField, beta: float = 1.0, t: float | None = None) -> float:
+def divergence_defect(U: VelocityField, t: float | None = None) -> float:
     """Max per-mode |i k u1 + i (eta - k t) u2 + i l u3| (frame divergence).
 
     The frame time t defaults to the time tag of U.
     """
-    kk, etal, ll, _ = frame_symbols(U.grid, U.time if t is None else t, beta)
+    kk, etal, ll, _ = frame_symbols(U.grid, U.time if t is None else t)
     c = U.coeffs
     return float(np.max(np.abs(kk * c[0] + etal * c[1] + ll * c[2])))
 
 
-def nonlinear_rhs(U: VelocityField, t: float, beta: float = 1.0) -> VelocityField:
+def nonlinear_rhs(U: VelocityField, t: float) -> VelocityField:
     """Dealiased advection with its pressure correction: -P_L (U . grad_L U).
 
     Evaluated in rotational form, P_L (U x curl_L U), on the retained box
     of the (Hermitian) input; the result is divergence free in the frame
     sense and Hermitian by construction.
     """
-    sym = frame_symbols(U.grid, t, beta, box=True)
+    sym = frame_symbols(U.grid, t, box=True)
     a = _project(_advection(_box(U), sym, U.grid, t), sym)
     return _full(U.grid, a, t)
 
 
-def advective_rate_bound(U: VelocityField, t_horizon: float, beta: float = 1.0) -> float:
+def advective_rate_bound(U: VelocityField, t_horizon: float) -> float:
     """Cheap upper bound on max|U| * max|grad_L symbol| for a CFL warning.
 
     Uses the l1 bound on the physical maximum (no transforms) and the frame
@@ -288,7 +292,7 @@ def advective_rate_bound(U: VelocityField, t_horizon: float, beta: float = 1.0) 
     grid = U.grid
     umax = float(sum(np.sum(np.abs(c)) for c in U.coeff_arrays()))
     cx, cy, cz = grid.dealias_cutoffs
-    eta_max = cy * grid.eta_spacing + cx * beta * t_horizon
+    eta_max = cy * grid.eta_spacing + cx * t_horizon
     return umax * (cx + eta_max + cz)
 
 
@@ -297,11 +301,11 @@ def advective_rate_bound(U: VelocityField, t_horizon: float, beta: float = 1.0) 
 
 
 def propagator(
-    grid: GridSpec, t0: float, t1: float, nu: float, beta: float = 1.0
+    grid: GridSpec, t0: float, t1: float, nu: float
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Exact solution operator of the linearised system from t0 to t1, box layout.
 
-    With e_i = eta - beta k t_i, w1 = k^2 + e1^2 + l^2, q = beta (t1 - t0)
+    With e_i = eta - k t_i, w1 = k^2 + e1^2 + l^2, q = t1 - t0
     and D = exp(-nu int_{t0}^{t1} w), the damped rotation of the good unknowns
     (K1, K2) by ``linear.phase_angle`` reads, in velocity variables,
 
@@ -317,10 +321,10 @@ def propagator(
     operator to a (3, 2cx+1, 2cy+1, cz+1) array and leaves its argument unchanged.
     """
     wv = _waves(grid, True)
-    e0 = wv.eta - wv.k * (beta * t0)
-    e1 = wv.eta - wv.k * (beta * t1)
+    e0 = wv.eta - wv.k * t0
+    e1 = wv.eta - wv.k * t1
     e01 = e0 * e1
-    q = beta * (t1 - t0)
+    q = t1 - t0
     # e is linear in s, so the mean of e^2 over [t0, t1] is (e0^2 + e0 e1 + e1^2) / 3
     decay = np.exp((-nu * (t1 - t0)) * (wv.kl2 + (e0 * e0 + e01 + e1 * e1) / 3.0))
     w1 = wv.kl2 + e1 * e1
@@ -361,22 +365,22 @@ def step(U: VelocityField, t: float, dt: float, cfg: SimConfig) -> VelocityField
     construction and zero outside the box.
     """
     grid = U.grid
-    nu, beta = cfg.nu, cfg.beta
+    nu = cfg.nu
     tm, t1 = t + 0.5 * dt, t + dt
     u0 = _box(U)
-    sym1 = frame_symbols(grid, t1, beta, box=True)
+    sym1 = frame_symbols(grid, t1, box=True)
 
     if not cfg.nonlinear_enabled:
-        new = propagator(grid, t, t1, nu, beta)(u0)
+        new = propagator(grid, t, t1, nu)(u0)
     else:
-        ph = propagator(grid, t, tm, nu, beta)
-        ph2 = propagator(grid, tm, t1, nu, beta)
-        symm = frame_symbols(grid, tm, beta, box=True)
+        ph = propagator(grid, t, tm, nu)
+        ph2 = propagator(grid, tm, t1, nu)
+        symm = frame_symbols(grid, tm, box=True)
 
         def rhs(u, sym, s):
             return _project(_advection(u, sym, grid, s), sym)
 
-        k1 = rhs(u0, frame_symbols(grid, t, beta, box=True), t)
+        k1 = rhs(u0, frame_symbols(grid, t, box=True), t)
         pu, pk = ph(u0), ph(k1)
         k2 = rhs(pu + 0.5 * dt * pk, symm, tm)
         if cfg.rk_stages == 2:
@@ -462,7 +466,7 @@ def initial_condition(cfg: SimConfig) -> VelocityField:
             ci[idx] += a
             ci[mirror] += a  # a real amplitude is its own conjugate
 
-    c = _project(c, frame_symbols(grid, 0.0, cfg.beta))
+    c = _project(c, frame_symbols(grid, 0.0))
     c[:, 0, 0, 0] = 0.0
     U = VelocityField(grid, c, 0.0)
 
@@ -524,7 +528,7 @@ def run(cfg: SimConfig) -> RunResult:
     result = RunResult(cfg=cfg)
     acc = Accumulators()
 
-    rate = advective_rate_bound(U, cfg.t_end, cfg.beta)
+    rate = advective_rate_bound(U, cfg.t_end)
     dt = cfg.dt
     if dt is None:
         dt = min(0.01, 0.5 / rate) if rate > 0 else 0.01

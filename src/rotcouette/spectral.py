@@ -1,4 +1,4 @@
-"""Frequency grids, shear-frame operator symbols, projections and norms.
+"""Frequency grids, shear-frame operator symbols and norms.
 
 The toolkit lives on a triply periodic box: unit tori in x and z and a long
 periodic interval of length Ly standing in for the whole real line in y.
@@ -28,13 +28,8 @@ __all__ = [
     "GridSpec",
     "SpectralField",
     "w_symbol",
-    "w_dot_symbol",
     "integral_w",
-    "nabla_L_magnitude",
-    "project_zero",
-    "project_nonzero",
     "sobolev_norm",
-    "field_from_physical",
     "field_to_physical",
     "hermitian_symmetrize",
     "hermitian_defect",
@@ -67,11 +62,6 @@ def w_symbol(t: float, kv: WaveVector) -> float:
     return kv.k * kv.k + d * d + kv.l * kv.l
 
 
-def w_dot_symbol(t: float, kv: WaveVector) -> float:
-    """Time derivative of ``w_symbol``: -2 k (eta - k t)."""
-    return -2.0 * kv.k * (kv.eta - kv.k * t)
-
-
 def integral_w(t: float, kv: WaveVector) -> float:
     """Exact integral of ``w_symbol`` over [0, t].
 
@@ -83,11 +73,6 @@ def integral_w(t: float, kv: WaveVector) -> float:
         raise ValueError(f"integral_w requires t >= 0, got {t}")
     half = kv.eta - 0.5 * kv.k * t
     return (kv.k * kv.k + kv.l * kv.l) * t + (half * half + kv.k * kv.k * t * t / 12.0) * t
-
-
-def nabla_L_magnitude(t: float, kv: WaveVector) -> float:
-    """|k, eta - k t, l|, magnitude of the shear-frame gradient symbol."""
-    return math.sqrt(w_symbol(t, kv))
 
 
 @dataclass(frozen=True)
@@ -112,8 +97,8 @@ class GridSpec:
                 raise ValueError(f"{name} must be positive, got {n}")
             if n % 2 != 0:
                 raise ValueError(f"{name} must be even, got {n}")
-        if self.Ly <= 0:
-            raise ValueError(f"Ly must be positive, got {self.Ly}")
+        if not 0.0 < self.Ly < math.inf:
+            raise ValueError(f"Ly must be positive and finite, got {self.Ly}")
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -196,33 +181,10 @@ class SpectralField:
                 f"coefficient shape {self.coeffs.shape} does not match grid {self.grid.shape}"
             )
 
-    def with_coeffs(self, coeffs: np.ndarray) -> "SpectralField":
-        return SpectralField(self.grid, coeffs, self.time)
-
-
-def field_from_physical(grid: GridSpec, values: np.ndarray, time: float = 0.0) -> SpectralField:
-    """Analyse physical samples into mode amplitudes (forward FFT / mode count)."""
-    coeffs = np.fft.fftn(values) / grid.n_modes
-    return SpectralField(grid, coeffs, time)
-
 
 def field_to_physical(f: SpectralField) -> np.ndarray:
     """Synthesise physical samples: sum of C * exp(i(kx + eta y + lz)) on the grid."""
     return np.fft.ifftn(f.coeffs) * f.grid.n_modes
-
-
-def project_zero(f: SpectralField) -> SpectralField:
-    """Keep only the x-averaged (k = 0) content."""
-    out = np.zeros_like(f.coeffs)
-    out[0, :, :] = f.coeffs[0, :, :]
-    return f.with_coeffs(out)
-
-
-def project_nonzero(f: SpectralField) -> SpectralField:
-    """Keep only the k != 0 content; together with ``project_zero`` this is the identity."""
-    out = f.coeffs.copy()
-    out[0, :, :] = 0.0
-    return f.with_coeffs(out)
 
 
 def sobolev_norm(f: SpectralField, s: float) -> float:
@@ -260,7 +222,7 @@ def hermitian_defect(f: SpectralField) -> float:
 def hermitian_symmetrize(f: SpectralField) -> SpectralField:
     """Average the field with its conjugate reflection (exact real-field part)."""
     sym = 0.5 * (f.coeffs + _conjugate_flip(f.grid, f.coeffs))
-    return f.with_coeffs(sym)
+    return SpectralField(f.grid, sym, f.time)
 
 
 def high_eta_energy_fraction(f: SpectralField, frac: float = 0.9, j_limit: int | None = None) -> float:

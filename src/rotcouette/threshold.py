@@ -47,8 +47,10 @@ class ClassifyCriteria:
     norm_name: str = "U_neq_HN_total"
 
     def __post_init__(self) -> None:
-        if self.growth_factor <= 1.0:
-            raise ValueError(f"growth_factor must exceed 1, got {self.growth_factor}")
+        if self.horizon is not None and not 0.0 < self.horizon < math.inf:
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
+        if not 1.0 < self.growth_factor < math.inf:
+            raise ValueError(f"growth_factor must be finite and exceed 1, got {self.growth_factor}")
         if self.norm_name not in INSTANT_COLUMNS + ACCUMULATED_COLUMNS:
             raise ValueError(f"norm_name {self.norm_name!r} is not an energy.csv norm column")
 
@@ -69,8 +71,8 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if not self.nu_grid or not all(0.0 < nu < 1.0 for nu in self.nu_grid):
             raise ValueError(f"nu_grid must be nonempty and lie in (0, 1), got {self.nu_grid}")
-        if self.eps_min <= 0 or self.eps_max < self.eps_min:
-            raise ValueError("need 0 < eps_min <= eps_max")
+        if not 0.0 < self.eps_min <= self.eps_max < math.inf:
+            raise ValueError("need 0 < eps_min <= eps_max < inf")
         if self.eps_points < 1:
             raise ValueError("eps_points must be at least 1")
         if not self.bisect_rel_width > 0:

@@ -210,7 +210,7 @@ def wave_numbers(grid: GridSpec):
     )
 
 
-def convective_nonlinear_rhs(grid: GridSpec, coeffs, t: float, beta: float = 1.0):
+def convective_nonlinear_rhs(grid: GridSpec, coeffs, t: float):
     """Convective-form advection -P_L (u . grad_L u) with 15 complex FFTs.
 
     Each of the nine velocity gradients is synthesised separately on the
@@ -221,7 +221,7 @@ def convective_nonlinear_rhs(grid: GridSpec, coeffs, t: float, beta: float = 1.0
     n = grid.n_modes
     mask = grid.dealias_mask
     kk, ee, ll = wave_numbers(grid)
-    etal = ee - kk * (beta * t)
+    etal = ee - kk * t
     cs = [c * mask for c in coeffs]
 
     def physical(c):
@@ -240,20 +240,20 @@ def convective_nonlinear_rhs(grid: GridSpec, coeffs, t: float, beta: float = 1.0
     return [-(a + 1j * sym * phi) for a, sym in zip(adv, (kk, etal, ll))]
 
 
-def linear_rhs(U: VelocityField, t: float, beta: float = 1.0) -> VelocityField:
+def linear_rhs(U: VelocityField, t: float) -> VelocityField:
     """Non-diffusive linear generator: rotation forcing plus its pressure correction.
 
-    Returns -beta [ (0, U1, 0) + grad_L (-Delta_L)^{-1} (d_X U2 + d_Y^L U1) ],
-    whose frame divergence is i beta k U2: keeping div_L u = 0 under
-    d/dt (eta - beta k t) = -beta k asks for exactly that.  On x-averaged
+    Returns -[ (0, U1, 0) + grad_L (-Delta_L)^{-1} (d_X U2 + d_Y^L U1) ],
+    whose frame divergence is i k U2: keeping div_L u = 0 under
+    d/dt (eta - k t) = -k asks for exactly that.  On x-averaged
     modes this is the nilpotent lift-up generator; with -nu w U added it is
     the generator of ``simulation.propagator``.
     """
-    k, etal, l, w = frame_symbols(U.grid, t, beta)
+    k, etal, l, w = frame_symbols(U.grid, t)
     c = U.coeffs
     f = np.zeros_like(c)
-    f[1] = -beta * c[0]
-    psi = (1j * (k * f[0] + etal * f[1] + l * f[2]) - 1j * beta * k * c[1]) / w
+    f[1] = -c[0]
+    psi = (1j * (k * f[0] + etal * f[1] + l * f[2]) - 1j * k * c[1]) / w
     psi[0, 0, 0] = 0.0
     f[0] += 1j * k * psi
     f[1] += 1j * etal * psi
@@ -337,7 +337,7 @@ def reference_bootstrap_report(U, t: float, cfg, acc):
     """
     grid = U.grid
     N = cfg.N
-    kk, etal, ll, _ = frame_symbols(grid, t, cfg.beta)
+    kk, etal, ll, _ = frame_symbols(grid, t)
     w = kk * kk + etal * etal + ll * ll
     hsN = grid.sobolev_weights(N)
     hsNm1 = grid.sobolev_weights(N - 1.0)
@@ -346,8 +346,8 @@ def reference_bootstrap_report(U, t: float, cfg, acc):
     zero = ~nonzero
 
     c1, c2, c3 = U.coeff_arrays()
-    Q1, Q2, Q3 = (f.coeffs for f in compute_Q(U, t, cfg.beta))
-    K1, K2 = (f.coeffs for f in compute_K_check(U, t, cfg.beta))
+    Q1, Q2, Q3 = (f.coeffs for f in compute_Q(U, t))
+    K1, K2 = (f.coeffs for f in compute_K_check(U, t))
 
     def hn_neq(coeffs, extra=1.0):
         return _weighted_norm(grid, coeffs * nonzero, hsN * extra**2)
@@ -462,12 +462,12 @@ def reference_bootstrap_report(U, t: float, cfg, acc):
     return EnergyReport(t=t, norms=norms, flags=flags)
 
 
-def _half_symbols(grid: GridSpec, t: float, beta: float):
+def _half_symbols(grid: GridSpec, t: float):
     """(K, ETA_L, L, w) on the (Nx, Ny, Nz//2 + 1) half-spectrum layout."""
     nl = grid.Nz // 2 + 1
     k = grid.k_index.astype(np.float64)[:, None, None]
     l = grid.l_index[:nl].astype(np.float64)[None, None, :]
-    etal = grid.eta_values[None, :, None] - k * (beta * t)
+    etal = grid.eta_values[None, :, None] - k * t
     w = k * k + etal * etal + l * l
     w[0, 0, 0] = 1.0
     return k, etal, l, w
@@ -505,12 +505,12 @@ def _half_advection(u, sym, grid: GridSpec, t: float):
     return a
 
 
-def _half_propagator(grid: GridSpec, t0: float, t1: float, nu: float, beta: float):
-    k, e0, l, _ = _half_symbols(grid, t0, beta)
-    e1 = _half_symbols(grid, t1, beta)[1]
+def _half_propagator(grid: GridSpec, t0: float, t1: float, nu: float):
+    k, e0, l, _ = _half_symbols(grid, t0)
+    e1 = _half_symbols(grid, t1)[1]
     kl2 = k * k + l * l
     e01 = e0 * e1
-    q = beta * (t1 - t0)
+    q = t1 - t0
     decay = np.exp((-nu * (t1 - t0)) * (kl2 + (e0 * e0 + e01 + e1 * e1) / 3.0))
     w1 = kl2 + e1 * e1
     w1[0, 0, 0] = 1.0
@@ -545,22 +545,22 @@ def half_spectrum_step(U: VelocityField, t: float, dt: float, cfg) -> VelocityFi
     conjugate reflection of the half spectrum.  No blow-up cap.
     """
     grid = U.grid
-    nu, beta = cfg.nu, cfg.beta
+    nu = cfg.nu
     tm, t1 = t + 0.5 * dt, t + dt
     nh = grid.Nz // 2 + 1
     u0 = np.ascontiguousarray(U.coeffs[..., :nh])
-    sym1 = _half_symbols(grid, t1, beta)
+    sym1 = _half_symbols(grid, t1)
     if not cfg.nonlinear_enabled:
-        new = _half_propagator(grid, t, t1, nu, beta)(u0)
+        new = _half_propagator(grid, t, t1, nu)(u0)
     else:
-        ph = _half_propagator(grid, t, tm, nu, beta)
-        ph2 = _half_propagator(grid, tm, t1, nu, beta)
-        symm = _half_symbols(grid, tm, beta)
+        ph = _half_propagator(grid, t, tm, nu)
+        ph2 = _half_propagator(grid, tm, t1, nu)
+        symm = _half_symbols(grid, tm)
 
         def rhs(u, sym, s):
             return _half_project(_half_advection(u, sym, grid, s), sym)
 
-        k1 = rhs(u0, _half_symbols(grid, t, beta), t)
+        k1 = rhs(u0, _half_symbols(grid, t), t)
         pu, pk = ph(u0), ph(k1)
         k2 = rhs(pu + 0.5 * dt * pk, symm, tm)
         if cfg.rk_stages == 2:

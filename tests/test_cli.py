@@ -94,6 +94,32 @@ class TestUsageErrors:
         cfg.write_text("[sim]\nbogus = 1\n")
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
 
+    def test_shear_rate_is_not_a_key(self, tmp_path, capsys):
+        # the shear rate is 1, as in the paper, and no longer a config field
+        out = tmp_path / "out"
+        argv = ["simulate", "--config", str(sim_ini(tmp_path, beta=2)), "--out", str(out)]
+        assert main(argv) == EXIT_USAGE
+        assert "unknown [sim] key: beta" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            "--t-end=nan", "--t-end=inf", "--dt=inf", "--dt=nan", "--eps=nan", "--eps=inf",
+            "--ly=nan", "sigma=nan", "sigma=inf", "blowup_cap=nan", "blowup_cap=inf",
+            "blowup_cap=0", "c0=nan", "c0=inf", "c1=nan", "c1=-1", "mult_window=nan",
+            "mult_window=inf",
+        ],
+    )
+    def test_nonfinite_or_out_of_range_sim_value_rejected(self, tmp_path, setting):
+        # a flag overrides the file; a bare key=value goes into [sim]
+        flag = setting.startswith("--")
+        flags, keys = ([setting], {}) if flag else ([], dict([setting.split("=")]))
+        out = tmp_path / "out"
+        argv = ["simulate", "--config", str(sim_ini(tmp_path, **keys)), "--out", str(out)]
+        assert main(argv + flags) == EXIT_USAGE
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -381,8 +407,14 @@ class TestSweepCommand:
             "bisect = true\nbisect_rel_width = 0\n",
             "bisect = flase\n",
             "nu_grid = 2 1e-2\n",
+            "eps_min = nan\n",
+            "eps_max = inf\n",
+            "horizon = nan\n",
+            "horizon = -1\n",
+            "growth_factor = nan\n",
         ],
-        ids=["misspelt-norm-name", "zero-bisect-width", "misspelt-boolean", "nu-out-of-range"],
+        ids=["misspelt-norm-name", "zero-bisect-width", "misspelt-boolean", "nu-out-of-range",
+             "nan-eps-min", "inf-eps-max", "nan-horizon", "negative-horizon", "nan-growth-factor"],
     )
     def test_bad_sweep_key_rejected_before_any_cell(self, tmp_path, monkeypatch, extra):
         from rotcouette import threshold

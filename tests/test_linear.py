@@ -8,15 +8,12 @@ import pytest
 
 from rotcouette.linear import (
     ModeStateK,
-    ModeStateQ,
     ZeroModeState,
     enhanced_dissipation_check,
     evolve_K_closed,
     evolve_U3,
     inviscid_damping_rates,
-    k_to_q,
     phase_angle,
-    q_to_k,
     zero_mode_evolve,
 )
 from rotcouette.spectral import WaveVector, integral_w, w_symbol
@@ -48,24 +45,6 @@ class TestPhaseAngle:
     def test_rejects_zero_k(self):
         with pytest.raises(ValueError):
             phase_angle(1.0, WaveVector(0, 1.0, 1))
-
-
-class TestConversions:
-    def test_round_trip(self):
-        rng = np.random.default_rng(33)
-        for kv in random_modes(rng, 100):
-            t = float(rng.uniform(0.0, 20.0))
-            q = ModeStateQ(
-                Q1=complex(rng.standard_normal(), rng.standard_normal()),
-                Q2=complex(rng.standard_normal(), rng.standard_normal()),
-            )
-            back = k_to_q(q_to_k(q, t, kv), t, kv)
-            assert abs(back.Q1 - q.Q1) <= 1e-12 * max(1.0, abs(q.Q1))
-            assert abs(back.Q2 - q.Q2) <= 1e-12 * max(1.0, abs(q.Q2))
-
-    def test_rejects_zero_k(self):
-        with pytest.raises(ValueError):
-            q_to_k(ModeStateQ(1.0, 1.0), 0.0, WaveVector(0, 1.0, 1))
 
 
 class TestEvolveK:

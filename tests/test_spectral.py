@@ -1,4 +1,4 @@
-"""Tests for grids, symbols, projections and norms."""
+"""Tests for grids, symbols, transforms and norms."""
 
 import math
 
@@ -9,15 +9,10 @@ from rotcouette.spectral import (
     GridSpec,
     SpectralField,
     WaveVector,
-    field_from_physical,
     field_to_physical,
-    hermitian_defect,
     hermitian_symmetrize,
     high_eta_energy_fraction,
     integral_w,
-    nabla_L_magnitude,
-    project_nonzero,
-    project_zero,
     sobolev_norm,
 )
 
@@ -36,22 +31,6 @@ class TestSymbols:
         assert w_symbol(0.0, WaveVector(1, 2.0, 3)) == 14.0
         assert w_symbol(2.0, WaveVector(1, 2.0, 0)) == 1.0  # critical time eta/k
         assert w_symbol(1.0, WaveVector(1, 0.0, 1)) == 3.0
-
-    def test_w_dot_examples(self):
-        from rotcouette.spectral import w_dot_symbol
-
-        assert w_dot_symbol(0.0, WaveVector(1, 2.0, 0)) == -4.0
-        assert w_dot_symbol(13.7, WaveVector(0, 5.0, 3)) == 0.0
-
-    def test_w_dot_matches_finite_difference(self):
-        from rotcouette.spectral import w_dot_symbol, w_symbol
-
-        rng = np.random.default_rng(11)
-        h = 1e-4
-        for kv in random_modes(rng, 100, eta_max=20.0, nonzero_k=False):
-            t = float(rng.uniform(0.0, 5.0))
-            fd = (w_symbol(t + h, kv) - w_symbol(t - h, kv)) / (2.0 * h)
-            assert abs(fd - w_dot_symbol(t, kv)) <= 1e-8
 
     def test_w_lower_bound(self):
         from rotcouette.spectral import w_symbol
@@ -88,19 +67,6 @@ class TestSymbols:
         with pytest.raises(ValueError):
             integral_w(-0.5, WaveVector(1, 0.0, 0))
 
-    def test_nabla_L_magnitude(self):
-        assert nabla_L_magnitude(0.0, WaveVector(3, 4.0, 0)) == 5.0
-        kv = WaveVector(2, 6.0, 5)
-        assert math.isclose(nabla_L_magnitude(3.0, kv), math.sqrt(kv.k**2 + kv.l**2))
-
-    def test_nabla_L_squares_to_w(self):
-        from rotcouette.spectral import w_symbol
-
-        rng = np.random.default_rng(15)
-        for kv in random_modes(rng, 200, nonzero_k=False):
-            t = float(rng.uniform(0.0, 50.0))
-            assert nabla_L_magnitude(t, kv) ** 2 == pytest.approx(w_symbol(t, kv), rel=1e-12)
-
 
 class TestGridSpec:
     def test_validation(self):
@@ -129,8 +95,7 @@ class TestTransforms:
         g = GridSpec(8, 16, 8)
         rng = np.random.default_rng(21)
         vals = rng.standard_normal(g.shape)
-        f = field_from_physical(g, vals)
-        back = field_to_physical(f)
+        back = field_to_physical(SpectralField(g, np.fft.fftn(vals) / g.n_modes))
         assert np.allclose(back.real, vals, atol=1e-12)
         assert np.max(np.abs(back.imag)) < 1e-12
 
@@ -149,41 +114,6 @@ class TestTransforms:
         phys = field_to_physical(f)
         scale = np.max(np.abs(phys))
         assert np.max(np.abs(phys.imag)) <= 1e-12 * scale
-
-
-class TestProjections:
-    def grid(self):
-        return GridSpec(8, 16, 8)
-
-    def test_zero_only_content(self):
-        g = self.grid()
-        c = np.zeros(g.shape, dtype=complex)
-        c[0, 3, 2] = 1.5 - 0.5j
-        f = SpectralField(g, c, 0.0)
-        assert np.all(project_nonzero(f).coeffs == 0.0)
-        assert np.allclose(project_zero(f).coeffs, c)
-
-    def test_partition_of_identity(self):
-        g = self.grid()
-        rng = np.random.default_rng(23)
-        f = random_hermitian_field(g, rng)
-        total = project_zero(f).coeffs + project_nonzero(f).coeffs
-        assert np.max(np.abs(total - f.coeffs)) <= 1e-14
-
-    def test_idempotence(self):
-        g = self.grid()
-        rng = np.random.default_rng(24)
-        f = random_hermitian_field(g, rng)
-        once = project_zero(f)
-        twice = project_zero(once)
-        assert np.array_equal(once.coeffs, twice.coeffs)
-
-    def test_projections_preserve_hermitian_symmetry(self):
-        g = self.grid()
-        rng = np.random.default_rng(25)
-        f = random_hermitian_field(g, rng)
-        assert hermitian_defect(project_zero(f)) <= 1e-14
-        assert hermitian_defect(project_nonzero(f)) <= 1e-14
 
 
 class TestSobolevNorm:
