@@ -1,8 +1,8 @@
 """Command-line entry point: linear, multipliers, simulate, sweep.
 
 Configs are INI files with [sim] and [sweep] sections whose keys are the
-lower-case ``SimConfig``/``SweepConfig`` field names, except nx/ny/nz/ly for
-``grid``, ic_k/ic_j/ic_l for ``ic_mode`` and c0/c1 for ``C0``/``C1``;
+lower-case field names of ``SimConfig`` and ``SweepConfig``, with the fields of
+the nested ``grid`` and ``classify`` configs and ic_k/ic_j/ic_l for ``ic_mode``;
 command-line flags override file values.  Exit codes: 0 success, 1 usage
 error, 2 numerical failure.
 """
@@ -14,7 +14,8 @@ import configparser
 import json
 import math
 import sys
-from dataclasses import asdict
+import typing
+from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -38,8 +39,8 @@ from .multipliers import (
     m_ode_residual,
 )
 from .simulation import BlowUpError, SimConfig, run
-from .spectral import GridSpec, WaveVector
-from .threshold import ClassifyCriteria, SweepConfig, sweep
+from .spectral import WaveVector
+from .threshold import SweepConfig, sweep
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -107,20 +108,57 @@ def _build_parser() -> _Parser:
 # config handling
 
 
-_SIM_DEFAULTS = dict(
-    nu=1e-2, nx=16, ny=64, nz=16, ly=32.0, dt=None, t_end=10.0, eps=1e-6, seed=0,
-    ic_kind="single_mode", ic_k=1, ic_j=0, ic_l=1, ic_file=None, sigma=5.0,
-    nonlinear_enabled=True, rk_stages=4, diag_every=10, snapshot_every=0,
-    blowup_cap=1e6, c0=100.0, c1=10.0, mult_window=1000.0,
-)
+# The fields with no dataclass default; every other default is the dataclass's own.
+_CLI_DEFAULTS = dict(nu=1e-2, nx=16, ny=64, nz=16, nu_grid=(1e-2,), eps_min=1e-8, eps_max=1e-2,
+                     eps_points=5)
+_IC_MODE_KEYS = ("ic_k", "ic_j", "ic_l")
+_SECTIONS = {"sim": SimConfig, "sweep": SweepConfig}
+_PARSERS = {  # closed: a field of any other declared type raises KeyError
+    float: float, int: int, str: str,
+    bool: lambda v: configparser.ConfigParser.BOOLEAN_STATES[v.lower()],
+    tuple[float, ...]: lambda v: tuple(float(x) for x in v.replace(",", " ").split()),
+}
 
-_SWEEP_DEFAULTS = dict(
-    nu_grid="1e-2", eps_min=1e-8, eps_max=1e-2, eps_points=5,
-    horizon=None, growth_factor=10.0, norm_name="U_neq_HN_total",
-    bisect=False, bisect_rel_width=0.10,
-)
 
-_DEFAULTS = {"sim": _SIM_DEFAULTS, "sweep": _SWEEP_DEFAULTS}
+def _fields(cls) -> list[tuple[str, object, object]]:
+    """(name, declared type, default) of the fields of a config; a sweep's base is [sim]."""
+    hints = typing.get_type_hints(cls)
+    return [(f.name, hints[f.name], f.default) for f in fields(cls) if f.name != "base"]
+
+
+def _keys(cls) -> set[str]:
+    """Lower-case field names, with the keys of the nested grid and classify configs."""
+    return set().union(*(
+        _keys(tp) if is_dataclass(tp) else set(_IC_MODE_KEYS) if name == "ic_mode" else {name.lower()}
+        for name, tp, _ in _fields(cls)
+    ))
+
+
+def _parse(tp, key: str, value):
+    """An INI string as the type ``tp``; empty, none or auto is None for an optional field."""
+    if not isinstance(value, str):  # a flag or a CLI default
+        return value
+    if type(None) in typing.get_args(tp):
+        if value.strip().lower() in ("", "none", "auto"):
+            return None
+        (tp,) = (a for a in typing.get_args(tp) if a is not type(None))
+    parse = _PARSERS[tp]
+    try:
+        return parse(value)
+    except (KeyError, ValueError) as exc:
+        raise UsageError(f"cannot read {key} = {value!r} as {getattr(tp, '__name__', tp)}") from exc
+
+
+def _build(cls, raw: dict, **given):
+    """``cls`` from the key -> value dict ``raw``; a field that no key sets keeps its default."""
+    for name, tp, default in _fields(cls):
+        if is_dataclass(tp):
+            given[name] = _build(tp, raw)
+        elif name == "ic_mode":
+            given[name] = tuple(_parse(int, k, raw.get(k, d)) for k, d in zip(_IC_MODE_KEYS, default))
+        elif name.lower() in raw:
+            given[name] = _parse(tp, name.lower(), raw[name.lower()])
+    return cls(**given)  # its ValueError on a value out of range is a usage error in main
 
 
 def _read_ini(path: str | None) -> dict[str, dict[str, str]]:
@@ -136,79 +174,21 @@ def _read_ini(path: str | None) -> dict[str, dict[str, str]]:
     except configparser.Error as exc:
         raise UsageError(f"malformed config file {path}: {exc}") from exc
     for name, section in ini.items():
-        if name not in _DEFAULTS:
+        if name not in _SECTIONS:
             raise UsageError(f"unknown section [{name}] in {path}; expected [sim] or [sweep]")
-        unknown = [key for key in section if key not in _DEFAULTS[name]]
+        unknown = sorted(set(section) - _keys(_SECTIONS[name]))
         if unknown:
             raise UsageError(f"unknown [{name}] key: {unknown[0]}")
     return ini
 
 
-def _as_bool(key: str, value) -> bool:
-    """A bool, or an INI boolean: 1/yes/true/on or 0/no/false/off in any case."""
-    states = configparser.ConfigParser.BOOLEAN_STATES
-    if str(value).lower() not in states:
-        raise UsageError(f"{key} must be a boolean such as true or false, got {value!r}")
-    return states[str(value).lower()]
-
-
 def _sim_config(ini: dict, overrides: dict) -> SimConfig:
-    raw = {**_SIM_DEFAULTS, **ini.get("sim", {})}
-    raw.update({k: v for k, v in overrides.items() if v is not None})
-
-    def as_opt_float(v):
-        if v is None or v == "" or str(v).lower() == "none":
-            return None
-        return float(v)
-
-    grid = GridSpec(Nx=int(raw["nx"]), Ny=int(raw["ny"]), Nz=int(raw["nz"]), Ly=float(raw["ly"]))
-    try:
-        return SimConfig(
-            nu=float(raw["nu"]),
-            grid=grid,
-            dt=as_opt_float(raw["dt"]),
-            t_end=float(raw["t_end"]),
-            eps=float(raw["eps"]),
-            seed=int(raw["seed"]),
-            ic_kind=str(raw["ic_kind"]),
-            ic_mode=(int(raw["ic_k"]), int(raw["ic_j"]), int(raw["ic_l"])),
-            ic_file=raw["ic_file"] if raw["ic_file"] else None,
-            sigma=float(raw["sigma"]),
-            nonlinear_enabled=_as_bool("nonlinear_enabled", raw["nonlinear_enabled"]),
-            rk_stages=int(raw["rk_stages"]),
-            diag_every=int(raw["diag_every"]),
-            snapshot_every=int(raw["snapshot_every"]),
-            blowup_cap=float(raw["blowup_cap"]),
-            C0=float(raw["c0"]),
-            C1=float(raw["c1"]),
-            mult_window=float(raw["mult_window"]),
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    flags = {k: v for k, v in overrides.items() if v is not None}
+    return _build(SimConfig, {**_CLI_DEFAULTS, **ini.get("sim", {}), **flags})
 
 
 def _sweep_config(ini: dict, base: SimConfig) -> SweepConfig:
-    raw = {**_SWEEP_DEFAULTS, **ini.get("sweep", {})}
-    nu_grid = tuple(float(v) for v in str(raw["nu_grid"]).replace(",", " ").split())
-    horizon = raw["horizon"]
-    horizon = None if horizon in (None, "", "none", "auto") else float(horizon)
-    try:
-        return SweepConfig(
-            nu_grid=nu_grid,
-            eps_min=float(raw["eps_min"]),
-            eps_max=float(raw["eps_max"]),
-            eps_points=int(raw["eps_points"]),
-            base=base,
-            classify=ClassifyCriteria(
-                horizon=horizon,
-                growth_factor=float(raw["growth_factor"]),
-                norm_name=str(raw["norm_name"]),
-            ),
-            bisect=_as_bool("bisect", raw["bisect"]),
-            bisect_rel_width=float(raw["bisect_rel_width"]),
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return _build(SweepConfig, {**_CLI_DEFAULTS, **ini.get("sweep", {})}, base=base)
 
 
 def _parse_modes(args) -> tuple[list[WaveVector], np.ndarray]:
@@ -347,10 +327,10 @@ def cmd_simulate(args) -> int:
         overrides["nonlinear_enabled"] = False
     cfg = _sim_config(ini, overrides)
 
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     manifest = reporting.Manifest({"command": "simulate", **asdict(cfg)})
     result = run(cfg)
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
     manifest.add(reporting.write_energy_csv(outdir / "energy.csv", result.reports))
     for i, (t, U) in enumerate(result.snapshots):
         manifest.add(reporting.write_snapshot_csv(outdir / f"snapshot_{i:05d}.csv", U, cfg.nu))
@@ -367,7 +347,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     ini = _read_ini(args.config)
-    base = _sim_config(ini, {"seed": args.seed} if args.seed is not None else {})
+    base = _sim_config(ini, {"seed": args.seed})
     scfg = _sweep_config(ini, base)
     outdir = Path(args.out)
     manifest = reporting.Manifest({"command": "sweep", **asdict(scfg)})
@@ -400,14 +380,11 @@ def main(argv=None) -> int:
             "sweep": cmd_sweep,
         }[args.command]
         return handler(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (BlowUpError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (UsageError, ValueError) as exc:  # a config or input file that the package refuses
+        print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -24,6 +24,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -121,8 +122,17 @@ class SimConfig:
             raise ValueError(f"rk_stages must be 2 or 4, got {self.rk_stages}")
         if self.ic_kind not in ("single_mode", "random_band", "file"):
             raise ValueError(f"unknown ic_kind {self.ic_kind!r}")
-        if self.diag_every < 1:
-            raise ValueError("diag_every must be at least 1")
+        for name, least in (("diag_every", 1), ("seed", 0), ("snapshot_every", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
+        cut = self.grid.dealias_cutoffs
+        if self.ic_kind == "single_mode" and not (
+            any(self.ic_mode) and all(abs(i) <= c for i, c in zip(self.ic_mode, cut))
+        ):
+            raise ValueError(f"ic_mode {self.ic_mode} must be a mode other than the mean mode "
+                             f"inside the dealiased band |k|, |j|, |l| <= {cut}")
+        if self.ic_kind == "file" and not (self.ic_file and Path(self.ic_file).is_file()):
+            raise ValueError(f"ic_kind = file needs an existing ic_file, got {self.ic_file!r}")
 
     @property
     def N(self) -> float:
@@ -433,8 +443,6 @@ def initial_condition(cfg: SimConfig) -> VelocityField:
     """Build the configured divergence-free, mean-free initial state."""
     grid = cfg.grid
     if cfg.ic_kind == "file":
-        if not cfg.ic_file:
-            raise ValueError("ic_kind='file' requires ic_file")
         from .reporting import read_snapshot_csv
 
         U = read_snapshot_csv(cfg.ic_file)
@@ -448,12 +456,7 @@ def initial_condition(cfg: SimConfig) -> VelocityField:
         c = _random_band(grid, cfg.seed)
     else:  # single_mode
         c = np.zeros((3,) + grid.shape, dtype=np.complex128)
-        k0, j0, l0 = cfg.ic_mode
-        if (k0, j0, l0) == (0, 0, 0):
-            raise ValueError("single_mode initial condition cannot sit on the mean mode")
-        cx, cy, cz = grid.dealias_cutoffs
-        if abs(k0) > cx or abs(j0) > cy or abs(l0) > cz:
-            raise ValueError(f"ic_mode {cfg.ic_mode} lies outside the dealiased band")
+        k0, j0, l0 = cfg.ic_mode  # checked by SimConfig: not the mean mode, inside the band
         idx = (k0 % grid.Nx, resolve_eta_index(grid, j0), l0 % grid.Nz)
         if k0 == 0:
             # purely x-averaged seed: feed the streamwise component, which is

@@ -135,7 +135,9 @@ def _cell_seed(base_seed: int, i_nu: int, i_eps: int) -> int:
 
 def _run_cell(cfg: SweepConfig, nu: float, eps: float, seed: int) -> CellResult:
     horizon = cfg.classify.horizon if cfg.classify.horizon is not None else default_horizon(nu)
-    sim_cfg = replace(cfg.base, nu=nu, eps=eps, t_end=horizon, seed=seed, nonlinear_enabled=True)
+    # a cell writes no snapshot, so it keeps none in memory either
+    sim_cfg = replace(cfg.base, nu=nu, eps=eps, t_end=horizon, seed=seed, nonlinear_enabled=True,
+                      snapshot_every=0)
     result = run(sim_cfg)
     outcome = classify_run(result, cfg.classify)
     ts, series = result.norm_series(cfg.classify.norm_name)

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and its file formats."""
 
+import configparser
 import json
 import math
 from pathlib import Path
@@ -46,6 +47,16 @@ def sweep_ini(tmp_path):
         "nu_grid = 2e-2 1e-2\neps_min = 1e-7\neps_max = 1e-6\neps_points = 2\n"
         "horizon = 2.0\ngrowth_factor = 10.0\n"
     )
+    return path
+
+
+def with_keys(path, section, **kv):
+    """The INI file at path with keys of one section set, replacing what it held."""
+    cp = configparser.ConfigParser()
+    cp.read(path)
+    cp[section].update({k: str(v) for k, v in kv.items()})
+    with open(path, "w") as fh:
+        cp.write(fh)
     return path
 
 
@@ -108,7 +119,7 @@ class TestUsageErrors:
             "--t-end=nan", "--t-end=inf", "--dt=inf", "--dt=nan", "--eps=nan", "--eps=inf",
             "--ly=nan", "sigma=nan", "sigma=inf", "blowup_cap=nan", "blowup_cap=inf",
             "blowup_cap=0", "c0=nan", "c0=inf", "c1=nan", "c1=-1", "mult_window=nan",
-            "mult_window=inf",
+            "mult_window=inf", "--snapshots=-3", "--seed=-1",
         ],
     )
     def test_nonfinite_or_out_of_range_sim_value_rejected(self, tmp_path, setting):
@@ -160,6 +171,123 @@ class TestUsageErrors:
         assert not out.exists()
         # the same command without the flag runs
         assert main(argv + ["--out", str(tmp_path / "ok")]) == EXIT_OK
+
+
+class TestConfigRejectedBeforeAnyWork:
+    """A config that SimConfig refuses exits 1, creates no --out and runs no sweep cell."""
+
+    @pytest.mark.parametrize(
+        "sim, flags",
+        [
+            (dict(ic_kind="random_band"), ["--seed", "-1"]),
+            (dict(snapshot_every=-3), []),
+            (dict(ic_k=5), []),
+            (dict(ic_k=0, ic_j=0, ic_l=0), []),
+            (dict(ic_kind="file", ic_file="missing.csv"), []),
+            (dict(ic_kind="file"), []),
+        ],
+        ids=["negative-seed", "negative-snapshot-every", "ic-mode-outside-band", "ic-mode-mean",
+             "missing-ic-file", "no-ic-file"],
+    )
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_rejected(self, tmp_path, monkeypatch, capsys, command, sim, flags):
+        from rotcouette import threshold
+
+        calls = []
+        monkeypatch.setattr(threshold, "_run_cell", lambda *a: calls.append(a))
+        cfg = sim_ini(tmp_path) if command == "simulate" else sweep_ini(tmp_path)
+        with_keys(cfg, "sim", **sim)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)] + flags) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("usage error: ")
+        assert calls == [] and not out.exists()
+
+    def test_snapshot_that_initial_condition_refuses(self, tmp_path):
+        from rotcouette.reporting import write_snapshot_csv
+        from rotcouette.simulation import VelocityField
+        from rotcouette.spectral import GridSpec
+
+        other = GridSpec(8, 16, 8, Ly=16.0)  # sim_ini has Ly = 32
+        U = VelocityField(other, np.zeros((3,) + other.shape, complex))
+        ic = write_snapshot_csv(tmp_path / "ic.csv", U, 1e-2)
+        cfg = sim_ini(tmp_path, ic_kind="file", ic_file=ic)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+
+
+class TestConfigSchema:
+    """The INI keys, defaults and parsers come from the config dataclasses."""
+
+    SIM = dict(
+        nu="2e-2", nx="8", ny="16", nz="8", ly="16.0", dt="0.05", t_end="2.0", eps="1e-3",
+        seed="4", ic_kind="file", ic_k="2", ic_j="-1", ic_l="2", sigma="6.0",
+        nonlinear_enabled="no", rk_stages="2", diag_every="3", snapshot_every="7",
+        blowup_cap="1e3", c0="50.0", c1="5.0", mult_window="100.0",
+    )
+    SWEEP = dict(
+        nu_grid="2e-2, 1e-2", eps_min="1e-6", eps_max="1e-3", eps_points="3", horizon="4.0",
+        growth_factor="5.0", norm_name="Q0_2_HN", bisect="YES", bisect_rel_width="0.2",
+    )
+
+    def test_empty_config_is_the_dataclass_defaults(self):
+        from rotcouette.cli import _sim_config, _sweep_config
+        from rotcouette.simulation import SimConfig
+        from rotcouette.spectral import GridSpec
+        from rotcouette.threshold import SweepConfig
+
+        base = _sim_config({}, {})
+        assert base == SimConfig(nu=1e-2, grid=GridSpec(16, 64, 16))
+        want = SweepConfig(nu_grid=(1e-2,), eps_min=1e-8, eps_max=1e-2, eps_points=5, base=base)
+        assert _sweep_config({}, base) == want
+
+    def test_every_key_reaches_its_field(self, tmp_path):
+        from dataclasses import fields
+
+        from rotcouette.cli import _keys, _read_ini, _sim_config, _sweep_config
+        from rotcouette.simulation import SimConfig
+        from rotcouette.threshold import SweepConfig
+
+        assert set(self.SIM) | {"ic_file"} == _keys(SimConfig)
+        assert set(self.SWEEP) == _keys(SweepConfig)
+        ic = tmp_path / "ic.csv"
+        ic.write_text("")  # SimConfig checks that the file exists; nothing reads it here
+        path = tmp_path / "all.ini"
+        path.write_text("".join(
+            f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+            for name, keys in (("sim", {**self.SIM, "ic_file": ic}), ("sweep", self.SWEEP))
+        ))
+        ini = _read_ini(str(path))
+        base0, base = _sim_config({}, {}), _sim_config(ini, {})
+        scfg0, scfg = _sweep_config({}, base0), _sweep_config(ini, base)
+        for new, old in ((base, base0), (base.grid, base0.grid), (scfg, scfg0),
+                         (scfg.classify, scfg0.classify)):
+            for f in fields(new):
+                assert getattr(new, f.name) != getattr(old, f.name), f.name
+        assert base.ic_mode == (2, -1, 2) and scfg.nu_grid == (2e-2, 1e-2) and scfg.bisect
+
+    @pytest.mark.parametrize("spelling", ["", "none", "None", "AUTO", "auto"])
+    @pytest.mark.parametrize("section, key", [("sim", "dt"), ("sim", "ic_file"), ("sweep", "horizon")])
+    def test_optional_value_is_none(self, spelling, section, key):
+        from rotcouette.cli import _sim_config, _sweep_config
+
+        ini = {section: {key: spelling}}
+        base = _sim_config(ini if section == "sim" else {}, {})
+        cfg = base if section == "sim" else _sweep_config(ini, base).classify
+        assert getattr(cfg, key) is None
+
+    def test_unsupported_annotation_raises(self):
+        from rotcouette.cli import _parse
+
+        with pytest.raises(KeyError):
+            _parse(complex, "z", "1j")
+
+    def test_unreadable_value_is_a_usage_error(self, tmp_path, capsys):
+        cfg = with_keys(sweep_ini(tmp_path), "sweep", eps_points="2.5")
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert "usage error: cannot read eps_points = '2.5' as int" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def snapshot_state(name):
@@ -429,6 +557,23 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
         assert calls == [] and not out.exists()
 
+    def test_cells_keep_no_snapshots(self, tmp_path, monkeypatch):
+        from rotcouette import threshold
+
+        seen = []
+
+        def spy(cfg):
+            seen.append((cfg.snapshot_every, cfg.nonlinear_enabled))
+            return real_run(cfg)
+
+        real_run = threshold.run
+        monkeypatch.setattr(threshold, "run", spy)
+        cfg = with_keys(sweep_ini(tmp_path), "sim", snapshot_every=1, nonlinear_enabled="false")
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert seen == [(0, True)] * 4
+        assert json.loads((out / "manifest.json").read_text())["config"]["base"]["snapshot_every"] == 1
+
     def test_seed_and_threads_flags(self, tmp_path):
         cfg = sweep_ini(tmp_path)
         out = tmp_path / "out"
@@ -482,6 +627,7 @@ class TestSweepCommand:
 class TestReadmeExample:
     def test_example_config_runs(self, tmp_path, monkeypatch):
         from rotcouette import threshold
+        from rotcouette.reporting import config_hash
 
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         blocks = readme.split("```ini\n")
@@ -490,6 +636,10 @@ class TestReadmeExample:
         cfg.write_text(blocks[1].split("```")[0])
         argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim"), "--t-end", "0.05"]
         assert main(argv) == EXIT_OK
+        # config hashes are pinned: a change breaks --resume and must be deliberate
+        config = json.loads((tmp_path / "sim" / "manifest.json").read_text())["config"]
+        assert config["t_end"] == 0.05
+        assert config_hash({**config, "t_end": 10.0}) == "a40ff57df5c638c9"
 
         cells = []
 
@@ -500,3 +650,5 @@ class TestReadmeExample:
         monkeypatch.setattr(threshold, "_run_cell", fake_cell)
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep")]) == EXIT_OK
         assert cells  # every cell ran through the stub
+        manifest = json.loads((tmp_path / "sweep" / "manifest.json").read_text())
+        assert manifest["config_hash"] == "7a9d9753166663bf"

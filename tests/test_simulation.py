@@ -561,14 +561,12 @@ class TestInitialConditions:
         assert _random_band(grid, seed).tobytes() == random_band_loop(grid, seed).tobytes()
 
     def test_rejects_mean_mode(self):
-        cfg = SimConfig(nu=1e-2, grid=GRID, ic_mode=(0, 0, 0))
-        with pytest.raises(ValueError):
-            initial_condition(cfg)
+        with pytest.raises(ValueError, match="mean mode"):
+            SimConfig(nu=1e-2, grid=GRID, ic_mode=(0, 0, 0))
 
     def test_rejects_outside_band(self):
-        cfg = SimConfig(nu=1e-2, grid=GRID, ic_mode=(7, 0, 0))
-        with pytest.raises(ValueError):
-            initial_condition(cfg)
+        with pytest.raises(ValueError, match="dealiased band"):
+            SimConfig(nu=1e-2, grid=GRID, ic_mode=(7, 0, 0))
 
     def test_file_rejects_mode_outside_band(self, tmp_path):
         from rotcouette.reporting import write_snapshot_csv
