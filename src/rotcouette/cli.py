@@ -366,6 +366,10 @@ def cmd_sweep(args) -> int:
     manifest.add(reporting.write_summary_csv(outdir / "summary.csv", result))
     manifest.add(reporting.write_gamma_json(outdir / "gamma.json", result))
     manifest.write(outdir)
+    if all(c.status.startswith("error:") for c in result.cells):
+        print(f"every one of the {len(result.cells)} sweep cells failed; "
+              f"see the status column of {outdir / 'cells.csv'}", file=sys.stderr)
+        return EXIT_NUMERICAL
     return EXIT_OK
 
 

@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from . import _kernels
-from .simulation import SimConfig, VelocityField, _waves, divergence_defect, frame_symbols
-from .spectral import SpectralField
+from .simulation import SimConfig, VelocityField, _box, _divergence_max, _waves, frame_symbols
+from .spectral import GridSpec, SpectralField
 
 __all__ = [
     "EnergyReport",
@@ -181,14 +182,28 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i->", a.ravel(), b.ravel()))
 
 
+@lru_cache(maxsize=16)
+def _box_sobolev_weights(grid: GridSpec, s: float) -> np.ndarray:
+    """(1 + k^2 + eta^2 + l^2)^s over the retained box (cached, read-only)."""
+    wv = _waves(grid, True)
+    out = (1.0 + wv.k2 + wv.eta * wv.eta + wv.l2) ** s
+    out.flags.writeable = False
+    return out
+
+
 def bootstrap_report(U: VelocityField, t: float, cfg: SimConfig, acc: Accumulators) -> EnergyReport:
     """Evaluate every tracked norm at time t and update the time integrals.
 
+    U must be the expansion of its retained box, as every state of ``step``
+    and ``initial_condition`` is: zero off the box, each l < 0 mode the
+    conjugate of its l > 0 reflection.  The ledger reads the box alone.
     Every norm is a weighted sum of one power spectrum P_i = |c_i|^2, since
-    |K1|^2 = |k,l|^2 w P1, |K2|^2 = k^2 w P2 and |Q_i|^2 = w^2 P_i.  M^2 and
-    -Mdot/M have no l, so each k != 0 family (K1, K2, m Q3) takes one
-    product with the Sobolev weight, one sum over l and dot products over
-    (k, eta); the x-averaged norms are taken on the k = 0 plane alone.
+    |K1|^2 = |k,l|^2 w P1, |K2|^2 = k^2 w P2 and |Q_i|^2 = w^2 P_i; an
+    l > 0 mode counts twice, for itself and its reflection, whose weights
+    are equal, and the l = 0 plane, stored whole, once.  M^2 and -Mdot/M
+    have no l, so each k != 0 family (K1, K2, m Q3) takes one product with
+    the Sobolev weight, one sum over l and dot products over (k, eta); the
+    x-averaged norms are taken on the k = 0 plane alone.
 
     Each flag of ``_BOUNDS`` compares its running max plus its running
     integrals with its bound for the configured constants; a raised flag
@@ -197,20 +212,22 @@ def bootstrap_report(U: VelocityField, t: float, cfg: SimConfig, acc: Accumulato
     """
     grid = U.grid
     N = cfg.N
-    _, _, _, w = frame_symbols(grid, t)
+    sym = frame_symbols(grid, t, box=True)
+    w = sym[3]
     w[0, 0, 0] = 0.0  # not the unit-safe 1: grad_U0 must not count the mean mode
-    hsN = grid.sobolev_weights(N)
-    hsNm1 = grid.sobolev_weights(N - 1.0)
-    c = U.coeffs
-    P = c.real**2 + c.imag**2
+    hsN = _box_sobolev_weights(grid, N)
+    hsNm1 = _box_sobolev_weights(grid, N - 1.0)
+    box = _box(U)
+    P = box.real**2 + box.imag**2
+    P[..., 1:] *= 2.0
 
     def norm(total: float) -> float:
         return math.sqrt(total * grid.cell_measure)
 
     norms: dict[str, float] = {}
 
-    # k != 0: rows 1.. of the coefficient layout
-    wv = _waves(grid, False)
+    # k != 0: rows 1.. of the box
+    wv = _waves(grid, True)
     k = wv.k[1:]
     M2 = _kernels.M_values(t, k, wv.eta, wv.l, cfg.nu)[..., 0] ** 2
     dmm = _kernels.neg_MdotM_values(t, k, wv.eta, wv.l, cfg.nu)[..., 0]
@@ -257,7 +274,7 @@ def bootstrap_report(U: VelocityField, t: float, cfg: SimConfig, acc: Accumulato
         for name, weight in weights0.items():
             norms[name.format(i)] = norm(_dot(weight, p[0]))
 
-    norms["div_defect"] = divergence_defect(U, t)
+    norms["div_defect"] = _divergence_max(box, sym)
 
     norms.update(acc.update(t, {c: norms[c[4:]] for c in ACCUMULATED_COLUMNS}))
     acc.note_max({x: norms[x] for x, *_ in _BOUNDS.values()})

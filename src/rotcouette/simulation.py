@@ -271,14 +271,22 @@ def leray_project_L(U: VelocityField, t: float) -> VelocityField:
     return VelocityField(U.grid, out, t)
 
 
+def _divergence_max(c: np.ndarray, sym) -> float:
+    """Max per-mode |k c1 + (eta - k t) c2 + l c3| of a stacked array, either layout.
+
+    At a conjugate reflection the sum is minus the conjugate, bit for bit, so
+    the box of a real field has the maximum of its full layout.
+    """
+    k, etal, l, _ = sym
+    return float(np.max(np.abs(k * c[0] + etal * c[1] + l * c[2])))
+
+
 def divergence_defect(U: VelocityField, t: float | None = None) -> float:
     """Max per-mode |i k u1 + i (eta - k t) u2 + i l u3| (frame divergence).
 
     The frame time t defaults to the time tag of U.
     """
-    kk, etal, ll, _ = frame_symbols(U.grid, U.time if t is None else t)
-    c = U.coeffs
-    return float(np.max(np.abs(kk * c[0] + etal * c[1] + ll * c[2])))
+    return _divergence_max(U.coeffs, frame_symbols(U.grid, U.time if t is None else t))
 
 
 def nonlinear_rhs(U: VelocityField, t: float) -> VelocityField:
@@ -450,6 +458,11 @@ def initial_condition(cfg: SimConfig) -> VelocityField:
             raise ValueError("snapshot grid does not match the configured grid")
         if np.any(U.coeffs[:, ~grid.dealias_mask]):
             raise ValueError("snapshot holds modes outside the dealiased band")
+        # a step reads only the l >= 0 box, so the l < 0 half must be its reflection
+        mirror = U.coeffs.reshape(3, -1)[:, _waves(grid, True).mirror]
+        if not np.array_equal(mirror, np.conjugate(_box(U)[..., 1:])):
+            raise ValueError("snapshot is not a real field: an l < 0 mode is not the conjugate "
+                             "of its l > 0 reflection")
         return U
 
     if cfg.ic_kind == "random_band":

@@ -75,6 +75,9 @@ class SweepConfig:
             raise ValueError("need 0 < eps_min <= eps_max < inf")
         if self.eps_points < 1:
             raise ValueError("eps_points must be at least 1")
+        if self.base.ic_kind == "file":
+            raise ValueError("a sweep cannot start from ic_kind = file: the snapshot is not "
+                             "rescaled by eps, so every cell of a nu would run the same state")
         if not self.bisect_rel_width > 0:
             # the bisection stops only once the bracket is narrower than this
             raise ValueError(f"bisect_rel_width must be positive, got {self.bisect_rel_width}")

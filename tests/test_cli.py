@@ -215,6 +215,40 @@ class TestConfigRejectedBeforeAnyWork:
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
         assert not out.exists()
 
+    def test_snapshot_that_is_not_a_real_field(self, tmp_path, capsys):
+        from rotcouette.reporting import write_snapshot_csv
+        from rotcouette.simulation import _full
+        from rotcouette.spectral import GridSpec
+
+        grid = GridSpec(8, 16, 8, Ly=32.0)  # the grid of sim_ini
+        box = np.zeros((3, 5, 11, 3), complex)
+        box[0, 1, 2, 1] = 1e-4
+        U = _full(grid, box, 0.0)
+        U.coeffs[0, -1, -2, -1] *= 1.5  # its l = -1 reflection, no longer the conjugate
+        ic = write_snapshot_csv(tmp_path / "ic.csv", U, 1e-2)
+        cfg = sim_ini(tmp_path, ic_kind="file", ic_file=ic)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert "not a real field" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_refuses_file_initial_condition(self, tmp_path, monkeypatch, capsys):
+        from rotcouette import threshold
+        from rotcouette.reporting import write_snapshot_csv
+        from rotcouette.simulation import VelocityField
+        from rotcouette.spectral import GridSpec
+
+        calls = []
+        monkeypatch.setattr(threshold, "_run_cell", lambda *a: calls.append(a))
+        grid = GridSpec(8, 16, 8, Ly=32.0)  # the grid of sweep_ini: a snapshot simulate accepts
+        U = VelocityField(grid, np.zeros((3,) + grid.shape, complex))
+        ic = write_snapshot_csv(tmp_path / "ic.csv", U, 1e-2)
+        cfg = with_keys(sweep_ini(tmp_path), "sim", ic_kind="file", ic_file=ic)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert "ic_kind = file" in capsys.readouterr().err
+        assert calls == [] and not out.exists()
+
 
 class TestConfigSchema:
     """The INI keys, defaults and parsers come from the config dataclasses."""
@@ -242,7 +276,7 @@ class TestConfigSchema:
         assert _sweep_config({}, base) == want
 
     def test_every_key_reaches_its_field(self, tmp_path):
-        from dataclasses import fields
+        from dataclasses import fields, replace
 
         from rotcouette.cli import _keys, _read_ini, _sim_config, _sweep_config
         from rotcouette.simulation import SimConfig
@@ -259,7 +293,9 @@ class TestConfigSchema:
         ))
         ini = _read_ini(str(path))
         base0, base = _sim_config({}, {}), _sim_config(ini, {})
-        scfg0, scfg = _sweep_config({}, base0), _sweep_config(ini, base)
+        # a sweep refuses a file initial condition, so it gets the one SimConfig field changed
+        scfg0 = _sweep_config({}, base0)
+        scfg = _sweep_config(ini, replace(base, ic_kind="random_band"))
         for new, old in ((base, base0), (base.grid, base0.grid), (scfg, scfg0),
                          (scfg.classify, scfg0.classify)):
             for f in fields(new):
@@ -580,6 +616,35 @@ class TestSweepCommand:
         argv = ["sweep", "--config", str(cfg), "--out", str(out), "--seed", "5", "--threads", "1"]
         assert main(argv) == EXIT_OK
         assert json.loads((out / "manifest.json").read_text())["config"]["base"]["seed"] == 5
+
+    @pytest.mark.parametrize("good", [0, 1])
+    def test_exit_code_when_every_cell_fails(self, tmp_path, monkeypatch, capsys, good):
+        from rotcouette import threshold
+
+        real_cell = threshold._run_cell
+        calls = []
+
+        def cell(*a):
+            calls.append(a)
+            if len(calls) > good:
+                raise RuntimeError("boom")
+            return real_cell(*a)
+
+        monkeypatch.setattr(threshold, "_run_cell", cell)
+        cfg = sweep_ini(tmp_path)
+        out = tmp_path / "out"
+        argv = ["sweep", "--config", str(cfg), "--out", str(out)]
+        assert main(argv) == (EXIT_OK if good else EXIT_NUMERICAL)
+        for name in ("cells.csv", "summary.csv", "gamma.json", "manifest.json"):
+            assert (out / name).exists(), name
+        assert len(calls) == 4
+        status = read_csv(out / "cells.csv")["status"]
+        assert sum(s == "error: boom" for s in status) == 4 - good
+        if not good:
+            assert "every one of the 4 sweep cells failed" in capsys.readouterr().err
+            # resumed error cells count too: nothing reruns and the exit code stays
+            assert main(argv + ["--resume"]) == EXIT_NUMERICAL
+            assert len(calls) == 4
 
     def test_resume_reproduces_identical_csv(self, tmp_path):
         cfg = sweep_ini(tmp_path)

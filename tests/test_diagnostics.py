@@ -15,8 +15,8 @@ from rotcouette.diagnostics import (
     dissipation_scaling_fits,
 )
 from rotcouette.multipliers import MultiplierParams, M_closed, m_exact, neg_MdotM
-from rotcouette.reporting import energy_columns
-from rotcouette.simulation import SimConfig, VelocityField, initial_condition, run, step
+from rotcouette.reporting import energy_columns, write_snapshot_csv
+from rotcouette.simulation import SimConfig, VelocityField, _full, initial_condition, run, step
 from rotcouette.spectral import GridSpec, WaveVector
 
 from oracles import reference_bootstrap_report, slow_weighted_norm, wave_numbers
@@ -118,14 +118,9 @@ class TestBootstrapReport:
         assert not any(rep.flags.values())
 
     def test_slow_path_agreement(self):
-        rng = np.random.default_rng(72)
         small = GridSpec(4, 8, 4, Ly=32.0)
-        arrs = np.array([
-            rng.standard_normal(small.shape) + 1j * rng.standard_normal(small.shape)
-            for _ in range(3)
-        ])
-        arrs[:, 0, 0, 0] = 0.0
-        U = VelocityField(small, arrs, 0.8)
+        U = _full(small, _random_box(small, 72), 0.8)
+        U.coeffs[:, 0, 0, 0] = 0.0
         cfg = SimConfig(nu=3e-2, grid=small, eps=1e-4)
         rep = bootstrap_report(U, 0.8, cfg, Accumulators())
         p = MultiplierParams(nu=cfg.nu, window=cfg.mult_window)
@@ -162,7 +157,7 @@ class TestBootstrapReport:
         def weight_zero(k, eta, l):
             return 1.0 if k == 0 else 0.0
 
-        want = slow_weighted_norm(small, arrs[1], N - 1.0, weight_zero)
+        want = slow_weighted_norm(small, U.coeffs[1], N - 1.0, weight_zero)
         assert rep.norms["U0_2_HNm1"] == pytest.approx(want, rel=1e-10)
 
     def test_weighted_pair_norm_monotone_in_linear_run(self):
@@ -189,11 +184,8 @@ class TestBootstrapReport:
             assert all(a <= b + 1e-15 for a, b in zip(vals, vals[1:]))
 
     def test_flags_fire_on_oversized_state(self):
-        rng = np.random.default_rng(73)
-        U = VelocityField(GRID, np.array([
-            1e3 * (rng.standard_normal(GRID.shape) + 1j * rng.standard_normal(GRID.shape))
-            for _ in range(3)
-        ]))
+        U = _random_field(GRID, 73)
+        U.coeffs *= 1e3
         cfg = self.cfg(eps=1e-8)
         rep = bootstrap_report(U, 0.0, cfg, Accumulators())
         assert all(rep.flags.values())
@@ -240,12 +232,35 @@ class TestBootstrapReport:
             assert not rows(eps_star * (1.0 + 1e-6))[-1].flags[flag], flag
 
 
-def _random_field(grid, seed):
+def _random_box(grid, seed):
+    """Gaussian coefficients on the retained box, (3, 2cx+1, 2cy+1, cz+1)."""
     rng = np.random.default_rng(seed)
-    return VelocityField(grid, np.array([
-        rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-        for _ in range(3)
-    ]))
+    cx, cy, cz = grid.dealias_cutoffs
+    shape = (3, 2 * cx + 1, 2 * cy + 1, cz + 1)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _random_field(grid, seed):
+    """A random box expanded by conjugate reflection: the ledger's contract."""
+    return _full(grid, _random_box(grid, seed), 0.0)
+
+
+def _l0_plane_field(grid, seed):
+    """Only the l = 0 plane, which is not self-conjugate: it counts once."""
+    b = _random_box(grid, seed)
+    b[..., 1:] = 0.0
+    U = _full(grid, b, 0.0)
+    plane = U.coeffs[:, :, :, 0]
+    flip = np.conj(plane[:, (-np.arange(grid.Nx)) % grid.Nx][:, :, (-np.arange(grid.Ny)) % grid.Ny])
+    assert not np.allclose(plane, flip)
+    return U
+
+
+def _initial(**kw):
+    def make(grid, seed):
+        return initial_condition(SimConfig(nu=3e-2, grid=grid, eps=1e-3, seed=seed, **kw))
+
+    return make
 
 
 def _zero_plane_field(grid, seed):
@@ -262,6 +277,19 @@ def _stepped_field(grid, seed):
     return U
 
 
+def _assert_matches_reference(U):
+    cfg = SimConfig(nu=3e-2, grid=U.grid, eps=1e-4)
+    acc, ref_acc = Accumulators(), Accumulators()
+    for t in (0.0, 0.8, 5.5):
+        rep = bootstrap_report(U, t, cfg, acc)
+        ref = reference_bootstrap_report(U, t, cfg, ref_acc)
+        assert rep.t == ref.t
+        assert rep.norms.keys() == ref.norms.keys()
+        for name, want in ref.norms.items():
+            assert rep.norms[name] == pytest.approx(want, rel=1e-12, abs=0.0), name
+        assert rep.flags == ref.flags
+
+
 class TestReportMatchesReference:
     """The one-pass ledger against the thirty-pass report it replaced."""
 
@@ -273,21 +301,24 @@ class TestReportMatchesReference:
             (_zero_plane_field, GridSpec(8, 16, 8, Ly=32.0)),
             (lambda grid, seed: zero_state(grid), GridSpec(8, 16, 8, Ly=32.0)),
             (_stepped_field, GridSpec(16, 64, 16, Ly=8.0)),
+            (_random_field, GridSpec(6, 24, 10, Ly=16.0)),
+            (_l0_plane_field, GridSpec(8, 16, 8, Ly=32.0)),
+            (_initial(ic_mode=(1, 2, 1)), GridSpec(8, 16, 8, Ly=32.0)),
+            (_initial(ic_mode=(0, 2, 1)), GridSpec(8, 16, 8, Ly=32.0)),
+            (_initial(ic_kind="random_band"), GridSpec(6, 24, 10, Ly=16.0)),
         ],
-        ids=["random-4x8x4", "random-8x16x8", "zero-plane", "zero", "stepped-16x64x16"],
+        ids=["random-4x8x4", "random-8x16x8", "zero-plane", "zero", "stepped-16x64x16",
+             "random-6x24x10", "l0-plane-not-self-conjugate", "single-mode", "single-mode-k0",
+             "random-band-6x24x10"],
     )
     def test_norms_and_flags(self, make, grid):
-        U = make(grid, 74)
-        cfg = SimConfig(nu=3e-2, grid=grid, eps=1e-4)
-        acc, ref_acc = Accumulators(), Accumulators()
-        for t in (0.0, 0.8, 5.5):
-            rep = bootstrap_report(U, t, cfg, acc)
-            ref = reference_bootstrap_report(U, t, cfg, ref_acc)
-            assert rep.t == ref.t
-            assert rep.norms.keys() == ref.norms.keys()
-            for name, want in ref.norms.items():
-                assert rep.norms[name] == pytest.approx(want, rel=1e-12, abs=0.0), name
-            assert rep.flags == ref.flags
+        _assert_matches_reference(make(grid, 74))
+
+    def test_file_initial_condition(self, tmp_path):
+        grid = GridSpec(8, 16, 8, Ly=32.0)
+        path = write_snapshot_csv(tmp_path / "ic.csv", _stepped_field(grid, 74), 3e-2)
+        U = initial_condition(SimConfig(nu=3e-2, grid=grid, ic_kind="file", ic_file=str(path)))
+        _assert_matches_reference(U)
 
     def test_energy_columns_unchanged(self):
         ref = reference_bootstrap_report(

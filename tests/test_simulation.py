@@ -581,6 +581,24 @@ class TestInitialConditions:
         with pytest.raises(ValueError, match="outside the dealiased band"):
             initial_condition(cfg)
 
+    def test_file_rejects_snapshot_that_is_not_a_real_field(self, tmp_path):
+        from rotcouette.reporting import write_snapshot_csv
+
+        U = random_velocity(GRID, np.random.default_rng(75))
+        path = write_snapshot_csv(tmp_path / "ic.csv", U, 1e-2)
+        cfg = SimConfig(nu=1e-2, grid=GRID, ic_kind="file", ic_file=str(path))
+        assert initial_condition(cfg).coeffs.tobytes() == U.coeffs.tobytes()
+        # move u1_re of the first l < 0 row by 1e-3
+        lines = path.read_text().splitlines(keepends=True)
+        rows = [i for i, line in enumerate(lines) if not line.startswith(("#", "k,"))]
+        i = next(i for i in rows if int(lines[i].split(",")[2]) < 0)
+        row = lines[i].split(",")
+        row[4] = repr(float(row[4]) + 1e-3)
+        lines[i] = ",".join(row)
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match="not a real field"):
+            initial_condition(cfg)
+
 
 class TestRun:
     def test_zero_amplitude(self):
