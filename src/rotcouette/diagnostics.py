@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from .simulation import SimConfig, VelocityField, _box, _divergence_max, _waves, frame_symbols
+from .simulation import SimConfig, VelocityField, _divergence_max, _waves, frame_symbols
 from .spectral import GridSpec, SpectralField
 
 __all__ = [
@@ -191,14 +191,15 @@ def _box_sobolev_weights(grid: GridSpec, s: float) -> np.ndarray:
     return out
 
 
-def bootstrap_report(U: VelocityField, t: float, cfg: SimConfig, acc: Accumulators) -> EnergyReport:
+def bootstrap_report(box: np.ndarray, t: float, cfg: SimConfig, acc: Accumulators) -> EnergyReport:
     """Evaluate every tracked norm at time t and update the time integrals.
 
-    U must be the expansion of its retained box, as every state of ``step``
-    and ``initial_condition`` is: zero off the box, each l < 0 mode the
-    conjugate of its l > 0 reflection.  The ledger reads the box alone.
-    Every norm is a weighted sum of one power spectrum P_i = |c_i|^2, since
-    |K1|^2 = |k,l|^2 w P1, |K2|^2 = k^2 w P2 and |Q_i|^2 = w^2 P_i; an
+    ``box`` is the retained (3, 2cx+1, 2cy+1, cz+1) box of ``cfg.grid`` that
+    ``step`` carries (``simulation._box`` of a field): the velocity is its
+    expansion, zero off the box and each l < 0 mode the conjugate of its
+    l > 0 reflection, as every state of ``run`` is.  Every norm is a
+    weighted sum of one power spectrum P_i = |c_i|^2, since |K1|^2 =
+    |k,l|^2 w P1, |K2|^2 = k^2 w P2 and |Q_i|^2 = w^2 P_i; an
     l > 0 mode counts twice, for itself and its reflection, whose weights
     are equal, and the l = 0 plane, stored whole, once.  M^2 and -Mdot/M
     have no l, so each k != 0 family (K1, K2, m Q3) takes one product with
@@ -210,14 +211,13 @@ def bootstrap_report(U: VelocityField, t: float, cfg: SimConfig, acc: Accumulato
     before t = 1 is informational only,
     since the hypotheses are formulated past the local-existence window.
     """
-    grid = U.grid
+    grid = cfg.grid
     N = cfg.N
     sym = frame_symbols(grid, t, box=True)
     w = sym[3]
     w[0, 0, 0] = 0.0  # not the unit-safe 1: grad_U0 must not count the mean mode
     hsN = _box_sobolev_weights(grid, N)
     hsNm1 = _box_sobolev_weights(grid, N - 1.0)
-    box = _box(U)
     P = box.real**2 + box.imag**2
     P[..., 1:] *= 2.0
 

@@ -185,7 +185,7 @@ def write_cells_csv(path: str | Path, cells) -> Path:
 
 
 def read_cells_csv(path: str | Path) -> dict:
-    """Parse a cells CSV back into a checkpoint map for sweep resumption."""
+    """Parse a cells CSV into a resume checkpoint; bisection and ``error:`` cells rerun."""
     from .threshold import CellResult
 
     path = Path(path)
@@ -205,7 +205,7 @@ def read_cells_csv(path: str | Path) -> dict:
             status=status,
             refined=refined == "1",
         )
-        if not cell.refined:
+        if not cell.refined and not status.startswith("error:"):
             out[(cell.nu, cell.eps)] = cell
     return out
 

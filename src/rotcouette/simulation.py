@@ -10,12 +10,14 @@ unknowns, written out as a rational 3x3 map per mode, and the x-averaged
 modes follow the nilpotent lift-up as its k = 0 case.  Time stepping is
 Lawson's integrating-factor Runge-Kutta method with that operator, so only
 the projected advection goes through the explicit stages; a linearised run
-is exact at any step size.  Inside a step the state is one (3, 2cx+1,
-2cy+1, cz+1) array in FFT order: the retained 2/3 box |k| <= cx, |j| <= cy,
+is exact at any step size.  The stepper's state is one (3, 2cx+1, 2cy+1,
+cz+1) array in FFT order: the retained 2/3 box |k| <= cx, |j| <= cy,
 0 <= l <= cz of a real field, outside which every mode is zero, so no mask
-is applied; the full ``VelocityField`` is built only on return.  Advection
-is evaluated in rotational form on the physical grid, zero-padded from the
-box and cut back to it, and re-projected, which keeps it energy-neutral.
+is applied.  ``step`` takes and returns it and ``run`` carries it; the full
+``VelocityField`` is built only for the initial condition and snapshots.
+Advection is evaluated in rotational form on the physical grid, zero-padded
+from the box and cut back to it, and re-projected, which keeps it
+energy-neutral.
 """
 
 from __future__ import annotations
@@ -370,36 +372,34 @@ def propagator(
     return apply
 
 
-def step(U: VelocityField, t: float, dt: float, cfg: SimConfig) -> VelocityField:
-    """Advance one step: exact linear propagator + explicit RK on the advection.
+def step(u: np.ndarray, t: float, dt: float, cfg: SimConfig) -> np.ndarray:
+    """Advance the retained box of ``cfg.grid`` one step from frame time t.
 
     Lawson's integrating-factor Runge-Kutta method: the stages carry only the
     projected advection and every linear term is applied exactly by the two
     half-step propagators, so a linearised step is one propagator application
-    and the step size is limited only by the advective CFL.  The state lives
-    in one retained-box array for the whole step; symbols are evaluated once
-    per distinct stage time.  The result is re-projected, checked against the
-    blow-up cap and expanded by conjugate reflection, so it is Hermitian by
-    construction and zero outside the box.
+    and the step size is limited only by the advective CFL.  The state is one
+    (3, 2cx+1, 2cy+1, cz+1) box array, left unchanged; symbols are evaluated
+    once per distinct stage time.  The returned box is fresh, re-projected and
+    checked against the blow-up cap; ``_full`` expands it to a Hermitian field.
     """
-    grid = U.grid
+    grid = cfg.grid
     nu = cfg.nu
     tm, t1 = t + 0.5 * dt, t + dt
-    u0 = _box(U)
     sym1 = frame_symbols(grid, t1, box=True)
 
     if not cfg.nonlinear_enabled:
-        new = propagator(grid, t, t1, nu)(u0)
+        new = propagator(grid, t, t1, nu)(u)
     else:
         ph = propagator(grid, t, tm, nu)
         ph2 = propagator(grid, tm, t1, nu)
         symm = frame_symbols(grid, tm, box=True)
 
-        def rhs(u, sym, s):
-            return _project(_advection(u, sym, grid, s), sym)
+        def rhs(v, sym, s):
+            return _project(_advection(v, sym, grid, s), sym)
 
-        k1 = rhs(u0, frame_symbols(grid, t, box=True), t)
-        pu, pk = ph(u0), ph(k1)
+        k1 = rhs(u, frame_symbols(grid, t, box=True), t)
+        pu, pk = ph(u), ph(k1)
         k2 = rhs(pu + 0.5 * dt * pk, symm, tm)
         if cfg.rk_stages == 2:
             new = ph2(pu + dt * k2)
@@ -420,7 +420,7 @@ def step(U: VelocityField, t: float, dt: float, cfg: SimConfig) -> VelocityField
         raise BlowUpError("non-finite state after step", time=t1)
     if l2 > cfg.blowup_cap:
         raise BlowUpError(f"state norm {l2:.3e} exceeded the cap {cfg.blowup_cap:.3e}", time=t1)
-    return _full(grid, new, t1)
+    return new
 
 
 # ---------------------------------------------------------------------------
@@ -520,13 +520,12 @@ class RunResult:
         return ts, ys
 
 
-def _band_edge_fraction(U: VelocityField) -> float:
-    """Largest ``high_eta_energy_fraction(f, j_limit=cy)`` of U's components; U zero off the box."""
-    b = _box(U)
+def _band_edge_fraction(b: np.ndarray, grid: GridSpec) -> float:
+    """Largest ``high_eta_energy_fraction(f, j_limit=cy)`` of the components of box b."""
     power = b.real**2 + b.imag**2
     power[..., 1:] *= 2.0  # an l > 0 plane stands for itself and its conjugate reflection
     j = np.fft.fftfreq(power.shape[2], 1.0 / power.shape[2])  # FFT-ordered j of the box
-    near = power[:, :, np.abs(j) >= 0.9 * U.grid.dealias_cutoffs[1]].sum(axis=(1, 2, 3))
+    near = power[:, :, np.abs(j) >= 0.9 * grid.dealias_cutoffs[1]].sum(axis=(1, 2, 3))
     return max((float(n / s) if s > 0.0 else 0.0) for n, s in zip(near, power.sum(axis=(1, 2, 3))))
 
 
@@ -558,27 +557,27 @@ def run(cfg: SimConfig) -> RunResult:
         logger.warning(msg)
         result.warnings.append(msg)
 
-    def emit(t: float, state: VelocityField) -> None:
+    def emit(t: float, b: np.ndarray) -> None:
         result.times.append(t)
-        result.reports.append(bootstrap_report(state, t, cfg, acc))
+        result.reports.append(bootstrap_report(b, t, cfg, acc))
 
-    def snap(t: float, state: VelocityField) -> None:
-        # step and initial_condition return fresh arrays that nothing mutates later
-        if cfg.snapshot_every > 0:
-            result.snapshots.append((t, state))
-
-    emit(0.0, U)
-    snap(0.0, U)
+    # the run carries the box; the t = 0 snapshot is the initial condition
+    # itself, since re-expanding its box could flip the sign of a zero
+    u = _box(U)
+    emit(0.0, u)
+    if cfg.snapshot_every > 0:
+        result.snapshots.append((0.0, U))
     warned_resolution = False
     t = 0.0
     try:
         for i in range(1, n_steps + 1):
-            U = step(U, t, dt, cfg)
-            t = i * dt
+            # through the module global, so that a wrapper of simulation.step sees every call
+            u = step(u, t, dt, cfg)
+            t_step, t = t + dt, i * dt  # a snapshot keeps the step's own time tag
             if i % cfg.diag_every == 0 or i == n_steps:
-                emit(t, U)
+                emit(t, u)
                 if not warned_resolution:
-                    frac = _band_edge_fraction(U)
+                    frac = _band_edge_fraction(u, cfg.grid)
                     if frac > 1e-8:
                         msg = (
                             f"t={t:.3f}: fraction {frac:.2e} of spectral energy within 10% "
@@ -588,12 +587,11 @@ def run(cfg: SimConfig) -> RunResult:
                         result.warnings.append(msg)
                         warned_resolution = True
             if cfg.snapshot_every > 0 and (i % cfg.snapshot_every == 0 or i == n_steps):
-                snap(t, U)
+                result.snapshots.append((t, _full(cfg.grid, u, t_step)))
     except BlowUpError as exc:
         result.status = "blown_up"
         result.t_fail = exc.time
         result.warnings.append(str(exc))
         if not result.times or result.times[-1] < t:
-            emit(t, U)
+            emit(t, u)
     return result
-

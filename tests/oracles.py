@@ -6,7 +6,8 @@ instead of exact solutions, dense matrix exponentials instead of nilpotent
 shortcuts, the linear generator instead of its exact propagator, plain
 mode loops instead of vectorised norms, one ``repr`` per CSV field
 instead of deduplicated string tables, and the half-spectrum stepper with
-dealias masks instead of the one on the retained box.
+dealias masks instead of the one on the retained box.  ``full_step`` is no
+oracle: it runs the package's box stepper on a full-layout field.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from scipy.linalg import expm
 
 from rotcouette import _kernels
 from rotcouette.diagnostics import EnergyReport, compute_K_check, compute_Q
-from rotcouette.simulation import BlowUpError, VelocityField, _waves, frame_symbols
+from rotcouette.simulation import BlowUpError, VelocityField, _box, _full, _waves, frame_symbols, step
 from rotcouette.spectral import (
     GridSpec,
     SpectralField,
@@ -535,6 +536,11 @@ def _half_propagator(grid: GridSpec, t0: float, t1: float, nu: float):
         return out
 
     return apply
+
+
+def full_step(U: VelocityField, t: float, dt: float, cfg) -> VelocityField:
+    """``simulation.step`` on a full-layout field: its box stepped, then expanded."""
+    return _full(cfg.grid, step(_box(U), t, dt, cfg), t + dt)
 
 
 def half_spectrum_step(U: VelocityField, t: float, dt: float, cfg) -> VelocityField:

@@ -328,7 +328,9 @@ class TestConfigSchema:
 
 def snapshot_state(name):
     """The states the snapshot writer is checked on, by name."""
-    from rotcouette.simulation import SimConfig, VelocityField, initial_condition, step
+    from oracles import full_step
+
+    from rotcouette.simulation import SimConfig, VelocityField, initial_condition
     from rotcouette.spectral import GridSpec
 
     if name.startswith("stepped"):
@@ -338,7 +340,7 @@ def snapshot_state(name):
                         ic_kind="random_band", nonlinear_enabled=not linear)
         U = initial_condition(cfg)
         for i in range(3):
-            U = step(U, i * cfg.dt, cfg.dt, cfg)
+            U = full_step(U, i * cfg.dt, cfg.dt, cfg)
         return U
     grid = GridSpec(Nx=6, Ny=20, Nz=10, Ly=7.3)
     rng = np.random.default_rng(11)
@@ -642,9 +644,36 @@ class TestSweepCommand:
         assert sum(s == "error: boom" for s in status) == 4 - good
         if not good:
             assert "every one of the 4 sweep cells failed" in capsys.readouterr().err
-            # resumed error cells count too: nothing reruns and the exit code stays
+            # a resume reruns every error cell: each fails again and the exit code stays
             assert main(argv + ["--resume"]) == EXIT_NUMERICAL
-            assert len(calls) == 4
+            assert len(calls) == 8
+
+    def test_resume_reruns_only_failed_cells(self, tmp_path, monkeypatch):
+        from rotcouette import threshold
+
+        cfg = sweep_ini(tmp_path)
+        clean, out = tmp_path / "clean", tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(clean)]) == EXIT_OK
+        real_cell = threshold._run_cell
+        calls, broken = [], [True]
+
+        def cell(scfg, nu, eps, seed):
+            calls.append((nu, eps))
+            if broken[0] and nu == 1e-2:  # a transient failure of one viscosity
+                raise RuntimeError("transient")
+            return real_cell(scfg, nu, eps, seed)
+
+        monkeypatch.setattr(threshold, "_run_cell", cell)
+        argv = ["sweep", "--config", str(cfg), "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        failed = [c for c in calls if c[0] == 1e-2]
+        assert len(calls) == 4 and len(failed) == 2
+        assert read_csv(out / "cells.csv")["status"].count("error: transient") == 2
+        broken[0] = False
+        assert main(argv + ["--resume"]) == EXIT_OK
+        assert calls[4:] == failed
+        for name in ("cells.csv", "summary.csv", "gamma.json"):
+            assert (out / name).read_bytes() == (clean / name).read_bytes(), name
 
     def test_resume_reproduces_identical_csv(self, tmp_path):
         cfg = sweep_ini(tmp_path)

@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 from oracles import (
     convective_nonlinear_rhs,
+    full_step,
     half_spectrum_step,
     linear_rhs,
     random_band_loop,
     wave_numbers,
 )
 
+from rotcouette import simulation
 from rotcouette.linear import (
     ModeStateK,
     ZeroModeState,
@@ -26,6 +28,8 @@ from rotcouette.simulation import (
     SimConfig,
     VelocityField,
     _band_edge_fraction,
+    _box,
+    _full,
     _random_band,
     advective_rate_bound,
     divergence_defect,
@@ -127,6 +131,11 @@ def box_modes(grid):
     ]
 
 
+def box_view(U):
+    """A view of box shape into the corner of U's coefficients."""
+    return U.coeffs[(slice(None),) + tuple(map(slice, box_shape(U.grid)))]
+
+
 def random_box(grid, rng):
     shape = (3,) + box_shape(grid)
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -151,12 +160,10 @@ class TestVelocityField:
     @pytest.mark.parametrize(
         "op",
         [
-            lambda U: step(U, 0.6, 0.02, SimConfig(nu=1e-2, grid=GRID)).coeffs,
-            lambda U: leray_project_L(U, 0.6).coeffs,
             # a view of box shape into U, so that work in place would show
-            lambda U: propagator(GRID, 0.6, 0.62, 1e-2)(
-                U.coeffs[(slice(None),) + tuple(map(slice, box_shape(GRID)))]
-            ),
+            lambda U: step(box_view(U), 0.6, 0.02, SimConfig(nu=1e-2, grid=GRID)),
+            lambda U: leray_project_L(U, 0.6).coeffs,
+            lambda U: propagator(GRID, 0.6, 0.62, 1e-2)(box_view(U)),
             lambda U: nonlinear_rhs(U, 0.6).coeffs,
         ],
         ids=["step", "leray_project_L", "propagator", "nonlinear_rhs"],
@@ -418,7 +425,7 @@ class TestStep:
             c *= 0.5 / np.max(np.abs(c))
         t = 0.0
         for i in range(20):
-            U = step(U, t, cfg.dt, cfg)
+            U = full_step(U, t, cfg.dt, cfg)
             t = (i + 1) * cfg.dt
             norm = max(np.max(np.abs(c)) for c in U.coeff_arrays())
             assert divergence_defect(U) <= 1e-10
@@ -431,16 +438,16 @@ class TestStep:
         # the l = 0 plane once and every other plane twice
         cfg = SimConfig(nu=1e-2, grid=GRID, dt=0.01, nonlinear_enabled=False, blowup_cap=1.0)
         U = random_velocity(GRID, np.random.default_rng(68))
-        free = step(U, 0.0, cfg.dt, replace(cfg, blowup_cap=sys.float_info.max))
+        free = full_step(U, 0.0, cfg.dt, replace(cfg, blowup_cap=sys.float_info.max))
         l2 = math.sqrt(sum(float(np.sum(np.abs(c) ** 2)) for c in free.coeff_arrays()))
         assert np.any(U.coeffs[0, :, :, 0] != 0.0) and np.any(U.coeffs[0, :, :, 1] != 0.0)
 
         def scaled(factor):
             return VelocityField(GRID, U.coeffs * (factor / l2))
 
-        step(scaled(1.0 - 1e-9), 0.0, cfg.dt, cfg)
+        full_step(scaled(1.0 - 1e-9), 0.0, cfg.dt, cfg)
         with pytest.raises(BlowUpError) as info:
-            step(scaled(1.0 + 1e-9), 0.0, cfg.dt, cfg)
+            full_step(scaled(1.0 + 1e-9), 0.0, cfg.dt, cfg)
         assert info.value.time == pytest.approx(cfg.dt)
 
     def test_convergence_order(self):
@@ -480,7 +487,7 @@ class TestStep:
         U.coeffs *= 0.5 / (beta * np.max(np.abs(U.coeffs)))
         want, t = U, 0.0
         for _ in range(3):
-            U, want = step(U, t, cfg.dt, cfg), half_spectrum_step(want, t, cfg.dt, cfg)
+            U, want = full_step(U, t, cfg.dt, cfg), half_spectrum_step(want, t, cfg.dt, cfg)
             t += cfg.dt
             assert np.array_equal(U.coeffs, want.coeffs)
             assert not np.any(U.coeffs[:, ~grid.dealias_mask])
@@ -653,11 +660,11 @@ class TestRun:
         cfg = SimConfig(
             nu=1e-2, grid=GRID, dt=0.02, eps=1e-3, ic_kind="random_band", seed=1,
         )
-        U = step(initial_condition(cfg), 0.0, cfg.dt, cfg)
+        U = full_step(initial_condition(cfg), 0.0, cfg.dt, cfg)
         cy = GRID.dealias_cutoffs[1]
         want = max(high_eta_energy_fraction(f, j_limit=cy) for f in U.components())
         assert want > 1e-3
-        assert _band_edge_fraction(U) == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert _band_edge_fraction(_box(U), GRID) == pytest.approx(want, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("nonlinear", [False, True], ids=["linear", "nonlinear"])
     def test_snapshots_share_no_memory(self, nonlinear):
@@ -684,3 +691,61 @@ class TestRun:
         rng = np.random.default_rng(64)
         U = random_velocity(GRID, rng)
         assert advective_rate_bound(U, 10.0) > 0.0
+
+
+class TestRunCarriesTheBox:
+    """``run`` steps the retained box and builds the full layout only for snapshots."""
+
+    def cfg(self, **kw):
+        # dt = 0.1 puts the step's tag 5 dt + dt = 0.6 off the row time 6 dt
+        return SimConfig(
+            nu=1e-2, grid=GRID, dt=0.1, t_end=1.0, eps=1e-3, ic_kind="random_band", seed=2,
+            diag_every=2, **kw,
+        )
+
+    def spy(self, monkeypatch):
+        calls = {"_box": 0, "_full": 0, "step": 0}
+        for name in calls:
+            def counted(*a, _real=getattr(simulation, name), _name=name):
+                calls[_name] += 1
+                return _real(*a)
+
+            monkeypatch.setattr(simulation, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("nonlinear", [False, True], ids=["linear", "nonlinear"])
+    def test_no_full_layout_without_snapshots(self, monkeypatch, nonlinear):
+        calls = self.spy(monkeypatch)
+        res = run(self.cfg(nonlinear_enabled=nonlinear))
+        assert (res.status, res.n_steps, res.snapshots) == ("completed", 10, [])
+        # every step goes through the module global, where a wrapper sees it
+        assert calls == {"_box": 1, "_full": 0, "step": 10}
+
+    @pytest.mark.parametrize("every", [1, 3, 4, 10])
+    def test_one_full_layout_per_stored_snapshot(self, monkeypatch, every):
+        calls = self.spy(monkeypatch)
+        res = run(self.cfg(snapshot_every=every))
+        stored = [i for i in range(1, 11) if i % every == 0 or i == 10]
+        assert len(res.snapshots) == 1 + len(stored)
+        assert calls == {"_box": 1, "_full": len(stored), "step": 10}
+
+    @pytest.mark.parametrize("nonlinear", [False, True], ids=["linear", "nonlinear"])
+    def test_snapshots_match_hand_loop(self, nonlinear):
+        cfg = self.cfg(nonlinear_enabled=nonlinear, snapshot_every=3)
+        res = run(cfg)
+        U0 = initial_condition(cfg)
+        # the t = 0 snapshot is the initial condition itself: its re-expanded
+        # box differs in the sign of some zeros
+        assert _full(GRID, _box(U0), 0.0).coeffs.tobytes() != U0.coeffs.tobytes()
+        want, u, t = [(0.0, U0)], _box(U0), 0.0
+        for i in range(1, res.n_steps + 1):
+            u = step(u, t, res.dt, cfg)
+            U = _full(GRID, u, t + res.dt)
+            t = i * res.dt
+            if i % 3 == 0 or i == res.n_steps:
+                want.append((t, U))
+        assert [t for t, _ in res.snapshots] == [t for t, _ in want]
+        assert any(U.time != t for t, U in want)
+        for (_, got), (_, U) in zip(res.snapshots, want):
+            assert got.time == U.time
+            assert got.coeffs.tobytes() == U.coeffs.tobytes()
