@@ -2,9 +2,10 @@
 
 The diagnostics evaluate the weights m, M and -Mdot/M over whole mode grids
 at every report.  Each kernel is one numpy expression that broadcasts
-over its ``k, eta, l`` arguments, so callers pass the (Nx,1,1), (1,Ny,1) and
-(1,1,nl) wave arrays and get the broadcast shape back; the values equal those
-of the same kernel on raveled full-grid arrays exactly.
+over its ``k, eta, l`` arguments, so callers pass the wave arrays of the
+retained box, (nk,1,1), (1,2cy+1,1) and (1,1,cz+1), and get the broadcast
+shape back; the values equal those of the same kernel on raveled arrays
+exactly.
 """
 
 from __future__ import annotations

@@ -66,9 +66,6 @@ def _build_parser() -> _Parser:
     lin = sub.add_parser("linear", parents=[common], help="closed-form per-mode trajectories")
     lin.add_argument("--mode", action="append", default=None, metavar="K,ETA,L",
                      help="mode triple; repeatable")
-    lin.add_argument("--k", type=int, default=None)
-    lin.add_argument("--eta", type=float, default=None)
-    lin.add_argument("--l", type=int, default=None)
     lin.add_argument("--nu", type=float, required=True)
     lin.add_argument("--t-max", type=float, default=20.0)
     lin.add_argument("--points", type=int, default=201)
@@ -201,13 +198,8 @@ def _parse_modes(args) -> tuple[list[WaveVector], np.ndarray]:
                 modes.append(WaveVector(k=int(k_s), eta=float(eta_s), l=int(l_s)))
             except ValueError as exc:
                 raise UsageError(f"bad --mode triple {spec!r}: expected K,ETA,L") from exc
-    k, eta, l = (getattr(args, name, None) for name in ("k", "eta", "l"))  # linear only
-    if k is not None or eta is not None or l is not None:
-        if None in (k, eta, l):
-            raise UsageError("--k, --eta and --l must be given together")
-        modes.append(WaveVector(k=k, eta=eta, l=l))
     if not modes:
-        raise UsageError("no mode given; use --mode K,ETA,L or --k/--eta/--l")
+        raise UsageError("no mode given; use --mode K,ETA,L")
     for kv in modes:
         _require_finite(f"eta of mode ({kv.k}, {kv.eta}, {kv.l})", kv.eta)
     _require_finite("--t-max", args.t_max, minimum=0.0)

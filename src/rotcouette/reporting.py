@@ -67,8 +67,8 @@ def write_csv(path: str | Path, columns: Sequence[str], rows: Iterable[Sequence]
 def write_energy_csv(path: str | Path, reports: Sequence[EnergyReport]) -> Path:
     rows = (
         [r.t]
-        + [r.norms.get(c, np.nan) for c in INSTANT_COLUMNS + ACCUMULATED_COLUMNS]
-        + [r.flags.get(c, False) for c in FLAG_NAMES]
+        + [r.norms[c] for c in INSTANT_COLUMNS + ACCUMULATED_COLUMNS]
+        + [r.flags[c] for c in FLAG_NAMES]
         for r in reports
     )
     return write_csv(path, energy_columns(), rows)

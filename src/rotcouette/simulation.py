@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .spectral import GridSpec, SpectralField, _conjugate_flip, resolve_eta_index, sobolev_norm
+from .spectral import GridSpec, SpectralField, _conjugate_flip, sobolev_norm
 
 __all__ = [
     "BlowUpError",
@@ -186,6 +186,15 @@ def _box(U: VelocityField) -> np.ndarray:
     return U.coeffs.reshape(3, -1)[:, _waves(U.grid, True).index]
 
 
+def _full(grid: GridSpec, b: np.ndarray, t: float) -> VelocityField:
+    """Expand a box array by conjugate reflection, C(-k,-eta,-l) = conj C(k,eta,l), and zeros."""
+    wv = _waves(grid, True)
+    full = np.zeros((3,) + grid.shape, dtype=np.complex128)
+    flat = full.reshape(3, -1)
+    flat[:, wv.index], flat[:, wv.mirror] = b, np.conjugate(b[..., 1:])
+    return VelocityField(grid, full, t)
+
+
 def frame_symbols(grid: GridSpec, t: float, box: bool = False):
     """(K, ETA_L, L, w) at frame time t with unit-safe w at the mean mode.
 
@@ -201,16 +210,19 @@ def frame_symbols(grid: GridSpec, t: float, box: bool = False):
 
 
 # ---------------------------------------------------------------------------
-# array kernels
+# spatial operators
 #
-# They act on stacked (3, nk, nj, nl) coefficient arrays, on either layout
-# unless noted, with the symbols of ``frame_symbols``.
+# The array operators take stacked (3, nk, nj, nl) coefficient arrays, on
+# either layout unless noted, with the symbols of ``frame_symbols``;
+# ``divergence_defect`` and ``advective_rate_bound`` take a ``VelocityField``.
 
 
-def _project(f: np.ndarray, sym) -> np.ndarray:
-    """In place: f + grad_L psi, with psi making the result frame divergence free.
+def leray_project_L(f: np.ndarray, sym) -> np.ndarray:
+    """In place: f + grad_L psi, with psi making f frame divergence free; returns f.
 
-    The mean mode, whose symbol vanishes, passes through untouched.
+    This is f - grad_L (Delta_L)^{-1} (div_L f): idempotent, it annihilates
+    pure gradients and passes the mean mode, whose symbol vanishes, through
+    untouched.
     """
     k, etal, l, w = sym
     psi = 1j * (k * f[0] + etal * f[1] + l * f[2]) / w
@@ -221,14 +233,14 @@ def _project(f: np.ndarray, sym) -> np.ndarray:
     return f
 
 
-def _advection(u: np.ndarray, sym, grid: GridSpec, t: float) -> np.ndarray:
-    """Dealiased rotational-form advection u x curl_L u, box layout.
+def nonlinear_rhs(u: np.ndarray, sym, grid: GridSpec, t: float) -> np.ndarray:
+    """Dealiased advection with its pressure correction, -P_L (u . grad_L u), box layout.
 
-    One batched inverse real FFT of (u, curl_L u), zero-padded from the box,
-    and one batched forward real FFT of the three products, cut back to it.
-    After the Leray projection this equals -P_L (u . grad_L u): with 3 kc < N
-    the cut removes every alias, and P_L annihilates the gradient
-    grad_L |u|^2 / 2 that separates the forms.
+    Evaluated in rotational form, P_L (u x curl_L u), as a fresh array: one
+    batched inverse real FFT of (u, curl_L u), zero-padded from the box, and
+    one batched forward real FFT of the three products, cut back to it, then
+    ``leray_project_L``.  With 3 kc < N the cut removes every alias, and P_L
+    annihilates the gradient grad_L |u|^2 / 2 that separates the forms.
     """
     k, etal, l, _ = sym
     u1, u2, u3 = u
@@ -246,31 +258,7 @@ def _advection(u: np.ndarray, sym, grid: GridSpec, t: float) -> np.ndarray:
     a *= float(grid.n_modes)
     if not np.isfinite(a).all():
         raise BlowUpError("non-finite values in the advection term", time=t)
-    return a
-
-
-def _full(grid: GridSpec, b: np.ndarray, t: float) -> VelocityField:
-    """Expand a box array by conjugate reflection, C(-k,-eta,-l) = conj C(k,eta,l), and zeros."""
-    wv = _waves(grid, True)
-    full = np.zeros((3,) + grid.shape, dtype=np.complex128)
-    flat = full.reshape(3, -1)
-    flat[:, wv.index], flat[:, wv.mirror] = b, np.conjugate(b[..., 1:])
-    return VelocityField(grid, full, t)
-
-
-# ---------------------------------------------------------------------------
-# spatial operators
-
-
-def leray_project_L(U: VelocityField, t: float) -> VelocityField:
-    """Remove the frame-gradient part: U - grad_L (Delta_L)^{-1} (div_L U).
-
-    Idempotent, annihilates pure gradients, and passes the excluded mean mode
-    through untouched (its symbol vanishes).
-    """
-    # astype copies, so the in-place projection leaves the input alone
-    out = _project(U.coeffs.astype(np.complex128), frame_symbols(U.grid, t))
-    return VelocityField(U.grid, out, t)
+    return leray_project_L(a, sym)
 
 
 def _divergence_max(c: np.ndarray, sym) -> float:
@@ -289,18 +277,6 @@ def divergence_defect(U: VelocityField, t: float | None = None) -> float:
     The frame time t defaults to the time tag of U.
     """
     return _divergence_max(U.coeffs, frame_symbols(U.grid, U.time if t is None else t))
-
-
-def nonlinear_rhs(U: VelocityField, t: float) -> VelocityField:
-    """Dealiased advection with its pressure correction: -P_L (U . grad_L U).
-
-    Evaluated in rotational form, P_L (U x curl_L U), on the retained box
-    of the (Hermitian) input; the result is divergence free in the frame
-    sense and Hermitian by construction.
-    """
-    sym = frame_symbols(U.grid, t, box=True)
-    a = _project(_advection(_box(U), sym, U.grid, t), sym)
-    return _full(U.grid, a, t)
 
 
 def advective_rate_bound(U: VelocityField, t_horizon: float) -> float:
@@ -376,12 +352,14 @@ def step(u: np.ndarray, t: float, dt: float, cfg: SimConfig) -> np.ndarray:
     """Advance the retained box of ``cfg.grid`` one step from frame time t.
 
     Lawson's integrating-factor Runge-Kutta method: the stages carry only the
-    projected advection and every linear term is applied exactly by the two
-    half-step propagators, so a linearised step is one propagator application
-    and the step size is limited only by the advective CFL.  The state is one
-    (3, 2cx+1, 2cy+1, cz+1) box array, left unchanged; symbols are evaluated
-    once per distinct stage time.  The returned box is fresh, re-projected and
-    checked against the blow-up cap; ``_full`` expands it to a Hermitian field.
+    projected advection (``nonlinear_rhs``) and every linear term is applied
+    exactly by the two half-step propagators, so a linearised step is one
+    propagator application and the step size is limited only by the advective
+    CFL.  The state is one (3, 2cx+1, 2cy+1, cz+1) box array, left unchanged;
+    symbols are evaluated once per distinct stage time.  The returned box is
+    fresh, re-projected by ``leray_project_L`` and checked against the blow-up
+    cap; ``_full`` expands it to a Hermitian field.  Both operators are looked
+    up as module globals, so a wrapper of either sees every call.
     """
     grid = cfg.grid
     nu = cfg.nu
@@ -394,22 +372,18 @@ def step(u: np.ndarray, t: float, dt: float, cfg: SimConfig) -> np.ndarray:
         ph = propagator(grid, t, tm, nu)
         ph2 = propagator(grid, tm, t1, nu)
         symm = frame_symbols(grid, tm, box=True)
-
-        def rhs(v, sym, s):
-            return _project(_advection(v, sym, grid, s), sym)
-
-        k1 = rhs(u, frame_symbols(grid, t, box=True), t)
+        k1 = nonlinear_rhs(u, frame_symbols(grid, t, box=True), grid, t)
         pu, pk = ph(u), ph(k1)
-        k2 = rhs(pu + 0.5 * dt * pk, symm, tm)
+        k2 = nonlinear_rhs(pu + 0.5 * dt * pk, symm, grid, tm)
         if cfg.rk_stages == 2:
             new = ph2(pu + dt * k2)
         else:
-            k3 = rhs(pu + 0.5 * dt * k2, symm, tm)
-            k4 = rhs(ph2(pu + dt * k3), sym1, t1)
+            k3 = nonlinear_rhs(pu + 0.5 * dt * k2, symm, grid, tm)
+            k4 = nonlinear_rhs(ph2(pu + dt * k3), sym1, grid, t1)
             new = ph2(pu + dt / 6.0 * (pk + 2.0 * (k2 + k3)))
             new += dt / 6.0 * k4
 
-    new = _project(new, sym1)
+    new = leray_project_L(new, sym1)
     new[:, 0, 0, 0] = 0.0
 
     # full-spectrum l2: the l = 0 plane is stored once, the others stand for
@@ -470,7 +444,7 @@ def initial_condition(cfg: SimConfig) -> VelocityField:
     else:  # single_mode
         c = np.zeros((3,) + grid.shape, dtype=np.complex128)
         k0, j0, l0 = cfg.ic_mode  # checked by SimConfig: not the mean mode, inside the band
-        idx = (k0 % grid.Nx, resolve_eta_index(grid, j0), l0 % grid.Nz)
+        idx = (k0 % grid.Nx, j0 % grid.Ny, l0 % grid.Nz)
         if k0 == 0:
             # purely x-averaged seed: feed the streamwise component, which is
             # what drives the secular lift-up growth
@@ -482,7 +456,7 @@ def initial_condition(cfg: SimConfig) -> VelocityField:
             ci[idx] += a
             ci[mirror] += a  # a real amplitude is its own conjugate
 
-    c = _project(c, frame_symbols(grid, 0.0))
+    c = leray_project_L(c, frame_symbols(grid, 0.0))
     c[:, 0, 0, 0] = 0.0
     U = VelocityField(grid, c, 0.0)
 
@@ -501,7 +475,6 @@ class RunResult:
     """Trajectory of one integration: diagnostic rows plus optional snapshots."""
 
     cfg: SimConfig
-    times: list[float] = field(default_factory=list)
     reports: list = field(default_factory=list)
     snapshots: list[tuple[float, VelocityField]] = field(default_factory=list)
     status: str = "completed"  # completed | blown_up
@@ -558,7 +531,6 @@ def run(cfg: SimConfig) -> RunResult:
         result.warnings.append(msg)
 
     def emit(t: float, b: np.ndarray) -> None:
-        result.times.append(t)
         result.reports.append(bootstrap_report(b, t, cfg, acc))
 
     # the run carries the box; the t = 0 snapshot is the initial condition
@@ -592,6 +564,6 @@ def run(cfg: SimConfig) -> RunResult:
         result.status = "blown_up"
         result.t_fail = exc.time
         result.warnings.append(str(exc))
-        if not result.times or result.times[-1] < t:
+        if result.reports[-1].t < t:
             emit(t, u)
     return result

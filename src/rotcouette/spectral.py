@@ -239,11 +239,3 @@ def high_eta_energy_fraction(f: SpectralField, frac: float = 0.9, j_limit: int |
     mask = np.abs(f.grid.j_index) >= jcut
     return float(np.sum(power[:, mask, :])) / total
 
-
-def resolve_eta_index(grid: GridSpec, j: int) -> int:
-    """Array position of the y-mode with integer index j (may be negative)."""
-    half = grid.Ny // 2
-    if not (-half <= j < half):
-        raise ValueError(f"eta index {j} outside [-{half}, {half})")
-    return j % grid.Ny
-

@@ -95,7 +95,7 @@ class CellResult:
     outcome: str  # stable | unstable | inconclusive
     peak_norm: float
     t_peak: float
-    status: str  # completed | blown_up
+    status: str  # completed | blown_up | error: ...
     refined: bool = False
 
 

@@ -312,14 +312,14 @@ def _streak_wave_seed(grid, eps, sigma=5.0):
     one strongly coupled streamwise wave, concentrates the same norm budget
     into an interacting pair.
     """
-    from rotcouette.simulation import VelocityField, leray_project_L
+    from rotcouette.simulation import VelocityField, frame_symbols, leray_project_L
 
     c = np.zeros((3,) + grid.shape, dtype=complex)
     c[2][(1, 0, 0)] = 1.0
     c[2][(grid.Nx - 1, 0, 0)] = 1.0
     c[0][(0, 1, 1)] = 1.0
     c[0][(0, grid.Ny - 1, grid.Nz - 1)] = 1.0
-    U = leray_project_L(VelocityField(grid, c, 0.0), 0.0)
+    U = VelocityField(grid, leray_project_L(c, frame_symbols(grid, 0.0)), 0.0)
     total = math.sqrt(sum(sobolev_norm(f, sigma) ** 2 for f in U.components()))
     for c in U.coeff_arrays():
         c *= eps / total

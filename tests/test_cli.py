@@ -62,29 +62,29 @@ def with_keys(path, section, **kv):
 
 class TestUsageErrors:
     def test_missing_required_flag(self, capsys):
-        assert main(["linear", "--k", "1", "--eta", "0", "--l", "0"]) == EXIT_USAGE
+        assert main(["linear", "--mode", "1,0,0"]) == EXIT_USAGE
 
     def test_no_mode(self, tmp_path):
         assert main(["linear", "--nu", "1e-3", "--out", str(tmp_path)]) == EXIT_USAGE
 
     def test_mean_mode_rejected(self, tmp_path):
         rc = main(
-            ["linear", "--k", "0", "--eta", "0", "--l", "0", "--nu", "1e-3", "--out", str(tmp_path)]
+            ["linear", "--mode", "0,0,0", "--nu", "1e-3", "--out", str(tmp_path)]
         )
         assert rc == EXIT_USAGE
 
     @pytest.mark.parametrize(
         "argv",
         [
-            ["linear", "--k", "1", "--eta", "nan", "--l", "0", "--nu", "1e-3"],
-            ["linear", "--k", "1", "--eta", "0", "--l", "0", "--nu", "nan"],
-            ["linear", "--k", "1", "--eta", "0", "--l", "0", "--nu", "1e-3", "--k1", "nan"],
-            ["linear", "--k", "1", "--eta", "0", "--l", "0", "--nu", "1e-3", "--k2", "inf"],
-            ["linear", "--k", "1", "--eta", "0", "--l", "0", "--nu", "1e-3", "--u30=-inf"],
-            ["linear", "--k", "0", "--eta", "1", "--l", "1", "--nu", "-1"],
+            ["linear", "--mode", "1,nan,0", "--nu", "1e-3"],
+            ["linear", "--mode", "1,0,0", "--nu", "nan"],
+            ["linear", "--mode", "1,0,0", "--nu", "1e-3", "--k1", "nan"],
+            ["linear", "--mode", "1,0,0", "--nu", "1e-3", "--k2", "inf"],
+            ["linear", "--mode", "1,0,0", "--nu", "1e-3", "--u30=-inf"],
+            ["linear", "--mode", "0,1,1", "--nu", "-1"],
             ["linear", "--mode", "1,0,0", "--mode", "0,0,0", "--nu", "1e-3"],
-            ["linear", "--k", "1", "--eta", "0", "--l", "0", "--nu", "1e-3", "--t-max", "inf"],
-            ["linear", "--k", "1", "--eta", "0", "--l", "0", "--nu", "1e-3", "--points", "-1"],
+            ["linear", "--mode", "1,0,0", "--nu", "1e-3", "--t-max", "inf"],
+            ["linear", "--mode", "1,0,0", "--nu", "1e-3", "--points", "-1"],
             ["multipliers", "--mode", "1,inf,0", "--nu", "1e-3"],
             ["multipliers", "--mode", "1,2,0", "--nu", "1e-3", "--t-max", "-1"],
             ["multipliers", "--mode", "1,2,0", "--nu", "1e-3", "--t-max", "nan"],
@@ -153,10 +153,10 @@ class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv, flag",
         [
-            (["linear", "--k", "1", "--eta", "0", "--l", "0", "--nu", "1e-3"], ["--threads", "2"]),
+            (["linear", "--mode", "1,0,0", "--nu", "1e-3"], ["--threads", "2"]),
             (["multipliers", "--mode", "1,2,0", "--nu", "1e-3"], ["--seed", "1"]),
             (["simulate", "--config", "CFG"], ["--threads", "2"]),
-            (["linear", "--k", "1", "--eta", "0", "--l", "0", "--nu", "1e-3"], ["--config", "CFG"]),
+            (["linear", "--mode", "1,0,0", "--nu", "1e-3"], ["--config", "CFG"]),
             (["multipliers", "--mode", "1,2,0", "--nu", "1e-3"], ["--config", "CFG"]),
         ],
         ids=["linear-threads", "multipliers-seed", "simulate-threads", "linear-config",
@@ -433,7 +433,7 @@ class TestReproducibility:
 class TestLinearCommand:
     def test_nonzero_mode_envelopes(self, tmp_path):
         rc = main(
-            ["linear", "--k", "1", "--eta", "0", "--l", "0", "--nu", "1e-3",
+            ["linear", "--mode", "1,0,0", "--nu", "1e-3",
              "--t-max", "20", "--out", str(tmp_path)]
         )
         assert rc == EXIT_OK
@@ -447,7 +447,7 @@ class TestLinearCommand:
 
     def test_zero_mode_lift_up_columns(self, tmp_path):
         rc = main(
-            ["linear", "--k", "0", "--eta", "1", "--l", "1", "--nu", "0.001",
+            ["linear", "--mode", "0,1,1", "--nu", "0.001",
              "--k2", "0", "--u30", "0", "--t-max", "4", "--points", "5",
              "--out", str(tmp_path)]
         )
@@ -461,7 +461,7 @@ class TestLinearCommand:
 
     def test_zero_mode_inviscid_example(self, tmp_path):
         rc = main(
-            ["linear", "--k", "0", "--eta", "1", "--l", "1", "--nu", "0",
+            ["linear", "--mode", "0,1,1", "--nu", "0",
              "--k2", "0", "--u30", "0", "--t-max", "4", "--points", "5",
              "--out", str(tmp_path)]
         )

@@ -66,11 +66,10 @@ def random_velocity(grid, rng, t=0.0, project=True):
     for i in range(3):
         c = (rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
         coeffs[i] = hermitian_symmetrize(SpectralField(grid, c * grid.dealias_mask, t)).coeffs
-    U = VelocityField(grid, coeffs, t)
     if project:
-        U = leray_project_L(U, t)
-        U.coeffs[:, 0, 0, 0] = 0.0
-    return U
+        leray_project_L(coeffs, frame_symbols(grid, t))
+        coeffs[:, 0, 0, 0] = 0.0
+    return VelocityField(grid, coeffs, t)
 
 
 def zero_state(grid):
@@ -131,6 +130,24 @@ def box_modes(grid):
     ]
 
 
+def rhs_full(U, t):
+    """``nonlinear_rhs`` of the box of U at frame time t, expanded to the full layout."""
+    sym = frame_symbols(U.grid, t, box=True)
+    return _full(U.grid, nonlinear_rhs(_box(U), sym, U.grid, t), t)
+
+
+def count_calls(monkeypatch, *names):
+    """Wrap each named ``simulation`` global in a counter; returns the live counts."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*a, _real=getattr(simulation, name), _name=name):
+            calls[_name] += 1
+            return _real(*a)
+
+        monkeypatch.setattr(simulation, name, counted)
+    return calls
+
+
 def box_view(U):
     """A view of box shape into the corner of U's coefficients."""
     return U.coeffs[(slice(None),) + tuple(map(slice, box_shape(U.grid)))]
@@ -162,11 +179,10 @@ class TestVelocityField:
         [
             # a view of box shape into U, so that work in place would show
             lambda U: step(box_view(U), 0.6, 0.02, SimConfig(nu=1e-2, grid=GRID)),
-            lambda U: leray_project_L(U, 0.6).coeffs,
             lambda U: propagator(GRID, 0.6, 0.62, 1e-2)(box_view(U)),
-            lambda U: nonlinear_rhs(U, 0.6).coeffs,
+            lambda U: nonlinear_rhs(box_view(U), frame_symbols(GRID, 0.6, box=True), GRID, 0.6),
         ],
-        ids=["step", "leray_project_L", "propagator", "nonlinear_rhs"],
+        ids=["step", "propagator", "nonlinear_rhs"],
     )
     def test_operators_leave_input_unchanged(self, op):
         # not projected, so that a projection in place would change it
@@ -178,11 +194,24 @@ class TestVelocityField:
 
 
 class TestLerayProjection:
+    @pytest.mark.parametrize("box", [False, True], ids=["full", "box"])
+    def test_projects_in_place_and_returns_its_argument(self, box):
+        # not projected, so that the projection has something to change
+        U = random_velocity(GRID, np.random.default_rng(59), t=0.6, project=False)
+        f = _box(U) if box else U.coeffs
+        before = f.copy()
+        sym = frame_symbols(GRID, 0.6, box=box)
+        assert leray_project_L(f, sym) is f
+        assert np.any(f != before)
+        k, etal, l, _ = sym
+        div = k * f[0] + etal * f[1] + l * f[2]
+        assert np.max(np.abs(div)) <= 1e-12 * np.max(np.abs(before))
+
     def test_divergence_free_unchanged(self):
         rng = np.random.default_rng(60)
         U = random_velocity(GRID, rng, t=0.4)
-        again = leray_project_L(U, 0.4)
-        for a, b in zip(U.coeff_arrays(), again.coeff_arrays()):
+        again = leray_project_L(U.coeffs.copy(), frame_symbols(GRID, 0.4))
+        for a, b in zip(U.coeff_arrays(), again):
             assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(a)))
 
     def test_gradient_in_kernel(self):
@@ -194,9 +223,9 @@ class TestLerayProjection:
         kk, ee, ll = wave_numbers(GRID)
         etal = ee - kk * t
         grad = np.array([1j * kk * phi, 1j * etal * phi, 1j * ll * phi])
-        out = leray_project_L(VelocityField(GRID, grad, t), t)
         scale = np.max(np.abs(grad))
-        for c in out.coeff_arrays():
+        out = leray_project_L(grad, frame_symbols(GRID, t))
+        for c in out:
             assert np.max(np.abs(c)) <= 1e-12 * scale
 
     def test_idempotent(self):
@@ -206,14 +235,15 @@ class TestLerayProjection:
             for _ in range(3)
         ])
         t = 1.3
-        once = leray_project_L(VelocityField(GRID, coeffs, t), t)
-        twice = leray_project_L(once, t)
-        for a, b in zip(once.coeff_arrays(), twice.coeff_arrays()):
+        sym = frame_symbols(GRID, t)
+        once = leray_project_L(coeffs, sym)
+        twice = leray_project_L(once.copy(), sym)
+        for a, b in zip(once, twice):
             assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(a)))
 
     def test_mean_mode_passthrough(self):
-        out = leray_project_L(zero_state(GRID), 0.0)
-        assert np.all(out.coeffs[:, 0, 0, 0] == 0.0)
+        out = leray_project_L(zero_state(GRID).coeffs, frame_symbols(GRID, 0.0))
+        assert np.all(out[:, 0, 0, 0] == 0.0)
 
 
 class TestLinearRhs:
@@ -333,7 +363,7 @@ class TestPropagator:
 
 class TestNonlinearRhs:
     def test_zero_input(self):
-        out = nonlinear_rhs(zero_state(GRID), 0.0)
+        out = rhs_full(zero_state(GRID), 0.0)
         assert all(np.all(c == 0.0) for c in out.coeff_arrays())
 
     def test_single_mode_support(self):
@@ -342,8 +372,8 @@ class TestNonlinearRhs:
         U = zero_state(g)
         U.coeffs[2][mode_index(g, 1, 1, 1)] = 0.5
         U.coeffs[2][mode_index(g, -1, -1, -1)] = 0.5
-        U = leray_project_L(U, 0.0)
-        out = nonlinear_rhs(U, 0.0)
+        leray_project_L(U.coeffs, frame_symbols(g, 0.0))
+        out = rhs_full(U, 0.0)
         allowed = {mode_index(g, *m) for m in [(0, 0, 0), (2, 2, 2), (-2, -2, -2)]}
         for c in out.coeff_arrays():
             bad = np.argwhere(np.abs(c) > 1e-14 * max(1.0, np.max(np.abs(c))))
@@ -354,7 +384,7 @@ class TestNonlinearRhs:
         rng = np.random.default_rng(63)
         for t in (0.0, 1.7):
             U = random_velocity(GRID, rng, t=t)
-            N = nonlinear_rhs(U, t)
+            N = rhs_full(U, t)
             flux = sum(
                 float(np.sum(np.conj(a) * b).real)
                 for a, b in zip(U.coeff_arrays(), N.coeff_arrays())
@@ -369,7 +399,7 @@ class TestNonlinearRhs:
     def test_matches_convective_oracle(self, grid, t):
         rng = np.random.default_rng(66)
         U = random_velocity(grid, rng, t=t)
-        got = nonlinear_rhs(U, t)
+        got = rhs_full(U, t)
         want = convective_nonlinear_rhs(grid, U.coeff_arrays(), t)
         scale = max(np.max(np.abs(c)) for c in want)
         assert scale > 0.0
@@ -378,9 +408,9 @@ class TestNonlinearRhs:
 
     def test_blowup_detection(self):
         g = GRID
-        U = VelocityField(g, np.full((3,) + g.shape, np.nan, dtype=complex))
+        u = np.full((3,) + box_shape(g), np.nan, dtype=complex)
         with pytest.raises(BlowUpError):
-            nonlinear_rhs(U, 0.0)
+            nonlinear_rhs(u, frame_symbols(g, 0.0, box=True), g, 0.0)
 
 
 class TestStep:
@@ -432,6 +462,26 @@ class TestStep:
             assert max(hermitian_defect(f) for f in U.components()) <= 1e-13 * norm
             assert max(l0_plane_defect(c) for c in U.coeff_arrays()) <= 1e-13 * norm
         assert U.time == pytest.approx(20 * cfg.dt)
+
+    @pytest.mark.parametrize(
+        "nonlinear, rk_stages, n_rhs, n_proj",
+        [(True, 4, 4, 5), (True, 2, 2, 3), (False, 4, 0, 1)],
+        ids=["rk4", "rk2", "linear"],
+    )
+    def test_operators_called_through_module_globals(
+        self, monkeypatch, nonlinear, rk_stages, n_rhs, n_proj
+    ):
+        # one nonlinear_rhs per stage, each projecting its result, and one
+        # projection of the new state; a wrapper of either global sees them all
+        calls = count_calls(monkeypatch, "nonlinear_rhs", "leray_project_L")
+        cfg = SimConfig(
+            nu=1e-2, grid=GRID, dt=0.02, nonlinear_enabled=nonlinear, rk_stages=rk_stages
+        )
+        u = _box(random_velocity(GRID, np.random.default_rng(76)))
+        u *= 0.5 / np.max(np.abs(u))
+        for i in range(3):
+            u = step(u, i * cfg.dt, cfg.dt, cfg)
+        assert calls == {"nonlinear_rhs": 3 * n_rhs, "leray_project_L": 3 * n_proj}
 
     def test_blowup_cap_on_full_spectrum_norm(self):
         # the cap reads the full-spectrum l2 norm: the box state must weigh
@@ -653,7 +703,7 @@ class TestRun:
             nonlinear_enabled=False, diag_every=5, ic_mode=(1, 2, 1),
         )
         res = run(cfg)  # j = 2, well inside the edge band |j| >= 4.5
-        assert res.status == "completed" and len(res.times) == 6
+        assert res.status == "completed" and len(res.reports) == 6
         assert not any("eta band edge" in w for w in res.warnings)
 
     def test_band_edge_fraction_matches_spectral(self):
@@ -703,19 +753,9 @@ class TestRunCarriesTheBox:
             diag_every=2, **kw,
         )
 
-    def spy(self, monkeypatch):
-        calls = {"_box": 0, "_full": 0, "step": 0}
-        for name in calls:
-            def counted(*a, _real=getattr(simulation, name), _name=name):
-                calls[_name] += 1
-                return _real(*a)
-
-            monkeypatch.setattr(simulation, name, counted)
-        return calls
-
     @pytest.mark.parametrize("nonlinear", [False, True], ids=["linear", "nonlinear"])
     def test_no_full_layout_without_snapshots(self, monkeypatch, nonlinear):
-        calls = self.spy(monkeypatch)
+        calls = count_calls(monkeypatch, "_box", "_full", "step")
         res = run(self.cfg(nonlinear_enabled=nonlinear))
         assert (res.status, res.n_steps, res.snapshots) == ("completed", 10, [])
         # every step goes through the module global, where a wrapper sees it
@@ -723,7 +763,7 @@ class TestRunCarriesTheBox:
 
     @pytest.mark.parametrize("every", [1, 3, 4, 10])
     def test_one_full_layout_per_stored_snapshot(self, monkeypatch, every):
-        calls = self.spy(monkeypatch)
+        calls = count_calls(monkeypatch, "_box", "_full", "step")
         res = run(self.cfg(snapshot_every=every))
         stored = [i for i in range(1, 11) if i % every == 0 or i == 10]
         assert len(res.snapshots) == 1 + len(stored)

@@ -31,7 +31,7 @@ def fake_result(series, status="completed"):
         EnergyReport(t=float(i), norms={"U_neq_HN_total": float(v)})
         for i, v in enumerate(series)
     ]
-    return RunResult(cfg=cfg, times=[r.t for r in reports], reports=reports, status=status)
+    return RunResult(cfg=cfg, reports=reports, status=status)
 
 
 class TestClassify:
