@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .multipliers import WINDOW
+
 USE_NUMBA = False  # no compiled kernels; kept because perfbench/run.py records it
 
 
@@ -21,11 +23,11 @@ def _ratio(k, eta):
     return nonzero, np.where(nonzero, eta / np.where(nonzero, k, 1.0), 0.0)
 
 
-def m_values(t, k, eta, l, nu, window=1000.0):
-    lw = window * nu ** (-1.0 / 3.0)
+def m_values(t, k, eta, l, nu):
+    lw = WINDOW * nu ** (-1.0 / 3.0)
     nonzero, ratio = _ratio(k, eta)
     wt = k * k + (eta - k * t) ** 2 + l * l
-    w_end = k * k + (window * k) ** 2 * nu ** (-2.0 / 3.0) + l * l
+    w_end = k * k + (WINDOW * k) ** 2 * nu ** (-2.0 / 3.0) + l * l
     w0 = k * k + eta * eta + l * l
     kl2 = k * k + l * l
     tend = ratio + lw

@@ -30,6 +30,7 @@ from .linear import (
     zero_mode_evolve,
 )
 from .multipliers import (
+    WINDOW,
     MultiplierParams,
     M_closed,
     M_log_derivative,
@@ -78,7 +79,6 @@ def _build_parser() -> _Parser:
     mult.add_argument("--nu", type=float, required=True)
     mult.add_argument("--t-max", type=float, default=20.0)
     mult.add_argument("--points", type=int, default=201)
-    mult.add_argument("--window", type=float, default=1000.0)
 
     sim = sub.add_parser("simulate", parents=[common], help="run the pseudospectral integrator")
     sim.add_argument("--config", type=str, default=None, help="INI config file")
@@ -278,11 +278,11 @@ def _write_zero_mode_csv(path, kv, args, ts):
 
 def cmd_multipliers(args) -> int:
     modes, ts = _parse_modes(args)
-    p = MultiplierParams(nu=args.nu, window=args.window)
+    p = MultiplierParams(nu=args.nu)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     manifest = reporting.Manifest(
-        {"command": "multipliers", "nu": args.nu, "window": args.window,
+        {"command": "multipliers", "nu": args.nu, "window": WINDOW,
          "t_max": args.t_max, "points": args.points,
          "modes": [(kv.k, kv.eta, kv.l) for kv in modes]}
     )

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -26,10 +25,8 @@ from .spectral import GridSpec, SpectralField
 __all__ = [
     "EnergyReport",
     "Accumulators",
-    "compute_Q",
     "compute_K_check",
     "bootstrap_report",
-    "dissipation_scaling_fits",
     "INSTANT_COLUMNS",
     "ACCUMULATED_COLUMNS",
     "FLAG_NAMES",
@@ -147,15 +144,6 @@ class Accumulators:
             self.maxima[name] = max(self.maxima.get(name, 0.0), v)
 
 
-def compute_Q(U: VelocityField, t: float | None = None):
-    """Laplacian unknowns: Q_i = -w(t) * U_i per mode."""
-    if t is None:
-        t = U.time
-    _, _, _, w = frame_symbols(U.grid, t)
-    w[0, 0, 0] = 0.0  # excluded mean mode
-    return tuple(SpectralField(U.grid, -w * c, t) for c in U.coeffs)
-
-
 def compute_K_check(U: VelocityField, t: float | None = None):
     """Symmetrised good unknowns for the planar pair.
 
@@ -231,7 +219,7 @@ def bootstrap_report(box: np.ndarray, t: float, cfg: SimConfig, acc: Accumulator
     k = wv.k[1:]
     M2 = _kernels.M_values(t, k, wv.eta, wv.l, cfg.nu)[..., 0] ** 2
     dmm = _kernels.neg_MdotM_values(t, k, wv.eta, wv.l, cfg.nu)[..., 0]
-    m = _kernels.m_values(t, k, wv.eta, wv.l, cfg.nu, cfg.mult_window)
+    m = _kernels.m_values(t, k, wv.eta, wv.l, cfg.nu)
     wn = w[1:]
     h = hsN[1:]
     P1, P2, P3 = P[:, 1:]
@@ -292,31 +280,3 @@ def bootstrap_report(box: np.ndarray, t: float, cfg: SimConfig, acc: Accumulator
         lhs = acc.maxima[x] + sum(rnu * norms[n] for n in weighted)
         flags[flag] = sum((norms[n] for n in unweighted), lhs) > bound[size]
     return EnergyReport(t=t, norms=norms, flags=flags)
-
-
-def dissipation_scaling_fits(runs: Sequence, quantities: dict[str, float] | None = None) -> dict:
-    """Fit the viscosity scaling of the accumulated enhanced-dissipation norms.
-
-    For each tracked L2-in-time quantity this regresses log(final integral)
-    against log(nu) across the supplied runs and reports the fitted exponent,
-    the predicted exponent and the fit residual.  Requires at least three
-    distinct viscosities.
-    """
-    if quantities is None:
-        quantities = {
-            "int_Kcheck_neq_HN": -1.0 / 6.0,
-            "int_mQ3_neq_HN": -1.0 / 2.0,
-            "int_gradL_U12_neq_HN": -1.0 / 6.0,
-        }
-    nus = [r.cfg.nu for r in runs]
-    if len(set(nus)) < 3:
-        raise ValueError(f"need runs at >= 3 distinct viscosities, got {sorted(set(nus))}")
-    x = np.log(np.array(nus, dtype=float))
-    out = {}
-    for name, predicted in quantities.items():
-        y = np.log(np.array([r.reports[-1].norms[name] for r in runs], dtype=float))
-        coeffs, residuals, *_ = np.polyfit(x, y, 1, full=True)
-        slope = float(coeffs[0])
-        resid = float(residuals[0]) if len(residuals) else 0.0
-        out[name] = {"exponent": slope, "predicted": predicted, "residual": resid}
-    return out

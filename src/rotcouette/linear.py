@@ -29,7 +29,6 @@ __all__ = [
     "ZeroModeState",
     "phase_angle",
     "evolve_K_closed",
-    "enhanced_dissipation_check",
     "evolve_U3",
     "zero_mode_evolve",
     "inviscid_damping_rates",
@@ -96,20 +95,6 @@ def evolve_K_closed(
         K1=decay * (c * state0.K1 + s * state0.K2),
         K2=decay * (-s * state0.K1 + c * state0.K2),
     )
-
-
-def enhanced_dissipation_check(
-    state0: ModeStateK, t: float, nu: float, kv: WaveVector, slack: float = 1e-12
-) -> bool:
-    """True iff |K(t)|^2 <= e^{-(nu/6) k^2 t^3} |K(0)|^2 + slack.
-
-    Holds for every closed-form trajectory because the dissipation integral
-    dominates k^2 t^3 / 12.
-    """
-    _require_nonzero_k(kv, "enhanced_dissipation_check")
-    evolved = evolve_K_closed(state0, t, nu, kv)
-    envelope = math.exp(-(nu / 6.0) * kv.k * kv.k * t**3) * state0.magnitude**2
-    return evolved.magnitude**2 <= envelope + slack
 
 
 def evolve_U3(u3_0: complex, state0: ModeStateK, t: float, nu: float, kv: WaveVector) -> complex:

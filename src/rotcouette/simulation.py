@@ -103,7 +103,6 @@ class SimConfig:
     blowup_cap: float = 1e6
     C0: float = 100.0
     C1: float = 10.0
-    mult_window: float = 1000.0
 
     def __post_init__(self) -> None:
         if not (0.0 < self.nu < 1.0):
@@ -114,7 +113,7 @@ class SimConfig:
         for name, v in (("t_end", self.t_end), ("eps", self.eps)):
             if not 0.0 <= v < math.inf:
                 raise ValueError(f"{name} must be nonnegative and finite, got {v}")
-        for name in ("blowup_cap", "C0", "C1", "mult_window"):
+        for name in ("blowup_cap", "C0", "C1"):
             v = getattr(self, name)
             if not 0.0 < v < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {v}")
@@ -494,7 +493,7 @@ class RunResult:
 
 
 def _band_edge_fraction(b: np.ndarray, grid: GridSpec) -> float:
-    """Largest ``high_eta_energy_fraction(f, j_limit=cy)`` of the components of box b."""
+    """Largest share of a component's power at |j| >= 0.9 cy, over the components of box b."""
     power = b.real**2 + b.imag**2
     power[..., 1:] *= 2.0  # an l > 0 plane stands for itself and its conjugate reflection
     j = np.fft.fftfreq(power.shape[2], 1.0 / power.shape[2])  # FFT-ordered j of the box

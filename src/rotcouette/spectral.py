@@ -30,10 +30,7 @@ __all__ = [
     "w_symbol",
     "integral_w",
     "sobolev_norm",
-    "field_to_physical",
-    "hermitian_symmetrize",
     "hermitian_defect",
-    "high_eta_energy_fraction",
 ]
 
 
@@ -182,11 +179,6 @@ class SpectralField:
             )
 
 
-def field_to_physical(f: SpectralField) -> np.ndarray:
-    """Synthesise physical samples: sum of C * exp(i(kx + eta y + lz)) on the grid."""
-    return np.fft.ifftn(f.coeffs) * f.grid.n_modes
-
-
 def sobolev_norm(f: SpectralField, s: float) -> float:
     """Weighted-l2 Sobolev norm sqrt(sum (1+k^2+eta^2+l^2)^s |C|^2 * cell).
 
@@ -217,25 +209,3 @@ def _conjugate_flip(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
 def hermitian_defect(f: SpectralField) -> float:
     """Max |C(k,eta,l) - conj(C(-k,-eta,-l))| over all modes."""
     return float(np.max(np.abs(f.coeffs - _conjugate_flip(f.grid, f.coeffs))))
-
-
-def hermitian_symmetrize(f: SpectralField) -> SpectralField:
-    """Average the field with its conjugate reflection (exact real-field part)."""
-    sym = 0.5 * (f.coeffs + _conjugate_flip(f.grid, f.coeffs))
-    return SpectralField(f.grid, sym, f.time)
-
-
-def high_eta_energy_fraction(f: SpectralField, frac: float = 0.9, j_limit: int | None = None) -> float:
-    """Fraction of |C|^2 carried by |j| >= frac * j_limit; resolution monitor.
-
-    ``j_limit`` defaults to the Nyquist index Ny/2; pass the dealias cutoff to
-    monitor the live band edge of a dealiased computation.
-    """
-    power = f.coeffs.real**2 + f.coeffs.imag**2
-    total = float(np.sum(power))
-    if total == 0.0:
-        return 0.0
-    jcut = frac * (f.grid.Ny // 2 if j_limit is None else j_limit)
-    mask = np.abs(f.grid.j_index) >= jcut
-    return float(np.sum(power[:, mask, :])) / total
-

@@ -8,25 +8,34 @@ mode loops instead of vectorised norms, one ``repr`` per CSV field
 instead of deduplicated string tables, and the half-spectrum stepper with
 dealias masks instead of the one on the retained box.  ``full_step`` is no
 oracle: it runs the package's box stepper on a full-layout field.
+
+The last section holds the helpers that only the tests call: physical
+synthesis, Hermitian symmetrisation, the band-edge monitor on a full field,
+the Laplacian unknowns, the enhanced-dissipation envelope check and the
+scans of the two spectral weights over sample sets.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import expm
 
 from rotcouette import _kernels
-from rotcouette.diagnostics import EnergyReport, compute_K_check, compute_Q
+from rotcouette.diagnostics import EnergyReport, compute_K_check
+from rotcouette.linear import ModeStateK, _require_nonzero_k, evolve_K_closed
+from rotcouette.multipliers import M_closed, M_log_derivative, MultiplierParams, m_exact
 from rotcouette.simulation import BlowUpError, VelocityField, _box, _full, _waves, frame_symbols, step
 from rotcouette.spectral import (
     GridSpec,
     SpectralField,
     WaveVector,
-    hermitian_symmetrize,
+    _conjugate_flip,
     integral_w,
     w_symbol,
 )
@@ -183,8 +192,6 @@ def physical_l2(f: SpectralField) -> float:
     Uses the honest volume element (2 pi / Nx)(Ly / Ny)(2 pi / Nz); the
     package's spectral norm equals this divided by 2 pi sqrt(Ny).
     """
-    from rotcouette.spectral import field_to_physical
-
     vals = field_to_physical(f)
     g = f.grid
     dv = (2.0 * math.pi / g.Nx) * (g.Ly / g.Ny) * (2.0 * math.pi / g.Nz)
@@ -314,10 +321,10 @@ def _weighted_norm(grid: GridSpec, coeffs: np.ndarray, weight_sq) -> float:
     return float(np.sqrt(np.sum(weight_sq * power) * grid.cell_measure))
 
 
-def _multiplier_grids(grid: GridSpec, t: float, nu: float, window: float):
+def _multiplier_grids(grid: GridSpec, t: float, nu: float):
     """m over the coefficient layout; M and -Mdot/M, which have no l, as (Nx,Ny,1)."""
     wv = _waves(grid, False)
-    m = _kernels.m_values(t, wv.k, wv.eta, wv.l, nu, window)
+    m = _kernels.m_values(t, wv.k, wv.eta, wv.l, nu)
     M = _kernels.M_values(t, wv.k, wv.eta, wv.l, nu)
     dmm = _kernels.neg_MdotM_values(t, wv.k, wv.eta, wv.l, nu)
     return m, M, dmm
@@ -342,7 +349,7 @@ def reference_bootstrap_report(U, t: float, cfg, acc):
     w = kk * kk + etal * etal + ll * ll
     hsN = grid.sobolev_weights(N)
     hsNm1 = grid.sobolev_weights(N - 1.0)
-    m, M, dmm = _multiplier_grids(grid, t, cfg.nu, cfg.mult_window)
+    m, M, dmm = _multiplier_grids(grid, t, cfg.nu)
     nonzero = kk != 0.0
     zero = ~nonzero
 
@@ -586,3 +593,145 @@ def half_spectrum_step(U: VelocityField, t: float, dt: float, cfg) -> VelocityFi
     ry = (-np.arange(grid.Ny)) % grid.Ny
     np.conjugate(new[..., grid.Nz - nh : 0 : -1][:, rx][:, :, ry], out=full[..., nh:])
     return VelocityField(grid, full, t1)
+
+
+# ---------------------------------------------------------------------------
+# helpers that only the tests call
+
+
+def field_to_physical(f: SpectralField) -> np.ndarray:
+    """Synthesise physical samples: sum of C * exp(i(kx + eta y + lz)) on the grid."""
+    return np.fft.ifftn(f.coeffs) * f.grid.n_modes
+
+
+def hermitian_symmetrize(f: SpectralField) -> SpectralField:
+    """Average the field with its conjugate reflection (exact real-field part)."""
+    sym = 0.5 * (f.coeffs + _conjugate_flip(f.grid, f.coeffs))
+    return SpectralField(f.grid, sym, f.time)
+
+
+def high_eta_energy_fraction(f: SpectralField, frac: float = 0.9, j_limit: int | None = None) -> float:
+    """Fraction of |C|^2 carried by |j| >= frac * j_limit; resolution monitor.
+
+    ``j_limit`` defaults to the Nyquist index Ny/2; pass the dealias cutoff to
+    monitor the live band edge of a dealiased computation.  The reference for
+    ``simulation._band_edge_fraction``, which reads the retained box.
+    """
+    power = f.coeffs.real**2 + f.coeffs.imag**2
+    total = float(np.sum(power))
+    if total == 0.0:
+        return 0.0
+    jcut = frac * (f.grid.Ny // 2 if j_limit is None else j_limit)
+    mask = np.abs(f.grid.j_index) >= jcut
+    return float(np.sum(power[:, mask, :])) / total
+
+
+def compute_Q(U: VelocityField, t: float | None = None):
+    """Laplacian unknowns: Q_i = -w(t) * U_i per mode."""
+    if t is None:
+        t = U.time
+    _, _, _, w = frame_symbols(U.grid, t)
+    w[0, 0, 0] = 0.0  # excluded mean mode
+    return tuple(SpectralField(U.grid, -w * c, t) for c in U.coeffs)
+
+
+def enhanced_dissipation_check(
+    state0: ModeStateK, t: float, nu: float, kv: WaveVector, slack: float = 1e-12
+) -> bool:
+    """True iff |K(t)|^2 <= e^{-(nu/6) k^2 t^3} |K(0)|^2 + slack.
+
+    Holds for every closed-form trajectory because the dissipation integral
+    dominates k^2 t^3 / 12.
+    """
+    _require_nonzero_k(kv, "enhanced_dissipation_check")
+    evolved = evolve_K_closed(state0, t, nu, kv)
+    envelope = math.exp(-(nu / 6.0) * kv.k * kv.k * t**3) * state0.magnitude**2
+    return evolved.magnitude**2 <= envelope + slack
+
+
+def neg_MdotM(t: float, kv: WaveVector, p: MultiplierParams) -> float:
+    """-dM/dt * M >= 0, the density of the ghost-weight dissipation."""
+    M = M_closed(t, kv, p)
+    return -M_log_derivative(t, kv, p) * M * M
+
+
+@dataclass(frozen=True)
+class MBoundsReport:
+    """Scan results for the stretching weight over a sample set."""
+
+    n_samples: int
+    m_max: float
+    c1: float  # smallest observed m / nu^{2/3}
+    c2: float  # smallest observed m * w / (k^2 + l^2)
+    upper_bound_ok: bool
+
+    @property
+    def ok(self) -> bool:
+        return self.upper_bound_ok and self.c1 > 0.0 and self.c2 > 0.0
+
+
+def check_m_bounds(samples: Sequence[tuple[float, WaveVector]], p: MultiplierParams) -> MBoundsReport:
+    """Verify m <= 1 and report the sharpest admissible lower-bound constants.
+
+    c1 is the largest constant with m >= c1 * nu^{2/3} on the samples, c2 the
+    largest with m >= c2 * (k^2 + l^2) / w (modes with k = l = 0 are skipped
+    in the c2 scan since both sides vanish).
+    """
+    m_max = 0.0
+    c1 = math.inf
+    c2 = math.inf
+    nu23 = p.nu ** (2.0 / 3.0)
+    for t, kv in samples:
+        m = m_exact(t, kv, p)
+        m_max = max(m_max, m)
+        c1 = min(c1, m / nu23)
+        kl2 = kv.k * kv.k + kv.l * kv.l
+        if kl2 > 0:
+            c2 = min(c2, m * w_symbol(t, kv) / kl2)
+    return MBoundsReport(
+        n_samples=len(samples),
+        m_max=m_max,
+        c1=c1,
+        c2=c2,
+        upper_bound_ok=m_max <= 1.0 + 1e-12,
+    )
+
+
+@dataclass(frozen=True)
+class MCoercivityReport:
+    """Scan results for the ghost weight over a sample set."""
+
+    n_samples: int
+    M_min: float
+    M_max: float
+    coercivity_inf: float  # inf of nu^{-1/6} sqrt(-Mdot M) + nu^{1/3} |k, eta-kt, l| over k != 0
+
+    @property
+    def bounds_ok(self) -> bool:
+        return math.exp(-math.pi) <= self.M_min and self.M_max <= 1.0 + 1e-12
+
+
+def check_M_bounds_and_coercivity(
+    samples: Iterable[tuple[float, WaveVector]], p: MultiplierParams
+) -> MCoercivityReport:
+    """Verify e^{-pi} <= M <= 1 and report the observed coercivity infimum.
+
+    The coercivity quantity nu^{-1/6} sqrt(-Mdot M) + nu^{1/3} |k, eta-kt, l|
+    is scanned over the k != 0 samples only; its positive lower bound is what
+    converts ghost-weight dissipation into an integrated-decay estimate.
+    """
+    M_min = math.inf
+    M_max = 0.0
+    inf = math.inf
+    n = 0
+    for t, kv in samples:
+        n += 1
+        M = M_closed(t, kv, p)
+        M_min = min(M_min, M)
+        M_max = max(M_max, M)
+        if kv.k != 0:
+            value = p.nu ** (-1.0 / 6.0) * math.sqrt(neg_MdotM(t, kv, p)) + p.nu ** (
+                1.0 / 3.0
+            ) * math.sqrt(w_symbol(t, kv))
+            inf = min(inf, value)
+    return MCoercivityReport(n_samples=n, M_min=M_min, M_max=M_max, coercivity_inf=inf)

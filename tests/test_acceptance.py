@@ -14,7 +14,6 @@ import pytest
 from rotcouette.diagnostics import compute_K_check
 from rotcouette.linear import (
     ModeStateK,
-    enhanced_dissipation_check,
     evolve_K_closed,
     evolve_U3,
     zero_mode_evolve,
@@ -23,8 +22,6 @@ from rotcouette.linear import (
 from rotcouette.multipliers import (
     MultiplierParams,
     M_closed,
-    check_M_bounds_and_coercivity,
-    check_m_bounds,
     m_ode_residual,
 )
 from rotcouette.simulation import SimConfig, divergence_defect, run
@@ -32,6 +29,9 @@ from rotcouette.spectral import GridSpec, WaveVector, integral_w, sobolev_norm
 from rotcouette.threshold import ClassifyCriteria, classify_run, default_horizon
 
 from oracles import (
+    check_M_bounds_and_coercivity,
+    check_m_bounds,
+    enhanced_dissipation_check,
     expm_zero_mode,
     random_modes,
     rk4_K_batch,

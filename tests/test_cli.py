@@ -88,12 +88,12 @@ class TestUsageErrors:
             ["multipliers", "--mode", "1,inf,0", "--nu", "1e-3"],
             ["multipliers", "--mode", "1,2,0", "--nu", "1e-3", "--t-max", "-1"],
             ["multipliers", "--mode", "1,2,0", "--nu", "1e-3", "--t-max", "nan"],
-            ["multipliers", "--mode", "1,2,0", "--nu", "1e-3", "--window", "nan"],
+            ["multipliers", "--mode", "1,2,0", "--nu", "1e-3", "--window", "1000"],
         ],
         ids=["linear-nan-eta", "linear-nan-nu", "linear-nan-k1", "linear-inf-k2",
              "linear-inf-u30", "linear-negative-nu-zero-mode", "linear-mean-mode-in-list",
              "linear-inf-t-max", "linear-negative-points", "multipliers-inf-eta",
-             "multipliers-negative-t-max", "multipliers-nan-t-max", "multipliers-nan-window"],
+             "multipliers-negative-t-max", "multipliers-nan-t-max", "multipliers-window-flag"],
     )
     def test_bad_mode_or_sampling_rejected(self, tmp_path, argv):
         out = tmp_path / "out"
@@ -106,20 +106,22 @@ class TestUsageErrors:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
 
     def test_shear_rate_is_not_a_key(self, tmp_path, capsys):
-        # the shear rate is 1, as in the paper, and no longer a config field
-        out = tmp_path / "out"
-        argv = ["simulate", "--config", str(sim_ini(tmp_path, beta=2)), "--out", str(out)]
-        assert main(argv) == EXIT_USAGE
-        assert "unknown [sim] key: beta" in capsys.readouterr().err
-        assert not out.exists()
+        # the shear rate is 1 and the window of the weight m is 1000 nu^{-1/3}, as in the
+        # paper; neither is a config field
+        for key in ("beta", "mult_window"):
+            out = tmp_path / "out"
+            argv = ["simulate", "--config", str(sim_ini(tmp_path, **{key: 2})), "--out", str(out)]
+            assert main(argv) == EXIT_USAGE
+            assert f"unknown [sim] key: {key}" in capsys.readouterr().err
+            assert not out.exists()
 
     @pytest.mark.parametrize(
         "setting",
         [
             "--t-end=nan", "--t-end=inf", "--dt=inf", "--dt=nan", "--eps=nan", "--eps=inf",
             "--ly=nan", "sigma=nan", "sigma=inf", "blowup_cap=nan", "blowup_cap=inf",
-            "blowup_cap=0", "c0=nan", "c0=inf", "c1=nan", "c1=-1", "mult_window=nan",
-            "mult_window=inf", "--snapshots=-3", "--seed=-1",
+            "blowup_cap=0", "c0=nan", "c0=inf", "c1=nan", "c1=-1", "--snapshots=-3",
+            "--seed=-1",
         ],
     )
     def test_nonfinite_or_out_of_range_sim_value_rejected(self, tmp_path, setting):
@@ -257,7 +259,7 @@ class TestConfigSchema:
         nu="2e-2", nx="8", ny="16", nz="8", ly="16.0", dt="0.05", t_end="2.0", eps="1e-3",
         seed="4", ic_kind="file", ic_k="2", ic_j="-1", ic_l="2", sigma="6.0",
         nonlinear_enabled="no", rk_stages="2", diag_every="3", snapshot_every="7",
-        blowup_cap="1e3", c0="50.0", c1="5.0", mult_window="100.0",
+        blowup_cap="1e3", c0="50.0", c1="5.0",
     )
     SWEEP = dict(
         nu_grid="2e-2, 1e-2", eps_min="1e-6", eps_max="1e-3", eps_points="3", horizon="4.0",
@@ -733,7 +735,7 @@ class TestReadmeExample:
         # config hashes are pinned: a change breaks --resume and must be deliberate
         config = json.loads((tmp_path / "sim" / "manifest.json").read_text())["config"]
         assert config["t_end"] == 0.05
-        assert config_hash({**config, "t_end": 10.0}) == "a40ff57df5c638c9"
+        assert config_hash({**config, "t_end": 10.0}) == "d2c66485e104988e"
 
         cells = []
 
@@ -745,4 +747,4 @@ class TestReadmeExample:
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep")]) == EXIT_OK
         assert cells  # every cell ran through the stub
         manifest = json.loads((tmp_path / "sweep" / "manifest.json").read_text())
-        assert manifest["config_hash"] == "7a9d9753166663bf"
+        assert manifest["config_hash"] == "6a0b8894c850eaf4"

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from rotcouette import _kernels
-from rotcouette.multipliers import MultiplierParams, M_closed, m_exact, neg_MdotM
+from rotcouette.multipliers import MultiplierParams, M_closed, m_exact
 from rotcouette.spectral import GridSpec, WaveVector
 
+from oracles import neg_MdotM
+
 TIMES = (0.0, 5.5, 120.0)
-NU, WINDOW = 2e-3, 1000.0
+NU = 2e-3
 KERNELS = {
-    "m_values": lambda t, k, e, l: _kernels.m_values(t, k, e, l, NU, WINDOW),
+    "m_values": lambda t, k, e, l: _kernels.m_values(t, k, e, l, NU),
     "M_values": lambda t, k, e, l: _kernels.M_values(t, k, e, l, NU),
     "neg_MdotM_values": lambda t, k, e, l: _kernels.neg_MdotM_values(t, k, e, l, NU),
 }

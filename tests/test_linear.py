@@ -9,7 +9,6 @@ import pytest
 from rotcouette.linear import (
     ModeStateK,
     ZeroModeState,
-    enhanced_dissipation_check,
     evolve_K_closed,
     evolve_U3,
     inviscid_damping_rates,
@@ -18,7 +17,13 @@ from rotcouette.linear import (
 )
 from rotcouette.spectral import WaveVector, integral_w, w_symbol
 
-from oracles import expm_zero_mode, quad_phase_angle, random_modes, rk4_K_batch
+from oracles import (
+    enhanced_dissipation_check,
+    expm_zero_mode,
+    quad_phase_angle,
+    random_modes,
+    rk4_K_batch,
+)
 
 
 class TestPhaseAngle:

@@ -6,21 +6,24 @@ import numpy as np
 import pytest
 
 from rotcouette.multipliers import (
-    MBoundsReport,
     MultiplierParams,
     M_closed,
     M_log_derivative,
     SwitchingTimeError,
-    check_M_bounds_and_coercivity,
-    check_m_bounds,
     m_exact,
     m_log_derivative,
     m_ode_residual,
-    neg_MdotM,
 )
 from rotcouette.spectral import WaveVector, w_symbol
 
-from oracles import random_modes, rk4_M_batch
+from oracles import (
+    MBoundsReport,
+    check_M_bounds_and_coercivity,
+    check_m_bounds,
+    neg_MdotM,
+    random_modes,
+    rk4_M_batch,
+)
 
 
 def sample_params(rng) -> MultiplierParams:
@@ -33,11 +36,9 @@ class TestParams:
             MultiplierParams(nu=0.0)
         with pytest.raises(ValueError):
             MultiplierParams(nu=1.0)
-        with pytest.raises(ValueError):
-            MultiplierParams(nu=0.5, window=0.0)
 
     def test_window_length(self):
-        p = MultiplierParams(nu=1e-3, window=1000.0)
+        p = MultiplierParams(nu=1e-3)
         assert p.window_length == pytest.approx(1e4)
 
 
@@ -57,8 +58,8 @@ class TestMExact:
         assert m_exact(0.0, WaveVector(1, -1.0, 0), p) == pytest.approx(1.0, rel=1e-12)
 
     def test_far_negative_ratio_is_identity(self):
-        p = MultiplierParams(nu=1e-1, window=1.0)
-        kv = WaveVector(1, -100.0, 0)  # eta/k far below the window start
+        p = MultiplierParams(nu=1e-1)  # window length 1000 * 10^{1/3} = 2154.4
+        kv = WaveVector(1, -1e4, 0)  # eta/k far below the window start
         for t in (0.0, 3.0, 1e5):
             assert m_exact(t, kv, p) == 1.0
 
@@ -129,7 +130,7 @@ class TestMOdeResidual:
             checked += 1
 
     def test_frozen_region_zero_rhs(self):
-        p = MultiplierParams(nu=1e-1, window=1.0)
+        p = MultiplierParams(nu=1e-1)
         kv = WaveVector(2, 1.0, 1)
         t = kv.eta / kv.k + p.window_length + 5.0
         assert m_ode_residual(t, kv, p) <= 1e-10

@@ -10,6 +10,8 @@ from oracles import (
     convective_nonlinear_rhs,
     full_step,
     half_spectrum_step,
+    hermitian_symmetrize,
+    high_eta_energy_fraction,
     linear_rhs,
     random_band_loop,
     wave_numbers,
@@ -46,8 +48,6 @@ from rotcouette.spectral import (
     SpectralField,
     WaveVector,
     hermitian_defect,
-    hermitian_symmetrize,
-    high_eta_energy_fraction,
     sobolev_norm,
 )
 

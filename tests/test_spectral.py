@@ -9,14 +9,18 @@ from rotcouette.spectral import (
     GridSpec,
     SpectralField,
     WaveVector,
-    field_to_physical,
-    hermitian_symmetrize,
-    high_eta_energy_fraction,
     integral_w,
     sobolev_norm,
 )
 
-from oracles import physical_l2, quad_integral_w, random_modes
+from oracles import (
+    field_to_physical,
+    hermitian_symmetrize,
+    high_eta_energy_fraction,
+    physical_l2,
+    quad_integral_w,
+    random_modes,
+)
 
 
 def random_hermitian_field(grid, rng, time=0.0):
