@@ -7,8 +7,9 @@ the data files byte for byte.  Every CSV except the snapshots goes through
 ``write_csv``, whose one field rule writes a flag as 1 or 0, a missing value
 (None) as an empty field, text as it is, and anything else as the ``repr`` of
 its float.  The manifest records the config hash, the code and numpy
-versions, wall times, the produced file list and, for a simulation, how the
-run ended.
+versions, the BLAS library that numpy calls (the advection's matrix products
+run there, so the bytes of a nonlinear run hold for one numpy/BLAS build),
+wall times, the produced file list and, for a simulation, how the run ended.
 """
 
 from __future__ import annotations
@@ -146,6 +147,15 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
+def _blas() -> dict | None:
+    """{"name", "version"} of numpy's BLAS, None where the numpy build cannot say."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.26 has no mode argument
+        return None
+    return {"name": blas.get("name"), "version": blas.get("version")}
+
+
 class Manifest:
     """Reproducibility record emitted by every file-writing command."""
 
@@ -165,6 +175,7 @@ class Manifest:
             "config_hash": self.hash,
             "version": __version__,
             "numpy": np.__version__,
+            "blas": _blas(),
             "started_unix": self.started,
             "finished_unix": _time.time(),
             "config": self.config,

@@ -15,9 +15,11 @@ cz+1) array in FFT order: the retained 2/3 box |k| <= cx, |j| <= cy,
 0 <= l <= cz of a real field, outside which every mode is zero, so no mask
 is applied.  ``step`` takes and returns it and ``run`` carries it; the full
 ``VelocityField`` is built only for the initial condition and snapshots.
-Advection is evaluated in rotational form on the physical grid, zero-padded
-from the box and cut back to it, and re-projected, which keeps it
-energy-neutral.
+Advection is evaluated in rotational form on the physical grid and
+re-projected, which keeps it energy-neutral.  The box reaches the grid and
+comes back through dense partial DFTs over the retained modes alone, three
+matrix products each way (``_to_grid``, ``_to_box``): no FFT transforms the
+zero padding, and no mode outside the box is ever computed.
 """
 
 from __future__ import annotations
@@ -155,9 +157,15 @@ class _Waves:
     k2: np.ndarray
     l2: np.ndarray
     kl2: np.ndarray  # k^2 + l^2, (nk, 1, nl)
-    index: np.ndarray | None = None  # box only: flat positions of the box in (Nx, Ny, Nz),
-    mirror: np.ndarray | None = None  # of the reflections of its l > 0 modes there,
-    fft_index: np.ndarray | None = None  # and of the box in (Nx, Ny, Nz//2 + 1)
+    index: np.ndarray | None = None  # box only: flat positions of the box in (Nx, Ny, Nz)
+    mirror: np.ndarray | None = None  # and of the reflections of its l > 0 modes there;
+    to_grid: tuple | None = None  # the partial DFT matrices (Ex, Ey, Az) of ``_to_grid``
+    to_box: tuple | None = None  # and (Ex^H, Ey^H, Bz) of ``_to_box``
+
+
+def _dft(n: int, m: np.ndarray) -> np.ndarray:
+    """e^{2 pi i a m / n} at the n grid points a (rows) and the modes m (columns)."""
+    return np.exp((2j * np.pi / n) * (np.arange(n)[:, None] * m % n))
 
 
 @lru_cache(maxsize=16)
@@ -173,10 +181,18 @@ def _waves(grid: GridSpec, box: bool) -> _Waves:
     arrays = [k, eta, l, k * k, l * l, k * k + l * l]
     if box:
         pos, flip = np.ix_(ix, iy, iz), np.ix_(-ix % nx, -iy % ny, -iz[1:] % nz)
-        for at, shape in ((pos, grid.shape), (flip, grid.shape), (pos, (nx, ny, nz // 2 + 1))):
-            arrays.append(np.ravel_multi_index(at, shape))
+        arrays += [np.ravel_multi_index(at, grid.shape) for at in (pos, flip)]
+        ex, ey, ez = _dft(nx, ix), _dft(ny, iy), _dft(nz, iz)
+        # z acts on the interleaved (re, im) pairs of the l >= 0 amplitudes: a
+        # sample is Re D_0 + sum_{l > 0} 2 Re(D_l e^{ilz}), where sin 0 = 0
+        # drops Im D_0, as irfft drops it; the forward columns carry 1 / n_modes
+        pairs = np.stack((ez.real, -ez.imag), axis=-1).reshape(nz, -1)
+        to_grid = (ex, ey, pairs.T * np.repeat(np.where(iz == 0, 1.0, 2.0), 2)[:, None])
+        to_box = (ex.conj().T, ey.conj().T, pairs / grid.n_modes)
+        arrays += [tuple(map(np.ascontiguousarray, m)) for m in (to_grid, to_box)]
     for a in arrays:
-        a.flags.writeable = False
+        for m in a if isinstance(a, tuple) else (a,):
+            m.flags.writeable = False
     return _Waves(*arrays)
 
 
@@ -232,29 +248,55 @@ def leray_project_L(f: np.ndarray, sym) -> np.ndarray:
     return f
 
 
+def _to_grid(c: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Physical samples, as (Ny, n, Nx, Nz), of n real fields given by their box amplitudes.
+
+    The box c is (n, 2cx+1, 2cy+1, cz+1).  Partial DFTs over the retained
+    modes only, one axis at a time as matrix products: x, then y with j moved
+    to the front (one product), then the real step in z.
+    """
+    ex, ey, az = _waves(grid, True).to_grid
+    n, nk, nj, nl = c.shape
+    g = (ex @ c.reshape(n, nk, nj * nl)).reshape(n, grid.Nx, nj, nl)
+    g = ey @ g.transpose(2, 0, 1, 3).reshape(nj, -1)
+    return (g.view(np.float64).reshape(-1, 2 * nl) @ az).reshape(grid.Ny, n, grid.Nx, grid.Nz)
+
+
+def _to_box(p: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Box amplitudes (n, 2cx+1, 2cy+1, cz+1) of physical samples p laid out as (Ny, n, Nx, Nz).
+
+    The conjugate transposes of ``_to_grid``'s products in reverse order: z
+    (with the 1 / n_modes of the amplitudes), y, then x moved to the front.
+    Only the retained modes are computed; no padded spectrum is formed or cut.
+    """
+    exh, eyh, bz = _waves(grid, True).to_box
+    ny, n, nx, nz = p.shape
+    nk, nj, nl = exh.shape[0], eyh.shape[0], bz.shape[1] // 2
+    h = (p.reshape(-1, nz) @ bz).view(np.complex128).reshape(ny, -1)
+    h = (eyh @ h).reshape(nj, n, nx, nl).transpose(2, 1, 0, 3).reshape(nx, -1)
+    return np.ascontiguousarray((exh @ h).reshape(nk, n, nj, nl).swapaxes(0, 1))
+
+
 def nonlinear_rhs(u: np.ndarray, sym, grid: GridSpec, t: float) -> np.ndarray:
     """Dealiased advection with its pressure correction, -P_L (u . grad_L u), box layout.
 
-    Evaluated in rotational form, P_L (u x curl_L u), as a fresh array: one
-    batched inverse real FFT of (u, curl_L u), zero-padded from the box, and
-    one batched forward real FFT of the three products, cut back to it, then
-    ``leray_project_L``.  With 3 kc < N the cut removes every alias, and P_L
+    Evaluated in rotational form, P_L (u x curl_L u), as a fresh array: the
+    six fields (u, curl_L u) go to the physical grid by ``_to_grid``, the
+    three products come back to the box by ``_to_box``, then
+    ``leray_project_L``.  With 3 kc < N no alias lands in the box, and P_L
     annihilates the gradient grad_L |u|^2 / 2 that separates the forms.
     """
     k, etal, l, _ = sym
     u1, u2, u3 = u
-    curl = (1j * (etal * u3 - l * u2), 1j * (l * u1 - k * u3), 1j * (k * u2 - etal * u1))
-    index = _waves(grid, True).fft_index
-    c = np.zeros((6, grid.Nx, grid.Ny, grid.Nz // 2 + 1), dtype=np.complex128)
-    c.reshape(6, -1)[:, index] = (u1, u2, u3) + curl
-    v1, v2, v3, o1, o2, o3 = np.fft.irfftn(c, s=grid.shape, axes=(1, 2, 3))
-    prod = np.empty((3,) + grid.shape)
-    np.subtract(v2 * o3, v3 * o2, out=prod[0])
-    np.subtract(v3 * o1, v1 * o3, out=prod[1])
-    np.subtract(v1 * o2, v2 * o1, out=prod[2])
-    # physical samples are n_modes * irfftn, amplitudes are rfftn / n_modes
-    a = np.fft.rfftn(prod, axes=(1, 2, 3)).reshape(3, -1)[:, index]
-    a *= float(grid.n_modes)
+    c = np.stack(
+        (u1, u2, u3, 1j * (etal * u3 - l * u2), 1j * (l * u1 - k * u3), 1j * (k * u2 - etal * u1))
+    )
+    v1, v2, v3, o1, o2, o3 = _to_grid(c, grid).swapaxes(0, 1)
+    prod = np.empty((grid.Ny, 3, grid.Nx, grid.Nz))
+    np.subtract(v2 * o3, v3 * o2, out=prod[:, 0])
+    np.subtract(v3 * o1, v1 * o3, out=prod[:, 1])
+    np.subtract(v1 * o2, v2 * o1, out=prod[:, 2])
+    a = _to_box(prod, grid)
     if not np.isfinite(a).all():
         raise BlowUpError("non-finite values in the advection term", time=t)
     return leray_project_L(a, sym)

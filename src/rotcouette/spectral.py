@@ -4,10 +4,12 @@ The toolkit lives on a triply periodic box: unit tori in x and z and a long
 periodic interval of length Ly standing in for the whole real line in y.
 Modes are labelled (k, eta, l) with integer k, l and eta = 2*pi*j/Ly; spectral
 data is stored as complex mode amplitudes C[k, j, l] of exp(i(kx + eta y + lz))
-so that differential operators act through the symbols (ik, i eta, il).  The
-underlying FFTs keep numpy's convention (unnormalised forward, 1/(Nx*Ny*Nz)
-on the inverse); amplitudes are obtained by dividing the forward transform by
-the mode count, which keeps single-mode values grid independent.
+so that differential operators act through the symbols (ik, i eta, il).  An
+amplitude is the forward DFT of the physical samples divided by the mode
+count Nx*Ny*Nz, which keeps single-mode values grid independent; a sample is
+the unnormalised sum of the amplitudes.  The stepper evaluates these sums on
+the retained modes only, as matrix products (``simulation._to_grid`` and
+``simulation._to_box``).
 
 In the frame advected by the background shear, the Laplacian is diagonal with
 the time-dependent symbol w(t) = k^2 + (eta - k t)^2 + l^2.  Both w and its

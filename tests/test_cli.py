@@ -3,11 +3,15 @@
 import configparser
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rotcouette
 from rotcouette.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 
 
@@ -432,6 +436,34 @@ class TestReproducibility:
                 assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
+    @pytest.mark.parametrize(
+        "grid, t_end", [((8, 16, 8), "1.0"), ((16, 64, 16), "0.1")], ids=["8x16x8", "16x64x16"]
+    )
+    def test_blas_threads_keep_bytes(self, tmp_path, grid, t_end):
+        # the advection's matrix products run in BLAS: one or two BLAS threads
+        # must write the same energy.csv and snapshots
+        nx, ny, nz = grid
+        cfg = sim_ini(tmp_path, nx=nx, ny=ny, nz=nz, ly="8.0", t_end=t_end, eps="0.5",
+                      ic_kind="random_band", diag_every="1", snapshot_every="2")
+        src = str(Path(rotcouette.__file__).resolve().parents[1])
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+            out = tmp_path / f"threads{threads}"
+            subprocess.run(
+                [sys.executable, "-m", "rotcouette", "simulate", "--config", str(cfg),
+                 "--out", str(out)],
+                env=env, check=True, capture_output=True,
+            )
+            outs.append(out)
+        names = sorted(p.name for p in outs[0].iterdir() if p.name != "manifest.json")
+        assert "energy.csv" in names and len(names) >= 3
+        assert names == sorted(p.name for p in outs[1].iterdir() if p.name != "manifest.json")
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
 class TestLinearCommand:
     def test_nonzero_mode_envelopes(self, tmp_path):
         rc = main(
@@ -521,6 +553,18 @@ class TestSimulateCommand:
         }
         # the run record stays out of the hashed config, so sweep --resume is unaffected
         assert manifest["config_hash"] == config_hash(manifest["config"])
+
+    def test_manifest_records_blas(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(sim_ini(tmp_path)), "--out", str(out)]) == EXIT_OK
+        blas = json.loads((out / "manifest.json").read_text())["blas"]
+        try:
+            want = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        except (TypeError, KeyError):
+            assert blas is None
+        else:
+            assert blas == {"name": want.get("name"), "version": want.get("version")}
+            assert blas["name"]
 
     def test_linear_flag_reproduces_closed_form(self, tmp_path):
         from rotcouette.reporting import read_snapshot_csv
