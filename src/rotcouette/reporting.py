@@ -3,13 +3,14 @@
 All floats are written with ``repr`` (shortest round-trip form), columns and
 row order are fixed, and nothing time- or host-dependent enters the CSV
 bodies, so re-running a command with an identical config and seed reproduces
-the data files byte for byte.  Every CSV except the snapshots goes through
-``write_csv``, whose one field rule writes a flag as 1 or 0, a missing value
-(None) as an empty field, text as it is, and anything else as the ``repr`` of
-its float.  The manifest records the config hash, the code and numpy
-versions, the BLAS library that numpy calls (the advection's matrix products
-run there, so the bytes of a nonlinear run hold for one numpy/BLAS build),
-wall times, the produced file list and, for a simulation, how the run ended.
+the data files byte for byte.  A snapshot keeps those bytes but formats each
+distinct magnitude once; every other CSV goes through ``write_csv``, whose
+one field rule writes a flag as 1 or 0, a missing value (None) as an empty
+field, text as it is, and anything else as the ``repr`` of its float.  The
+manifest records the config hash, the code and numpy versions, the BLAS
+library that numpy calls (the advection's matrix products run there, so the
+bytes of a nonlinear run hold for one numpy/BLAS build), wall times, the
+produced file list and, for a simulation, how the run ended.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time as _time
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -75,13 +77,20 @@ def write_energy_csv(path: str | Path, reports: Sequence[EnergyReport]) -> Path:
     return write_csv(path, energy_columns(), rows)
 
 
-# rows per formatted block of a snapshot; bounds the strings alive at once
+# rows per formatted block of a snapshot; bounds the join list and the strings alive at once
 _SNAPSHOT_BLOCK = 512
 
 
-def _strings(values: np.ndarray, lead: str) -> np.ndarray:
-    """``lead + repr(v)`` for each value, as an object array to gather rows from."""
-    return np.array([lead + repr(v) for v in values.tolist()], dtype=object)
+@lru_cache(maxsize=4)
+def _row_heads(grid: GridSpec) -> np.ndarray:
+    """``\\nk,j,`` and ``l,eta`` of each retained row, sharing one string per (k, j) and (l, j)."""
+    ik, ij, il = np.nonzero(grid.dealias_mask)
+    k, j, l, eta = (a.tolist() for a in (grid.k_index, grid.j_index, grid.l_index, grid.eta_values))
+    kj = np.array([[f"\n{a},{b}," for b in j] for a in k], dtype=object)
+    le = np.array([[f"{c},{e!r}" for e in eta] for c in l], dtype=object)
+    heads = np.stack((kj[ik, ij], le[il, ij]), axis=1)
+    heads.flags.writeable = False
+    return heads
 
 
 def write_snapshot_csv(path: str | Path, U: VelocityField, nu: float) -> Path:
@@ -92,19 +101,23 @@ def write_snapshot_csv(path: str | Path, U: VelocityField, nu: float) -> Path:
     and imaginary parts of the three components.
 
     Every field is the ``repr`` of its value, as if formatted row by row,
-    but each distinct string is formatted once: the index and eta columns
-    are gathered from per-axis tables, and the coefficient parts of each
-    block of rows from a table of the block's distinct bit patterns (bit
-    patterns, not float values, so that 0.0 and -0.0 stay apart).
+    but each distinct string is formatted once: ``k,j,l,eta`` from per-grid
+    tables, a coefficient part from its sign and one table of the distinct
+    nonzero magnitudes (sign bits cleared), assuming no Hermitian symmetry.
     """
-    path = Path(path)
-    grid = U.grid
-    mask = grid.dealias_mask
-    ik, ij, il = np.nonzero(mask)
-    k_s, j_s = _strings(grid.k_index, "\n"), _strings(grid.j_index, ",")
-    l_s, eta_s = _strings(grid.l_index, ","), _strings(grid.eta_values, ",")
-    # (rows, 6) bit patterns: u1_re, u1_im, u2_re, u2_im, u3_re, u3_im
-    bits = np.ascontiguousarray(U.coeffs[:, mask].T).view(np.int64)
+    path, grid = Path(path), U.grid
+    # the (rows, 6) bit patterns of u1_re, u1_im, ..., u3_im become places in the table of
+    # magnitudes; the +-0.0 values skip the sort and take its first and last places
+    place = np.moveaxis(U.coeffs, 0, -1)[grid.dealias_mask].view(np.int64)
+    minus = (place < 0) & ~np.isnan(place.view(np.float64))  # repr writes every NaN nan
+    place &= 2**63 - 1
+    nonzero = place != 0
+    table, inverse = np.unique(place[nonzero], return_inverse=True)
+    place[nonzero] = inverse + 1
+    place[minus & ~nonzero] = -1
+    minus &= nonzero
+    strings = [",0.0"] + ["," + repr(m) for m in table.view(np.float64).tolist()] + [",-0.0"]
+    strings = np.array(strings, object)
     header = [
         f"# grid {grid.Nx} {grid.Ny} {grid.Nz}",
         f"# ly {fmt(grid.Ly)}",
@@ -114,13 +127,14 @@ def write_snapshot_csv(path: str | Path, U: VelocityField, nu: float) -> Path:
     ]
     with path.open("w") as f:
         f.write("\n".join(header))
-        for a in range(0, len(bits), _SNAPSHOT_BLOCK):
+        for a in range(0, len(place), _SNAPSHOT_BLOCK):
             rows = slice(a, a + _SNAPSHOT_BLOCK)
-            patterns, inverse = np.unique(bits[rows], return_inverse=True)
-            values = _strings(patterns.view(np.float64), ",")[inverse.reshape(-1, 6)]
             # each row starts with its line break and each value with its comma
-            head = k_s[ik[rows]] + j_s[ij[rows]] + l_s[il[rows]] + eta_s[ij[rows]]
-            f.write("".join(np.column_stack((head, values)).ravel().tolist()))
+            line = np.column_stack((_row_heads(grid)[rows], strings[place[rows]]))
+            # a nonzero negative value takes ",-" in a string made for it alone
+            signed = [s.replace(",", ",-", 1) for s in line[:, 2:][minus[rows]]]
+            line[:, 2:][minus[rows]] = np.array(signed, object)
+            f.write("".join(line.ravel().tolist()))
         f.write("\n")
     return path
 

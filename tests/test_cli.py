@@ -348,7 +348,9 @@ def snapshot_state(name):
         for i in range(3):
             U = full_step(U, i * cfg.dt, cfg.dt, cfg)
         return U
-    grid = GridSpec(Nx=6, Ny=20, Nz=10, Ly=7.3)
+    # "signs-apart" spans three 512-row blocks (1519 rows), the others one block (273 rows)
+    grid = GridSpec(Nx=12, Ny=48, Nz=12, Ly=7.3) if name == "signs-apart" else GridSpec(
+        Nx=6, Ny=20, Nz=10, Ly=7.3)
     rng = np.random.default_rng(11)
     coeffs = rng.standard_normal((3,) + grid.shape) + 1j * rng.standard_normal((3,) + grid.shape)
     coeffs[:, ~grid.dealias_mask] = 0.0
@@ -361,10 +363,21 @@ def snapshot_state(name):
     elif name == "one-ulp":
         u1[0, 1, 0] = u1[0, 1, 1] = complex(0.1, np.nextafter(0.1, 1.0))
         u1[1, 2, 3] = np.nextafter(0.1, 1.0)
+    elif name == "signs-apart":
+        rows = np.argwhere(grid.dealias_mask)
+        first, last = tuple(rows[0]), tuple(rows[-1])
+        # a NaN with its sign bit set is written nan; -inf, inf and the least subnormal keep signs
+        u1[first], u1[last] = complex(-np.nan, -np.inf), complex(np.inf, -5e-324)
+        # one magnitude with both signs, in the first and the last block
+        coeffs[1][first], coeffs[1][last] = complex(0.375, 1.0), complex(-0.375, -1.0)
+        # not a real field: this l < 0 mode is not the conjugate of its reflection
+        coeffs[2][1, 2, -1] = coeffs[2][-1, -2, 1] = complex(0.25, 0.75)
     return VelocityField(grid, coeffs, 0.1 + 0.2)  # t is not a short decimal
 
 
-SNAPSHOT_STATES = ["stepped-linear", "stepped-nonlinear", "signed-zeros", "extremes", "one-ulp"]
+SNAPSHOT_STATES = [
+    "stepped-linear", "stepped-nonlinear", "signed-zeros", "extremes", "one-ulp", "signs-apart"
+]
 
 
 class TestSnapshotFormat:
@@ -393,8 +406,34 @@ class TestSnapshotFormat:
                 assert nonzero > 0.95 if name == "stepped-nonlinear" else nonzero < 0.1
             back = read_snapshot_csv(write_snapshot_csv(tmp_path / f"{name}.csv", U, 3e-3))
             assert back.grid == U.grid and back.time == U.time
-            assert back.coeffs[:, mask].tobytes() == U.coeffs[:, mask].tobytes(), name
+            # every NaN is written nan, so it reads back as the one positive NaN
+            kept = np.ascontiguousarray(U.coeffs[:, mask]).view(np.float64)
+            want = np.where(np.isnan(kept), float("nan"), kept)
+            assert back.coeffs[:, mask].tobytes() == want.tobytes(), name
             assert not np.any(back.coeffs[:, ~mask])
+
+    def test_signs_apart_reaches_its_cases(self):
+        U = snapshot_state("signs-apart")
+        rows = np.ascontiguousarray(U.coeffs[:, U.grid.dealias_mask])
+        values = rows.view(np.float64)
+        assert np.any(np.isnan(values) & np.signbit(values))
+        assert {-np.inf, np.inf, -5e-324} <= set(values[np.isinf(values) | (values == -5e-324)])
+        assert rows[1, 0].real == -rows[1, -1].real == 0.375 and rows.shape[1] > 2 * 512
+        assert U.coeffs[2, 1, 2, -1] != np.conj(U.coeffs[2, -1, -2, 1])
+
+    def test_writer_leaves_input_and_keys_rows_by_grid(self, tmp_path):
+        from oracles import row_by_row_snapshot_csv
+
+        from rotcouette import reporting
+
+        small, other = snapshot_state("stepped-nonlinear"), snapshot_state("extremes")
+        assert small.grid.shape == (8, 16, 8) and other.grid.shape == (6, 20, 10)
+        for i, U in enumerate((small, other, small)):
+            before = U.coeffs.copy()
+            got = reporting.write_snapshot_csv(tmp_path / f"new{i}.csv", U, 3e-3).read_bytes()
+            assert U.coeffs.tobytes() == before.tobytes()
+            assert got == row_by_row_snapshot_csv(tmp_path / f"oracle{i}.csv", U, 3e-3).read_bytes()
+            assert not reporting._row_heads(U.grid).flags.writeable
 
 
 class TestCsvFields:
