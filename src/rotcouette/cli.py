@@ -95,7 +95,7 @@ def _build_parser() -> _Parser:
     sw = sub.add_parser("sweep", parents=[common], help="amplitude/viscosity threshold sweep")
     sw.add_argument("--config", type=str, default=None, help="INI config file")
     sw.add_argument("--seed", type=int, default=None)
-    sw.add_argument("--threads", type=int, default=1)
+    sw.add_argument("--threads", type=int, default=1, choices=[1], help="cells run serially")
     sw.add_argument("--resume", action="store_true", help="reuse cells.csv rows in --out")
 
     return p
@@ -353,7 +353,7 @@ def cmd_sweep(args) -> int:
             )
     outdir.mkdir(parents=True, exist_ok=True)
     checkpoint = reporting.read_cells_csv(outdir / "cells.csv") if args.resume else {}
-    result = sweep(scfg, threads=max(1, args.threads), checkpoint=checkpoint)
+    result = sweep(scfg, checkpoint=checkpoint)
     manifest.add(reporting.write_cells_csv(outdir / "cells.csv", result.cells))
     manifest.add(reporting.write_summary_csv(outdir / "summary.csv", result))
     manifest.add(reporting.write_gamma_json(outdir / "gamma.json", result))

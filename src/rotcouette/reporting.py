@@ -16,6 +16,7 @@ produced file list and, for a simulation, how the run ended.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import time as _time
 from functools import lru_cache
@@ -140,14 +141,15 @@ def write_snapshot_csv(path: str | Path, U: VelocityField, nu: float) -> Path:
 
 
 def read_snapshot_csv(path: str | Path) -> VelocityField:
-    lines = Path(path).read_text().splitlines()
-    n_header = next((i for i, line in enumerate(lines) if not line.startswith("#")), len(lines))
-    header = dict(line[1:].split(maxsplit=1) for line in lines[:n_header])
+    with open(path) as fh:
+        # the "#" header; takewhile also consumes the line of column names that ends it
+        head = itertools.takewhile(lambda line: line.startswith("#"), fh)
+        header = dict(line[1:].split(maxsplit=1) for line in head)
+        # then one row per mode, parsed from the same handle
+        cols = np.loadtxt(fh, delimiter=",", ndmin=2, usecols=range(10)).T
     nx, ny, nz = (int(v) for v in header["grid"].split())
     grid = GridSpec(Nx=nx, Ny=ny, Nz=nz, Ly=float(header["ly"]))
     t = float(header["time"])
-    # after the header, one line of column names, then one row per mode
-    cols = np.loadtxt(lines[n_header + 1 :], delimiter=",", ndmin=2, usecols=range(10)).T
     ik, ij, il = (cols[a].astype(np.int64) % n for a, n in enumerate(grid.shape))
     coeffs = np.zeros((3,) + grid.shape, dtype=np.complex128)
     # real and imaginary parts assigned apart: re + 1j * im turns a -0.0 real part into 0.0

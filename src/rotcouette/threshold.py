@@ -6,13 +6,13 @@ non-zero-frequency norm ever exceeds a growth factor times its initial value,
 stable when it additionally ends below where it started, and inconclusive
 otherwise.  Per viscosity, the largest stable amplitude defines an empirical
 threshold; its log-log slope against viscosity is the measured transition
-exponent.
+exponent.  A sweep runs its cells serially, one viscosity row at a time: the
+row's grid cells in eps order, then the bisection of its stable/unstable bracket.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -81,6 +81,11 @@ class SweepConfig:
         if not self.bisect_rel_width > 0:
             # the bisection stops only once the bracket is narrower than this
             raise ValueError(f"bisect_rel_width must be positive, got {self.bisect_rel_width}")
+        # a repeated (nu, eps) cell would run again, and only one of its runs be kept
+        if len(set(self.nu_grid)) < len(self.nu_grid):
+            raise ValueError(f"nu_grid repeats a viscosity: {self.nu_grid}")
+        if len(set(self.eps_grid().tolist())) < self.eps_points:
+            raise ValueError("the eps grid repeats an amplitude: eps_points > 1 needs eps_min < eps_max")
 
     def eps_grid(self) -> np.ndarray:
         if self.eps_points == 1:
@@ -198,102 +203,61 @@ def fit_gamma(nus: Sequence[float], eps_stars: Sequence[float]) -> tuple[float, 
     return float(slope), (float(slope - 1.96 * se), float(slope + 1.96 * se))
 
 
-def sweep(cfg: SweepConfig, threads: int = 1, checkpoint=None) -> ThresholdResult:
-    """Run every (nu, eps) cell, classify, repair, and fit the exponent.
+def sweep(cfg: SweepConfig, checkpoint=None) -> ThresholdResult:
+    """Run every (nu, eps) cell row by row, classify, repair, and fit the exponent.
 
-    Cells are independent and may execute concurrently; results are merged in
-    grid order so the outcome is independent of scheduling.  ``checkpoint``
-    may map (nu, eps) to precomputed ``CellResult`` rows (e.g. parsed from a
-    partial sweep CSV); matching cells are not recomputed.  An exception inside
-    a cell does not abort the sweep: the cell is recorded as ``inconclusive``
-    with an ``error: ...`` status.
+    ``checkpoint`` may map (nu, eps) to precomputed ``CellResult`` rows (e.g.
+    parsed from a partial sweep CSV); matching cells are not recomputed.  An
+    exception inside a cell does not abort the sweep: the cell is recorded as
+    ``inconclusive`` with an ``error: ...`` status.
     """
     eps_grid = cfg.eps_grid()
-    jobs = []
-    for i_nu, nu in enumerate(cfg.nu_grid):
-        for i_eps, eps in enumerate(eps_grid):
-            jobs.append((i_nu, float(nu), i_eps, float(eps)))
-
     checkpoint = checkpoint or {}
-    results: dict[tuple[float, float], CellResult] = {}
-
-    def work(job):
-        i_nu, nu, i_eps, eps = job
-        key = (nu, eps)
-        if key in checkpoint:
-            return key, checkpoint[key]
-        return key, _guarded_cell(cfg, nu, eps, _cell_seed(cfg.base.seed, i_nu, i_eps))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for key, cell in pool.map(work, jobs):
-                results[key] = cell
-    else:
-        for job in jobs:
-            key, cell = work(job)
-            results[key] = cell
-
-    cells: list[CellResult] = [results[(nu, eps)] for _, nu, _, eps in jobs]
-
+    cells: list[CellResult] = []
     repaired: list[tuple[float, float]] = []
     eps_star: dict[float, float | None] = {}
     censored: dict[float, bool] = {}
     for i_nu, nu in enumerate(cfg.nu_grid):
         nu = float(nu)
-        per_nu = [c for c in cells if c.nu == nu]
-        repaired.extend(_repair_monotone(per_nu))
-        stable = sorted(c.eps for c in per_nu if c.outcome == "stable")
-        unstable = sorted(c.eps for c in per_nu if c.outcome == "unstable")
-        if not stable:
-            eps_star[nu] = None
-            censored[nu] = True
-            continue
-        star = stable[-1]
-        if not unstable:
-            # never saw the transition: the threshold lies above the grid
-            eps_star[nu] = star
-            censored[nu] = True
-            continue
-        upper = min(u for u in unstable if u > star)
-        if cfg.bisect:
-            star, upper, extra = _bisect(cfg, i_nu, nu, star, upper)
+        row = [
+            checkpoint.get((nu, float(eps)))
+            or _guarded_cell(cfg, nu, float(eps), _cell_seed(cfg.base.seed, i_nu, i_eps))
+            for i_eps, eps in enumerate(eps_grid)
+        ]
+        cells.extend(row)
+        repaired.extend(_repair_monotone(row))
+        stable = [c.eps for c in row if c.outcome == "stable"]
+        unstable = [c.eps for c in row if c.outcome == "unstable"]
+        # after the repair every unstable amplitude lies above every stable one
+        eps_star[nu] = max(stable, default=None)
+        # no stable or no unstable cell: the threshold lies outside the grid
+        censored[nu] = not (stable and unstable)
+        if cfg.bisect and not censored[nu]:
+            eps_star[nu], extra = _bisect(cfg, i_nu, nu, eps_star[nu], min(unstable))
             cells.extend(extra)
-        eps_star[nu] = star
-        censored[nu] = False
 
-    usable = [(nu, s) for nu, s in eps_star.items() if s is not None and not censored[nu]]
-    gamma = None
-    ci = None
-    if len(usable) >= 2:
-        gamma, ci = fit_gamma([u[0] for u in usable], [u[1] for u in usable])
-    return ThresholdResult(
-        cells=cells,
-        eps_star=eps_star,
-        censored=censored,
-        gamma=gamma,
-        gamma_ci=ci,
-        repaired=repaired,
-    )
+    usable = [(nu, star) for nu, star in eps_star.items() if not censored[nu]]
+    gamma, ci = fit_gamma(*zip(*usable)) if len(usable) >= 2 else (None, None)
+    return ThresholdResult(cells, eps_star, censored, gamma, ci, repaired)
 
 
 def _bisect(cfg: SweepConfig, i_nu: int, nu: float, lo: float, hi: float):
     """Geometric bisection of the stable/unstable bracket to the target width.
 
-    Refinement cells are seeded like grid cells of the same viscosity, with
-    amplitude indices from 10000 on; a failing cell ends the refinement.
+    Returns the largest stable amplitude found and the refinement cells.  These
+    are seeded like grid cells of the same viscosity, with amplitude indices
+    from 10000 on; a failing cell ends the refinement.
     """
     extra: list[CellResult] = []
-    i_extra = 10_000
     while hi / lo - 1.0 > cfg.bisect_rel_width:
         mid = math.sqrt(lo * hi)
-        cell = _guarded_cell(cfg, nu, mid, _cell_seed(cfg.base.seed, i_nu, i_extra))
+        cell = _guarded_cell(cfg, nu, mid, _cell_seed(cfg.base.seed, i_nu, 10_000 + len(extra)))
         cell.refined = True
         extra.append(cell)
-        i_extra += 1
         if cell.outcome == "stable":
             lo = mid
         elif cell.outcome == "unstable":
             hi = mid
         else:
             break
-    return lo, hi, extra
+    return lo, extra

@@ -663,9 +663,12 @@ class TestSweepCommand:
             "horizon = nan\n",
             "horizon = -1\n",
             "growth_factor = nan\n",
+            "nu_grid = 1e-2 0.01\n",
+            "eps_min = 1e-6\neps_max = 1e-6\neps_points = 3\n",
         ],
         ids=["misspelt-norm-name", "zero-bisect-width", "misspelt-boolean", "nu-out-of-range",
-             "nan-eps-min", "inf-eps-max", "nan-horizon", "negative-horizon", "nan-growth-factor"],
+             "nan-eps-min", "inf-eps-max", "nan-horizon", "negative-horizon", "nan-growth-factor",
+             "repeated-nu", "repeated-eps"],
     )
     def test_bad_sweep_key_rejected_before_any_cell(self, tmp_path, monkeypatch, extra):
         from rotcouette import threshold
@@ -696,6 +699,17 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         assert seen == [(0, True)] * 4
         assert json.loads((out / "manifest.json").read_text())["config"]["base"]["snapshot_every"] == 1
+
+    def test_threads_other_than_one_rejected(self, tmp_path, monkeypatch):
+        # cells run serially: --threads stays only for command lines that pass 1
+        from rotcouette import threshold
+
+        calls = []
+        monkeypatch.setattr(threshold, "_run_cell", lambda *a: calls.append(a))
+        out = tmp_path / "out"
+        argv = ["sweep", "--config", str(sweep_ini(tmp_path)), "--out", str(out), "--threads", "2"]
+        assert main(argv) == EXIT_USAGE
+        assert calls == [] and not out.exists()
 
     def test_seed_and_threads_flags(self, tmp_path):
         cfg = sweep_ini(tmp_path)

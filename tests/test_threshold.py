@@ -126,13 +126,6 @@ class TestSweep:
         for ca, cb in zip(a.cells, b.cells):
             assert (ca.nu, ca.eps, ca.outcome, ca.peak_norm) == (cb.nu, cb.eps, cb.outcome, cb.peak_norm)
 
-    def test_threads_match_serial(self):
-        cfg = self.small_sweep_config()
-        a = sweep(cfg, threads=1)
-        b = sweep(cfg, threads=2)
-        for ca, cb in zip(a.cells, b.cells):
-            assert (ca.nu, ca.eps, ca.outcome) == (cb.nu, cb.eps, cb.outcome)
-
     def test_checkpoint_skips_cells(self):
         cfg = self.small_sweep_config()
         first = sweep(cfg)
@@ -214,6 +207,30 @@ class TestBisect:
             star = result.eps_star[nu]
             assert star < self.THRESHOLD[nu] and not result.censored[nu]
         assert sum(c.refined for c in result.cells) == len(calls) - 6
+
+    def test_bracket_after_repair(self, monkeypatch):
+        # a row that is not monotone in eps: stable, unstable, stable, unstable, unstable
+        calls = []
+        runner = self.fake_runner(calls)
+        cfg = replace(self.config(), nu_grid=(1e-2,), eps_points=5)
+        eps = cfg.eps_grid().tolist()
+        outcomes = dict(zip(eps, ["stable", "unstable", "stable", "unstable", "unstable"]))
+
+        def run_cell(cfg, nu, e, seed):
+            cell = runner(cfg, nu, e, seed)
+            cell.outcome = outcomes.get(e, cell.outcome)
+            return cell
+
+        monkeypatch.setattr(threshold, "_run_cell", run_cell)
+        result = sweep(cfg)
+        # the unstable eps[1] below the stable eps[2] makes both inconclusive
+        assert result.repaired == [(1e-2, eps[1]), (1e-2, eps[2])]
+        assert not result.censored[1e-2]
+        # the bracket is the largest stable and the smallest unstable amplitude left
+        refined = [c for c in result.cells if c.refined]
+        assert refined and eps[0] < refined[0].eps < eps[3]
+        stable = [eps[0]] + [c.eps for c in refined if c.outcome == "stable"]
+        assert result.eps_star[1e-2] == max(stable) < self.THRESHOLD[1e-2]
 
     @pytest.mark.parametrize("width", [0.0, -0.1, math.nan])
     def test_nonpositive_width_rejected(self, monkeypatch, width):
