@@ -320,7 +320,9 @@ def cmd_simulate(args) -> int:
     cfg = _sim_config(ini, overrides)
 
     manifest = reporting.Manifest({"command": "simulate", **asdict(cfg)})
-    result = run(cfg)
+    (result,) = run([cfg])
+    if result.error is not None:
+        raise result.error
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     manifest.add(reporting.write_energy_csv(outdir / "energy.csv", result.reports))

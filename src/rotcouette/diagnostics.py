@@ -13,6 +13,7 @@ constants C0 > C1; ``_BOUNDS`` states all nine, one flag per line.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
@@ -179,6 +180,26 @@ def _box_sobolev_weights(grid: GridSpec, s: float) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=2)  # the row time of a lockstep round, and the next
+def _ledger_weights(grid: GridSpec, nu: float, t: float) -> tuple:
+    """M^2, -Mdot/M and m on the k != 0 rows of the box, and w on its k = 0 plane.
+
+    Read-only.  The plane's w is 0 at the mean mode, not the unit-safe 1 of
+    ``frame_symbols``, since grad_U0 must not count the mean mode.
+    """
+    wv = _waves(grid, True)
+    k = wv.k[1:]
+    M2 = _kernels.M_values(t, k, wv.eta, wv.l, nu)[..., 0] ** 2
+    dmm = _kernels.neg_MdotM_values(t, k, wv.eta, wv.l, nu)[..., 0]
+    m = _kernels.m_values(t, k, wv.eta, wv.l, nu)
+    w0 = frame_symbols(grid, t, box=True)[3][0].copy()
+    w0[0, 0] = 0.0
+    weights = (M2, dmm, m, w0)
+    for a in weights:
+        a.flags.writeable = False
+    return weights
+
+
 def bootstrap_report(box: np.ndarray, t: float, cfg: SimConfig, acc: Accumulators) -> EnergyReport:
     """Evaluate every tracked norm at time t and update the time integrals.
 
@@ -202,8 +223,7 @@ def bootstrap_report(box: np.ndarray, t: float, cfg: SimConfig, acc: Accumulator
     grid = cfg.grid
     N = cfg.N
     sym = frame_symbols(grid, t, box=True)
-    w = sym[3]
-    w[0, 0, 0] = 0.0  # not the unit-safe 1: grad_U0 must not count the mean mode
+    M2, dmm, m, w0 = _ledger_weights(grid, cfg.nu, t)
     hsN = _box_sobolev_weights(grid, N)
     hsNm1 = _box_sobolev_weights(grid, N - 1.0)
     P = box.real**2 + box.imag**2
@@ -216,11 +236,7 @@ def bootstrap_report(box: np.ndarray, t: float, cfg: SimConfig, acc: Accumulator
 
     # k != 0: rows 1.. of the box
     wv = _waves(grid, True)
-    k = wv.k[1:]
-    M2 = _kernels.M_values(t, k, wv.eta, wv.l, cfg.nu)[..., 0] ** 2
-    dmm = _kernels.neg_MdotM_values(t, k, wv.eta, wv.l, cfg.nu)[..., 0]
-    m = _kernels.m_values(t, k, wv.eta, wv.l, cfg.nu)
-    wn = w[1:]
+    wn = sym[3][1:]
     h = hsN[1:]
     P1, P2, P3 = P[:, 1:]
     hw = h * wn
@@ -242,7 +258,7 @@ def bootstrap_report(box: np.ndarray, t: float, cfg: SimConfig, acc: Accumulator
     norms["Kcheck_neq_HN"] = norm(plain[0] + plain[1])
     norms["mQ3_neq_HN"] = norm(plain[2])
     for i, p in enumerate((P1, P2, P3), start=1):
-        norms[f"U{i}_neq_HN"] = norm(_dot(h, p))
+        norms[sys.intern(f"U{i}_neq_HN")] = norm(_dot(h, p))  # one key string for every row
     norms["U_neq_HN_total"] = math.sqrt(
         norms["U1_neq_HN"] ** 2 + norms["U2_neq_HN"] ** 2 + norms["U3_neq_HN"] ** 2
     )
@@ -250,7 +266,6 @@ def bootstrap_report(box: np.ndarray, t: float, cfg: SimConfig, acc: Accumulator
     norms["gradL_U12_neq_HN"] = norm(float(hwP1.sum() + hwP2.sum()))
 
     # k = 0: the x-averaged plane, where w = eta^2 + l^2
-    w0 = w[0]
     hq = hsN[0] * w0 * w0
     weights0 = {
         "Q0_{}_HN": hq,
@@ -260,7 +275,7 @@ def bootstrap_report(box: np.ndarray, t: float, cfg: SimConfig, acc: Accumulator
     }
     for i, p in enumerate(P, start=1):
         for name, weight in weights0.items():
-            norms[name.format(i)] = norm(_dot(weight, p[0]))
+            norms[sys.intern(name.format(i))] = norm(_dot(weight, p[0]))
 
     norms["div_defect"] = _divergence_max(box, sym)
 

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -211,17 +211,28 @@ def _full(grid: GridSpec, b: np.ndarray, t: float) -> VelocityField:
 
 
 def frame_symbols(grid: GridSpec, t: float, box: bool = False):
-    """(K, ETA_L, L, w) at frame time t with unit-safe w at the mean mode.
+    """(K, ETA_L, L, w) at frame time t with unit-safe w at the mean mode, read-only.
 
     The symbols broadcast as (nk,1,1), (nk,nj,1), (1,1,nl) and (nk,nj,nl):
     (Nx, Ny, Nz) on the full coefficient layout, and (2cx+1, 2cy+1, cz+1)
-    on the retained box (``box=True``) that holds the stepper's state.
+    on the retained box (``box=True``) that holds the stepper's state.  The
+    box symbols of the last few times are cached, so the cells of a lockstep
+    ``run`` share them.
     """
-    wv = _waves(grid, box)
+    return _box_symbols(grid, t) if box else _symbols(_waves(grid, False), t)
+
+
+def _symbols(wv: _Waves, t: float):
     etal = wv.eta - wv.k * t
     w = wv.k2 + etal * etal + wv.l2
     w[0, 0, 0] = 1.0
+    etal.flags.writeable = w.flags.writeable = False
     return wv.k, etal, wv.l, w
+
+
+@lru_cache(maxsize=4)  # the stage times t, t + dt/2 and t + dt of one step, and the next row time
+def _box_symbols(grid: GridSpec, t: float):
+    return _symbols(_waves(grid, True), t)
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +299,11 @@ def nonlinear_rhs(u: np.ndarray, sym, grid: GridSpec, t: float) -> np.ndarray:
     """
     k, etal, l, _ = sym
     u1, u2, u3 = u
-    c = np.stack(
-        (u1, u2, u3, 1j * (etal * u3 - l * u2), 1j * (l * u1 - k * u3), 1j * (k * u2 - etal * u1))
-    )
+    c = np.empty((6,) + u.shape[1:], dtype=np.complex128)
+    c[:3] = u
+    np.multiply(1j, etal * u3 - l * u2, out=c[3])
+    np.multiply(1j, l * u1 - k * u3, out=c[4])
+    np.multiply(1j, k * u2 - etal * u1, out=c[5])
     v1, v2, v3, o1, o2, o3 = _to_grid(c, grid).swapaxes(0, 1)
     prod = np.empty((grid.Ny, 3, grid.Nx, grid.Nz))
     np.subtract(v2 * o3, v3 * o2, out=prod[:, 0])
@@ -356,7 +369,26 @@ def propagator(
     the frame divergence at t1, and frame gradients to frame gradients, so it
     commutes with the Leray projection.  Returns a function that applies the
     operator to a (3, 2cx+1, 2cy+1, cz+1) array and leaves its argument unchanged.
+    The coefficients of the last two intervals are cached (``_propagator_coeffs``).
     """
+    diag, c12, c21, decay, c31, c32 = _propagator_coeffs(grid, t0, t1, nu)
+
+    def apply(u: np.ndarray) -> np.ndarray:
+        out = np.empty_like(u)
+        np.multiply(diag, u[0], out=out[0])
+        out[0] += c12 * u[1]
+        np.multiply(diag, u[1], out=out[1])
+        out[1] -= c21 * u[0]
+        np.multiply(decay, u[2], out=out[2])
+        out[2] += c31 * u[0]
+        out[2] += c32 * u[1]
+        return out
+
+    return apply
+
+
+@lru_cache(maxsize=2)  # the two half steps of one step
+def _propagator_coeffs(grid: GridSpec, t0: float, t1: float, nu: float) -> tuple:
     wv = _waves(grid, True)
     e0 = wv.eta - wv.k * t0
     e1 = wv.eta - wv.k * t1
@@ -372,21 +404,10 @@ def propagator(
     c12 = qdw * wv.k2
     c21 = qdw * wv.kl2
     qldw = qdw * wv.l
-    c31 = qldw * e1
-    c32 = qldw * wv.k
-
-    def apply(u: np.ndarray) -> np.ndarray:
-        out = np.empty_like(u)
-        np.multiply(diag, u[0], out=out[0])
-        out[0] += c12 * u[1]
-        np.multiply(diag, u[1], out=out[1])
-        out[1] -= c21 * u[0]
-        np.multiply(decay, u[2], out=out[2])
-        out[2] += c31 * u[0]
-        out[2] += c32 * u[1]
-        return out
-
-    return apply
+    coeffs = (diag, c12, c21, decay, qldw * e1, qldw * wv.k)
+    for c in coeffs:
+        c.flags.writeable = False
+    return coeffs
 
 
 def step(u: np.ndarray, t: float, dt: float, cfg: SimConfig) -> np.ndarray:
@@ -518,11 +539,12 @@ class RunResult:
     cfg: SimConfig
     reports: list = field(default_factory=list)
     snapshots: list[tuple[float, VelocityField]] = field(default_factory=list)
-    status: str = "completed"  # completed | blown_up
+    status: str = "completed"  # completed | blown_up | error
     t_fail: float | None = None
     warnings: list[str] = field(default_factory=list)
     dt: float | None = None  # the step size used
     n_steps: int = 0  # steps of size dt to t_end
+    error: Exception | None = None  # what ended an ``error`` run
 
     @property
     def blown_up(self) -> bool:
@@ -536,28 +558,62 @@ class RunResult:
 
 def _band_edge_fraction(b: np.ndarray, grid: GridSpec) -> float:
     """Largest share of a component's power at |j| >= 0.9 cy, over the components of box b."""
-    power = b.real**2 + b.imag**2
+    j = np.fft.fftfreq(b.shape[2], 1.0 / b.shape[2])  # FFT-ordered j of the box
+    edge = b[:, :, np.abs(j) >= 0.9 * grid.dealias_cutoffs[1]]
+    power = edge.real**2 + edge.imag**2
     power[..., 1:] *= 2.0  # an l > 0 plane stands for itself and its conjugate reflection
-    j = np.fft.fftfreq(power.shape[2], 1.0 / power.shape[2])  # FFT-ordered j of the box
-    near = power[:, :, np.abs(j) >= 0.9 * grid.dealias_cutoffs[1]].sum(axis=(1, 2, 3))
-    return max((float(n / s) if s > 0.0 else 0.0) for n, s in zip(near, power.sum(axis=(1, 2, 3))))
+    near = power.sum(axis=(1, 2, 3))
+    totals = [2.0 * np.vdot(c, c).real - np.vdot(c[..., 0], c[..., 0]).real for c in b]
+    return max((float(n / s) if s > 0.0 else 0.0) for n, s in zip(near, totals))
 
 
-def run(cfg: SimConfig) -> RunResult:
-    """Integrate from the configured initial state to t_end.
+def run(cfgs: Sequence[SimConfig]) -> list[RunResult]:
+    """Integrate each configuration from its initial state to its t_end, in lockstep.
 
-    Emits one diagnostic row every ``diag_every`` steps (and at t = 0 and the
-    final time), stores snapshots at the ``snapshot_every`` cadence when
-    requested, and converts a numerical blow-up into a ``blown_up`` result
-    carrying the failing time.  Deterministic for a fixed config and seed.
+    Each round every live run takes one step through its own ``step`` call; a
+    run builds its initial condition just before its first step.  Runs on one
+    grid with the same nu and dt share the cached symbols, propagators and
+    ledger weights of each time; the caches are emptied after each round, so
+    they hold one step's operators at most.  Each run (``_advance``) reports
+    a diagnostic row every ``diag_every`` steps and at t = 0 and the end,
+    keeps snapshots at the ``snapshot_every`` cadence, and turns a blow-up
+    into a ``blown_up`` result with its time.  Any other exception ends its
+    run alone, as an ``error`` result holding it.  Each result is the one its
+    configuration gives when run alone.
     """
+    from .diagnostics import _ledger_weights
+
+    results = [RunResult(cfg=cfg) for cfg in cfgs]
+    live = [(res, _advance(res)) for res in results]
+    while live:
+        going = []
+        for res, cell in live:
+            try:
+                if next(cell, False):
+                    going.append((res, cell))
+            except Exception as exc:  # it ends this run alone
+                res.status, res.error = "error", exc
+        live = going
+        for cache in (_box_symbols, _propagator_coeffs, _ledger_weights):
+            cache.cache_clear()
+    return results
+
+
+def _advance(result: RunResult) -> Iterator[bool]:
+    """The run of ``result.cfg``, filling ``result``; yields after each step."""
     from .diagnostics import Accumulators, bootstrap_report
 
+    cfg = result.cfg
     U = initial_condition(cfg)
-    result = RunResult(cfg=cfg)
+    rate = advective_rate_bound(U, cfg.t_end)
+    # the run carries the box; the t = 0 snapshot is the initial condition
+    # itself, since re-expanding its box could flip the sign of a zero
+    u = _box(U)
+    if cfg.snapshot_every > 0:
+        result.snapshots.append((0.0, U))
+    del U  # the runs of a lockstep round are all alive at once: keep only their boxes
     acc = Accumulators()
 
-    rate = advective_rate_bound(U, cfg.t_end)
     dt = cfg.dt
     if dt is None:
         dt = min(0.01, 0.5 / rate) if rate > 0 else 0.01
@@ -574,12 +630,7 @@ def run(cfg: SimConfig) -> RunResult:
     def emit(t: float, b: np.ndarray) -> None:
         result.reports.append(bootstrap_report(b, t, cfg, acc))
 
-    # the run carries the box; the t = 0 snapshot is the initial condition
-    # itself, since re-expanding its box could flip the sign of a zero
-    u = _box(U)
     emit(0.0, u)
-    if cfg.snapshot_every > 0:
-        result.snapshots.append((0.0, U))
     warned_resolution = False
     t = 0.0
     try:
@@ -601,10 +652,10 @@ def run(cfg: SimConfig) -> RunResult:
                         warned_resolution = True
             if cfg.snapshot_every > 0 and (i % cfg.snapshot_every == 0 or i == n_steps):
                 result.snapshots.append((t, _full(cfg.grid, u, t_step)))
+            yield True
     except BlowUpError as exc:
         result.status = "blown_up"
         result.t_fail = exc.time
         result.warnings.append(str(exc))
         if result.reports[-1].t < t:
             emit(t, u)
-    return result

@@ -6,8 +6,9 @@ non-zero-frequency norm ever exceeds a growth factor times its initial value,
 stable when it additionally ends below where it started, and inconclusive
 otherwise.  Per viscosity, the largest stable amplitude defines an empirical
 threshold; its log-log slope against viscosity is the measured transition
-exponent.  A sweep runs its cells serially, one viscosity row at a time: the
-row's grid cells in eps order, then the bisection of its stable/unstable bracket.
+exponent.  A sweep runs one viscosity row at a time: the row's grid cells
+advance in lockstep in one ``run``, sharing each time's operators, then the
+bisection of its stable/unstable bracket runs one cell at a time.
 """
 
 from __future__ import annotations
@@ -141,38 +142,35 @@ def _cell_seed(base_seed: int, i_nu: int, i_eps: int) -> int:
     return base_seed + 7919 * (i_nu + 1) + 104729 * (i_eps + 1)
 
 
-def _run_cell(cfg: SweepConfig, nu: float, eps: float, seed: int) -> CellResult:
+def _run_cells(cfg: SweepConfig, nu: float, cells: list[tuple[float, int]]) -> list[CellResult]:
+    """Run the (eps, seed) cells of one viscosity in one lockstep ``run`` and classify each.
+
+    A cell whose run or classification fails becomes an inconclusive cell
+    with an ``error: ...`` status; the other cells are not affected.
+    """
     horizon = cfg.classify.horizon if cfg.classify.horizon is not None else default_horizon(nu)
     # a cell writes no snapshot, so it keeps none in memory either
-    sim_cfg = replace(cfg.base, nu=nu, eps=eps, t_end=horizon, seed=seed, nonlinear_enabled=True,
-                      snapshot_every=0)
-    result = run(sim_cfg)
-    outcome = classify_run(result, cfg.classify)
-    ts, series = result.norm_series(cfg.classify.norm_name)
-    ipk = int(np.argmax(series))
-    return CellResult(
-        nu=nu,
-        eps=eps,
-        outcome=outcome,
-        peak_norm=float(series[ipk]),
-        t_peak=float(ts[ipk]),
-        status=result.status,
-    )
+    sims = [
+        replace(cfg.base, nu=nu, eps=eps, t_end=horizon, seed=seed, nonlinear_enabled=True,
+                snapshot_every=0)
+        for eps, seed in cells
+    ]
+    return [_cell_result(cfg, result) for result in run(sims)]
 
 
-def _guarded_cell(cfg: SweepConfig, nu: float, eps: float, seed: int) -> CellResult:
-    """``_run_cell`` with failures recorded as an inconclusive error cell."""
+def _cell_result(cfg: SweepConfig, result: RunResult) -> CellResult:
+    nu, eps = result.cfg.nu, result.cfg.eps
     try:
-        return _run_cell(cfg, nu, eps, seed)
+        if result.error is not None:
+            raise result.error
+        outcome = classify_run(result, cfg.classify)
+        ts, series = result.norm_series(cfg.classify.norm_name)
+        ipk = int(np.argmax(series))
+        return CellResult(nu=nu, eps=eps, outcome=outcome, peak_norm=float(series[ipk]),
+                          t_peak=float(ts[ipk]), status=result.status)
     except Exception as exc:  # cell failures must not abort the sweep
-        return CellResult(
-            nu=nu,
-            eps=eps,
-            outcome="inconclusive",
-            peak_norm=math.nan,
-            t_peak=math.nan,
-            status=f"error: {exc}",
-        )
+        return CellResult(nu=nu, eps=eps, outcome="inconclusive", peak_norm=math.nan,
+                          t_peak=math.nan, status=f"error: {exc}")
 
 
 def _repair_monotone(cells: list[CellResult]) -> list[tuple[float, float]]:
@@ -207,9 +205,10 @@ def sweep(cfg: SweepConfig, checkpoint=None) -> ThresholdResult:
     """Run every (nu, eps) cell row by row, classify, repair, and fit the exponent.
 
     ``checkpoint`` may map (nu, eps) to precomputed ``CellResult`` rows (e.g.
-    parsed from a partial sweep CSV); matching cells are not recomputed.  An
-    exception inside a cell does not abort the sweep: the cell is recorded as
-    ``inconclusive`` with an ``error: ...`` status.
+    parsed from a partial sweep CSV); matching cells are not recomputed, and
+    the others of a row run in one lockstep ``run``.  An exception inside a
+    cell does not abort the sweep: the cell is recorded as ``inconclusive``
+    with an ``error: ...`` status.
     """
     eps_grid = cfg.eps_grid()
     checkpoint = checkpoint or {}
@@ -219,11 +218,14 @@ def sweep(cfg: SweepConfig, checkpoint=None) -> ThresholdResult:
     censored: dict[float, bool] = {}
     for i_nu, nu in enumerate(cfg.nu_grid):
         nu = float(nu)
-        row = [
-            checkpoint.get((nu, float(eps)))
-            or _guarded_cell(cfg, nu, float(eps), _cell_seed(cfg.base.seed, i_nu, i_eps))
-            for i_eps, eps in enumerate(eps_grid)
-        ]
+        row = [checkpoint.get((nu, float(eps))) for eps in eps_grid]
+        todo = [i for i, c in enumerate(row) if c is None]
+        if todo:
+            ran = _run_cells(
+                cfg, nu, [(float(eps_grid[i]), _cell_seed(cfg.base.seed, i_nu, i)) for i in todo]
+            )
+            for i, cell in zip(todo, ran):
+                row[i] = cell
         cells.extend(row)
         repaired.extend(_repair_monotone(row))
         stable = [c.eps for c in row if c.outcome == "stable"]
@@ -251,7 +253,7 @@ def _bisect(cfg: SweepConfig, i_nu: int, nu: float, lo: float, hi: float):
     extra: list[CellResult] = []
     while hi / lo - 1.0 > cfg.bisect_rel_width:
         mid = math.sqrt(lo * hi)
-        cell = _guarded_cell(cfg, nu, mid, _cell_seed(cfg.base.seed, i_nu, 10_000 + len(extra)))
+        (cell,) = _run_cells(cfg, nu, [(mid, _cell_seed(cfg.base.seed, i_nu, 10_000 + len(extra)))])
         cell.refined = True
         extra.append(cell)
         if cell.outcome == "stable":

@@ -630,7 +630,7 @@ def compute_Q(U: VelocityField, t: float | None = None):
     """Laplacian unknowns: Q_i = -w(t) * U_i per mode."""
     if t is None:
         t = U.time
-    _, _, _, w = frame_symbols(U.grid, t)
+    w = frame_symbols(U.grid, t)[3].copy()  # the symbols are read-only
     w[0, 0, 0] = 0.0  # excluded mean mode
     return tuple(SpectralField(U.grid, -w * c, t) for c in U.coeffs)
 

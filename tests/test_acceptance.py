@@ -223,7 +223,7 @@ def linear_run16():
         ic_mode=(1, 0, 1),
     )
     start = time.monotonic()
-    result = run(cfg)
+    (result,) = run([cfg])
     return cfg, result, time.monotonic() - start
 
 
@@ -235,7 +235,7 @@ def zero_run16():
         ic_mode=(0, 2, 1),
     )
     start = time.monotonic()
-    result = run(cfg)
+    (result,) = run([cfg])
     return cfg, result, time.monotonic() - start
 
 
@@ -346,7 +346,7 @@ def test_criterion_08_nonlinear_stability_smoke(tmp_path):
             nonlinear_enabled=True, diag_every=10, ic_kind="file",
             ic_file=str(ic_path),
         )
-        res = run(cfg)
+        (res,) = run([cfg])
         outcomes[label] = (classify_run(res, criteria), res)
 
     assert outcomes["small"][0] == "stable"

@@ -200,7 +200,7 @@ class TestConfigRejectedBeforeAnyWork:
         from rotcouette import threshold
 
         calls = []
-        monkeypatch.setattr(threshold, "_run_cell", lambda *a: calls.append(a))
+        monkeypatch.setattr(threshold, "_run_cells", lambda *a: calls.append(a))
         cfg = sim_ini(tmp_path) if command == "simulate" else sweep_ini(tmp_path)
         with_keys(cfg, "sim", **sim)
         out = tmp_path / "out"
@@ -245,7 +245,7 @@ class TestConfigRejectedBeforeAnyWork:
         from rotcouette.spectral import GridSpec
 
         calls = []
-        monkeypatch.setattr(threshold, "_run_cell", lambda *a: calls.append(a))
+        monkeypatch.setattr(threshold, "_run_cells", lambda *a: calls.append(a))
         grid = GridSpec(8, 16, 8, Ly=32.0)  # the grid of sweep_ini: a snapshot simulate accepts
         U = VelocityField(grid, np.zeros((3,) + grid.shape, complex))
         ic = write_snapshot_csv(tmp_path / "ic.csv", U, 1e-2)
@@ -637,6 +637,21 @@ class TestSimulateCommand:
         assert any("exceeded the cap" in w for w in run["warnings"])
         assert (run["n_steps"], run["dt"]) == (50, 0.02)
 
+    @pytest.mark.parametrize(
+        "exc, code", [(FloatingPointError, EXIT_NUMERICAL), (ValueError, EXIT_USAGE)]
+    )
+    def test_failing_step_exit_code(self, tmp_path, monkeypatch, capsys, exc, code):
+        # the run's exception reaches main, as when run raised it itself
+        from rotcouette import simulation
+
+        def step(*a):
+            raise exc("injected")
+
+        monkeypatch.setattr(simulation, "step", step)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(sim_ini(tmp_path)), "--out", str(out)]) == code
+        assert "injected" in capsys.readouterr().err and not out.exists()
+
 
 class TestSweepCommand:
     def test_sweep_outputs(self, tmp_path):
@@ -674,7 +689,7 @@ class TestSweepCommand:
         from rotcouette import threshold
 
         calls = []
-        monkeypatch.setattr(threshold, "_run_cell", lambda *a: calls.append(a))
+        monkeypatch.setattr(threshold, "_run_cells", lambda *a: calls.append(a))
         cfg = sweep_ini(tmp_path)
         keys = {line.split("=")[0] for line in extra.splitlines()}  # replaced, not duplicated
         lines = cfg.read_text().splitlines(keepends=True)
@@ -688,16 +703,16 @@ class TestSweepCommand:
 
         seen = []
 
-        def spy(cfg):
-            seen.append((cfg.snapshot_every, cfg.nonlinear_enabled))
-            return real_run(cfg)
+        def spy(cfgs):
+            seen.append([(cfg.snapshot_every, cfg.nonlinear_enabled) for cfg in cfgs])
+            return real_run(cfgs)
 
         real_run = threshold.run
         monkeypatch.setattr(threshold, "run", spy)
         cfg = with_keys(sweep_ini(tmp_path), "sim", snapshot_every=1, nonlinear_enabled="false")
         out = tmp_path / "out"
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
-        assert seen == [(0, True)] * 4
+        assert seen == [[(0, True)] * 2] * 2  # one lockstep run per viscosity row
         assert json.loads((out / "manifest.json").read_text())["config"]["base"]["snapshot_every"] == 1
 
     def test_threads_other_than_one_rejected(self, tmp_path, monkeypatch):
@@ -705,7 +720,7 @@ class TestSweepCommand:
         from rotcouette import threshold
 
         calls = []
-        monkeypatch.setattr(threshold, "_run_cell", lambda *a: calls.append(a))
+        monkeypatch.setattr(threshold, "_run_cells", lambda *a: calls.append(a))
         out = tmp_path / "out"
         argv = ["sweep", "--config", str(sweep_ini(tmp_path)), "--out", str(out), "--threads", "2"]
         assert main(argv) == EXIT_USAGE
@@ -720,18 +735,18 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("good", [0, 1])
     def test_exit_code_when_every_cell_fails(self, tmp_path, monkeypatch, capsys, good):
-        from rotcouette import threshold
+        from rotcouette import simulation
 
-        real_cell = threshold._run_cell
+        real_ic = simulation.initial_condition
         calls = []
 
-        def cell(*a):
-            calls.append(a)
+        def ic(cfg):  # each cell builds its initial condition once, inside its run
+            calls.append(cfg)
             if len(calls) > good:
                 raise RuntimeError("boom")
-            return real_cell(*a)
+            return real_ic(cfg)
 
-        monkeypatch.setattr(threshold, "_run_cell", cell)
+        monkeypatch.setattr(simulation, "initial_condition", ic)
         cfg = sweep_ini(tmp_path)
         out = tmp_path / "out"
         argv = ["sweep", "--config", str(cfg), "--out", str(out)]
@@ -748,21 +763,21 @@ class TestSweepCommand:
             assert len(calls) == 8
 
     def test_resume_reruns_only_failed_cells(self, tmp_path, monkeypatch):
-        from rotcouette import threshold
+        from rotcouette import simulation
 
         cfg = sweep_ini(tmp_path)
         clean, out = tmp_path / "clean", tmp_path / "out"
         assert main(["sweep", "--config", str(cfg), "--out", str(clean)]) == EXIT_OK
-        real_cell = threshold._run_cell
+        real_ic = simulation.initial_condition
         calls, broken = [], [True]
 
-        def cell(scfg, nu, eps, seed):
-            calls.append((nu, eps))
-            if broken[0] and nu == 1e-2:  # a transient failure of one viscosity
+        def ic(sim):
+            calls.append((sim.nu, sim.eps))
+            if broken[0] and sim.nu == 1e-2:  # a transient failure of one viscosity
                 raise RuntimeError("transient")
-            return real_cell(scfg, nu, eps, seed)
+            return real_ic(sim)
 
-        monkeypatch.setattr(threshold, "_run_cell", cell)
+        monkeypatch.setattr(simulation, "initial_condition", ic)
         argv = ["sweep", "--config", str(cfg), "--out", str(out)]
         assert main(argv) == EXIT_OK
         failed = [c for c in calls if c[0] == 1e-2]
@@ -771,6 +786,32 @@ class TestSweepCommand:
         broken[0] = False
         assert main(argv + ["--resume"]) == EXIT_OK
         assert calls[4:] == failed
+        for name in ("cells.csv", "summary.csv", "gamma.json"):
+            assert (out / name).read_bytes() == (clean / name).read_bytes(), name
+
+    def test_resume_with_half_a_row_checkpointed(self, tmp_path, monkeypatch):
+        from rotcouette import threshold
+
+        cfg = with_keys(sweep_ini(tmp_path), "sweep", eps_points=4, eps_max="1e2")
+        clean, out = tmp_path / "clean", tmp_path / "out"
+        argv = ["sweep", "--config", str(cfg), "--out", str(out)]
+        assert main(argv[:4] + [str(clean)]) == EXIT_OK
+        assert main(argv) == EXIT_OK
+        # cells.csv is sorted by (nu, eps): keep the cells 0 and 2 of 4 of nu = 1e-2, and
+        # the row of nu = 2e-2 whole
+        lines = (out / "cells.csv").read_text().splitlines(keepends=True)
+        (out / "cells.csv").write_text("".join(lines[:2] + lines[3:4] + lines[5:]))
+        real_run, rows = threshold.run, []
+
+        def spy(cfgs):
+            rows.append([(c.nu, c.eps) for c in cfgs])
+            return real_run(cfgs)
+
+        monkeypatch.setattr(threshold, "run", spy)
+        assert main(argv + ["--resume"]) == EXIT_OK
+        first = read_csv(clean / "cells.csv")
+        # one lockstep run of the missing half row, none for the whole row
+        assert rows == [[(1e-2, float(first["eps"][i])) for i in (1, 3)]]
         for name in ("cells.csv", "summary.csv", "gamma.json"):
             assert (out / name).read_bytes() == (clean / name).read_bytes(), name
 
@@ -836,11 +877,11 @@ class TestReadmeExample:
 
         cells = []
 
-        def fake_cell(scfg, nu, eps, seed):
-            cells.append((nu, eps))
-            return threshold.CellResult(nu, eps, "stable", eps, 0.0, "completed")
+        def fake_cells(scfg, nu, row):
+            cells.extend((nu, eps) for eps, _ in row)
+            return [threshold.CellResult(nu, eps, "stable", eps, 0.0, "completed") for eps, _ in row]
 
-        monkeypatch.setattr(threshold, "_run_cell", fake_cell)
+        monkeypatch.setattr(threshold, "_run_cells", fake_cells)
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep")]) == EXIT_OK
         assert cells  # every cell ran through the stub
         manifest = json.loads((tmp_path / "sweep" / "manifest.json").read_text())

@@ -3,6 +3,7 @@
 import math
 import sys
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from oracles import (
     wave_numbers,
 )
 
-from rotcouette import simulation
+from rotcouette import diagnostics, simulation
 from rotcouette.linear import (
     ModeStateK,
     ZeroModeState,
@@ -288,7 +289,7 @@ class TestLinearRhs:
             nonlinear_enabled=False, diag_every=100, snapshot_every=100,
             ic_mode=(1, 1, 1),
         )
-        res = run(cfg)
+        (res,) = run([cfg])
         from rotcouette.diagnostics import compute_K_check
 
         kv = WaveVector(1, GRID.eta_values[1], 1)
@@ -460,7 +461,7 @@ class TestStep:
             nonlinear_enabled=False, diag_every=100, snapshot_every=20,
             ic_mode=(0, 2, 1),
         )
-        res = run(cfg)
+        (res,) = run([cfg])
         i = mode_index(g, 0, 2, 1)
         eta = g.eta_values[2]
         t0, U0 = res.snapshots[0]
@@ -477,7 +478,7 @@ class TestStep:
             nu=1e-2, grid=GRID, dt=0.02, t_end=2.0, eps=1e-3,
             nonlinear_enabled=True, diag_every=10, snapshot_every=25,
         )
-        res = run(cfg)
+        (res,) = run([cfg])
         assert res.status == "completed"
         for t, U in res.snapshots:
             assert divergence_defect(U) <= 1e-10
@@ -548,7 +549,7 @@ class TestStep:
         )
 
         def final(cfg):
-            return run(cfg).snapshots[-1][1].coeffs
+            return run([cfg])[0].snapshots[-1][1].coeffs
 
         ref = final(replace(base, dt=0.1 / 32, rk_stages=4))
         e1 = np.max(np.abs(final(base) - ref))
@@ -596,7 +597,7 @@ class TestStep:
             nonlinear_enabled=False, diag_every=10**6, snapshot_every=10**6,
             rk_stages=rk_stages,
         )
-        res = run(cfg)
+        (res,) = run([cfg])
         (_, U0), (t, U) = res.snapshots[0], res.snapshots[-1]
         assert t == pytest.approx(2.0)
         for i in (mode_index(GRID, 1, 1, 1), mode_index(GRID, -1, -1, 1)):
@@ -609,7 +610,7 @@ class TestStep:
             nu=1e-2, grid=GRID, dt=0.01, t_end=5.0, eps=1e-3,
             nonlinear_enabled=False, diag_every=10, blowup_cap=1e-12,
         )
-        res = run(cfg)
+        (res,) = run([cfg])
         assert res.status == "blown_up"
         assert res.t_fail is not None and res.t_fail <= 0.02
 
@@ -705,7 +706,7 @@ class TestInitialConditions:
 class TestRun:
     def test_zero_amplitude(self):
         cfg = SimConfig(nu=1e-2, grid=GRID, dt=0.05, t_end=1.0, eps=0.0, diag_every=5)
-        res = run(cfg)
+        (res,) = run([cfg])
         for r in res.reports:
             assert all(v == 0.0 for k, v in r.norms.items())
             assert not any(r.flags.values())
@@ -715,8 +716,8 @@ class TestRun:
             nu=1e-2, grid=GRID, dt=0.02, t_end=1.0, eps=1e-4,
             ic_kind="random_band", seed=3, diag_every=5,
         )
-        a = run(cfg)
-        b = run(cfg)
+        (a,) = run([cfg])
+        (b,) = run([cfg])
         for ra, rb in zip(a.reports, b.reports):
             assert ra.norms == rb.norms
 
@@ -727,7 +728,7 @@ class TestRun:
             nonlinear_enabled=False, diag_every=20,
         )
         half = replace(base, eps=5e-5)
-        ra, rb = run(base), run(half)
+        ra, rb = run([base, half])
         for a, b in zip(ra.reports, rb.reports):
             for name in ("U_neq_HN_total", "MK1_neq_HN", "mMQ3_neq_HN"):
                 if a.norms[name] > 1e-300:
@@ -739,7 +740,7 @@ class TestRun:
             nu=1e-2, grid=g, dt=0.02, t_end=0.5, eps=1e-4,
             nonlinear_enabled=False, diag_every=5, ic_mode=(1, 5, 1),
         )
-        res = run(cfg)  # j = 5 exactly at the dealias band edge (cutoff 5)
+        (res,) = run([cfg])  # j = 5 exactly at the dealias band edge (cutoff 5)
         assert any("eta band edge" in w for w in res.warnings)
 
     def test_no_resolution_warning_inside_band(self):
@@ -747,7 +748,7 @@ class TestRun:
             nu=1e-2, grid=GRID, dt=0.02, t_end=0.5, eps=1e-4,
             nonlinear_enabled=False, diag_every=5, ic_mode=(1, 2, 1),
         )
-        res = run(cfg)  # j = 2, well inside the edge band |j| >= 4.5
+        (res,) = run([cfg])  # j = 2, well inside the edge band |j| >= 4.5
         assert res.status == "completed" and len(res.reports) == 6
         assert not any("eta band edge" in w for w in res.warnings)
 
@@ -767,7 +768,7 @@ class TestRun:
             nu=1e-2, grid=GRID, dt=0.05, t_end=0.2, eps=1e-4, ic_kind="random_band", seed=2,
             nonlinear_enabled=nonlinear, diag_every=1, snapshot_every=1,
         )
-        res = run(cfg)
+        (res,) = run([cfg])
         assert (res.n_steps, res.dt) == (4, 0.05)
         stored = [U.coeffs for _, U in res.snapshots]
         assert len(stored) == 5
@@ -779,7 +780,7 @@ class TestRun:
             nu=1e-2, grid=GRID, dt=0.5, t_end=1.0, eps=10.0,
             nonlinear_enabled=True, diag_every=1, blowup_cap=1e12,
         )
-        res = run(cfg)
+        (res,) = run([cfg])
         assert any("CFL" in w for w in res.warnings)
 
     def test_advective_rate_positive(self):
@@ -801,7 +802,7 @@ class TestRunCarriesTheBox:
     @pytest.mark.parametrize("nonlinear", [False, True], ids=["linear", "nonlinear"])
     def test_no_full_layout_without_snapshots(self, monkeypatch, nonlinear):
         calls = count_calls(monkeypatch, "_box", "_full", "step")
-        res = run(self.cfg(nonlinear_enabled=nonlinear))
+        (res,) = run([self.cfg(nonlinear_enabled=nonlinear)])
         assert (res.status, res.n_steps, res.snapshots) == ("completed", 10, [])
         # every step goes through the module global, where a wrapper sees it
         assert calls == {"_box": 1, "_full": 0, "step": 10}
@@ -809,7 +810,7 @@ class TestRunCarriesTheBox:
     @pytest.mark.parametrize("every", [1, 3, 4, 10])
     def test_one_full_layout_per_stored_snapshot(self, monkeypatch, every):
         calls = count_calls(monkeypatch, "_box", "_full", "step")
-        res = run(self.cfg(snapshot_every=every))
+        (res,) = run([self.cfg(snapshot_every=every)])
         stored = [i for i in range(1, 11) if i % every == 0 or i == 10]
         assert len(res.snapshots) == 1 + len(stored)
         assert calls == {"_box": 1, "_full": len(stored), "step": 10}
@@ -817,7 +818,7 @@ class TestRunCarriesTheBox:
     @pytest.mark.parametrize("nonlinear", [False, True], ids=["linear", "nonlinear"])
     def test_snapshots_match_hand_loop(self, nonlinear):
         cfg = self.cfg(nonlinear_enabled=nonlinear, snapshot_every=3)
-        res = run(cfg)
+        (res,) = run([cfg])
         U0 = initial_condition(cfg)
         # the t = 0 snapshot is the initial condition itself: its re-expanded
         # box differs in the sign of some zeros
@@ -834,3 +835,105 @@ class TestRunCarriesTheBox:
         for (_, got), (_, U) in zip(res.snapshots, want):
             assert got.time == U.time
             assert got.coeffs.tobytes() == U.coeffs.tobytes()
+
+
+OPERATOR_CACHES = (
+    (simulation, "_box_symbols"),
+    (simulation, "_propagator_coeffs"),
+    (diagnostics, "_ledger_weights"),
+)
+
+
+def counted_caches(monkeypatch):
+    """Each per-time operator cache rebuilt around a counter of its builds; returns the counts."""
+    builds = {}
+    for module, name in OPERATOR_CACHES:
+        cached = getattr(module, name)
+
+        def build(*key, _fn=cached.__wrapped__, _name=name):
+            builds[_name] += 1
+            return _fn(*key)
+
+        builds[name] = 0
+        monkeypatch.setattr(module, name, lru_cache(maxsize=cached.cache_info().maxsize)(build))
+    return builds
+
+
+def run_record(res):
+    """Everything a run reports, for comparing a lockstep run with a run alone."""
+    return (
+        res.status, res.t_fail, res.warnings, res.n_steps, res.dt,
+        [(r.t, r.norms, r.flags) for r in res.reports],
+    )
+
+
+class TestLockstep:
+    """``run`` of several configurations matches running each one alone."""
+
+    def cfgs(self, eps, **kw):
+        base = dict(nu=1e-2, grid=GRID, dt=0.05, t_end=1.0, ic_kind="random_band", diag_every=2)
+        base.update(kw)
+        return [SimConfig(eps=e, seed=i, **base) for i, e in enumerate(eps)]
+
+    def test_early_blow_up_leaves_the_others_running(self):
+        cfgs = self.cfgs([1.0, 1e4, 10.0])
+        together = run(cfgs)
+        assert [r.status for r in together] == ["completed", "blown_up", "completed"]
+        assert together[1].t_fail < 0.5 and together[1].error is None
+        for cfg, res in zip(cfgs, together):
+            assert run_record(res) == run_record(run([cfg])[0])
+
+    def test_a_failing_step_ends_its_cell_alone(self, monkeypatch):
+        cfgs = self.cfgs([1.0, 2.0, 10.0])
+        alone = [run([cfg])[0] for cfg in cfgs]
+        real_step = simulation.step
+
+        def failing(u, t, dt, cfg):
+            if cfg.eps == 2.0 and t > 0.3:
+                raise RuntimeError("injected")
+            return real_step(u, t, dt, cfg)
+
+        monkeypatch.setattr(simulation, "step", failing)
+        together = run(cfgs)
+        assert together[1].status == "error" and str(together[1].error) == "injected"
+        # its rows up to the failure are those of the run alone
+        assert together[1].reports[-1].t == pytest.approx(0.3)
+        assert run_record(together[1])[-1] == run_record(alone[1])[-1][: len(together[1].reports)]
+        for i in (0, 2):
+            assert run_record(together[i]) == run_record(alone[i])
+
+    def test_own_step_sizes_share_nothing(self, monkeypatch):
+        cfgs = self.cfgs([1e2, 3e2], dt=None, t_end=0.02, diag_every=1)
+        alone = [run([cfg])[0] for cfg in cfgs]
+        builds = counted_caches(monkeypatch)
+        together = run(cfgs)
+        assert together[0].dt != together[1].dt
+        assert builds["_propagator_coeffs"] == 2 * sum(r.n_steps for r in together)
+        for a, b in zip(together, alone):
+            assert run_record(a) == run_record(b)
+
+    def test_a_row_builds_each_operator_once(self, monkeypatch):
+        builds = counted_caches(monkeypatch)
+        sizes = []
+        real_step = simulation.step
+
+        def step(*a):
+            out = real_step(*a)
+            sizes.append([getattr(m, n).cache_info() for m, n in OPERATOR_CACHES])
+            return out
+
+        monkeypatch.setattr(simulation, "step", step)
+        cfgs = self.cfgs([1e-3, 1e-2, 1e-1], t_end=5.0, diag_every=5)
+        counts = []
+        for row in (cfgs[:1], cfgs):
+            builds.update(dict.fromkeys(builds, 0))
+            results = run(row)
+            assert all(r.status == "completed" and r.n_steps == 100 for r in results)
+            counts.append(dict(builds))
+        # three cells build each time's operators as often as one cell does
+        assert counts[0] == counts[1]
+        assert counts[0]["_propagator_coeffs"] == 2 * 100  # both half steps of each step
+        # the caches hold one round's operators at most, and nothing once the row is done
+        assert len(sizes) == 400
+        assert all(info.currsize <= info.maxsize <= 4 for infos in sizes for info in infos)
+        assert all(getattr(m, n).cache_info().currsize == 0 for m, n in OPERATOR_CACHES)

@@ -1,14 +1,14 @@
 """Tests for stability classification and the amplitude/viscosity sweep."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
 
 from rotcouette.diagnostics import EnergyReport
 from rotcouette.simulation import RunResult, SimConfig, run
-from rotcouette import threshold
+from rotcouette import diagnostics, simulation, threshold
 from rotcouette.spectral import GridSpec
 from rotcouette.threshold import (
     CellResult,
@@ -65,7 +65,7 @@ class TestClassify:
             nu=2e-2, grid=GRID, dt=0.02, t_end=12.0, eps=1e-5,
             nonlinear_enabled=False, diag_every=10,
         )
-        res = run(cfg)
+        (res,) = run([cfg])
         for g in (2.0, 10.0):
             assert classify_run(res, ClassifyCriteria(horizon=12.0, growth_factor=g)) == "stable"
 
@@ -144,7 +144,7 @@ class TestSweep:
             cfg.base, nu=1e-2, eps=1e-6, t_end=3.0, seed=cfg.base.seed + 7919 + 104729,
             nonlinear_enabled=True,
         )
-        direct = classify_run(run(sim_cfg), cfg.classify)
+        direct = classify_run(run([sim_cfg])[0], cfg.classify)
         assert result.cells[0].outcome == direct
 
     def test_transition_detected_and_gamma_finite(self):
@@ -180,22 +180,30 @@ class TestBisect:
             classify=ClassifyCriteria(horizon=1.0), bisect=True, bisect_rel_width=0.5,
         )
 
-    def fake_runner(self, calls, fail_refined=False):
+    def fake_run(self, calls, fail_refined=False, outcome_of=None):
+        """A stand-in ``run``: a cell grows past the growth factor when unstable, else decays."""
         grid_eps = set(self.config().eps_grid().tolist())
 
-        def run_cell(cfg, nu, eps, seed):
-            calls.append((nu, eps, seed))
-            if fail_refined and eps not in grid_eps:
-                raise FloatingPointError("injected failure")
-            outcome = "stable" if eps < self.THRESHOLD[nu] else "unstable"
-            return CellResult(nu=nu, eps=eps, outcome=outcome, peak_norm=eps,
-                              t_peak=0.0, status="completed")
+        def run(sims):
+            results = []
+            for sim in sims:
+                calls.append((sim.nu, sim.eps, sim.seed))
+                if fail_refined and sim.eps not in grid_eps:
+                    results.append(RunResult(cfg=sim, status="error",
+                                             error=FloatingPointError("injected failure")))
+                    continue
+                outcome = "stable" if sim.eps < self.THRESHOLD[sim.nu] else "unstable"
+                if outcome_of is not None:
+                    outcome = outcome_of.get(sim.eps, outcome)
+                res = fake_result([1.0, 20.0 if outcome == "unstable" else 0.5])
+                results.append(replace(res, cfg=sim))
+            return results
 
-        return run_cell
+        return run
 
     def test_refinement_seeded_with_viscosity_index(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(threshold, "_run_cell", self.fake_runner(calls))
+        monkeypatch.setattr(threshold, "run", self.fake_run(calls))
         cfg = self.config()
         result = sweep(cfg)
         grid_eps = set(cfg.eps_grid().tolist())
@@ -211,17 +219,10 @@ class TestBisect:
     def test_bracket_after_repair(self, monkeypatch):
         # a row that is not monotone in eps: stable, unstable, stable, unstable, unstable
         calls = []
-        runner = self.fake_runner(calls)
         cfg = replace(self.config(), nu_grid=(1e-2,), eps_points=5)
         eps = cfg.eps_grid().tolist()
         outcomes = dict(zip(eps, ["stable", "unstable", "stable", "unstable", "unstable"]))
-
-        def run_cell(cfg, nu, e, seed):
-            cell = runner(cfg, nu, e, seed)
-            cell.outcome = outcomes.get(e, cell.outcome)
-            return cell
-
-        monkeypatch.setattr(threshold, "_run_cell", run_cell)
+        monkeypatch.setattr(threshold, "run", self.fake_run(calls, outcome_of=outcomes))
         result = sweep(cfg)
         # the unstable eps[1] below the stable eps[2] makes both inconclusive
         assert result.repaired == [(1e-2, eps[1]), (1e-2, eps[2])]
@@ -236,14 +237,14 @@ class TestBisect:
     def test_nonpositive_width_rejected(self, monkeypatch, width):
         # the bracket never gets narrower than a width <= 0: refuse it before any cell runs
         calls = []
-        monkeypatch.setattr(threshold, "_run_cell", self.fake_runner(calls))
+        monkeypatch.setattr(threshold, "run", self.fake_run(calls))
         with pytest.raises(ValueError, match="bisect_rel_width"):
             replace(self.config(), bisect_rel_width=width)
         assert calls == []
 
     def test_failing_refinement_cell_does_not_abort(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(threshold, "_run_cell", self.fake_runner(calls, fail_refined=True))
+        monkeypatch.setattr(threshold, "run", self.fake_run(calls, fail_refined=True))
         cfg = self.config()
         result = sweep(cfg)
         refined = [c for c in result.cells if c.refined]
@@ -262,3 +263,44 @@ def replace_cell_status(cell, status):
         nu=cell.nu, eps=cell.eps, outcome=cell.outcome, peak_norm=cell.peak_norm,
         t_peak=cell.t_peak, status=status, refined=cell.refined,
     )
+
+
+def arrays_in(value):
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for v in value:
+            yield from arrays_in(v)
+    elif is_dataclass(value):
+        for f in fields(value):
+            yield from arrays_in(getattr(value, f.name))
+
+
+def test_shared_operators_are_read_only_and_unchanged(monkeypatch):
+    """The cached arrays that the cells of a row share: no run writes to them."""
+    handed_out = {}
+    cached = [
+        (simulation, "_waves"), (diagnostics, "_waves"), (simulation, "_box_symbols"),
+        (simulation, "_propagator_coeffs"), (diagnostics, "_ledger_weights"),
+        (diagnostics, "_box_sobolev_weights"),
+    ]
+    for module, name in cached:
+        def spy(*key, _real=getattr(module, name)):
+            out = _real(*key)
+            for a in arrays_in(out):
+                handed_out.setdefault(id(a), (a, a.copy()))
+            return out
+
+        spy.cache_clear = getattr(module, name).cache_clear  # run empties the caches
+        monkeypatch.setattr(module, name, spy)
+    base = SimConfig(nu=1e-2, grid=GRID, dt=0.05, t_end=1.0, ic_kind="random_band", diag_every=2)
+    cfg = SweepConfig(nu_grid=(1e-2,), eps_min=1.0, eps_max=1e4, eps_points=3, base=base,
+                      classify=ClassifyCriteria(horizon=1.0))
+    result = sweep(cfg)  # one row of three cells, one of which blows up
+    assert [c.status for c in result.cells] == ["completed", "completed", "blown_up"]
+    (single,) = run([replace(base, eps=10.0, rk_stages=2)])
+    assert single.status == "completed"
+    assert len(handed_out) > 20
+    for a, before in handed_out.values():
+        assert not a.flags.writeable
+        assert a.tobytes() == before.tobytes()
