@@ -13,14 +13,13 @@ constants C0 > C1; ``_BOUNDS`` states all nine, one flag per line.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
 import numpy as np
 
 from . import _kernels
-from .simulation import SimConfig, VelocityField, _divergence_max, _waves, frame_symbols
+from .simulation import SimConfig, VelocityField, _divergence_max, _time_cache, _waves, frame_symbols
 from .spectral import GridSpec, SpectralField
 
 __all__ = [
@@ -180,7 +179,7 @@ def _box_sobolev_weights(grid: GridSpec, s: float) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=2)  # the row time of a lockstep round, and the next
+@_time_cache(maxsize=2)  # the row time of a lockstep round, and the next
 def _ledger_weights(grid: GridSpec, nu: float, t: float) -> tuple:
     """M^2, -Mdot/M and m on the k != 0 rows of the box, and w on its k = 0 plane.
 
@@ -258,7 +257,7 @@ def bootstrap_report(box: np.ndarray, t: float, cfg: SimConfig, acc: Accumulator
     norms["Kcheck_neq_HN"] = norm(plain[0] + plain[1])
     norms["mQ3_neq_HN"] = norm(plain[2])
     for i, p in enumerate((P1, P2, P3), start=1):
-        norms[sys.intern(f"U{i}_neq_HN")] = norm(_dot(h, p))  # one key string for every row
+        norms[f"U{i}_neq_HN"] = norm(_dot(h, p))
     norms["U_neq_HN_total"] = math.sqrt(
         norms["U1_neq_HN"] ** 2 + norms["U2_neq_HN"] ** 2 + norms["U3_neq_HN"] ** 2
     )
@@ -275,7 +274,7 @@ def bootstrap_report(box: np.ndarray, t: float, cfg: SimConfig, acc: Accumulator
     }
     for i, p in enumerate(P, start=1):
         for name, weight in weights0.items():
-            norms[sys.intern(name.format(i))] = norm(_dot(weight, p[0]))
+            norms[name.format(i)] = norm(_dot(weight, p[0]))
 
     norms["div_defect"] = _divergence_max(box, sym)
 

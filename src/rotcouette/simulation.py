@@ -222,6 +222,20 @@ def frame_symbols(grid: GridSpec, t: float, box: bool = False):
     return _box_symbols(grid, t) if box else _symbols(_waves(grid, False), t)
 
 
+_TIME_CACHES: list = []  # the per-time operator caches, which ``run`` empties when it ends
+
+
+def _time_cache(maxsize: int):
+    """An lru_cache of the operators of one time, emptied when ``run`` returns."""
+
+    def wrap(fn):
+        cached = lru_cache(maxsize=maxsize)(fn)
+        _TIME_CACHES.append(cached)
+        return cached
+
+    return wrap
+
+
 def _symbols(wv: _Waves, t: float):
     etal = wv.eta - wv.k * t
     w = wv.k2 + etal * etal + wv.l2
@@ -230,7 +244,7 @@ def _symbols(wv: _Waves, t: float):
     return wv.k, etal, wv.l, w
 
 
-@lru_cache(maxsize=4)  # the stage times t, t + dt/2 and t + dt of one step, and the next row time
+@_time_cache(maxsize=4)  # the stage times t, t + dt/2 and t + dt of one step, and the next row time
 def _box_symbols(grid: GridSpec, t: float):
     return _symbols(_waves(grid, True), t)
 
@@ -387,7 +401,7 @@ def propagator(
     return apply
 
 
-@lru_cache(maxsize=2)  # the two half steps of one step
+@_time_cache(maxsize=2)  # the two half steps of one step
 def _propagator_coeffs(grid: GridSpec, t0: float, t1: float, nu: float) -> tuple:
     wv = _waves(grid, True)
     e0 = wv.eta - wv.k * t0
@@ -573,16 +587,15 @@ def run(cfgs: Sequence[SimConfig]) -> list[RunResult]:
     Each round every live run takes one step through its own ``step`` call; a
     run builds its initial condition just before its first step.  Runs on one
     grid with the same nu and dt share the cached symbols, propagators and
-    ledger weights of each time; the caches are emptied after each round, so
-    they hold one step's operators at most.  Each run (``_advance``) reports
-    a diagnostic row every ``diag_every`` steps and at t = 0 and the end,
-    keeps snapshots at the ``snapshot_every`` cadence, and turns a blow-up
-    into a ``blown_up`` result with its time.  Any other exception ends its
-    run alone, as an ``error`` result holding it.  Each result is the one its
-    configuration gives when run alone.
+    ledger weights of each time; the caches hold about one step's operators,
+    so a row builds each of them once, and ``run`` empties them when it
+    returns.  Each run (``_advance``) reports a diagnostic row every
+    ``diag_every`` steps and at t = 0 and the end, keeps snapshots at the
+    ``snapshot_every`` cadence, and turns a blow-up into a ``blown_up`` result
+    with its time.  Any other exception ends its run alone, as an ``error``
+    result holding it.  Each result is the one its configuration gives when
+    run alone.
     """
-    from .diagnostics import _ledger_weights
-
     results = [RunResult(cfg=cfg) for cfg in cfgs]
     live = [(res, _advance(res)) for res in results]
     while live:
@@ -594,8 +607,8 @@ def run(cfgs: Sequence[SimConfig]) -> list[RunResult]:
             except Exception as exc:  # it ends this run alone
                 res.status, res.error = "error", exc
         live = going
-        for cache in (_box_symbols, _propagator_coeffs, _ledger_weights):
-            cache.cache_clear()
+    for cache in _TIME_CACHES:  # what follows a run need not hold a step's operators (~5 MiB on 32x128x32)
+        cache.cache_clear()
     return results
 
 

@@ -9,10 +9,11 @@ instead of deduplicated string tables, and the half-spectrum stepper with
 dealias masks instead of the one on the retained box.  ``full_step`` is no
 oracle: it runs the package's box stepper on a full-layout field.
 
-The last section holds the helpers that only the tests call: physical
-synthesis, Hermitian symmetrisation, the band-edge monitor on a full field,
-the Laplacian unknowns, the enhanced-dissipation envelope check and the
-scans of the two spectral weights over sample sets.
+The last section holds the helpers that only the tests call: a single
+run that raises what ended it, physical synthesis, Hermitian
+symmetrisation, the band-edge monitor on a full field, the Laplacian
+unknowns, the enhanced-dissipation envelope check and the scans of the
+two spectral weights over sample sets.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from rotcouette import _kernels
 from rotcouette.diagnostics import EnergyReport, compute_K_check
 from rotcouette.linear import ModeStateK, _require_nonzero_k, evolve_K_closed
 from rotcouette.multipliers import M_closed, M_log_derivative, MultiplierParams, m_exact
-from rotcouette.simulation import BlowUpError, VelocityField, _box, _full, _waves, frame_symbols, step
+from rotcouette.simulation import BlowUpError, VelocityField, _box, _full, _waves, frame_symbols, run, step
 from rotcouette.spectral import (
     GridSpec,
     SpectralField,
@@ -597,6 +598,14 @@ def half_spectrum_step(U: VelocityField, t: float, dt: float, cfg) -> VelocityFi
 
 # ---------------------------------------------------------------------------
 # helpers that only the tests call
+
+
+def run_one(cfg):
+    """``run`` of one configuration, raising what ended an ``error`` run as ``simulate`` does."""
+    (result,) = run([cfg])
+    if result.error is not None:
+        raise result.error
+    return result
 
 
 def field_to_physical(f: SpectralField) -> np.ndarray:

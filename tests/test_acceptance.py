@@ -24,7 +24,7 @@ from rotcouette.multipliers import (
     M_closed,
     m_ode_residual,
 )
-from rotcouette.simulation import SimConfig, divergence_defect, run
+from rotcouette.simulation import SimConfig, divergence_defect
 from rotcouette.spectral import GridSpec, WaveVector, integral_w, sobolev_norm
 from rotcouette.threshold import ClassifyCriteria, classify_run, default_horizon
 
@@ -36,6 +36,7 @@ from oracles import (
     random_modes,
     rk4_K_batch,
     rk4_M_batch,
+    run_one,
     truncate_to_decay,
 )
 
@@ -223,7 +224,7 @@ def linear_run16():
         ic_mode=(1, 0, 1),
     )
     start = time.monotonic()
-    (result,) = run([cfg])
+    result = run_one(cfg)
     return cfg, result, time.monotonic() - start
 
 
@@ -235,7 +236,7 @@ def zero_run16():
         ic_mode=(0, 2, 1),
     )
     start = time.monotonic()
-    (result,) = run([cfg])
+    result = run_one(cfg)
     return cfg, result, time.monotonic() - start
 
 
@@ -346,7 +347,7 @@ def test_criterion_08_nonlinear_stability_smoke(tmp_path):
             nonlinear_enabled=True, diag_every=10, ic_kind="file",
             ic_file=str(ic_path),
         )
-        (res,) = run([cfg])
+        res = run_one(cfg)
         outcomes[label] = (classify_run(res, criteria), res)
 
     assert outcomes["small"][0] == "stable"

@@ -13,7 +13,7 @@ from rotcouette.diagnostics import (
 )
 from rotcouette.multipliers import MultiplierParams, M_closed, m_exact
 from rotcouette.reporting import energy_columns, write_snapshot_csv
-from rotcouette.simulation import SimConfig, VelocityField, _box, _full, initial_condition, run
+from rotcouette.simulation import SimConfig, VelocityField, _box, _full, initial_condition
 from rotcouette.spectral import GridSpec, WaveVector
 
 from oracles import (
@@ -21,6 +21,7 @@ from oracles import (
     full_step,
     neg_MdotM,
     reference_bootstrap_report,
+    run_one,
     slow_weighted_norm,
     wave_numbers,
 )
@@ -166,7 +167,7 @@ class TestBootstrapReport:
 
     def test_weighted_pair_norm_monotone_in_linear_run(self):
         cfg = self.cfg(dt=0.02, t_end=4.0, nonlinear_enabled=False, diag_every=10)
-        (res,) = run([cfg])
+        res = run_one(cfg)
         vals = [
             math.sqrt(r.norms["MK1_neq_HN"] ** 2 + r.norms["MK2_neq_HN"] ** 2)
             for r in res.reports
@@ -175,14 +176,14 @@ class TestBootstrapReport:
 
     def test_ghost_dissipation_vanishes_on_zero_modes(self):
         cfg = self.cfg(ic_mode=(0, 2, 1), dt=0.05, t_end=1.0, nonlinear_enabled=False)
-        (res,) = run([cfg])
+        res = run_one(cfg)
         for r in res.reports:
             assert r.norms["dMM_K1_HN"] == 0.0
             assert r.norms["dMM_K2_HN"] == 0.0
 
     def test_accumulators_nondecreasing(self):
         cfg = self.cfg(dt=0.02, t_end=2.0, nonlinear_enabled=False, diag_every=5)
-        (res,) = run([cfg])
+        res = run_one(cfg)
         for name in ("int_dMM_K1_HN", "int_gradL_MK1_HN", "int_Kcheck_neq_HN"):
             vals = [r.norms[name] for r in res.reports]
             assert all(a <= b + 1e-15 for a, b in zip(vals, vals[1:]))
@@ -338,7 +339,7 @@ class TestEnergyIdentity:
             nu=1e-2, grid=GRID, dt=0.01, t_end=3.0, eps=1e-4,
             nonlinear_enabled=False, diag_every=5, ic_mode=(1, 1, 1),
         )
-        (res,) = run([cfg])
+        res = run_one(cfg)
         for r0, r1 in zip(res.reports[:-1], res.reports[1:]):
             dt = r1.t - r0.t
             E0 = r0.norms["MK1_neq_HN"] ** 2 + r0.norms["MK2_neq_HN"] ** 2
@@ -365,7 +366,7 @@ class TestEnergyIdentity:
             nu=1e-2, grid=GRID, dt=0.02, t_end=5.0, eps=1e-4,
             nonlinear_enabled=False, diag_every=5, ic_mode=(1, 1, 1),
         )
-        (res,) = run([cfg])
+        res = run_one(cfg)
         final = res.reports[-1].norms
         C = 1.0 / 0.1  # scanned coercivity infimum is >= 0.1
         lhs = final["int_Kcheck_neq_HN"]
@@ -389,7 +390,7 @@ class TestDissipationScalingFits:
                 nu=nu, grid=GRID, dt=0.02, t_end=30.0, eps=1e-5,
                 nonlinear_enabled=False, diag_every=10, ic_mode=(1, 0, 1),
             )
-            finals.append(run([cfg])[0].reports[-1].norms["int_Kcheck_neq_HN"])
+            finals.append(run_one(cfg).reports[-1].norms["int_Kcheck_neq_HN"])
         exponent = float(np.polyfit(np.log(nus), np.log(finals), 1)[0])
         assert -0.35 <= exponent <= 0.0
 
@@ -402,7 +403,7 @@ class TestLiftUpGrowth:
             nu=nu, grid=GRID, dt=0.02, t_end=20.0, eps=1e-5,
             nonlinear_enabled=False, diag_every=5, ic_mode=(0, 2, 1),
         )
-        (res,) = run([cfg])
+        res = run_one(cfg)
         ts, u23 = res.norm_series("U0_2_HNm1")
         _, u3 = res.norm_series("U0_3_HNm1")
         tot = np.sqrt(u23**2 + u3**2)

@@ -15,6 +15,7 @@ from oracles import (
     high_eta_energy_fraction,
     linear_rhs,
     random_band_loop,
+    run_one,
     wave_numbers,
 )
 
@@ -289,7 +290,7 @@ class TestLinearRhs:
             nonlinear_enabled=False, diag_every=100, snapshot_every=100,
             ic_mode=(1, 1, 1),
         )
-        (res,) = run([cfg])
+        res = run_one(cfg)
         from rotcouette.diagnostics import compute_K_check
 
         kv = WaveVector(1, GRID.eta_values[1], 1)
@@ -461,7 +462,7 @@ class TestStep:
             nonlinear_enabled=False, diag_every=100, snapshot_every=20,
             ic_mode=(0, 2, 1),
         )
-        (res,) = run([cfg])
+        res = run_one(cfg)
         i = mode_index(g, 0, 2, 1)
         eta = g.eta_values[2]
         t0, U0 = res.snapshots[0]
@@ -478,7 +479,7 @@ class TestStep:
             nu=1e-2, grid=GRID, dt=0.02, t_end=2.0, eps=1e-3,
             nonlinear_enabled=True, diag_every=10, snapshot_every=25,
         )
-        (res,) = run([cfg])
+        res = run_one(cfg)
         assert res.status == "completed"
         for t, U in res.snapshots:
             assert divergence_defect(U) <= 1e-10
@@ -549,7 +550,7 @@ class TestStep:
         )
 
         def final(cfg):
-            return run([cfg])[0].snapshots[-1][1].coeffs
+            return run_one(cfg).snapshots[-1][1].coeffs
 
         ref = final(replace(base, dt=0.1 / 32, rk_stages=4))
         e1 = np.max(np.abs(final(base) - ref))
@@ -597,7 +598,7 @@ class TestStep:
             nonlinear_enabled=False, diag_every=10**6, snapshot_every=10**6,
             rk_stages=rk_stages,
         )
-        (res,) = run([cfg])
+        res = run_one(cfg)
         (_, U0), (t, U) = res.snapshots[0], res.snapshots[-1]
         assert t == pytest.approx(2.0)
         for i in (mode_index(GRID, 1, 1, 1), mode_index(GRID, -1, -1, 1)):
@@ -610,7 +611,7 @@ class TestStep:
             nu=1e-2, grid=GRID, dt=0.01, t_end=5.0, eps=1e-3,
             nonlinear_enabled=False, diag_every=10, blowup_cap=1e-12,
         )
-        (res,) = run([cfg])
+        res = run_one(cfg)
         assert res.status == "blown_up"
         assert res.t_fail is not None and res.t_fail <= 0.02
 
@@ -706,7 +707,7 @@ class TestInitialConditions:
 class TestRun:
     def test_zero_amplitude(self):
         cfg = SimConfig(nu=1e-2, grid=GRID, dt=0.05, t_end=1.0, eps=0.0, diag_every=5)
-        (res,) = run([cfg])
+        res = run_one(cfg)
         for r in res.reports:
             assert all(v == 0.0 for k, v in r.norms.items())
             assert not any(r.flags.values())
@@ -716,8 +717,8 @@ class TestRun:
             nu=1e-2, grid=GRID, dt=0.02, t_end=1.0, eps=1e-4,
             ic_kind="random_band", seed=3, diag_every=5,
         )
-        (a,) = run([cfg])
-        (b,) = run([cfg])
+        a = run_one(cfg)
+        b = run_one(cfg)
         for ra, rb in zip(a.reports, b.reports):
             assert ra.norms == rb.norms
 
@@ -729,6 +730,8 @@ class TestRun:
         )
         half = replace(base, eps=5e-5)
         ra, rb = run([base, half])
+        assert ra.error is None and rb.error is None
+        assert len(ra.reports) == len(rb.reports) == 6
         for a, b in zip(ra.reports, rb.reports):
             for name in ("U_neq_HN_total", "MK1_neq_HN", "mMQ3_neq_HN"):
                 if a.norms[name] > 1e-300:
@@ -740,7 +743,7 @@ class TestRun:
             nu=1e-2, grid=g, dt=0.02, t_end=0.5, eps=1e-4,
             nonlinear_enabled=False, diag_every=5, ic_mode=(1, 5, 1),
         )
-        (res,) = run([cfg])  # j = 5 exactly at the dealias band edge (cutoff 5)
+        res = run_one(cfg)  # j = 5 exactly at the dealias band edge (cutoff 5)
         assert any("eta band edge" in w for w in res.warnings)
 
     def test_no_resolution_warning_inside_band(self):
@@ -748,7 +751,7 @@ class TestRun:
             nu=1e-2, grid=GRID, dt=0.02, t_end=0.5, eps=1e-4,
             nonlinear_enabled=False, diag_every=5, ic_mode=(1, 2, 1),
         )
-        (res,) = run([cfg])  # j = 2, well inside the edge band |j| >= 4.5
+        res = run_one(cfg)  # j = 2, well inside the edge band |j| >= 4.5
         assert res.status == "completed" and len(res.reports) == 6
         assert not any("eta band edge" in w for w in res.warnings)
 
@@ -768,7 +771,7 @@ class TestRun:
             nu=1e-2, grid=GRID, dt=0.05, t_end=0.2, eps=1e-4, ic_kind="random_band", seed=2,
             nonlinear_enabled=nonlinear, diag_every=1, snapshot_every=1,
         )
-        (res,) = run([cfg])
+        res = run_one(cfg)
         assert (res.n_steps, res.dt) == (4, 0.05)
         stored = [U.coeffs for _, U in res.snapshots]
         assert len(stored) == 5
@@ -780,7 +783,7 @@ class TestRun:
             nu=1e-2, grid=GRID, dt=0.5, t_end=1.0, eps=10.0,
             nonlinear_enabled=True, diag_every=1, blowup_cap=1e12,
         )
-        (res,) = run([cfg])
+        res = run_one(cfg)
         assert any("CFL" in w for w in res.warnings)
 
     def test_advective_rate_positive(self):
@@ -802,7 +805,7 @@ class TestRunCarriesTheBox:
     @pytest.mark.parametrize("nonlinear", [False, True], ids=["linear", "nonlinear"])
     def test_no_full_layout_without_snapshots(self, monkeypatch, nonlinear):
         calls = count_calls(monkeypatch, "_box", "_full", "step")
-        (res,) = run([self.cfg(nonlinear_enabled=nonlinear)])
+        res = run_one(self.cfg(nonlinear_enabled=nonlinear))
         assert (res.status, res.n_steps, res.snapshots) == ("completed", 10, [])
         # every step goes through the module global, where a wrapper sees it
         assert calls == {"_box": 1, "_full": 0, "step": 10}
@@ -810,7 +813,7 @@ class TestRunCarriesTheBox:
     @pytest.mark.parametrize("every", [1, 3, 4, 10])
     def test_one_full_layout_per_stored_snapshot(self, monkeypatch, every):
         calls = count_calls(monkeypatch, "_box", "_full", "step")
-        (res,) = run([self.cfg(snapshot_every=every)])
+        res = run_one(self.cfg(snapshot_every=every))
         stored = [i for i in range(1, 11) if i % every == 0 or i == 10]
         assert len(res.snapshots) == 1 + len(stored)
         assert calls == {"_box": 1, "_full": len(stored), "step": 10}
@@ -818,7 +821,7 @@ class TestRunCarriesTheBox:
     @pytest.mark.parametrize("nonlinear", [False, True], ids=["linear", "nonlinear"])
     def test_snapshots_match_hand_loop(self, nonlinear):
         cfg = self.cfg(nonlinear_enabled=nonlinear, snapshot_every=3)
-        (res,) = run([cfg])
+        res = run_one(cfg)
         U0 = initial_condition(cfg)
         # the t = 0 snapshot is the initial condition itself: its re-expanded
         # box differs in the sign of some zeros
@@ -881,11 +884,11 @@ class TestLockstep:
         assert [r.status for r in together] == ["completed", "blown_up", "completed"]
         assert together[1].t_fail < 0.5 and together[1].error is None
         for cfg, res in zip(cfgs, together):
-            assert run_record(res) == run_record(run([cfg])[0])
+            assert run_record(res) == run_record(run_one(cfg))
 
     def test_a_failing_step_ends_its_cell_alone(self, monkeypatch):
         cfgs = self.cfgs([1.0, 2.0, 10.0])
-        alone = [run([cfg])[0] for cfg in cfgs]
+        alone = [run_one(cfg) for cfg in cfgs]
         real_step = simulation.step
 
         def failing(u, t, dt, cfg):
@@ -904,7 +907,7 @@ class TestLockstep:
 
     def test_own_step_sizes_share_nothing(self, monkeypatch):
         cfgs = self.cfgs([1e2, 3e2], dt=None, t_end=0.02, diag_every=1)
-        alone = [run([cfg])[0] for cfg in cfgs]
+        alone = [run_one(cfg) for cfg in cfgs]
         builds = counted_caches(monkeypatch)
         together = run(cfgs)
         assert together[0].dt != together[1].dt
@@ -933,7 +936,14 @@ class TestLockstep:
         # three cells build each time's operators as often as one cell does
         assert counts[0] == counts[1]
         assert counts[0]["_propagator_coeffs"] == 2 * 100  # both half steps of each step
-        # the caches hold one round's operators at most, and nothing once the row is done
+        # the caches hold one step's operators at most, whatever the horizon
         assert len(sizes) == 400
         assert all(info.currsize <= info.maxsize <= 4 for infos in sizes for info in infos)
-        assert all(getattr(m, n).cache_info().currsize == 0 for m, n in OPERATOR_CACHES)
+
+    def test_a_finished_run_holds_no_operators(self):
+        results = run(self.cfgs([1.0, 10.0], t_end=0.2))
+        assert all(r.status == "completed" for r in results)
+        assert {c.__wrapped__.__name__ for c in simulation._TIME_CACHES} == {
+            name for _, name in OPERATOR_CACHES
+        }
+        assert all(c.cache_info().currsize == 0 for c in simulation._TIME_CACHES)

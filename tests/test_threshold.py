@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rotcouette.diagnostics import EnergyReport
-from rotcouette.simulation import RunResult, SimConfig, run
+from rotcouette.simulation import RunResult, SimConfig
 from rotcouette import diagnostics, simulation, threshold
 from rotcouette.spectral import GridSpec
 from rotcouette.threshold import (
@@ -21,6 +21,8 @@ from rotcouette.threshold import (
     fit_gamma,
     sweep,
 )
+
+from oracles import run_one
 
 GRID = GridSpec(8, 16, 8, Ly=32.0)
 
@@ -65,7 +67,7 @@ class TestClassify:
             nu=2e-2, grid=GRID, dt=0.02, t_end=12.0, eps=1e-5,
             nonlinear_enabled=False, diag_every=10,
         )
-        (res,) = run([cfg])
+        res = run_one(cfg)
         for g in (2.0, 10.0):
             assert classify_run(res, ClassifyCriteria(horizon=12.0, growth_factor=g)) == "stable"
 
@@ -144,7 +146,7 @@ class TestSweep:
             cfg.base, nu=1e-2, eps=1e-6, t_end=3.0, seed=cfg.base.seed + 7919 + 104729,
             nonlinear_enabled=True,
         )
-        direct = classify_run(run([sim_cfg])[0], cfg.classify)
+        direct = classify_run(run_one(sim_cfg), cfg.classify)
         assert result.cells[0].outcome == direct
 
     def test_transition_detected_and_gamma_finite(self):
@@ -291,14 +293,13 @@ def test_shared_operators_are_read_only_and_unchanged(monkeypatch):
                 handed_out.setdefault(id(a), (a, a.copy()))
             return out
 
-        spy.cache_clear = getattr(module, name).cache_clear  # run empties the caches
         monkeypatch.setattr(module, name, spy)
     base = SimConfig(nu=1e-2, grid=GRID, dt=0.05, t_end=1.0, ic_kind="random_band", diag_every=2)
     cfg = SweepConfig(nu_grid=(1e-2,), eps_min=1.0, eps_max=1e4, eps_points=3, base=base,
                       classify=ClassifyCriteria(horizon=1.0))
     result = sweep(cfg)  # one row of three cells, one of which blows up
     assert [c.status for c in result.cells] == ["completed", "completed", "blown_up"]
-    (single,) = run([replace(base, eps=10.0, rk_stages=2)])
+    single = run_one(replace(base, eps=10.0, rk_stages=2))
     assert single.status == "completed"
     assert len(handed_out) > 20
     for a, before in handed_out.values():
