@@ -162,14 +162,14 @@ def _read_ini(path: str | None) -> dict[str, dict[str, str]]:
     """[sim] and [sweep] of an INI file as dicts; anything else in it is a usage error."""
     if not path:
         return {}
-    if not Path(path).exists():
-        raise UsageError(f"config file not found: {path}")
     cp = configparser.ConfigParser()
     try:
-        cp.read(path)
+        read = cp.read(path)  # skips, and leaves out of its list, a path it cannot open
         ini = {name: dict(cp[name]) for name in cp.sections()}
     except configparser.Error as exc:
         raise UsageError(f"malformed config file {path}: {exc}") from exc
+    if not read:
+        raise UsageError(f"config file not found or not a readable file: {path}")
     for name, section in ini.items():
         if name not in _SECTIONS:
             raise UsageError(f"unknown section [{name}] in {path}; expected [sim] or [sweep]")

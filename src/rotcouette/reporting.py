@@ -145,6 +145,9 @@ def read_snapshot_csv(path: str | Path) -> VelocityField:
         # the "#" header; takewhile also consumes the line of column names that ends it
         head = itertools.takewhile(lambda line: line.startswith("#"), fh)
         header = dict(line[1:].split(maxsplit=1) for line in head)
+        for key in ("grid", "ly", "time"):
+            if key not in header:
+                raise ValueError(f"snapshot {path} has no '# {key}' header line")
         # then one row per mode, parsed from the same handle
         cols = np.loadtxt(fh, delimiter=",", ndmin=2, usecols=range(10)).T
     nx, ny, nz = (int(v) for v in header["grid"].split())

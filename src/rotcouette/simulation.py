@@ -99,7 +99,7 @@ class SimConfig:
     ic_file: str | None = None
     sigma: float = 5.0
     nonlinear_enabled: bool = True
-    rk_stages: int = 4  # 4 (classical) or 2 (midpoint)
+    rk_stages: int = 4  # only 4 (classical); kept while workload INIs still write it
     diag_every: int = 10
     snapshot_every: int = 0
     blowup_cap: float = 1e6
@@ -121,8 +121,8 @@ class SimConfig:
                 raise ValueError(f"{name} must be positive and finite, got {v}")
         if not 4.5 < self.sigma < math.inf:
             raise ValueError(f"sigma must exceed 9/2 for the weighted diagnostics, got {self.sigma}")
-        if self.rk_stages not in (2, 4):
-            raise ValueError(f"rk_stages must be 2 or 4, got {self.rk_stages}")
+        if self.rk_stages != 4:
+            raise ValueError(f"rk_stages must be 4 (the stepper is Lawson-RK4), got {self.rk_stages}")
         if self.ic_kind not in ("single_mode", "random_band", "file"):
             raise ValueError(f"unknown ic_kind {self.ic_kind!r}")
         for name, least in (("diag_every", 1), ("seed", 0), ("snapshot_every", 0)):
@@ -427,7 +427,7 @@ def _propagator_coeffs(grid: GridSpec, t0: float, t1: float, nu: float) -> tuple
 def step(u: np.ndarray, t: float, dt: float, cfg: SimConfig) -> np.ndarray:
     """Advance the retained box of ``cfg.grid`` one step from frame time t.
 
-    Lawson's integrating-factor Runge-Kutta method: the stages carry only the
+    Lawson's integrating-factor classical RK4: the stages carry only the
     projected advection (``nonlinear_rhs``) and every linear term is applied
     exactly by the two half-step propagators, so a linearised step is one
     propagator application and the step size is limited only by the advective
@@ -451,13 +451,10 @@ def step(u: np.ndarray, t: float, dt: float, cfg: SimConfig) -> np.ndarray:
         k1 = nonlinear_rhs(u, frame_symbols(grid, t, box=True), grid, t)
         pu, pk = ph(u), ph(k1)
         k2 = nonlinear_rhs(pu + 0.5 * dt * pk, symm, grid, tm)
-        if cfg.rk_stages == 2:
-            new = ph2(pu + dt * k2)
-        else:
-            k3 = nonlinear_rhs(pu + 0.5 * dt * k2, symm, grid, tm)
-            k4 = nonlinear_rhs(ph2(pu + dt * k3), sym1, grid, t1)
-            new = ph2(pu + dt / 6.0 * (pk + 2.0 * (k2 + k3)))
-            new += dt / 6.0 * k4
+        k3 = nonlinear_rhs(pu + 0.5 * dt * k2, symm, grid, tm)
+        k4 = nonlinear_rhs(ph2(pu + dt * k3), sym1, grid, t1)
+        new = ph2(pu + dt / 6.0 * (pk + 2.0 * (k2 + k3)))
+        new += dt / 6.0 * k4
 
     new = leray_project_L(new, sym1)
     new[:, 0, 0, 0] = 0.0

@@ -87,6 +87,8 @@ class SweepConfig:
             raise ValueError(f"nu_grid repeats a viscosity: {self.nu_grid}")
         if len(set(self.eps_grid().tolist())) < self.eps_points:
             raise ValueError("the eps grid repeats an amplitude: eps_points > 1 needs eps_min < eps_max")
+        if self.eps_points == 1 and self.eps_min != self.eps_max:
+            raise ValueError("eps_points = 1 runs eps_min alone: it needs eps_min = eps_max")
 
     def eps_grid(self) -> np.ndarray:
         if self.eps_points == 1:
@@ -187,15 +189,23 @@ def _repair_monotone(cells: list[CellResult]) -> list[tuple[float, float]]:
     return repaired
 
 
-def fit_gamma(nus: Sequence[float], eps_stars: Sequence[float]) -> tuple[float, tuple[float, float]]:
-    """OLS slope of log(eps*) against log(nu) with a normal 95% interval."""
+def fit_gamma(
+    nus: Sequence[float], eps_stars: Sequence[float]
+) -> tuple[float, tuple[float, float] | None]:
+    """OLS slope of log(eps*) against log(nu) with a 95% interval, None below three points.
+
+    The interval is slope +- 1.96 se, a normal approximation: narrower than Student's t at
+    few points (12.71 in place of 1.96 at three, with one residual degree of freedom).
+    """
     x = np.log(np.asarray(nus, dtype=float))
     y = np.log(np.asarray(eps_stars, dtype=float))
     if len(x) < 2:
         raise ValueError("need at least two uncensored thresholds to fit an exponent")
     slope, intercept = np.polyfit(x, y, 1)
+    if len(x) < 3:
+        return float(slope), None
     resid = y - (slope * x + intercept)
-    dof = max(len(x) - 2, 1)
+    dof = len(x) - 2
     sxx = float(np.sum((x - x.mean()) ** 2))
     se = math.sqrt(float(np.sum(resid**2)) / dof / sxx) if sxx > 0 else math.inf
     return float(slope), (float(slope - 1.96 * se), float(slope + 1.96 * se))

@@ -552,7 +552,7 @@ def full_step(U: VelocityField, t: float, dt: float, cfg) -> VelocityField:
 
 
 def half_spectrum_step(U: VelocityField, t: float, dt: float, cfg) -> VelocityField:
-    """One Lawson RK step with the whole (3, Nx, Ny, Nz//2 + 1) half spectrum as state.
+    """One Lawson-RK4 step with the whole (3, Nx, Ny, Nz//2 + 1) half spectrum as state.
 
     Every spectral operation runs on the half spectrum and the result is
     multiplied by the 2/3 dealias mask; the full layout is rebuilt by
@@ -577,13 +577,10 @@ def half_spectrum_step(U: VelocityField, t: float, dt: float, cfg) -> VelocityFi
         k1 = rhs(u0, _half_symbols(grid, t), t)
         pu, pk = ph(u0), ph(k1)
         k2 = rhs(pu + 0.5 * dt * pk, symm, tm)
-        if cfg.rk_stages == 2:
-            new = ph2(pu + dt * k2)
-        else:
-            k3 = rhs(pu + 0.5 * dt * k2, symm, tm)
-            k4 = rhs(ph2(pu + dt * k3), sym1, t1)
-            new = ph2(pu + dt / 6.0 * (pk + 2.0 * (k2 + k3)))
-            new += dt / 6.0 * k4
+        k3 = rhs(pu + 0.5 * dt * k2, symm, tm)
+        k4 = rhs(ph2(pu + dt * k3), sym1, t1)
+        new = ph2(pu + dt / 6.0 * (pk + 2.0 * (k2 + k3)))
+        new += dt / 6.0 * k4
     new = _half_project(new, sym1)
     new *= grid.dealias_mask[:, :, :nh]
     new[:, 0, 0, 0] = 0.0

@@ -109,6 +109,21 @@ class TestUsageErrors:
         cfg.write_text("[sim]\nbogus = 1\n")
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize("kind", ["directory", "missing"])
+    def test_config_that_is_not_a_readable_file(self, tmp_path, capsys, command, kind):
+        # configparser skips a path it cannot open, which would run the defaults
+        cfg = tmp_path / "conf"
+        if kind == "directory":
+            cfg.mkdir()
+        out = tmp_path / "out"
+        argv = [command, "--config", str(cfg), "--out", str(out)]
+        if command == "simulate":
+            argv += ["--grid", "8,16,8", "--t-end", "0.05"]
+        assert main(argv) == EXIT_USAGE
+        assert "not a readable file" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_shear_rate_is_not_a_key(self, tmp_path, capsys):
         # the shear rate is 1 and the window of the weight m is 1000 nu^{-1/3}, as in the
         # paper; neither is a config field
@@ -191,9 +206,10 @@ class TestConfigRejectedBeforeAnyWork:
             (dict(ic_k=0, ic_j=0, ic_l=0), []),
             (dict(ic_kind="file", ic_file="missing.csv"), []),
             (dict(ic_kind="file"), []),
+            (dict(rk_stages=2), []),
         ],
         ids=["negative-seed", "negative-snapshot-every", "ic-mode-outside-band", "ic-mode-mean",
-             "missing-ic-file", "no-ic-file"],
+             "missing-ic-file", "no-ic-file", "rk-stages-2"],
     )
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     def test_rejected(self, tmp_path, monkeypatch, capsys, command, sim, flags):
@@ -219,6 +235,23 @@ class TestConfigRejectedBeforeAnyWork:
         cfg = sim_ini(tmp_path, ic_kind="file", ic_file=ic)
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["grid", "ly", "time"])
+    def test_snapshot_header_without_a_line(self, tmp_path, capsys, key):
+        from rotcouette.reporting import write_snapshot_csv
+        from rotcouette.simulation import VelocityField
+        from rotcouette.spectral import GridSpec
+
+        grid = GridSpec(8, 16, 8, Ly=32.0)
+        U = VelocityField(grid, np.zeros((3,) + grid.shape, complex))
+        ic = write_snapshot_csv(tmp_path / "ic.csv", U, 1e-2)
+        lines = ic.read_text().splitlines(keepends=True)
+        ic.write_text("".join(line for line in lines if not line.startswith(f"# {key} ")))
+        cfg = sim_ini(tmp_path, ic_kind="file", ic_file=ic)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert f"no '# {key}' header line" in capsys.readouterr().err
         assert not out.exists()
 
     def test_snapshot_that_is_not_a_real_field(self, tmp_path, capsys):
@@ -262,7 +295,7 @@ class TestConfigSchema:
     SIM = dict(
         nu="2e-2", nx="8", ny="16", nz="8", ly="16.0", dt="0.05", t_end="2.0", eps="1e-3",
         seed="4", ic_kind="file", ic_k="2", ic_j="-1", ic_l="2", sigma="6.0",
-        nonlinear_enabled="no", rk_stages="2", diag_every="3", snapshot_every="7",
+        nonlinear_enabled="no", rk_stages="4", diag_every="3", snapshot_every="7",
         blowup_cap="1e3", c0="50.0", c1="5.0",
     )
     SWEEP = dict(
@@ -305,8 +338,11 @@ class TestConfigSchema:
         for new, old in ((base, base0), (base.grid, base0.grid), (scfg, scfg0),
                          (scfg.classify, scfg0.classify)):
             for f in fields(new):
-                assert getattr(new, f.name) != getattr(old, f.name), f.name
+                if f.name != "rk_stages":  # 4 is its only value, so it shows by refusing 2
+                    assert getattr(new, f.name) != getattr(old, f.name), f.name
         assert base.ic_mode == (2, -1, 2) and scfg.nu_grid == (2e-2, 1e-2) and scfg.bisect
+        with pytest.raises(ValueError, match="rk_stages"):
+            _sim_config({"sim": {"rk_stages": "2"}}, {})
 
     @pytest.mark.parametrize("spelling", ["", "none", "None", "AUTO", "auto"])
     @pytest.mark.parametrize("section, key", [("sim", "dt"), ("sim", "ic_file"), ("sweep", "horizon")])
@@ -680,10 +716,11 @@ class TestSweepCommand:
             "growth_factor = nan\n",
             "nu_grid = 1e-2 0.01\n",
             "eps_min = 1e-6\neps_max = 1e-6\neps_points = 3\n",
+            "eps_points = 1\n",
         ],
         ids=["misspelt-norm-name", "zero-bisect-width", "misspelt-boolean", "nu-out-of-range",
              "nan-eps-min", "inf-eps-max", "nan-horizon", "negative-horizon", "nan-growth-factor",
-             "repeated-nu", "repeated-eps"],
+             "repeated-nu", "repeated-eps", "one-point-drops-eps-max"],
     )
     def test_bad_sweep_key_rejected_before_any_cell(self, tmp_path, monkeypatch, extra):
         from rotcouette import threshold

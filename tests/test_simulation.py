@@ -505,19 +505,13 @@ class TestStep:
         assert U.time == pytest.approx(20 * cfg.dt)
 
     @pytest.mark.parametrize(
-        "nonlinear, rk_stages, n_rhs, n_proj",
-        [(True, 4, 4, 5), (True, 2, 2, 3), (False, 4, 0, 1)],
-        ids=["rk4", "rk2", "linear"],
+        "nonlinear, n_rhs, n_proj", [(True, 4, 5), (False, 0, 1)], ids=["rk4", "linear"]
     )
-    def test_operators_called_through_module_globals(
-        self, monkeypatch, nonlinear, rk_stages, n_rhs, n_proj
-    ):
+    def test_operators_called_through_module_globals(self, monkeypatch, nonlinear, n_rhs, n_proj):
         # one nonlinear_rhs per stage, each projecting its result, and one
         # projection of the new state; a wrapper of either global sees them all
         calls = count_calls(monkeypatch, "nonlinear_rhs", "leray_project_L")
-        cfg = SimConfig(
-            nu=1e-2, grid=GRID, dt=0.02, nonlinear_enabled=nonlinear, rk_stages=rk_stages
-        )
+        cfg = SimConfig(nu=1e-2, grid=GRID, dt=0.02, nonlinear_enabled=nonlinear)
         u = _box(random_velocity(GRID, np.random.default_rng(76)))
         u *= 0.5 / np.max(np.abs(u))
         for i in range(3):
@@ -542,20 +536,21 @@ class TestStep:
         assert info.value.time == pytest.approx(cfg.dt)
 
     def test_convergence_order(self):
-        # the linear part is exact, so the RK2 error is the advection's:
-        # halving dt must cut it by at least 3.5x against a fine-dt reference
+        # the linear part is exact, so the RK4 error is the advection's:
+        # halving dt must cut it by at least 12x (16x in the limit; a
+        # second-order step reads 4x) against a fine-dt reference
         base = SimConfig(
             nu=2e-2, grid=GRID, dt=0.1, t_end=2.0, eps=1.0, ic_kind="random_band", seed=4,
-            nonlinear_enabled=True, diag_every=10**6, snapshot_every=10**6, rk_stages=2,
+            nonlinear_enabled=True, diag_every=10**6, snapshot_every=10**6,
         )
 
         def final(cfg):
             return run_one(cfg).snapshots[-1][1].coeffs
 
-        ref = final(replace(base, dt=0.1 / 32, rk_stages=4))
-        e1 = np.max(np.abs(final(base) - ref))
-        e2 = np.max(np.abs(final(replace(base, dt=0.05)) - ref))
-        assert e1 / e2 >= 3.5
+        ref = final(replace(base, dt=0.1 / 32))
+        e1 = np.max(np.abs(final(replace(base, dt=0.2)) - ref))
+        e2 = np.max(np.abs(final(base) - ref))
+        assert e1 / e2 >= 12.0
 
     @pytest.mark.parametrize(
         "grid",
@@ -563,19 +558,14 @@ class TestStep:
         ids=["8x16x8", "6x24x10", "16x64x16"],
     )
     @pytest.mark.parametrize("beta", SHEAR_RATES)
-    @pytest.mark.parametrize(
-        "nonlinear, rk_stages", [(False, 4), (True, 2), (True, 4)], ids=["linear", "rk2", "rk4"]
-    )
-    def test_box_step_matches_half_spectrum_oracle(self, nonlinear, rk_stages, beta, grid):
+    @pytest.mark.parametrize("nonlinear", [False, True], ids=["linear", "rk4"])
+    def test_box_step_matches_half_spectrum_oracle(self, nonlinear, beta, grid):
         # the stepper on the retained box against the whole half spectrum with
         # dealias masks and numpy's FFTs: a linear step equal to the bit, up to
         # the sign of a zero, which the oracle's mask multiply can flip; a
         # nonlinear one, whose advection goes through partial DFTs, to rounding;
         # exact zeros outside the box
-        cfg = SimConfig(
-            nu=1e-2 / beta, grid=grid, dt=0.02 * beta, nonlinear_enabled=nonlinear,
-            rk_stages=rk_stages,
-        )
+        cfg = SimConfig(nu=1e-2 / beta, grid=grid, dt=0.02 * beta, nonlinear_enabled=nonlinear)
         U = random_velocity(grid, np.random.default_rng(69))
         U.coeffs *= 0.5 / (beta * np.max(np.abs(U.coeffs)))
         want, t = U, 0.0
@@ -590,7 +580,7 @@ class TestStep:
             assert not np.any(U.coeffs[:, ~grid.dealias_mask])
             assert U.time == want.time
 
-    @pytest.mark.parametrize("rk_stages", [2, 4])
+    @pytest.mark.parametrize("rk_stages", [4])  # the only scheme; a linear step never reads it
     @pytest.mark.parametrize("dt", [1.0, 0.25, 0.01])
     def test_linear_run_exact_at_any_dt(self, dt, rk_stages):
         cfg = SimConfig(

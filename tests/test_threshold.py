@@ -1,5 +1,6 @@
 """Tests for stability classification and the amplitude/viscosity sweep."""
 
+import json
 import math
 from dataclasses import fields, is_dataclass, replace
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from rotcouette.diagnostics import EnergyReport
+from rotcouette.reporting import write_gamma_json
 from rotcouette.simulation import RunResult, SimConfig
 from rotcouette import diagnostics, simulation, threshold
 from rotcouette.spectral import GridSpec
@@ -14,6 +16,7 @@ from rotcouette.threshold import (
     CellResult,
     ClassifyCriteria,
     SweepConfig,
+    ThresholdResult,
     _cell_seed,
     _repair_monotone,
     classify_run,
@@ -92,6 +95,15 @@ class TestRepairAndFit:
         assert gamma == pytest.approx(2.0, abs=1e-6)
         assert ci[0] <= 2.0 <= ci[1]
 
+    def test_fit_gamma_two_points_has_no_interval(self, tmp_path):
+        # no residual degree of freedom: a zero-width interval would claim certainty
+        gamma, ci = fit_gamma([1e-2, 2e-2], [1.0, 3.0])
+        assert gamma == pytest.approx(math.log(3.0) / math.log(2.0))
+        assert ci is None
+        result = ThresholdResult([], {1e-2: 1.0, 2e-2: 3.0}, {1e-2: False, 2e-2: False}, gamma, ci)
+        path = write_gamma_json(tmp_path / "gamma.json", result)
+        assert json.loads(path.read_text())["gamma_ci"] is None
+
     def test_default_horizon(self):
         assert default_horizon(1.0) == 10.0
         assert default_horizon(1e-6) == 50.0
@@ -137,6 +149,11 @@ class TestSweep:
         second = sweep(cfg, checkpoint=marker)
         assert all(c.status == "checkpointed" for c in second.cells)
         assert second.eps_star == first.eps_star
+
+    def test_one_point_needs_equal_bounds(self):
+        # one point is eps_min alone, so a distinct eps_max would be dropped
+        with pytest.raises(ValueError, match="eps_points = 1"):
+            self.small_sweep_config(eps_points=1, eps_min=1.0, eps_max=100.0)
 
     def test_single_cell_equals_classify(self):
         cfg = self.small_sweep_config(nu_grid=(1e-2,), eps_points=1, eps_min=1e-6, eps_max=1e-6)
@@ -299,7 +316,7 @@ def test_shared_operators_are_read_only_and_unchanged(monkeypatch):
                       classify=ClassifyCriteria(horizon=1.0))
     result = sweep(cfg)  # one row of three cells, one of which blows up
     assert [c.status for c in result.cells] == ["completed", "completed", "blown_up"]
-    single = run_one(replace(base, eps=10.0, rk_stages=2))
+    single = run_one(replace(base, eps=10.0, dt=0.04))  # other stage times: fresh operators
     assert single.status == "completed"
     assert len(handed_out) > 20
     for a, before in handed_out.values():
