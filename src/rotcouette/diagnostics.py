@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
 
 import numpy as np
 
 from . import _kernels
 from .simulation import SimConfig, VelocityField, _divergence_max, _time_cache, _waves, frame_symbols
+from .simulation import _box_sobolev_weights
 from .spectral import GridSpec, SpectralField
 
 __all__ = [
@@ -168,15 +168,6 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     the 1 MiB weight arrays of a 32x128x32 grid.
     """
     return float(np.einsum("i,i->", a.ravel(), b.ravel()))
-
-
-@lru_cache(maxsize=16)
-def _box_sobolev_weights(grid: GridSpec, s: float) -> np.ndarray:
-    """(1 + k^2 + eta^2 + l^2)^s over the retained box (cached, read-only)."""
-    wv = _waves(grid, True)
-    out = (1.0 + wv.k2 + wv.eta * wv.eta + wv.l2) ** s
-    out.flags.writeable = False
-    return out
 
 
 @_time_cache(maxsize=2)  # the row time of a lockstep round, and the next

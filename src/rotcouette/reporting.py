@@ -16,7 +16,6 @@ produced file list and, for a simulation, how the run ended.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import time as _time
 from functools import lru_cache
@@ -78,6 +77,7 @@ def write_energy_csv(path: str | Path, reports: Sequence[EnergyReport]) -> Path:
     return write_csv(path, energy_columns(), rows)
 
 
+_COLUMNS = "k,j,l,eta,u1_re,u1_im,u2_re,u2_im,u3_re,u3_im"  # the line that ends a snapshot's header
 # rows per formatted block of a snapshot; bounds the join list and the strings alive at once
 _SNAPSHOT_BLOCK = 512
 
@@ -124,7 +124,7 @@ def write_snapshot_csv(path: str | Path, U: VelocityField, nu: float) -> Path:
         f"# ly {fmt(grid.Ly)}",
         f"# nu {fmt(nu)}",
         f"# time {fmt(U.time)}",
-        "k,j,l,eta,u1_re,u1_im,u2_re,u2_im,u3_re,u3_im",
+        _COLUMNS,
     ]
     with path.open("w") as f:
         f.write("\n".join(header))
@@ -141,19 +141,44 @@ def write_snapshot_csv(path: str | Path, U: VelocityField, nu: float) -> Path:
 
 
 def read_snapshot_csv(path: str | Path) -> VelocityField:
+    """The field of a snapshot CSV; a ValueError naming the file and line refuses malformed input.
+
+    The "#" header holds ``# grid NX NY NZ``, ``# ly LY`` and ``# time T`` and ends with the
+    column names; each row (one per line) has integer k, j, l in the FFT range [-N/2, N/2).
+    """
     with open(path) as fh:
-        # the "#" header; takewhile also consumes the line of column names that ends it
-        head = itertools.takewhile(lambda line: line.startswith("#"), fh)
-        header = dict(line[1:].split(maxsplit=1) for line in head)
-        for key in ("grid", "ly", "time"):
+        header, n, line = {}, 0, ""
+        for n, line in enumerate(fh, start=1):
+            if not line.startswith("#"):
+                break
+            key, *words = line[1:].split() or [""]
+            header[key] = (n, line.strip(), words)
+        if line.rstrip("\n") != _COLUMNS:
+            raise ValueError(f"snapshot {path} line {n}: {line.strip()!r} is not the column names line")
+        fields = []
+        for key, kind, count in (("grid", int, 3), ("ly", float, 1), ("time", float, 1)):
             if key not in header:
                 raise ValueError(f"snapshot {path} has no '# {key}' header line")
+            at, text, words = header[key]
+            try:
+                values = [kind(w) for w in words]
+            except ValueError:
+                values = []
+            if len(values) != count:
+                raise ValueError(f"snapshot {path} line {at}: {text!r} is not '# {key}' and "
+                                 f"{count} number(s)")
+            fields += values
         # then one row per mode, parsed from the same handle
         cols = np.loadtxt(fh, delimiter=",", ndmin=2, usecols=range(10)).T
-    nx, ny, nz = (int(v) for v in header["grid"].split())
-    grid = GridSpec(Nx=nx, Ny=ny, Nz=nz, Ly=float(header["ly"]))
-    t = float(header["time"])
-    ik, ij, il = (cols[a].astype(np.int64) % n for a, n in enumerate(grid.shape))
+    nx, ny, nz, ly, t = fields
+    grid = GridSpec(Nx=nx, Ny=ny, Nz=nz, Ly=ly)
+    for name, c, size in zip("kjl", cols, grid.shape):
+        bad = (c != np.round(c)) | (c < -(size // 2)) | (c >= size // 2)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"snapshot {path} line {n + 1 + i}: {name} = {c[i]:g} is not an integer "
+                             f"in [{-(size // 2)}, {size // 2})")
+    ik, ij, il = cols[:3].astype(np.int64)  # each in [-N/2, N/2): a negative one counts from the end
     coeffs = np.zeros((3,) + grid.shape, dtype=np.complex128)
     # real and imaginary parts assigned apart: re + 1j * im turns a -0.0 real part into 0.0
     coeffs.real[:, ik, ij, il] = cols[4::2]

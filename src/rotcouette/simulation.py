@@ -13,8 +13,10 @@ the projected advection goes through the explicit stages; a linearised run
 is exact at any step size.  The stepper's state is one (3, 2cx+1, 2cy+1,
 cz+1) array in FFT order: the retained 2/3 box |k| <= cx, |j| <= cy,
 0 <= l <= cz of a real field, outside which every mode is zero, so no mask
-is applied.  ``step`` takes and returns it and ``run`` carries it; the full
-``VelocityField`` is built only for the initial condition and snapshots.
+is applied.  ``_initial_box`` builds it, ``step`` takes and returns it and
+``run`` carries it; the full ``VelocityField`` is built only to read a file
+initial condition and to write snapshots, each (t = 0 included) the
+expansion ``_full`` of its box, as ``initial_condition`` is of ``_initial_box``.
 Advection is evaluated in rotational form on the physical grid and
 re-projected, which keeps it energy-neutral.  The box reaches the grid and
 comes back through dense partial DFTs over the retained modes alone, three
@@ -33,7 +35,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .spectral import GridSpec, SpectralField, _conjugate_flip, sobolev_norm
+from .spectral import GridSpec, SpectralField
 
 __all__ = [
     "BlowUpError",
@@ -196,6 +198,15 @@ def _waves(grid: GridSpec, box: bool) -> _Waves:
     return _Waves(*arrays)
 
 
+@lru_cache(maxsize=16)
+def _box_sobolev_weights(grid: GridSpec, s: float) -> np.ndarray:
+    """(1 + k^2 + eta^2 + l^2)^s over the retained box (cached, read-only)."""
+    wv = _waves(grid, True)
+    out = (1.0 + wv.k2 + wv.eta * wv.eta + wv.l2) ** s
+    out.flags.writeable = False
+    return out
+
+
 def _box(U: VelocityField) -> np.ndarray:
     """The retained box of U as a fresh (3, 2cx+1, 2cy+1, cz+1) array."""
     return U.coeffs.reshape(3, -1)[:, _waves(U.grid, True).index]
@@ -254,7 +265,7 @@ def _box_symbols(grid: GridSpec, t: float):
 #
 # The array operators take stacked (3, nk, nj, nl) coefficient arrays, on
 # either layout unless noted, with the symbols of ``frame_symbols``;
-# ``divergence_defect`` and ``advective_rate_bound`` take a ``VelocityField``.
+# ``divergence_defect`` takes a ``VelocityField``.
 
 
 def leray_project_L(f: np.ndarray, sym) -> np.ndarray:
@@ -339,22 +350,20 @@ def _divergence_max(c: np.ndarray, sym) -> float:
     return float(np.max(np.abs(k * c[0] + etal * c[1] + l * c[2])))
 
 
-def divergence_defect(U: VelocityField, t: float | None = None) -> float:
-    """Max per-mode |i k u1 + i (eta - k t) u2 + i l u3| (frame divergence).
+def divergence_defect(U: VelocityField) -> float:
+    """Max per-mode |i k u1 + i (eta - k t) u2 + i l u3| (frame divergence) at t = U.time."""
+    return _divergence_max(U.coeffs, frame_symbols(U.grid, U.time))
 
-    The frame time t defaults to the time tag of U.
+
+def advective_rate_bound(u: np.ndarray, t_horizon: float, grid: GridSpec) -> float:
+    """Cheap upper bound on max|u| * max|grad_L symbol| for a CFL warning, from the box u.
+
+    Uses the l1 bound on the physical maximum (no transforms), counting each
+    l > 0 mode for itself and its reflection, and the frame gradient
+    magnitude at the end of the horizon, where it is largest.
     """
-    return _divergence_max(U.coeffs, frame_symbols(U.grid, U.time if t is None else t))
-
-
-def advective_rate_bound(U: VelocityField, t_horizon: float) -> float:
-    """Cheap upper bound on max|U| * max|grad_L symbol| for a CFL warning.
-
-    Uses the l1 bound on the physical maximum (no transforms) and the frame
-    gradient magnitude at the end of the horizon, where it is largest.
-    """
-    grid = U.grid
-    umax = float(sum(np.sum(np.abs(c)) for c in U.coeff_arrays()))
+    a = np.abs(u)
+    umax = float(2.0 * np.sum(a) - np.sum(a[..., 0]))
     cx, cy, cz = grid.dealias_cutoffs
     eta_max = cy * grid.eta_spacing + cx * t_horizon
     return umax * (cx + eta_max + cz)
@@ -475,27 +484,33 @@ def step(u: np.ndarray, t: float, dt: float, cfg: SimConfig) -> np.ndarray:
 
 
 def _random_band(grid: GridSpec, seed: int) -> np.ndarray:
-    """Hermitian Gaussian coefficients on |k| <= 2, |eta| <= 2, |l| <= 2, before projection.
+    """Hermitian Gaussian box on |k| <= 2, |eta| <= 2, |l| <= 2, before projection.
 
-    One draw of (re, im) pairs per component, in (k, j, l) order over the
-    band clipped to the dealiased one; the mean mode is left out.
+    One draw of (re, im) pairs per component, in (k, j, l) order over the dense
+    band clipped to the dealiased one, the mean mode left out; the l >= 0 half
+    of its average with its conjugate reflection.
     """
     cx, cy, cz = grid.dealias_cutoffs
     kx, jmax, lz = min(2, cx), min(cy, int(math.floor(2.0 / grid.eta_spacing))), min(2, cz)
-    axes = (np.arange(-kx, kx + 1), np.arange(-jmax, jmax + 1), np.arange(-lz, lz + 1))
-    band = np.stack(np.meshgrid(*axes, indexing="ij")).reshape(3, -1)
-    band = band[:, np.any(band != 0, axis=0)]
-    idx = tuple(b % n for b, n in zip(band, grid.shape))
+    a = np.zeros((3, 2 * kx + 1, 2 * jmax + 1, 2 * lz + 1), dtype=np.complex128)
     rng = np.random.default_rng(seed)
-    c = np.zeros((3,) + grid.shape, dtype=np.complex128)
-    for ci in c:
-        z = rng.standard_normal((band.shape[1], 2))
-        ci[idx] = z[:, 0] + 1j * z[:, 1]
-    return 0.5 * (c + _conjugate_flip(grid, c))
+    for ci in a.reshape(3, -1):
+        z = rng.standard_normal((ci.size - 1, 2))
+        ci[:] = np.insert(z[:, 0] + 1j * z[:, 1], ci.size // 2, 0.0)  # the mean mode stays 0
+    a += np.conjugate(a[:, ::-1, ::-1, ::-1])
+    a *= 0.5
+    b = np.zeros((3, 2 * cx + 1, 2 * cy + 1, cz + 1), dtype=np.complex128)
+    ik, ij = np.arange(-kx, kx + 1) % b.shape[1], np.arange(-jmax, jmax + 1) % b.shape[2]
+    b[:, ik[:, None], ij, : lz + 1] = a[..., lz:]
+    return b
 
 
-def initial_condition(cfg: SimConfig) -> VelocityField:
-    """Build the configured divergence-free, mean-free initial state."""
+def _initial_box(cfg: SimConfig) -> np.ndarray:
+    """The configured divergence-free, mean-free initial state as its retained box.
+
+    A file is read and checked on the full layout, then gathered; any other
+    state is built, projected and (a random band) scaled to H^sigma norm eps on the box.
+    """
     grid = cfg.grid
     if cfg.ic_kind == "file":
         from .reporting import read_snapshot_csv
@@ -506,37 +521,39 @@ def initial_condition(cfg: SimConfig) -> VelocityField:
         if np.any(U.coeffs[:, ~grid.dealias_mask]):
             raise ValueError("snapshot holds modes outside the dealiased band")
         # a step reads only the l >= 0 box, so the l < 0 half must be its reflection
-        mirror = U.coeffs.reshape(3, -1)[:, _waves(grid, True).mirror]
-        if not np.array_equal(mirror, np.conjugate(_box(U)[..., 1:])):
+        b, mirror = _box(U), U.coeffs.reshape(3, -1)[:, _waves(grid, True).mirror]
+        if not np.array_equal(mirror, np.conjugate(b[..., 1:])):
             raise ValueError("snapshot is not a real field: an l < 0 mode is not the conjugate "
                              "of its l > 0 reflection")
-        return U
+        return b
 
     if cfg.ic_kind == "random_band":
-        c = _random_band(grid, cfg.seed)
+        b = _random_band(grid, cfg.seed)
     else:  # single_mode
-        c = np.zeros((3,) + grid.shape, dtype=np.complex128)
+        cx, cy, cz = grid.dealias_cutoffs
+        b = np.zeros((3, 2 * cx + 1, 2 * cy + 1, cz + 1), dtype=np.complex128)
         k0, j0, l0 = cfg.ic_mode  # checked by SimConfig: not the mean mode, inside the band
-        idx = (k0 % grid.Nx, j0 % grid.Ny, l0 % grid.Nz)
-        if k0 == 0:
-            # purely x-averaged seed: feed the streamwise component, which is
-            # what drives the secular lift-up growth
-            amp = (cfg.eps, 0.0, 0.0)
-        else:
-            amp = (cfg.eps / math.sqrt(3.0),) * 3
-        mirror = tuple(-i % n for i, n in zip(idx, grid.shape))
-        for a, ci in zip(amp, c):
-            ci[idx] += a
-            ci[mirror] += a  # a real amplitude is its own conjugate
+        # a purely x-averaged seed feeds the streamwise component, which is
+        # what drives the secular lift-up growth
+        amp = (cfg.eps, 0.0, 0.0) if k0 == 0 else (cfg.eps / math.sqrt(3.0),) * 3
+        for k, j, l in {(k0, j0, l0), (-k0, -j0, -l0)}:  # a real amplitude is its own conjugate
+            if l >= 0:
+                b[:, k % b.shape[1], j % b.shape[2], l] = amp
 
-    c = leray_project_L(c, frame_symbols(grid, 0.0))
-    c[:, 0, 0, 0] = 0.0
-    U = VelocityField(grid, c, 0.0)
-
+    b = leray_project_L(b, frame_symbols(grid, 0.0, box=True))
+    b[:, 0, 0, 0] = 0.0
     if cfg.ic_kind == "random_band":
-        total = math.sqrt(sum(sobolev_norm(f, cfg.sigma) ** 2 for f in U.components()))
-        c *= (cfg.eps / total) if total > 0 else 0.0
-    return U
+        power = b.real**2 + b.imag**2
+        power[..., 1:] *= 2.0  # an l > 0 mode stands for itself and its conjugate reflection
+        weights = _box_sobolev_weights(grid, cfg.sigma)
+        total = math.sqrt(float(np.sum(weights * power)) * grid.cell_measure)
+        b *= (cfg.eps / total) if total > 0 else 0.0
+    return b
+
+
+def initial_condition(cfg: SimConfig) -> VelocityField:
+    """The configured initial state as a field: the expansion of ``_initial_box``."""
+    return _full(cfg.grid, _initial_box(cfg), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -614,14 +631,10 @@ def _advance(result: RunResult) -> Iterator[bool]:
     from .diagnostics import Accumulators, bootstrap_report
 
     cfg = result.cfg
-    U = initial_condition(cfg)
-    rate = advective_rate_bound(U, cfg.t_end)
-    # the run carries the box; the t = 0 snapshot is the initial condition
-    # itself, since re-expanding its box could flip the sign of a zero
-    u = _box(U)
+    u = _initial_box(cfg)
+    rate = advective_rate_bound(u, cfg.t_end, cfg.grid)
     if cfg.snapshot_every > 0:
-        result.snapshots.append((0.0, U))
-    del U  # the runs of a lockstep round are all alive at once: keep only their boxes
+        result.snapshots.append((0.0, _full(cfg.grid, u, 0.0)))
     acc = Accumulators()
 
     dt = cfg.dt

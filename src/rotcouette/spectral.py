@@ -1,4 +1,4 @@
-"""Frequency grids, shear-frame operator symbols and norms.
+"""Frequency grids and shear-frame operator symbols.
 
 The toolkit lives on a triply periodic box: unit tori in x and z and a long
 periodic interval of length Ly standing in for the whole real line in y.
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -31,7 +31,6 @@ __all__ = [
     "SpectralField",
     "w_symbol",
     "integral_w",
-    "sobolev_norm",
     "hermitian_defect",
 ]
 
@@ -146,20 +145,6 @@ class GridSpec:
         mz = np.abs(self.l_index) <= cz
         return mx[:, None, None] & my[None, :, None] & mz[None, None, :]
 
-    def sobolev_weights(self, s: float) -> np.ndarray:
-        """(1 + k^2 + eta^2 + l^2)^s over the coefficient layout (cached, read-only)."""
-        return _sobolev_weights(self, float(s))
-
-
-@lru_cache(maxsize=16)
-def _sobolev_weights(grid: GridSpec, s: float) -> np.ndarray:
-    k = grid.k_index.astype(np.float64)[:, None, None]
-    eta = grid.eta_values[None, :, None]
-    l = grid.l_index.astype(np.float64)[None, None, :]
-    out = (1.0 + k * k + eta * eta + l * l) ** s
-    out.flags.writeable = False
-    return out
-
 
 @dataclass
 class SpectralField:
@@ -179,21 +164,6 @@ class SpectralField:
             raise ValueError(
                 f"coefficient shape {self.coeffs.shape} does not match grid {self.grid.shape}"
             )
-
-
-def sobolev_norm(f: SpectralField, s: float) -> float:
-    """Weighted-l2 Sobolev norm sqrt(sum (1+k^2+eta^2+l^2)^s |C|^2 * cell).
-
-    The uniform cell weight Ly/Ny makes this a Riemann-sum surrogate for the
-    continuum eta-integral; it differs from the physical-space L2 integral by
-    a fixed grid constant, so all ratio- and envelope-type comparisons are
-    unaffected.  s = 0 is the (surrogate) L2 norm.
-    """
-    if s < 0:
-        raise ValueError(f"sobolev_norm requires s >= 0, got {s}")
-    weights = f.grid.sobolev_weights(s) if s != 0 else 1.0
-    total = np.sum(weights * (f.coeffs.real**2 + f.coeffs.imag**2))
-    return float(np.sqrt(total * f.grid.cell_measure))
 
 
 def _reverse_index(n: int) -> np.ndarray:

@@ -5,9 +5,11 @@ code path: quadrature instead of closed-form antiderivatives, fixed-step RK4
 instead of exact solutions, dense matrix exponentials instead of nilpotent
 shortcuts, the linear generator instead of its exact propagator, plain
 mode loops instead of vectorised norms, one ``repr`` per CSV field
-instead of deduplicated string tables, and the half-spectrum stepper with
-dealias masks instead of the one on the retained box.  ``full_step`` is no
-oracle: it runs the package's box stepper on a full-layout field.
+instead of deduplicated string tables, the half-spectrum stepper with
+dealias masks instead of the one on the retained box, and the initial
+condition and Sobolev norms on the full layout instead of the box.
+``full_step`` is no oracle: it runs the package's box stepper on a
+full-layout field.
 
 The last section holds the helpers that only the tests call: a single
 run that raises what ended it, physical synthesis, Hermitian
@@ -31,7 +33,17 @@ from rotcouette import _kernels
 from rotcouette.diagnostics import EnergyReport, compute_K_check
 from rotcouette.linear import ModeStateK, _require_nonzero_k, evolve_K_closed
 from rotcouette.multipliers import M_closed, M_log_derivative, MultiplierParams, m_exact
-from rotcouette.simulation import BlowUpError, VelocityField, _box, _full, _waves, frame_symbols, run, step
+from rotcouette.simulation import (
+    BlowUpError,
+    VelocityField,
+    _box,
+    _full,
+    _waves,
+    frame_symbols,
+    leray_project_L,
+    run,
+    step,
+)
 from rotcouette.spectral import (
     GridSpec,
     SpectralField,
@@ -157,6 +169,29 @@ def truncate_to_decay(t: float, nu: float, kv: WaveVector, max_exponent: float =
         else:
             hi = mid
     return lo
+
+
+def sobolev_weights(grid: GridSpec, s: float) -> np.ndarray:
+    """(1 + k^2 + eta^2 + l^2)^s over the full coefficient layout."""
+    k = grid.k_index.astype(np.float64)[:, None, None]
+    eta = grid.eta_values[None, :, None]
+    l = grid.l_index.astype(np.float64)[None, None, :]
+    return (1.0 + k * k + eta * eta + l * l) ** s
+
+
+def sobolev_norm(f: SpectralField, s: float) -> float:
+    """Weighted-l2 Sobolev norm sqrt(sum (1+k^2+eta^2+l^2)^s |C|^2 * cell).
+
+    The uniform cell weight Ly/Ny makes this a Riemann-sum surrogate for the
+    continuum eta-integral; it differs from the physical-space L2 integral by
+    a fixed grid constant, so all ratio- and envelope-type comparisons are
+    unaffected.  s = 0 is the (surrogate) L2 norm.
+    """
+    if s < 0:
+        raise ValueError(f"sobolev_norm requires s >= 0, got {s}")
+    weights = sobolev_weights(f.grid, s) if s != 0 else 1.0
+    total = np.sum(weights * (f.coeffs.real**2 + f.coeffs.imag**2))
+    return float(np.sqrt(total * f.grid.cell_measure))
 
 
 def slow_sobolev_norm(f: SpectralField, s: float) -> float:
@@ -294,6 +329,49 @@ def random_band_loop(grid: GridSpec, seed: int) -> np.ndarray:
     return c
 
 
+def full_initial_condition(cfg, normalise: bool = True) -> VelocityField:
+    """The configured initial state built, projected and normalised on the full layout.
+
+    The construction ``simulation._initial_box`` replaced, kept as its
+    reference: the random band of ``random_band_loop``, or the single mode
+    and its conjugate reflection, projected with the full-layout symbols and
+    (unless ``normalise`` is false) scaled by the H^sigma norm of
+    ``sobolev_norm``; a file is read and checked.
+    """
+    from rotcouette.reporting import read_snapshot_csv
+
+    grid = cfg.grid
+    if cfg.ic_kind == "file":
+        U = read_snapshot_csv(cfg.ic_file)
+        if U.grid != grid:
+            raise ValueError("snapshot grid does not match the configured grid")
+        if np.any(U.coeffs[:, ~grid.dealias_mask]):
+            raise ValueError("snapshot holds modes outside the dealiased band")
+        mirror = U.coeffs.reshape(3, -1)[:, _waves(grid, True).mirror]
+        if not np.array_equal(mirror, np.conjugate(_box(U)[..., 1:])):
+            raise ValueError("snapshot is not a real field")
+        return U
+
+    if cfg.ic_kind == "random_band":
+        c = random_band_loop(grid, cfg.seed)
+    else:
+        c = np.zeros((3,) + grid.shape, dtype=np.complex128)
+        k0, j0, l0 = cfg.ic_mode
+        idx = (k0 % grid.Nx, j0 % grid.Ny, l0 % grid.Nz)
+        amp = (cfg.eps, 0.0, 0.0) if k0 == 0 else (cfg.eps / math.sqrt(3.0),) * 3
+        mirror = tuple(-i % n for i, n in zip(idx, grid.shape))
+        for a, ci in zip(amp, c):
+            ci[idx] += a
+            ci[mirror] += a
+    c = leray_project_L(c, frame_symbols(grid, 0.0))
+    c[:, 0, 0, 0] = 0.0
+    U = VelocityField(grid, c, 0.0)
+    if cfg.ic_kind == "random_band" and normalise:
+        total = math.sqrt(sum(sobolev_norm(f, cfg.sigma) ** 2 for f in U.components()))
+        c *= (cfg.eps / total) if total > 0 else 0.0
+    return U
+
+
 def row_by_row_snapshot_csv(path, U: VelocityField, nu: float) -> Path:
     """The snapshot CSV formatted one ``repr`` per field, row by row."""
     path = Path(path)
@@ -348,8 +426,8 @@ def reference_bootstrap_report(U, t: float, cfg, acc):
     N = cfg.N
     kk, etal, ll, _ = frame_symbols(grid, t)
     w = kk * kk + etal * etal + ll * ll
-    hsN = grid.sobolev_weights(N)
-    hsNm1 = grid.sobolev_weights(N - 1.0)
+    hsN = sobolev_weights(grid, N)
+    hsNm1 = sobolev_weights(grid, N - 1.0)
     m, M, dmm = _multiplier_grids(grid, t, cfg.nu)
     nonzero = kk != 0.0
     zero = ~nonzero

@@ -25,7 +25,7 @@ from rotcouette.multipliers import (
     m_ode_residual,
 )
 from rotcouette.simulation import SimConfig, divergence_defect
-from rotcouette.spectral import GridSpec, WaveVector, integral_w, sobolev_norm
+from rotcouette.spectral import GridSpec, WaveVector, integral_w
 from rotcouette.threshold import ClassifyCriteria, classify_run, default_horizon
 
 from oracles import (
@@ -37,6 +37,7 @@ from oracles import (
     rk4_K_batch,
     rk4_M_batch,
     run_one,
+    sobolev_norm,
     truncate_to_decay,
 )
 

@@ -194,6 +194,22 @@ class TestUsageErrors:
         assert main(argv + ["--out", str(tmp_path / "ok")]) == EXIT_OK
 
 
+ZERO_ROW = "0,0,0,0.0,0.0,0.0,0.0,0.0,0.0,0.0"  # the mean mode, first row of a zero snapshot
+
+# line i (from 0) of an 8x16x8 zero snapshot, whose header is lines 0-4, replaced by a text
+# or deleted (None), and the refusal that follows "snapshot <path> " in simulate's usage error
+MALFORMED_SNAPSHOTS = {
+    "grid-with-two-values": (0, "# grid 8 16", "line 1: '# grid 8 16' is not '# grid' and 3 number(s)"),
+    "ly-without-a-value": (1, "# ly", "line 2: '# ly' is not '# ly' and 1 number(s)"),
+    # else the first row is taken for the header's end and dropped
+    "no-column-names": (4, None, f"line 5: {ZERO_ROW!r} is not the column names line"),
+    # else k = 9 on Nx = 8 wraps onto k = 1
+    "index-outside-the-grid": (5, "9" + ZERO_ROW[1:], "line 6: k = 9 is not an integer in [-4, 4)"),
+    # else the cast to integers truncates it to l = 1
+    "index-not-an-integer": (5, "0,0,1.5" + ZERO_ROW[5:], "line 6: l = 1.5 is not an integer in [-4, 4)"),
+}
+
+
 class TestConfigRejectedBeforeAnyWork:
     """A config that SimConfig refuses exits 1, creates no --out and runs no sweep cell."""
 
@@ -252,6 +268,26 @@ class TestConfigRejectedBeforeAnyWork:
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
         assert f"no '# {key}' header line" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_SNAPSHOTS))
+    def test_malformed_snapshot(self, tmp_path, capsys, case):
+        from rotcouette.reporting import write_snapshot_csv
+        from rotcouette.simulation import VelocityField
+        from rotcouette.spectral import GridSpec
+
+        i, text, message = MALFORMED_SNAPSHOTS[case]
+        grid = GridSpec(8, 16, 8, Ly=32.0)  # the grid of sim_ini: unedited, simulate runs it
+        U = VelocityField(grid, np.zeros((3,) + grid.shape, complex))
+        ic = write_snapshot_csv(tmp_path / "ic.csv", U, 1e-2)
+        lines = ic.read_text().splitlines()
+        assert lines[5] == ZERO_ROW
+        lines[i : i + 1] = [] if text is None else [text]
+        ic.write_text("\n".join(lines) + "\n")
+        cfg = sim_ini(tmp_path, ic_kind="file", ic_file=ic)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"usage error: snapshot {ic} {message}\n"
         assert not out.exists()
 
     def test_snapshot_that_is_not_a_real_field(self, tmp_path, capsys):
@@ -774,7 +810,7 @@ class TestSweepCommand:
     def test_exit_code_when_every_cell_fails(self, tmp_path, monkeypatch, capsys, good):
         from rotcouette import simulation
 
-        real_ic = simulation.initial_condition
+        real_ic = simulation._initial_box
         calls = []
 
         def ic(cfg):  # each cell builds its initial condition once, inside its run
@@ -783,7 +819,7 @@ class TestSweepCommand:
                 raise RuntimeError("boom")
             return real_ic(cfg)
 
-        monkeypatch.setattr(simulation, "initial_condition", ic)
+        monkeypatch.setattr(simulation, "_initial_box", ic)
         cfg = sweep_ini(tmp_path)
         out = tmp_path / "out"
         argv = ["sweep", "--config", str(cfg), "--out", str(out)]
@@ -805,7 +841,7 @@ class TestSweepCommand:
         cfg = sweep_ini(tmp_path)
         clean, out = tmp_path / "clean", tmp_path / "out"
         assert main(["sweep", "--config", str(cfg), "--out", str(clean)]) == EXIT_OK
-        real_ic = simulation.initial_condition
+        real_ic = simulation._initial_box
         calls, broken = [], [True]
 
         def ic(sim):
@@ -814,7 +850,7 @@ class TestSweepCommand:
                 raise RuntimeError("transient")
             return real_ic(sim)
 
-        monkeypatch.setattr(simulation, "initial_condition", ic)
+        monkeypatch.setattr(simulation, "_initial_box", ic)
         argv = ["sweep", "--config", str(cfg), "--out", str(out)]
         assert main(argv) == EXIT_OK
         failed = [c for c in calls if c[0] == 1e-2]

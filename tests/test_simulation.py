@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from oracles import (
     convective_nonlinear_rhs,
+    full_initial_condition,
     full_step,
     half_spectrum_step,
     hermitian_symmetrize,
@@ -16,6 +17,7 @@ from oracles import (
     linear_rhs,
     random_band_loop,
     run_one,
+    sobolev_norm,
     wave_numbers,
 )
 
@@ -34,6 +36,7 @@ from rotcouette.simulation import (
     _band_edge_fraction,
     _box,
     _full,
+    _initial_box,
     _random_band,
     advective_rate_bound,
     divergence_defect,
@@ -50,7 +53,6 @@ from rotcouette.spectral import (
     SpectralField,
     WaveVector,
     hermitian_defect,
-    sobolev_norm,
 )
 
 
@@ -142,12 +144,25 @@ def count_calls(monkeypatch, *names):
     """Wrap each named ``simulation`` global in a counter; returns the live counts."""
     calls = dict.fromkeys(names, 0)
     for name in names:
-        def counted(*a, _real=getattr(simulation, name), _name=name):
+        def counted(*a, _real=getattr(simulation, name), _name=name, **kw):
             calls[_name] += 1
-            return _real(*a)
+            return _real(*a, **kw)
 
         monkeypatch.setattr(simulation, name, counted)
     return calls
+
+
+def count_full_symbols(monkeypatch):
+    """Count the ``frame_symbols`` calls on the full layout, from either module that calls it."""
+    times = []
+    for module in (simulation, diagnostics):
+        def counted(grid, t, box=False, _real=module.frame_symbols):
+            if not box:
+                times.append(t)
+            return _real(grid, t, box)
+
+        monkeypatch.setattr(module, "frame_symbols", counted)
+    return times
 
 
 def box_view(U):
@@ -652,7 +667,8 @@ class TestInitialConditions:
     @pytest.mark.parametrize("grid", [GridSpec(4, 8, 4), GRID, GridSpec(16, 64, 16, Ly=8.0)])
     @pytest.mark.parametrize("seed", [0, 9])
     def test_random_band_draw_matches_loop(self, grid, seed):
-        assert _random_band(grid, seed).tobytes() == random_band_loop(grid, seed).tobytes()
+        want = _box(VelocityField(grid, random_band_loop(grid, seed)))
+        assert _random_band(grid, seed).tobytes() == want.tobytes()
 
     def test_rejects_mean_mode(self):
         with pytest.raises(ValueError, match="mean mode"):
@@ -668,7 +684,7 @@ class TestInitialConditions:
         U = random_velocity(GRID, np.random.default_rng(74))
         path = write_snapshot_csv(tmp_path / "ic.csv", U, 1e-2)
         cfg = SimConfig(nu=1e-2, grid=GRID, ic_kind="file", ic_file=str(path))
-        assert initial_condition(cfg).coeffs.tobytes() == U.coeffs.tobytes()
+        assert initial_condition(cfg).coeffs.tobytes() == _full(GRID, _box(U), 0.0).coeffs.tobytes()
         # k = 3 lies past the cutoff cx = 2
         with path.open("a") as f:
             f.write(f"3,1,0,{float(GRID.eta_values[1])!r},0.0,0.0,1e-3,0.0,0.0,0.0\n")
@@ -681,7 +697,7 @@ class TestInitialConditions:
         U = random_velocity(GRID, np.random.default_rng(75))
         path = write_snapshot_csv(tmp_path / "ic.csv", U, 1e-2)
         cfg = SimConfig(nu=1e-2, grid=GRID, ic_kind="file", ic_file=str(path))
-        assert initial_condition(cfg).coeffs.tobytes() == U.coeffs.tobytes()
+        assert initial_condition(cfg).coeffs.tobytes() == _full(GRID, _box(U), 0.0).coeffs.tobytes()
         # move u1_re of the first l < 0 row by 1e-3
         lines = path.read_text().splitlines(keepends=True)
         rows = [i for i, line in enumerate(lines) if not line.startswith(("#", "k,"))]
@@ -692,6 +708,48 @@ class TestInitialConditions:
         path.write_text("".join(lines))
         with pytest.raises(ValueError, match="not a real field"):
             initial_condition(cfg)
+
+
+# the grids of the three benchmark workloads, and one whose cutoffs (1, 2, 1) clip the
+# random band |k|, |j|, |l| <= 2 on every axis
+BOX_GRIDS = {
+    "16x64x16": GridSpec(16, 64, 16, Ly=8.0),
+    "32x128x32": GridSpec(32, 128, 32, Ly=8.0),
+    "8x16x8": GRID,
+    "6x8x6": GridSpec(6, 8, 6, Ly=32.0),
+}
+
+
+@pytest.mark.parametrize("grid", list(BOX_GRIDS.values()), ids=list(BOX_GRIDS))
+class TestInitialBox:
+    """``_initial_box`` against the full-layout construction it replaced, ``full_initial_condition``."""
+
+    @pytest.mark.parametrize("seed", [1, 3, 7])
+    def test_random_band(self, grid, seed):
+        cfg = SimConfig(nu=1e-2, grid=grid, eps=1e-6, ic_kind="random_band", seed=seed)
+        # before normalisation: the same draws and projection, bit for bit
+        b = leray_project_L(_random_band(grid, seed), frame_symbols(grid, 0.0, box=True))
+        b[:, 0, 0, 0] = 0.0
+        assert b.tobytes() == _box(full_initial_condition(cfg, normalise=False)).tobytes()
+        # the H^sigma norm sums the box, not the full layout: the scales may differ by an ulp,
+        # and each scaled value rounds on its own (4.06e-16 at seed 24 on 6x8x6 with eps = 10)
+        got, want = _initial_box(cfg), _box(full_initial_condition(cfg))
+        assert np.max(np.abs(got - want)) <= 2.0 * np.finfo(float).eps * np.max(np.abs(want))
+
+    def test_single_mode(self, grid):
+        cx, cy, cz = grid.dealias_cutoffs
+        for mode in [(1, 0, 1), (1, -1, -1), (-1, 2, 0), (0, 1, 0), (0, -2, 1), (cx, -cy, -cz)]:
+            cfg = SimConfig(nu=1e-2, grid=grid, eps=3e-4, ic_mode=mode)
+            assert _initial_box(cfg).tobytes() == _box(full_initial_condition(cfg)).tobytes(), mode
+
+    def test_file(self, grid, tmp_path):
+        from rotcouette.reporting import write_snapshot_csv
+
+        seeded = SimConfig(nu=1e-2, grid=grid, eps=1e-3, ic_kind="random_band", seed=5)
+        U = full_step(full_initial_condition(seeded), 0.0, 0.05, seeded)
+        path = write_snapshot_csv(tmp_path / "ic.csv", U, 1e-2)
+        cfg = SimConfig(nu=1e-2, grid=grid, ic_kind="file", ic_file=str(path))
+        assert _initial_box(cfg).tobytes() == _box(full_initial_condition(cfg)).tobytes()
 
 
 class TestRun:
@@ -779,11 +837,16 @@ class TestRun:
     def test_advective_rate_positive(self):
         rng = np.random.default_rng(64)
         U = random_velocity(GRID, rng)
-        assert advective_rate_bound(U, 10.0) > 0.0
+        rate = advective_rate_bound(_box(U), 10.0, GRID)
+        assert rate > 0.0
+        # the l1 sum over the box counts each l > 0 mode for its reflection too
+        cx, cy, cz = GRID.dealias_cutoffs
+        l1 = float(np.sum(np.abs(U.coeffs)))
+        assert rate == pytest.approx(l1 * (cx + cy * GRID.eta_spacing + 10.0 * cx + cz), rel=1e-14)
 
 
 class TestRunCarriesTheBox:
-    """``run`` steps the retained box and builds the full layout only for snapshots."""
+    """``run`` builds and steps the retained box; the full layout only reads a file or keeps a snapshot."""
 
     def cfg(self, **kw):
         # dt = 0.1 puts the step's tag 5 dt + dt = 0.6 off the row time 6 dt
@@ -795,9 +858,21 @@ class TestRunCarriesTheBox:
     @pytest.mark.parametrize("nonlinear", [False, True], ids=["linear", "nonlinear"])
     def test_no_full_layout_without_snapshots(self, monkeypatch, nonlinear):
         calls = count_calls(monkeypatch, "_box", "_full", "step")
+        full_symbols = count_full_symbols(monkeypatch)
         res = run_one(self.cfg(nonlinear_enabled=nonlinear))
         assert (res.status, res.n_steps, res.snapshots) == ("completed", 10, [])
-        # every step goes through the module global, where a wrapper sees it
+        # the random band is built on the box; every step goes through the
+        # module global, where a wrapper sees it
+        assert calls == {"_box": 0, "_full": 0, "step": 10}
+        assert full_symbols == []
+
+    def test_file_initial_condition_gathered_once(self, monkeypatch, tmp_path):
+        from rotcouette.reporting import write_snapshot_csv
+
+        path = write_snapshot_csv(tmp_path / "ic.csv", initial_condition(self.cfg()), 1e-2)
+        calls = count_calls(monkeypatch, "_box", "_full", "step")
+        res = run_one(replace(self.cfg(), ic_kind="file", ic_file=str(path)))
+        assert (res.status, res.n_steps, res.snapshots) == ("completed", 10, [])
         assert calls == {"_box": 1, "_full": 0, "step": 10}
 
     @pytest.mark.parametrize("every", [1, 3, 4, 10])
@@ -806,17 +881,15 @@ class TestRunCarriesTheBox:
         res = run_one(self.cfg(snapshot_every=every))
         stored = [i for i in range(1, 11) if i % every == 0 or i == 10]
         assert len(res.snapshots) == 1 + len(stored)
-        assert calls == {"_box": 1, "_full": len(stored), "step": 10}
+        assert calls == {"_box": 0, "_full": 1 + len(stored), "step": 10}
 
     @pytest.mark.parametrize("nonlinear", [False, True], ids=["linear", "nonlinear"])
     def test_snapshots_match_hand_loop(self, nonlinear):
         cfg = self.cfg(nonlinear_enabled=nonlinear, snapshot_every=3)
         res = run_one(cfg)
-        U0 = initial_condition(cfg)
-        # the t = 0 snapshot is the initial condition itself: its re-expanded
-        # box differs in the sign of some zeros
-        assert _full(GRID, _box(U0), 0.0).coeffs.tobytes() != U0.coeffs.tobytes()
-        want, u, t = [(0.0, U0)], _box(U0), 0.0
+        u = _initial_box(cfg)
+        # the t = 0 snapshot is the expansion of the initial box, like every later one
+        want, t = [(0.0, _full(GRID, u, 0.0))], 0.0
         for i in range(1, res.n_steps + 1):
             u = step(u, t, res.dt, cfg)
             U = _full(GRID, u, t + res.dt)

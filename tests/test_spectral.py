@@ -10,7 +10,6 @@ from rotcouette.spectral import (
     SpectralField,
     WaveVector,
     integral_w,
-    sobolev_norm,
 )
 
 from oracles import (
@@ -20,6 +19,7 @@ from oracles import (
     physical_l2,
     quad_integral_w,
     random_modes,
+    sobolev_norm,
 )
 
 
