@@ -31,7 +31,6 @@ from .linear import (
 )
 from .multipliers import (
     WINDOW,
-    MultiplierParams,
     M_closed,
     M_log_derivative,
     SwitchingTimeError,
@@ -39,7 +38,7 @@ from .multipliers import (
     m_log_derivative,
     m_ode_residual,
 )
-from .simulation import BlowUpError, SimConfig, run
+from .simulation import BlowUpError, SimConfig, _full, run
 from .spectral import WaveVector
 from .threshold import SweepConfig, sweep
 
@@ -225,6 +224,13 @@ def cmd_linear(args) -> int:
     _require_finite("--nu", args.nu, minimum=0.0)
     for flag in ("k1", "k2", "u30"):
         _require_finite(f"--{flag}", getattr(args, flag))
+    files: dict[str, WaveVector] = {}  # file name -> the mode it holds
+    for kv in modes:
+        name = f"linear_k{kv.k}_eta{kv.eta:g}_l{kv.l}.csv"
+        first = files.setdefault(name, kv)
+        if first is not kv:
+            raise UsageError(f"modes ({first.k}, {first.eta}, {first.l}) and ({kv.k}, {kv.eta}, "
+                             f"{kv.l}) would both be written to {name}")
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     manifest = reporting.Manifest(
@@ -232,10 +238,9 @@ def cmd_linear(args) -> int:
          "modes": [(kv.k, kv.eta, kv.l) for kv in modes],
          "k1": args.k1, "k2": args.k2, "u30": args.u30}
     )
-    for kv in modes:
-        path = outdir / f"linear_k{kv.k}_eta{kv.eta:g}_l{kv.l}.csv"
+    for name, kv in files.items():
         write = _write_zero_mode_csv if kv.k == 0 else _write_k_mode_csv
-        manifest.add(write(path, kv, args, ts))
+        manifest.add(write(outdir / name, kv, args, ts))
     manifest.write(outdir)
     return EXIT_OK
 
@@ -278,11 +283,13 @@ def _write_zero_mode_csv(path, kv, args, ts):
 
 def cmd_multipliers(args) -> int:
     modes, ts = _parse_modes(args)
-    p = MultiplierParams(nu=args.nu)
+    nu = args.nu
+    if not 0.0 < nu < 1.0:
+        raise UsageError(f"--nu must lie in (0, 1), got {nu}")
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     manifest = reporting.Manifest(
-        {"command": "multipliers", "nu": args.nu, "window": WINDOW,
+        {"command": "multipliers", "nu": nu, "window": WINDOW,
          "t_max": args.t_max, "points": args.points,
          "modes": [(kv.k, kv.eta, kv.l) for kv in modes]}
     )
@@ -291,12 +298,12 @@ def cmd_multipliers(args) -> int:
     for kv in modes:
         for t in ts.tolist():
             try:
-                resid = m_ode_residual(t, kv, p)
+                resid = m_ode_residual(t, kv, nu)
             except SwitchingTimeError:  # not differentiable there: an empty field
                 resid = None
             rows.append((
-                t, str(kv.k), kv.eta, str(kv.l), args.nu, m_exact(t, kv, p), M_closed(t, kv, p),
-                m_log_derivative(t, kv, p), M_log_derivative(t, kv, p), resid,
+                t, str(kv.k), kv.eta, str(kv.l), nu, m_exact(t, kv, nu), M_closed(t, kv, nu),
+                m_log_derivative(t, kv, nu), M_log_derivative(t, kv, nu), resid,
             ))
     manifest.add(reporting.write_csv(outdir / "multipliers.csv", columns, rows))
     manifest.write(outdir)
@@ -326,8 +333,9 @@ def cmd_simulate(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     manifest.add(reporting.write_energy_csv(outdir / "energy.csv", result.reports))
-    for i, (t, U) in enumerate(result.snapshots):
-        manifest.add(reporting.write_snapshot_csv(outdir / f"snapshot_{i:05d}.csv", U, cfg.nu))
+    for i, (t, b) in enumerate(result.snapshots):  # one full layout alive at a time
+        manifest.add(reporting.write_snapshot_csv(
+            outdir / f"snapshot_{i:05d}.csv", _full(cfg.grid, b, t), cfg.nu))
     manifest.run = {
         "status": result.status, "t_fail": result.t_fail, "warnings": result.warnings,
         "n_steps": result.n_steps, "dt": result.dt,
@@ -346,6 +354,9 @@ def cmd_sweep(args) -> int:
     outdir = Path(args.out)
     manifest = reporting.Manifest({"command": "sweep", **asdict(scfg)})
     previous = outdir / "manifest.json"
+    if args.resume and (outdir / "cells.csv").exists() and not previous.exists():
+        raise UsageError(f"--resume: {outdir} holds cells.csv but no manifest.json to check "
+                         f"its config hash against")
     if args.resume and previous.exists():
         recorded = json.loads(previous.read_text()).get("config_hash")
         if recorded != manifest.hash:

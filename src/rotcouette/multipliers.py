@@ -12,12 +12,10 @@ so M itself is an explicit double-arctan exponential confined to [e^{-pi}, 1].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .spectral import WaveVector, w_symbol
 
 __all__ = [
-    "MultiplierParams",
     "SwitchingTimeError",
     "m_exact",
     "m_log_derivative",
@@ -37,22 +35,7 @@ class SwitchingTimeError(ValueError):
     """Requested a derivative at a non-differentiable branch-switching time."""
 
 
-@dataclass(frozen=True)
-class MultiplierParams:
-    """The viscosity that both weights depend on."""
-
-    nu: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.nu < 1.0):
-            raise ValueError(f"nu must lie in (0, 1), got {self.nu}")
-
-    @property
-    def window_length(self) -> float:
-        return WINDOW * self.nu ** (-1.0 / 3.0)
-
-
-def m_exact(t: float, kv: WaveVector, p: MultiplierParams) -> float:
+def m_exact(t: float, kv: WaveVector, nu: float) -> float:
     """Exact piecewise value of the stretching weight at time t >= 0.
 
     k = 0 modes and modes whose window closed before t = 0 keep the value 1;
@@ -65,11 +48,11 @@ def m_exact(t: float, kv: WaveVector, p: MultiplierParams) -> float:
     if kv.k == 0:
         return 1.0
     ratio = kv.eta / kv.k
-    lw = p.window_length
+    lw = WINDOW * nu ** (-1.0 / 3.0)
     if ratio <= -lw:
         return 1.0
     wt = w_symbol(t, kv)
-    w_end = kv.k * kv.k + (WINDOW * kv.k) ** 2 * p.nu ** (-2.0 / 3.0) + kv.l * kv.l
+    w_end = kv.k * kv.k + (WINDOW * kv.k) ** 2 * nu ** (-2.0 / 3.0) + kv.l * kv.l
     if ratio < 0.0:
         w0 = kv.k * kv.k + kv.eta * kv.eta + kv.l * kv.l
         return w0 / wt if t < ratio + lw else w0 / w_end
@@ -81,17 +64,17 @@ def m_exact(t: float, kv: WaveVector, p: MultiplierParams) -> float:
     return kl2 / w_end
 
 
-def m_log_derivative(t: float, kv: WaveVector, p: MultiplierParams) -> float:
+def m_log_derivative(t: float, kv: WaveVector, nu: float) -> float:
     """Right-hand side of the defining ODE: 2k(eta - kt)/w inside the window, else 0."""
     if kv.k == 0:
         return 0.0
     ratio = kv.eta / kv.k
-    if ratio <= t <= ratio + p.window_length:
+    if ratio <= t <= ratio + WINDOW * nu ** (-1.0 / 3.0):
         return 2.0 * kv.k * (kv.eta - kv.k * t) / w_symbol(t, kv)
     return 0.0
 
 
-def m_ode_residual(t: float, kv: WaveVector, p: MultiplierParams, h: float = 1e-4) -> float:
+def m_ode_residual(t: float, kv: WaveVector, nu: float, h: float = 1e-4) -> float:
     """|d/dt log m - ODE right-hand side| by central differences.
 
     Raises ``SwitchingTimeError`` when the stencil straddles a branch switch
@@ -103,14 +86,14 @@ def m_ode_residual(t: float, kv: WaveVector, p: MultiplierParams, h: float = 1e-
     if t < 2.0 * h:
         raise SwitchingTimeError(f"t={t} too close to the domain boundary for stencil h={h}")
     ratio = kv.eta / kv.k
-    for switch in (ratio, ratio + p.window_length):
+    for switch in (ratio, ratio + WINDOW * nu ** (-1.0 / 3.0)):
         if abs(t - switch) < 2.0 * h:
             raise SwitchingTimeError(f"t={t} within stencil distance of switching time {switch}")
-    fd = (math.log(m_exact(t + h, kv, p)) - math.log(m_exact(t - h, kv, p))) / (2.0 * h)
-    return abs(fd - m_log_derivative(t, kv, p))
+    fd = (math.log(m_exact(t + h, kv, nu)) - math.log(m_exact(t - h, kv, nu))) / (2.0 * h)
+    return abs(fd - m_log_derivative(t, kv, nu))
 
 
-def M_closed(t: float, kv: WaveVector, p: MultiplierParams) -> float:
+def M_closed(t: float, kv: WaveVector, nu: float) -> float:
     """Exact ghost weight: exp(-arctan(nu^{1/3}(t - eta/k)) - arctan(nu^{1/3} eta/k)).
 
     Solves the arctan-kernel ODE with M(0) = 1; the exponent lives in
@@ -121,15 +104,15 @@ def M_closed(t: float, kv: WaveVector, p: MultiplierParams) -> float:
         raise ValueError(f"M_closed requires t >= 0, got {t}")
     if kv.k == 0:
         return 1.0
-    third = p.nu ** (1.0 / 3.0)
+    third = nu ** (1.0 / 3.0)
     ratio = kv.eta / kv.k
     return math.exp(-(math.atan(third * (t - ratio)) + math.atan(third * ratio)))
 
 
-def M_log_derivative(t: float, kv: WaveVector, p: MultiplierParams) -> float:
+def M_log_derivative(t: float, kv: WaveVector, nu: float) -> float:
     """dM/dt / M = -nu^{1/3} / (1 + [nu^{1/3}(t - eta/k)]^2) for k != 0, else 0."""
     if kv.k == 0:
         return 0.0
-    third = p.nu ** (1.0 / 3.0)
+    third = nu ** (1.0 / 3.0)
     x = third * (t - kv.eta / kv.k)
     return -third / (1.0 + x * x)

@@ -247,19 +247,23 @@ def read_cells_csv(path: str | Path) -> dict:
     out = {}
     if not path.exists():
         return out
-    for line in path.read_text().splitlines()[1:]:
+    for n, line in enumerate(path.read_text().splitlines()[1:], start=2):
         if not line:
             continue
-        nu_s, eps_s, outcome, peak, tpk, status, refined = line.split(",")
-        cell = CellResult(
-            nu=float(nu_s),
-            eps=float(eps_s),
-            outcome=outcome,
-            peak_norm=float(peak),
-            t_peak=float(tpk),
-            status=status,
-            refined=refined == "1",
-        )
+        where, values = f"{path} line {n}", line.split(",")
+        if len(values) != 7:
+            raise ValueError(f"{where}: {len(values)} fields, expected 7")
+        nu_s, eps_s, outcome, peak, tpk, status, refined = values
+        if outcome not in ("stable", "unstable", "inconclusive"):
+            raise ValueError(f"{where}: outcome {outcome!r} is not stable, unstable or inconclusive")
+        if refined not in ("0", "1"):
+            raise ValueError(f"{where}: refined {refined!r} is not 0 or 1")
+        try:
+            nu, eps, peak_norm, t_peak = (float(v) for v in (nu_s, eps_s, peak, tpk))
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+        cell = CellResult(nu=nu, eps=eps, outcome=outcome, peak_norm=peak_norm, t_peak=t_peak,
+                          status=status, refined=refined == "1")
         if not cell.refined and not status.startswith("error:"):
             out[(cell.nu, cell.eps)] = cell
     return out

@@ -13,10 +13,10 @@ the projected advection goes through the explicit stages; a linearised run
 is exact at any step size.  The stepper's state is one (3, 2cx+1, 2cy+1,
 cz+1) array in FFT order: the retained 2/3 box |k| <= cx, |j| <= cy,
 0 <= l <= cz of a real field, outside which every mode is zero, so no mask
-is applied.  ``_initial_box`` builds it, ``step`` takes and returns it and
-``run`` carries it; the full ``VelocityField`` is built only to read a file
-initial condition and to write snapshots, each (t = 0 included) the
-expansion ``_full`` of its box, as ``initial_condition`` is of ``_initial_box``.
+is applied.  ``_initial_box`` builds it, ``step`` takes and returns it, and
+``run`` carries it and keeps it as its snapshots; the full ``VelocityField``
+is built only to read a file initial condition, and ``simulate`` expands each
+snapshot by ``_full`` as it writes it, as ``initial_condition`` is of ``_initial_box``.
 Advection is evaluated in rotational form on the physical grid and
 re-projected, which keeps it energy-neutral.  The box reaches the grid and
 comes back through dense partial DFTs over the retained modes alone, three
@@ -35,7 +35,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .spectral import GridSpec, SpectralField
+from .spectral import GridSpec, SpectralField, _conjugate_flip
 
 __all__ = [
     "BlowUpError",
@@ -525,6 +525,11 @@ def _initial_box(cfg: SimConfig) -> np.ndarray:
         if not np.array_equal(mirror, np.conjugate(b[..., 1:])):
             raise ValueError("snapshot is not a real field: an l < 0 mode is not the conjugate "
                              "of its l > 0 reflection")
+        # and the l = 0 plane, stored whole, must be its own reflection to rounding
+        plane = U.coeffs[..., 0] - _conjugate_flip(grid, U.coeffs)[..., 0]
+        if np.max(np.abs(plane)) > 1e-13 * np.max(np.abs(U.coeffs)):
+            raise ValueError("snapshot is not a real field: its l = 0 plane is not its own "
+                             "conjugate reflection to 1e-13 of its largest mode")
         return b
 
     if cfg.ic_kind == "random_band":
@@ -562,11 +567,12 @@ def initial_condition(cfg: SimConfig) -> VelocityField:
 
 @dataclass
 class RunResult:
-    """Trajectory of one integration: diagnostic rows plus optional snapshots."""
+    """Diagnostic rows plus optional snapshots: (time tag, box) pairs, the box as
+    ``step`` returned it; ``simulate`` expands each by ``_full`` as it writes it."""
 
     cfg: SimConfig
     reports: list = field(default_factory=list)
-    snapshots: list[tuple[float, VelocityField]] = field(default_factory=list)
+    snapshots: list[tuple[float, np.ndarray]] = field(default_factory=list)
     status: str = "completed"  # completed | blown_up | error
     t_fail: float | None = None
     warnings: list[str] = field(default_factory=list)
@@ -634,7 +640,7 @@ def _advance(result: RunResult) -> Iterator[bool]:
     u = _initial_box(cfg)
     rate = advective_rate_bound(u, cfg.t_end, cfg.grid)
     if cfg.snapshot_every > 0:
-        result.snapshots.append((0.0, _full(cfg.grid, u, 0.0)))
+        result.snapshots.append((0.0, u))
     acc = Accumulators()
 
     dt = cfg.dt
@@ -674,7 +680,7 @@ def _advance(result: RunResult) -> Iterator[bool]:
                         result.warnings.append(msg)
                         warned_resolution = True
             if cfg.snapshot_every > 0 and (i % cfg.snapshot_every == 0 or i == n_steps):
-                result.snapshots.append((t, _full(cfg.grid, u, t_step)))
+                result.snapshots.append((t_step, u))  # step's fresh box, never written into
             yield True
     except BlowUpError as exc:
         result.status = "blown_up"

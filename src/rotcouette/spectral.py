@@ -44,11 +44,6 @@ class WaveVector:
     l: int
 
     @property
-    def magnitude(self) -> float:
-        """|k, eta, l| = sqrt(k^2 + eta^2 + l^2)."""
-        return math.sqrt(self.k * self.k + self.eta * self.eta + self.l * self.l)
-
-    @property
     def kl_magnitude(self) -> float:
         """|k, l|, magnitude of the x-z frequency pair."""
         return math.hypot(self.k, self.l)

@@ -12,10 +12,10 @@ condition and Sobolev norms on the full layout instead of the box.
 full-layout field.
 
 The last section holds the helpers that only the tests call: a single
-run that raises what ended it, physical synthesis, Hermitian
-symmetrisation, the band-edge monitor on a full field, the Laplacian
-unknowns, the enhanced-dissipation envelope check and the scans of the
-two spectral weights over sample sets.
+run that raises what ended it, its snapshots as fields, physical
+synthesis, Hermitian symmetrisation, the band-edge monitor on a full
+field, the Laplacian unknowns, the enhanced-dissipation envelope check
+and the scans of the two spectral weights over sample sets.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from scipy.linalg import expm
 from rotcouette import _kernels
 from rotcouette.diagnostics import EnergyReport, compute_K_check
 from rotcouette.linear import ModeStateK, _require_nonzero_k, evolve_K_closed
-from rotcouette.multipliers import M_closed, M_log_derivative, MultiplierParams, m_exact
+from rotcouette.multipliers import M_closed, M_log_derivative, m_exact
 from rotcouette.simulation import (
     BlowUpError,
     VelocityField,
@@ -683,6 +683,11 @@ def run_one(cfg):
     return result
 
 
+def snapshot_fields(res) -> list[tuple[float, VelocityField]]:
+    """The snapshots of a run as fields: each kept box expanded at its time tag, as ``simulate`` writes it."""
+    return [(t, _full(res.cfg.grid, b, t)) for t, b in res.snapshots]
+
+
 def field_to_physical(f: SpectralField) -> np.ndarray:
     """Synthesise physical samples: sum of C * exp(i(kx + eta y + lz)) on the grid."""
     return np.fft.ifftn(f.coeffs) * f.grid.n_modes
@@ -733,10 +738,10 @@ def enhanced_dissipation_check(
     return evolved.magnitude**2 <= envelope + slack
 
 
-def neg_MdotM(t: float, kv: WaveVector, p: MultiplierParams) -> float:
+def neg_MdotM(t: float, kv: WaveVector, nu: float) -> float:
     """-dM/dt * M >= 0, the density of the ghost-weight dissipation."""
-    M = M_closed(t, kv, p)
-    return -M_log_derivative(t, kv, p) * M * M
+    M = M_closed(t, kv, nu)
+    return -M_log_derivative(t, kv, nu) * M * M
 
 
 @dataclass(frozen=True)
@@ -754,7 +759,7 @@ class MBoundsReport:
         return self.upper_bound_ok and self.c1 > 0.0 and self.c2 > 0.0
 
 
-def check_m_bounds(samples: Sequence[tuple[float, WaveVector]], p: MultiplierParams) -> MBoundsReport:
+def check_m_bounds(samples: Sequence[tuple[float, WaveVector]], nu: float) -> MBoundsReport:
     """Verify m <= 1 and report the sharpest admissible lower-bound constants.
 
     c1 is the largest constant with m >= c1 * nu^{2/3} on the samples, c2 the
@@ -764,9 +769,9 @@ def check_m_bounds(samples: Sequence[tuple[float, WaveVector]], p: MultiplierPar
     m_max = 0.0
     c1 = math.inf
     c2 = math.inf
-    nu23 = p.nu ** (2.0 / 3.0)
+    nu23 = nu ** (2.0 / 3.0)
     for t, kv in samples:
-        m = m_exact(t, kv, p)
+        m = m_exact(t, kv, nu)
         m_max = max(m_max, m)
         c1 = min(c1, m / nu23)
         kl2 = kv.k * kv.k + kv.l * kv.l
@@ -796,7 +801,7 @@ class MCoercivityReport:
 
 
 def check_M_bounds_and_coercivity(
-    samples: Iterable[tuple[float, WaveVector]], p: MultiplierParams
+    samples: Iterable[tuple[float, WaveVector]], nu: float
 ) -> MCoercivityReport:
     """Verify e^{-pi} <= M <= 1 and report the observed coercivity infimum.
 
@@ -810,11 +815,11 @@ def check_M_bounds_and_coercivity(
     n = 0
     for t, kv in samples:
         n += 1
-        M = M_closed(t, kv, p)
+        M = M_closed(t, kv, nu)
         M_min = min(M_min, M)
         M_max = max(M_max, M)
         if kv.k != 0:
-            value = p.nu ** (-1.0 / 6.0) * math.sqrt(neg_MdotM(t, kv, p)) + p.nu ** (
+            value = nu ** (-1.0 / 6.0) * math.sqrt(neg_MdotM(t, kv, nu)) + nu ** (
                 1.0 / 3.0
             ) * math.sqrt(w_symbol(t, kv))
             inf = min(inf, value)

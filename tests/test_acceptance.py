@@ -20,7 +20,7 @@ from rotcouette.linear import (
     ZeroModeState,
 )
 from rotcouette.multipliers import (
-    MultiplierParams,
+    WINDOW,
     M_closed,
     m_ode_residual,
 )
@@ -37,6 +37,7 @@ from oracles import (
     rk4_K_batch,
     rk4_M_batch,
     run_one,
+    snapshot_fields,
     sobolev_norm,
     truncate_to_decay,
 )
@@ -161,15 +162,14 @@ def test_criterion_05_multiplier_consistency():
     checked = 0
     while checked < 10_000:
         nu = float(10 ** rng.uniform(-6, -1))
-        p = MultiplierParams(nu=nu)
         kv = random_modes(rng, 1, eta_max=50.0)[0]
         ratio = kv.eta / kv.k
         lo = max(ratio, 0.0) + 0.01
-        hi = ratio + p.window_length - 0.01
+        hi = ratio + WINDOW * nu ** (-1.0 / 3.0) - 0.01
         if hi <= lo:
             continue
         t = float(rng.uniform(lo, min(hi, lo + 200.0)))
-        assert m_ode_residual(t, kv, p) <= 1e-6
+        assert m_ode_residual(t, kv, nu) <= 1e-6
         checked += 1
 
     # (b) ghost weight against RK4 on 500 instances
@@ -181,7 +181,7 @@ def test_criterion_05_multiplier_consistency():
     ts = rng.uniform(0.1, 50.0, n)
     oracle = rk4_M_batch(nus, k, eta, ts)
     for i, kv in enumerate(modes):
-        got = M_closed(float(ts[i]), kv, MultiplierParams(nu=float(nus[i])))
+        got = M_closed(float(ts[i]), kv, float(nus[i]))
         assert abs(got - float(oracle[i])) <= 1e-8
 
     # (c) bounds on 1e5 samples split across a nu ladder; c1 reported
@@ -190,16 +190,16 @@ def test_criterion_05_multiplier_consistency():
     M_min, M_max_seen = math.inf, 0.0
     nu_ladder = 10 ** np.linspace(-6, -1, 10)
     for nu in nu_ladder:
-        p = MultiplierParams(nu=float(nu))
+        nu = float(nu)
         samples = [
-            (float(rng.uniform(0.0, 2.0 * p.window_length)), kv)
+            (float(rng.uniform(0.0, 2.0 * WINDOW * nu ** (-1.0 / 3.0))), kv)
             for kv in random_modes(rng, 5000, eta_max=50.0, nonzero_k=False)
         ]
-        mrep = check_m_bounds(samples, p)
+        mrep = check_m_bounds(samples, nu)
         assert mrep.upper_bound_ok
         c1 = min(c1, mrep.c1)
         m_max = max(m_max, mrep.m_max)
-        Mrep = check_M_bounds_and_coercivity(samples, p)
+        Mrep = check_M_bounds_and_coercivity(samples, nu)
         assert Mrep.bounds_ok
         M_min = min(M_min, Mrep.M_min)
         M_max_seen = max(M_max_seen, Mrep.M_max)
@@ -246,11 +246,12 @@ def test_criterion_06_simulator_vs_closed_form(linear_run16, zero_run16):
     assert res.status == "completed"
     kv = WaveVector(1, ACCEPT_GRID.eta_values[0], 1)
     i = (1, 0, 1)
-    t0, U0 = res.snapshots[0]
+    fields = snapshot_fields(res)
+    t0, U0 = fields[0]
     K1f, K2f = compute_K_check(U0)
     K0 = ModeStateK(K1f.coeffs[i], K2f.coeffs[i])
     worst = 0.0
-    for t, U in res.snapshots[1:]:
+    for t, U in fields[1:]:
         K1f, K2f = compute_K_check(U, t)
         want = evolve_K_closed(K0, t, cfg.nu, kv)
         err = (abs(K1f.coeffs[i] - want.K1) + abs(K2f.coeffs[i] - want.K2)) / want.magnitude
@@ -263,10 +264,11 @@ def test_criterion_06_simulator_vs_closed_form(linear_run16, zero_run16):
     j = 2
     i0 = (0, j, 1)
     eta = ACCEPT_GRID.eta_values[j]
-    _, W0 = res0.snapshots[0]
+    fields0 = snapshot_fields(res0)
+    _, W0 = fields0[0]
     s0 = ZeroModeState(*(c[i0] for c in W0.coeffs))
     worst0 = 0.0
-    for t, U in res0.snapshots[1:]:
+    for t, U in fields0[1:]:
         want = zero_mode_evolve(s0, t, cfg0.nu, eta, 1)
         got = [c[i0] for c in U.coeffs]
         scale = abs(want.u1) + abs(want.u2) + abs(want.u3)
@@ -288,7 +290,7 @@ def test_criterion_06_simulator_vs_closed_form(linear_run16, zero_run16):
 def test_criterion_07_mixing_decay_rate(linear_run16):
     cfg, res, _ = linear_run16
     ts, measured = res.norm_series("U12_neq_L2")
-    _, U0 = res.snapshots[0]
+    _, U0 = snapshot_fields(res)[0]
     u_in_h2 = math.sqrt(sum(sobolev_norm(f, 2.0) ** 2 for f in U0.components()))
     envelope = u_in_h2 * np.exp(-(cfg.nu / 6.0) * ts**3) / np.sqrt(1.0 + ts**2)
     C = float(np.max(measured / envelope))

@@ -93,11 +93,14 @@ class TestUsageErrors:
             ["multipliers", "--mode", "1,2,0", "--nu", "1e-3", "--t-max", "-1"],
             ["multipliers", "--mode", "1,2,0", "--nu", "1e-3", "--t-max", "nan"],
             ["multipliers", "--mode", "1,2,0", "--nu", "1e-3", "--window", "1000"],
+            ["multipliers", "--mode", "1,2,0", "--nu", "0"],
+            ["multipliers", "--mode", "1,2,0", "--nu", "1"],
         ],
         ids=["linear-nan-eta", "linear-nan-nu", "linear-nan-k1", "linear-inf-k2",
              "linear-inf-u30", "linear-negative-nu-zero-mode", "linear-mean-mode-in-list",
              "linear-inf-t-max", "linear-negative-points", "multipliers-inf-eta",
-             "multipliers-negative-t-max", "multipliers-nan-t-max", "multipliers-window-flag"],
+             "multipliers-negative-t-max", "multipliers-nan-t-max", "multipliers-window-flag",
+             "multipliers-zero-nu", "multipliers-unit-nu"],
     )
     def test_bad_mode_or_sampling_rejected(self, tmp_path, argv):
         out = tmp_path / "out"
@@ -616,6 +619,16 @@ class TestLinearCommand:
         assert np.allclose(floats(cols["u2_re"]), -0.5 * ts, rtol=1e-14)
         assert np.allclose(floats(cols["u3_re"]), 0.5 * ts, rtol=1e-14)
 
+    def test_modes_sharing_a_file_name_rejected(self, tmp_path, capsys):
+        # eta is written with :g, six significant digits, so these two name one file
+        out = tmp_path / "out"
+        argv = ["linear", "--mode", "1,0.1234567,0", "--mode", "1,0.1234568,0", "--nu", "1e-3"]
+        assert main(argv + ["--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "(1, 0.1234567, 0)" in err and "(1, 0.1234568, 0)" in err
+        assert "linear_k1_eta0.123457_l0.csv" in err
+        assert not out.exists()
+
 
 class TestMultipliersCommand:
     def test_profiles(self, tmp_path):
@@ -723,6 +736,15 @@ class TestSimulateCommand:
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(sim_ini(tmp_path)), "--out", str(out)]) == code
         assert "injected" in capsys.readouterr().err and not out.exists()
+
+
+# a cells.csv row edit (its fields in, its fields out) and the start of the refusal's message
+MALFORMED_CELLS = {
+    "cut-row": (lambda row: row[:4], "4 fields, expected 7"),
+    "bad-number": (lambda row: row[:3] + ["1.0e"] + row[4:], "could not convert string to float"),
+    "bad-outcome": (lambda row: row[:2] + ["stabel"] + row[3:], "outcome 'stabel'"),
+    "bad-refined": (lambda row: row[:6] + ["yes"], "refined 'yes'"),
+}
 
 
 class TestSweepCommand:
@@ -929,6 +951,44 @@ class TestSweepCommand:
             current = json.loads((other / "manifest.json").read_text())["config_hash"]
             assert current != recorded, case
             assert recorded in err and current in err, case
+
+    def test_resume_without_manifest_rejected(self, tmp_path, monkeypatch, capsys):
+        # a sweep cut between its cells.csv and manifest.json writes: no config hash to check
+        from rotcouette import threshold
+
+        cfg = sweep_ini(tmp_path)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        (out / "manifest.json").unlink()
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        calls = []
+        monkeypatch.setattr(threshold, "_run_cells", lambda *a: calls.append(a))
+        argv = ["sweep", "--config", str(cfg), "--out", str(out), "--resume", "--seed", "2"]
+        assert main(argv) == EXIT_USAGE
+        assert "no manifest.json" in capsys.readouterr().err
+        assert calls == [] and {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CELLS))
+    def test_resume_rejects_malformed_cells_csv(self, tmp_path, monkeypatch, capsys, case):
+        from rotcouette import threshold
+
+        edit, message = MALFORMED_CELLS[case]
+
+        def fake_cells(scfg, nu, row):
+            return [threshold.CellResult(nu, eps, "stable", eps, 0.0, "completed") for eps, _ in row]
+
+        monkeypatch.setattr(threshold, "_run_cells", fake_cells)
+        cfg = sweep_ini(tmp_path)
+        out = tmp_path / "out"
+        argv = ["sweep", "--config", str(cfg), "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        lines = (out / "cells.csv").read_text().splitlines()
+        lines[2] = ",".join(edit(lines[2].split(",")))
+        (out / "cells.csv").write_text("\n".join(lines) + "\n")
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert main(argv + ["--resume"]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"usage error: {out / 'cells.csv'} line 3: {message}")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 class TestReadmeExample:

@@ -11,7 +11,7 @@ from rotcouette.diagnostics import (
     bootstrap_report,
     compute_K_check,
 )
-from rotcouette.multipliers import MultiplierParams, M_closed, m_exact
+from rotcouette.multipliers import M_closed, m_exact
 from rotcouette.reporting import energy_columns, write_snapshot_csv
 from rotcouette.simulation import SimConfig, VelocityField, _box, _full, initial_condition
 from rotcouette.spectral import GridSpec, WaveVector
@@ -128,14 +128,14 @@ class TestBootstrapReport:
         U.coeffs[:, 0, 0, 0] = 0.0
         cfg = SimConfig(nu=3e-2, grid=small, eps=1e-4)
         rep = bootstrap_report(_box(U), 0.8, cfg, Accumulators())
-        p = MultiplierParams(nu=cfg.nu)
+        nu = cfg.nu
         N = cfg.N
         t = 0.8
 
         def weight_MK(k, eta, l):
             if k == 0:
                 return 0.0
-            return M_closed(t, WaveVector(k, eta, l), p)
+            return M_closed(t, WaveVector(k, eta, l), nu)
 
         K1, K2 = compute_K_check(U, t)
         want = slow_weighted_norm(small, K1.coeffs, N, weight_MK)
@@ -145,7 +145,7 @@ class TestBootstrapReport:
             if k == 0:
                 return 0.0
             kv = WaveVector(k, eta, l)
-            return m_exact(t, kv, p) * M_closed(t, kv, p)
+            return m_exact(t, kv, nu) * M_closed(t, kv, nu)
 
         Q3 = compute_Q(U, t)[2]
         want = slow_weighted_norm(small, Q3.coeffs, N, weight_mMQ)
@@ -154,7 +154,7 @@ class TestBootstrapReport:
         def weight_dmm(k, eta, l):
             if k == 0:
                 return 0.0
-            return math.sqrt(neg_MdotM(t, WaveVector(k, eta, l), p))
+            return math.sqrt(neg_MdotM(t, WaveVector(k, eta, l), nu))
 
         want = slow_weighted_norm(small, K2.coeffs, N, weight_dmm)
         assert rep.norms["dMM_K2_HN"] == pytest.approx(want, rel=1e-10)

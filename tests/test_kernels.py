@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rotcouette import _kernels
-from rotcouette.multipliers import MultiplierParams, M_closed, m_exact
+from rotcouette.multipliers import M_closed, m_exact
 from rotcouette.spectral import GridSpec, WaveVector
 
 from oracles import neg_MdotM
@@ -28,16 +28,15 @@ def sample_arrays(rng, n=5000):
 def test_grid_kernels_match_scalar_functions():
     rng = np.random.default_rng(81)
     k, eta, l = sample_arrays(rng, 500)
-    p = MultiplierParams(nu=NU)
     for t in TIMES:
         m = KERNELS["m_values"](t, k, eta, l)
         M = KERNELS["M_values"](t, k, eta, l)
         dmm = KERNELS["neg_MdotM_values"](t, k, eta, l)
         for i in range(len(k)):
             kv = WaveVector(int(k[i]), float(eta[i]), int(l[i]))
-            assert m[i] == pytest.approx(m_exact(t, kv, p), rel=1e-13)
-            assert M[i] == pytest.approx(M_closed(t, kv, p), rel=1e-13)
-            assert dmm[i] == pytest.approx(neg_MdotM(t, kv, p), rel=1e-12, abs=1e-300)
+            assert m[i] == pytest.approx(m_exact(t, kv, NU), rel=1e-13)
+            assert M[i] == pytest.approx(M_closed(t, kv, NU), rel=1e-13)
+            assert dmm[i] == pytest.approx(neg_MdotM(t, kv, NU), rel=1e-12, abs=1e-300)
 
 
 @pytest.mark.parametrize("name", sorted(KERNELS))

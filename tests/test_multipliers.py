@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rotcouette.multipliers import (
-    MultiplierParams,
+    WINDOW,
     M_closed,
     M_log_derivative,
     SwitchingTimeError,
@@ -26,129 +26,125 @@ from oracles import (
 )
 
 
-def sample_params(rng) -> MultiplierParams:
-    return MultiplierParams(nu=float(10 ** rng.uniform(-6, -1)))
-
-
-class TestParams:
-    def test_nu_range(self):
-        with pytest.raises(ValueError):
-            MultiplierParams(nu=0.0)
-        with pytest.raises(ValueError):
-            MultiplierParams(nu=1.0)
-
-    def test_window_length(self):
-        p = MultiplierParams(nu=1e-3)
-        assert p.window_length == pytest.approx(1e4)
+def sample_nu(rng) -> float:
+    return float(10 ** rng.uniform(-6, -1))
 
 
 class TestMExact:
+    def test_window_length(self):
+        # WINDOW * nu^{-1/3} = 1e4 at nu = 1e-3: the stretching window of a mode
+        # critical at t = 0 is open just before t = 1e4 and closed just after
+        nu, kv = 1e-3, WaveVector(1, 0.0, 0)
+        assert WINDOW * nu ** (-1.0 / 3.0) == pytest.approx(1e4)
+        assert m_log_derivative(1e4 - 1.0, kv, nu) < 0.0
+        assert m_log_derivative(1e4 + 1.0, kv, nu) == 0.0
+        assert m_exact(1e4 + 1.0, kv, nu) == m_exact(2e4, kv, nu)  # frozen once it closes
+
     def test_k_zero_is_one(self):
-        p = MultiplierParams(nu=1e-3)
+        nu = 1e-3
         for t in (0.0, 1.0, 1e6):
-            assert m_exact(t, WaveVector(0, 4.0, -2), p) == 1.0
+            assert m_exact(t, WaveVector(0, 4.0, -2), nu) == 1.0
 
     def test_inside_window_value(self):
         # k=1, eta=2, l=0, t=2.5: half a unit past the critical time
-        p = MultiplierParams(nu=1e-3)
-        assert m_exact(2.5, WaveVector(1, 2.0, 0), p) == pytest.approx(0.8, rel=1e-12)
+        nu = 1e-3
+        assert m_exact(2.5, WaveVector(1, 2.0, 0), nu) == pytest.approx(0.8, rel=1e-12)
 
     def test_negative_ratio_branch_starts_at_one(self):
-        p = MultiplierParams(nu=1e-3)  # window length 1e4 >> |eta/k| = 1
-        assert m_exact(0.0, WaveVector(1, -1.0, 0), p) == pytest.approx(1.0, rel=1e-12)
+        nu = 1e-3  # window length 1e4 >> |eta/k| = 1
+        assert m_exact(0.0, WaveVector(1, -1.0, 0), nu) == pytest.approx(1.0, rel=1e-12)
 
     def test_far_negative_ratio_is_identity(self):
-        p = MultiplierParams(nu=1e-1)  # window length 1000 * 10^{1/3} = 2154.4
+        nu = 1e-1  # window length 1000 * 10^{1/3} = 2154.4
         kv = WaveVector(1, -1e4, 0)  # eta/k far below the window start
         for t in (0.0, 3.0, 1e5):
-            assert m_exact(t, kv, p) == 1.0
+            assert m_exact(t, kv, nu) == 1.0
 
     def test_continuity_at_switches(self):
         rng = np.random.default_rng(50)
         h = 1e-9
         for _ in range(200):
-            p = sample_params(rng)
+            nu = sample_nu(rng)
             kv = random_modes(rng, 1, eta_max=20.0)[0]
             ratio = kv.eta / kv.k
-            for switch in (ratio, ratio + p.window_length):
+            for switch in (ratio, ratio + WINDOW * nu ** (-1.0 / 3.0)):
                 if switch <= h:
                     continue
-                left = m_exact(switch - h, kv, p)
-                right = m_exact(switch + h, kv, p)
+                left = m_exact(switch - h, kv, nu)
+                right = m_exact(switch + h, kv, nu)
                 assert abs(left - right) <= 1e-6 * max(left, right)
             # exact branch agreement at the switching times themselves
             if ratio > 0:
-                assert m_exact(ratio, kv, p) == pytest.approx(1.0, rel=1e-12)
-            t_close = ratio + p.window_length
+                assert m_exact(ratio, kv, nu) == pytest.approx(1.0, rel=1e-12)
+            t_close = ratio + WINDOW * nu ** (-1.0 / 3.0)
             if t_close > 0:
-                assert m_exact(t_close, kv, p) == pytest.approx(
-                    m_exact(t_close + 1e3, kv, p), rel=1e-12
+                assert m_exact(t_close, kv, nu) == pytest.approx(
+                    m_exact(t_close + 1e3, kv, nu), rel=1e-12
                 )
 
     def test_monotone_nonincreasing(self):
         rng = np.random.default_rng(51)
         for _ in range(100):
-            p = sample_params(rng)
+            nu = sample_nu(rng)
             kv = random_modes(rng, 1)[0]
-            ts = np.sort(rng.uniform(0.0, 2.0 * p.window_length, 50))
-            vals = [m_exact(float(t), kv, p) for t in ts]
+            ts = np.sort(rng.uniform(0.0, 2.0 * WINDOW * nu ** (-1.0 / 3.0), 50))
+            vals = [m_exact(float(t), kv, nu) for t in ts]
             assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_frozen_branch_lower_bound(self):
         # frozen value at k=1, l=0 is exactly nu^{2/3} / (nu^{2/3} + 1e6)
         for nu in (1e-6, 1e-3, 1e-1):
-            p = MultiplierParams(nu=nu)
             kv = WaveVector(1, 1.0, 0)
-            t = kv.eta / kv.k + p.window_length * 10
-            m = m_exact(t, kv, p)
+            t = kv.eta / kv.k + WINDOW * nu ** (-1.0 / 3.0) * 10
+            m = m_exact(t, kv, nu)
             nu23 = nu ** (2.0 / 3.0)
             assert m == pytest.approx(nu23 / (nu23 + 1e6), rel=1e-10)
             assert m >= nu23 / (1.0 + 1e6)
 
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError):
-            m_exact(-1.0, WaveVector(1, 0.0, 0), MultiplierParams(nu=1e-2))
+            m_exact(-1.0, WaveVector(1, 0.0, 0), 1e-2)
 
 
 class TestMOdeResidual:
     def test_k_zero(self):
-        assert m_ode_residual(3.0, WaveVector(0, 2.0, 1), MultiplierParams(nu=1e-2)) == 0.0
+        assert m_ode_residual(3.0, WaveVector(0, 2.0, 1), 1e-2) == 0.0
 
     def test_interior_points(self):
         rng = np.random.default_rng(52)
         checked = 0
         while checked < 300:
-            p = sample_params(rng)
+            nu = sample_nu(rng)
             kv = random_modes(rng, 1, eta_max=20.0)[0]
             ratio = kv.eta / kv.k
             lo = max(ratio, 0.0) + 0.01
-            hi = ratio + p.window_length - 0.01
+            hi = ratio + WINDOW * nu ** (-1.0 / 3.0) - 0.01
             if hi <= lo:
                 continue
             t = float(rng.uniform(lo, min(hi, lo + 100.0)))
-            assert m_ode_residual(t, kv, p) <= 1e-6
+            assert m_ode_residual(t, kv, nu) <= 1e-6
             checked += 1
 
     def test_frozen_region_zero_rhs(self):
-        p = MultiplierParams(nu=1e-1)
+        nu = 1e-1
         kv = WaveVector(2, 1.0, 1)
-        t = kv.eta / kv.k + p.window_length + 5.0
-        assert m_ode_residual(t, kv, p) <= 1e-10
+        t = kv.eta / kv.k + WINDOW * nu ** (-1.0 / 3.0) + 5.0
+        assert m_ode_residual(t, kv, nu) <= 1e-10
 
     def test_raises_at_switching_time(self):
-        p = MultiplierParams(nu=1e-2)
+        nu = 1e-2
         kv = WaveVector(1, 3.0, 0)
         with pytest.raises(SwitchingTimeError):
-            m_ode_residual(3.0, kv, p)
+            m_ode_residual(3.0, kv, nu)
 
 
 class TestMClosed:
     def test_k_zero_and_initial_condition(self):
-        p = MultiplierParams(nu=1e-2)
-        assert M_closed(17.0, WaveVector(0, 1.0, 2), p) == 1.0
+        nu = 1e-2
+        assert M_closed(17.0, WaveVector(0, 1.0, 2), nu) == 1.0
         rng = np.random.default_rng(53)
         for kv in random_modes(rng, 50):
-            assert M_closed(0.0, kv, p) == pytest.approx(1.0, rel=1e-14)
+            assert M_closed(0.0, kv, nu) == pytest.approx(1.0, rel=1e-14)
 
     def test_matches_rk4_oracle(self):
         rng = np.random.default_rng(54)
@@ -160,31 +156,31 @@ class TestMClosed:
         t = rng.uniform(0.1, 50.0, n)
         oracle = rk4_M_batch(nu, k, eta, t)
         for i, kv in enumerate(modes):
-            got = M_closed(float(t[i]), kv, MultiplierParams(nu=float(nu[i])))
+            got = M_closed(float(t[i]), kv, float(nu[i]))
             assert got == pytest.approx(float(oracle[i]), abs=1e-8)
 
     def test_range(self):
         rng = np.random.default_rng(55)
         floor = math.exp(-math.pi)
         for kv in random_modes(rng, 500):
-            p = sample_params(rng)
-            M = M_closed(float(rng.uniform(0, 1e4)), kv, p)
+            nu = sample_nu(rng)
+            M = M_closed(float(rng.uniform(0, 1e4)), kv, nu)
             assert floor < M <= 1.0
 
     def test_long_time_limit_above_floor(self):
-        p = MultiplierParams(nu=1e-2)
+        nu = 1e-2
         kv = WaveVector(1, (1e-2) ** (-1.0 / 3.0) * 50.0, 0)  # large positive eta/k
-        limit = M_closed(1e12, kv, p)
+        limit = M_closed(1e12, kv, nu)
         assert limit > math.exp(-math.pi)
 
     def test_coercivity_identity_at_critical_time(self):
         # at t = eta/k: -Mdot/M = nu^{1/3}, so nu^{-1/6} sqrt(-Mdot M) = M
-        p = MultiplierParams(nu=1e-3)
+        nu = 1e-3
         kv = WaveVector(2, 6.0, 1)
         t = kv.eta / kv.k
-        lhs = p.nu ** (-1.0 / 6.0) * math.sqrt(neg_MdotM(t, kv, p))
-        assert lhs == pytest.approx(M_closed(t, kv, p), rel=1e-12)
-        assert -M_log_derivative(t, kv, p) == pytest.approx(p.nu ** (1.0 / 3.0), rel=1e-12)
+        lhs = nu ** (-1.0 / 6.0) * math.sqrt(neg_MdotM(t, kv, nu))
+        assert lhs == pytest.approx(M_closed(t, kv, nu), rel=1e-12)
+        assert -M_log_derivative(t, kv, nu) == pytest.approx(nu ** (1.0 / 3.0), rel=1e-12)
 
 
 class TestBoundReports:
@@ -196,11 +192,11 @@ class TestBoundReports:
 
     def test_m_bounds(self):
         rng = np.random.default_rng(56)
-        p = MultiplierParams(nu=1e-3)
+        nu = 1e-3
         samples = self.samples(rng)
         # include deep-frozen samples so the scan sees the true floor
         samples += [(1e6, WaveVector(1, 1.0, 0)), (1e6, WaveVector(1, -1.0, 0))]
-        report = check_m_bounds(samples, p)
+        report = check_m_bounds(samples, nu)
         assert isinstance(report, MBoundsReport)
         assert report.upper_bound_ok
         assert report.c1 >= 1.0 / (1.0 + 1e6) - 1e-12
@@ -209,12 +205,12 @@ class TestBoundReports:
 
     def test_frequency_relation_pointwise(self):
         rng = np.random.default_rng(57)
-        p = MultiplierParams(nu=1e-2)
+        nu = 1e-2
         for t, kv in self.samples(rng, 2000):
             kl2 = kv.k**2 + kv.l**2
             if kl2 == 0:
                 continue
-            assert m_exact(t, kv, p) >= kl2 / w_symbol(t, kv) * (1.0 - 1e-12)
+            assert m_exact(t, kv, nu) >= kl2 / w_symbol(t, kv) * (1.0 - 1e-12)
 
     def test_M_coercivity_scan(self):
         rng = np.random.default_rng(58)
@@ -227,7 +223,7 @@ class TestBoundReports:
         inf = math.inf
         M_min, M_max = math.inf, 0.0
         for t, kv, nu in rows:
-            rep = check_M_bounds_and_coercivity([(t, kv)], MultiplierParams(nu=nu))
+            rep = check_M_bounds_and_coercivity([(t, kv)], nu)
             M_min = min(M_min, rep.M_min)
             M_max = max(M_max, rep.M_max)
             if kv.k != 0:

@@ -17,6 +17,7 @@ from oracles import (
     linear_rhs,
     random_band_loop,
     run_one,
+    snapshot_fields,
     sobolev_norm,
     wave_numbers,
 )
@@ -310,10 +311,11 @@ class TestLinearRhs:
 
         kv = WaveVector(1, GRID.eta_values[1], 1)
         i = mode_index(GRID, 1, 1, 1)
-        t0, U0 = res.snapshots[0]
+        fields = snapshot_fields(res)
+        t0, U0 = fields[0]
         K1f, K2f = compute_K_check(U0)
         K0 = ModeStateK(K1f.coeffs[i], K2f.coeffs[i])
-        for t, U in res.snapshots[1:]:
+        for t, U in fields[1:]:
             K1f, K2f = compute_K_check(U, t)
             want = evolve_K_closed(K0, t, cfg.nu, kv)
             err = abs(K1f.coeffs[i] - want.K1) + abs(K2f.coeffs[i] - want.K2)
@@ -480,9 +482,10 @@ class TestStep:
         res = run_one(cfg)
         i = mode_index(g, 0, 2, 1)
         eta = g.eta_values[2]
-        t0, U0 = res.snapshots[0]
+        fields = snapshot_fields(res)
+        t0, U0 = fields[0]
         s0 = ZeroModeState(*(c[i] for c in U0.coeffs))
-        for t, U in res.snapshots[1:]:
+        for t, U in fields[1:]:
             want = zero_mode_evolve(s0, t, cfg.nu, eta, 1)
             got = [c[i] for c in U.coeffs]
             scale = abs(want.u1) + abs(want.u2) + abs(want.u3)
@@ -496,7 +499,7 @@ class TestStep:
         )
         res = run_one(cfg)
         assert res.status == "completed"
-        for t, U in res.snapshots:
+        for t, U in snapshot_fields(res):
             assert divergence_defect(U) <= 1e-10
             norm = max(np.max(np.abs(c)) for c in U.coeff_arrays())
             assert max(hermitian_defect(f) for f in U.components()) <= 1e-12 * max(norm, 1e-30)
@@ -560,7 +563,7 @@ class TestStep:
         )
 
         def final(cfg):
-            return run_one(cfg).snapshots[-1][1].coeffs
+            return snapshot_fields(run_one(cfg))[-1][1].coeffs
 
         ref = final(replace(base, dt=0.1 / 32))
         e1 = np.max(np.abs(final(replace(base, dt=0.2)) - ref))
@@ -604,7 +607,8 @@ class TestStep:
             rk_stages=rk_stages,
         )
         res = run_one(cfg)
-        (_, U0), (t, U) = res.snapshots[0], res.snapshots[-1]
+        fields = snapshot_fields(res)
+        (_, U0), (t, U) = fields[0], fields[-1]
         assert t == pytest.approx(2.0)
         for i in (mode_index(GRID, 1, 1, 1), mode_index(GRID, -1, -1, 1)):
             want = closed_form_mode(GRID, U0.coeffs[(slice(None),) + i], t, cfg.nu, i)
@@ -707,6 +711,23 @@ class TestInitialConditions:
         lines[i] = ",".join(row)
         path.write_text("".join(lines))
         with pytest.raises(ValueError, match="not a real field"):
+            initial_condition(cfg)
+
+    @pytest.mark.parametrize("grid", [GRID, GridSpec(16, 64, 16, Ly=8.0)], ids=["8x16x8", "16x64x16"])
+    def test_file_l0_plane_must_be_a_real_field(self, tmp_path, grid):
+        from rotcouette.reporting import write_snapshot_csv
+
+        # the last snapshot of a nonlinear run is its own l = 0 reflection to rounding
+        band = SimConfig(nu=1e-2, grid=grid, dt=0.02, t_end=0.2, eps=1.0, ic_kind="random_band",
+                         seed=3, snapshot_every=10)
+        _, U = snapshot_fields(run_one(band))[-1]
+        path = write_snapshot_csv(tmp_path / "ic.csv", U, 1e-2)
+        cfg = SimConfig(nu=1e-2, grid=grid, ic_kind="file", ic_file=str(path))
+        assert initial_condition(cfg).coeffs.tobytes() == _full(grid, _box(U), 0.0).coeffs.tobytes()
+        # 1e-4j on u3 at (k, j, l) = (1, 0, 0) leaves its reflection (-1, 0, 0) behind
+        U.coeffs[2, 1, 0, 0] += 1e-4j
+        write_snapshot_csv(path, U, 1e-2)
+        with pytest.raises(ValueError, match="l = 0 plane"):
             initial_condition(cfg)
 
 
@@ -821,7 +842,7 @@ class TestRun:
         )
         res = run_one(cfg)
         assert (res.n_steps, res.dt) == (4, 0.05)
-        stored = [U.coeffs for _, U in res.snapshots]
+        stored = [b for _, b in res.snapshots]  # the boxes that step returned, kept uncopied
         assert len(stored) == 5
         for i, a in enumerate(stored):
             assert not any(np.shares_memory(a, b) for b in stored[i + 1 :])
@@ -846,7 +867,8 @@ class TestRun:
 
 
 class TestRunCarriesTheBox:
-    """``run`` builds and steps the retained box; the full layout only reads a file or keeps a snapshot."""
+    """``run`` builds, steps and keeps the retained box; the full layout only reads a file,
+    and ``simulate`` builds one per snapshot as it writes it."""
 
     def cfg(self, **kw):
         # dt = 0.1 puts the step's tag 5 dt + dt = 0.6 off the row time 6 dt
@@ -876,31 +898,43 @@ class TestRunCarriesTheBox:
         assert calls == {"_box": 1, "_full": 0, "step": 10}
 
     @pytest.mark.parametrize("every", [1, 3, 4, 10])
-    def test_one_full_layout_per_stored_snapshot(self, monkeypatch, every):
+    def test_one_full_layout_per_stored_snapshot(self, monkeypatch, tmp_path, every):
+        from rotcouette import cli
+
         calls = count_calls(monkeypatch, "_box", "_full", "step")
         res = run_one(self.cfg(snapshot_every=every))
         stored = [i for i in range(1, 11) if i % every == 0 or i == 10]
         assert len(res.snapshots) == 1 + len(stored)
-        assert calls == {"_box": 0, "_full": 1 + len(stored), "step": 10}
+        assert calls == {"_box": 0, "_full": 0, "step": 10}
+        # simulate expands each kept box at its tag as it writes it
+        expanded = []
+        monkeypatch.setattr(cli, "_full", lambda g, b, t: expanded.append(t) or _full(g, b, t))
+        ini = tmp_path / "run.ini"
+        ini.write_text(
+            f"[sim]\nnu = 1e-2\nnx = 8\nny = 16\nnz = 8\nly = 32.0\ndt = 0.1\nt_end = 1.0\n"
+            f"eps = 1e-3\nic_kind = random_band\nseed = 2\ndiag_every = 2\nsnapshot_every = {every}\n"
+        )
+        assert cli.main(["simulate", "--config", str(ini), "--out", str(tmp_path / "out")]) == 0
+        assert expanded == [t for t, _ in res.snapshots]
+        assert len(list((tmp_path / "out").glob("snapshot_*.csv"))) == 1 + len(stored)
 
     @pytest.mark.parametrize("nonlinear", [False, True], ids=["linear", "nonlinear"])
     def test_snapshots_match_hand_loop(self, nonlinear):
         cfg = self.cfg(nonlinear_enabled=nonlinear, snapshot_every=3)
         res = run_one(cfg)
         u = _initial_box(cfg)
-        # the t = 0 snapshot is the expansion of the initial box, like every later one
-        want, t = [(0.0, _full(GRID, u, 0.0))], 0.0
+        # the t = 0 snapshot is the initial box, like every later one the box of its step
+        want, t = [(0, 0.0, u)], 0.0
         for i in range(1, res.n_steps + 1):
             u = step(u, t, res.dt, cfg)
-            U = _full(GRID, u, t + res.dt)
-            t = i * res.dt
+            t_step, t = t + res.dt, i * res.dt
             if i % 3 == 0 or i == res.n_steps:
-                want.append((t, U))
-        assert [t for t, _ in res.snapshots] == [t for t, _ in want]
-        assert any(U.time != t for t, U in want)
-        for (_, got), (_, U) in zip(res.snapshots, want):
-            assert got.time == U.time
-            assert got.coeffs.tobytes() == U.coeffs.tobytes()
+                want.append((i, t_step, u))
+        # a snapshot's time is the step's own tag, which some row times i dt are not
+        assert [t for t, _ in res.snapshots] == [t for _, t, _ in want]
+        assert any(t != i * res.dt for i, t, _ in want)
+        for (_, got), (_, _, b) in zip(res.snapshots, want):
+            assert got.tobytes() == b.tobytes()
 
 
 OPERATOR_CACHES = (
