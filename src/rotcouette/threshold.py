@@ -189,13 +189,34 @@ def _repair_monotone(cells: list[CellResult]) -> list[tuple[float, float]]:
     return repaired
 
 
+def _t975(dof: int) -> float:
+    """The 97.5 % quantile of Student's t with dof degrees of freedom.
+
+    Exact at one (Cauchy) and two degrees of freedom; from three on the
+    Cornish-Fisher series of Abramowitz & Stegun 26.7.5 in 1 / dof through
+    the fourth power, within 0.13 % of the exact quantile.
+    """
+    if dof == 1:
+        return math.tan(0.475 * math.pi)
+    if dof == 2:
+        return 0.95 * math.sqrt(2.0 / (1.0 - 0.95**2))
+    x = 1.959963984540054  # the normal 97.5 % quantile
+    g = (
+        (x**3 + x) / 4.0,
+        (5 * x**5 + 16 * x**3 + 3 * x) / 96.0,
+        (3 * x**7 + 19 * x**5 + 17 * x**3 - 15 * x) / 384.0,
+        (79 * x**9 + 776 * x**7 + 1482 * x**5 - 1920 * x**3 - 945 * x) / 92160.0,
+    )
+    return x + sum(gi / dof ** (i + 1) for i, gi in enumerate(g))
+
+
 def fit_gamma(
     nus: Sequence[float], eps_stars: Sequence[float]
 ) -> tuple[float, tuple[float, float] | None]:
     """OLS slope of log(eps*) against log(nu) with a 95% interval, None below three points.
 
-    The interval is slope +- 1.96 se, a normal approximation: narrower than Student's t at
-    few points (12.71 in place of 1.96 at three, with one residual degree of freedom).
+    The interval is slope +- t se, with t the 97.5 % quantile of Student's t
+    for the n - 2 residual degrees of freedom (12.71 at three points).
     """
     x = np.log(np.asarray(nus, dtype=float))
     y = np.log(np.asarray(eps_stars, dtype=float))
@@ -208,7 +229,8 @@ def fit_gamma(
     dof = len(x) - 2
     sxx = float(np.sum((x - x.mean()) ** 2))
     se = math.sqrt(float(np.sum(resid**2)) / dof / sxx) if sxx > 0 else math.inf
-    return float(slope), (float(slope - 1.96 * se), float(slope + 1.96 * se))
+    half = _t975(dof) * se
+    return float(slope), (float(slope - half), float(slope + half))
 
 
 def sweep(cfg: SweepConfig, checkpoint=None) -> ThresholdResult:

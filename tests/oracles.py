@@ -7,7 +7,9 @@ shortcuts, the linear generator instead of its exact propagator, plain
 mode loops instead of vectorised norms, one ``repr`` per CSV field
 instead of deduplicated string tables, the half-spectrum stepper with
 dealias masks instead of the one on the retained box, and the initial
-condition and Sobolev norms on the full layout instead of the box.
+condition and Sobolev norms on the full layout instead of the box, and
+the per-component curl, cross product, projection and propagator rows
+instead of the stacked ones (``rotational_nonlinear_rhs``).
 ``full_step`` is no oracle: it runs the package's box stepper on a
 full-layout field.
 
@@ -38,6 +40,9 @@ from rotcouette.simulation import (
     VelocityField,
     _box,
     _full,
+    _propagator_coeffs,
+    _to_box,
+    _to_grid,
     _waves,
     frame_symbols,
     leray_project_L,
@@ -560,7 +565,8 @@ def _half_symbols(grid: GridSpec, t: float):
     return k, etal, l, w
 
 
-def _half_project(f, sym):
+def psi_project_L(f, sym):
+    """The Leray projection as f + grad_L psi with psi = i (d . f) / |d|^2, per component."""
     k, etal, l, w = sym
     psi = 1j * (k * f[0] + etal * f[1] + l * f[2]) / w
     psi[0, 0, 0] = 0.0
@@ -607,8 +613,12 @@ def _half_propagator(grid: GridSpec, t0: float, t1: float, nu: float):
     c12 = qdw * (k * k)
     c21 = qdw * kl2
     qldw = qdw * l
-    c31 = qldw * e1
-    c32 = qldw * k
+    return two_multiply_apply((diag, c12, c21, decay, qldw * e1, qldw * k))
+
+
+def two_multiply_apply(coeffs):
+    """The propagator map of coefficients (diag, c12, c21, decay, c31, c32), one row at a time."""
+    diag, c12, c21, decay, c31, c32 = coeffs
 
     def apply(u):
         out = np.empty_like(u)
@@ -622,6 +632,35 @@ def _half_propagator(grid: GridSpec, t0: float, t1: float, nu: float):
         return out
 
     return apply
+
+
+def rotational_nonlinear_rhs(u, sym, grid: GridSpec, t: float):
+    """``nonlinear_rhs`` one component at a time: the curl, the cross product and ``psi_project_L``.
+
+    The same transforms as the package, so its stacked operators must match
+    this bit for bit.
+    """
+    k, etal, l, _ = sym
+    u1, u2, u3 = u
+    c = np.empty((6,) + u.shape[1:], dtype=np.complex128)
+    c[:3] = u
+    np.multiply(1j, etal * u3 - l * u2, out=c[3])
+    np.multiply(1j, l * u1 - k * u3, out=c[4])
+    np.multiply(1j, k * u2 - etal * u1, out=c[5])
+    v1, v2, v3, o1, o2, o3 = _to_grid(c, grid).swapaxes(0, 1)
+    prod = np.empty((grid.Ny, 3, grid.Nx, grid.Nz))
+    np.subtract(v2 * o3, v3 * o2, out=prod[:, 0])
+    np.subtract(v3 * o1, v1 * o3, out=prod[:, 1])
+    np.subtract(v1 * o2, v2 * o1, out=prod[:, 2])
+    a = _to_box(prod, grid)
+    if not np.isfinite(a).all():
+        raise BlowUpError("non-finite values in the advection term", time=t)
+    return psi_project_L(a, sym)
+
+
+def rotational_propagator(grid: GridSpec, t0: float, t1: float, nu: float):
+    """``propagator`` with ``two_multiply_apply``."""
+    return two_multiply_apply(_propagator_coeffs(grid, t0, t1, nu))
 
 
 def full_step(U: VelocityField, t: float, dt: float, cfg) -> VelocityField:
@@ -650,7 +689,7 @@ def half_spectrum_step(U: VelocityField, t: float, dt: float, cfg) -> VelocityFi
         symm = _half_symbols(grid, tm)
 
         def rhs(u, sym, s):
-            return _half_project(_half_advection(u, sym, grid, s), sym)
+            return psi_project_L(_half_advection(u, sym, grid, s), sym)
 
         k1 = rhs(u0, _half_symbols(grid, t), t)
         pu, pk = ph(u0), ph(k1)
@@ -659,7 +698,7 @@ def half_spectrum_step(U: VelocityField, t: float, dt: float, cfg) -> VelocityFi
         k4 = rhs(ph2(pu + dt * k3), sym1, t1)
         new = ph2(pu + dt / 6.0 * (pk + 2.0 * (k2 + k3)))
         new += dt / 6.0 * k4
-    new = _half_project(new, sym1)
+    new = psi_project_L(new, sym1)
     new *= grid.dealias_mask[:, :, :nh]
     new[:, 0, 0, 0] = 0.0
 

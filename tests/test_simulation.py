@@ -1,9 +1,11 @@
 """Tests for the projection, right-hand sides and the time stepper."""
 
+import gc
 import math
 import sys
+import weakref
 from dataclasses import replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import pytest
@@ -15,7 +17,10 @@ from oracles import (
     hermitian_symmetrize,
     high_eta_energy_fraction,
     linear_rhs,
+    psi_project_L,
     random_band_loop,
+    rotational_nonlinear_rhs,
+    rotational_propagator,
     run_one,
     snapshot_fields,
     sobolev_norm,
@@ -469,6 +474,89 @@ class TestNonlinearRhs:
             monkeypatch.setattr(np.fft, name, refuse)
         U = random_velocity(GridSpec(16, 64, 16, Ly=8.0), np.random.default_rng(77), t=0.3)
         assert np.any(rhs_full(U, 0.3).coeffs != 0.0)
+
+
+def same_bits(a, b):
+    """Equal bit for bit, so that the sign of every zero counts."""
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def signed_zeros_box(grid, rng):
+    """A random box in which every fifth real part and every seventh imaginary part is +-0.0."""
+    u = random_box(grid, rng)
+    parts = u.view(np.float64).reshape(-1, 2)
+    for part, every in ((parts[:, 0], 5), (parts[:, 1], 7)):
+        part[::every] = np.copysign(0.0, rng.standard_normal(part[::every].size))
+    return u
+
+
+class TestStackedOperatorsKeepBytes:
+    """The stacked curl, cross product, projection and propagator rows against the
+    per-component ones of ``oracles``, bit for bit, on the same transforms; the
+    projection along both of its paths."""
+
+    @pytest.fixture(autouse=True, params=["stacked", "per-component"])
+    def projection_path(self, request, monkeypatch):
+        if request.param == "per-component":
+            monkeypatch.setattr(simulation, "_STACKED_MODES", 0)
+
+    STEPPED = {"8x16x8": (GRID, 1.0, 0.05), "16x64x16": (GridSpec(16, 64, 16, Ly=8.0), 10.0, 0.01)}
+
+    def oracle_steps(self, monkeypatch, u, cfg, n):
+        with monkeypatch.context() as m:
+            m.setattr(simulation, "nonlinear_rhs", rotational_nonlinear_rhs)
+            m.setattr(simulation, "leray_project_L", psi_project_L)
+            m.setattr(simulation, "propagator", rotational_propagator)
+            return [u := simulation.step(u, i * cfg.dt, cfg.dt, cfg) for i in range(n)]
+
+    @pytest.mark.parametrize("name", list(STEPPED))
+    def test_random_band_after_three_steps(self, monkeypatch, name):
+        grid, eps, dt = self.STEPPED[name]
+        cfg = SimConfig(nu=5e-2, grid=grid, dt=dt, eps=eps, seed=3, ic_kind="random_band")
+        u = want = _initial_box(cfg)
+        wants = self.oracle_steps(monkeypatch, want, cfg, 3)
+        for i, want in enumerate(wants):
+            u = step(u, i * dt, dt, cfg)
+            assert same_bits(u, want)
+        t = 3 * dt
+        sym = frame_symbols(grid, t, box=True)
+        got = nonlinear_rhs(u, sym, grid, t)
+        assert np.max(np.abs(got)) > 0.0
+        assert same_bits(got, rotational_nonlinear_rhs(u, sym, grid, t))
+
+    @pytest.mark.parametrize("t", [0.0, 0.35])
+    def test_x_averaged_state(self, t):
+        u = random_box(GRID, np.random.default_rng(5))
+        u[:, 1:] = 0.0  # only the k = 0 modes
+        sym = frame_symbols(GRID, t, box=True)
+        assert same_bits(nonlinear_rhs(u, sym, GRID, t), rotational_nonlinear_rhs(u, sym, GRID, t))
+        ph = propagator(GRID, t, t + 0.1, 1e-2)
+        assert same_bits(ph(u), rotational_propagator(GRID, t, t + 0.1, 1e-2)(u))
+
+    @pytest.mark.parametrize("t", [0.0, 0.35, 7.9])
+    def test_signed_zeros(self, t):
+        rng = np.random.default_rng(9)
+        u = signed_zeros_box(GRID, rng)
+        assert np.any(np.signbit(u.real) & (u.real == 0.0))
+        sym = frame_symbols(GRID, t, box=True)
+        assert same_bits(nonlinear_rhs(u, sym, GRID, t), rotational_nonlinear_rhs(u, sym, GRID, t))
+        assert same_bits(leray_project_L(u.copy(), sym), psi_project_L(u.copy(), sym))
+        ph = propagator(GRID, t, t + 0.1, 1e-2)
+        assert same_bits(ph(u), rotational_propagator(GRID, t, t + 0.1, 1e-2)(u))
+
+    def test_signed_zeros_through_a_step(self, monkeypatch):
+        u = signed_zeros_box(GRID, np.random.default_rng(11))
+        cfg = SimConfig(nu=1e-2, grid=GRID, dt=0.05)
+        (want,) = self.oracle_steps(monkeypatch, u, cfg, 1)
+        assert same_bits(step(u, 0.0, 0.05, cfg), want)
+
+    @pytest.mark.parametrize("t", [0.0, 0.35, 7.9])
+    def test_projection_on_the_full_layout(self, t):
+        c = random_velocity(NONCUBIC, np.random.default_rng(13), project=False).coeffs
+        sym = frame_symbols(NONCUBIC, t)
+        got = leray_project_L(c.copy(), sym)
+        assert divergence_defect(VelocityField(NONCUBIC, got, t)) < 1e-12
+        assert same_bits(got, psi_project_L(c.copy(), sym))
 
 
 class TestStep:
@@ -944,9 +1032,28 @@ OPERATOR_CACHES = (
 )
 
 
-def counted_caches(monkeypatch):
-    """Each per-time operator cache rebuilt around a counter of its builds; returns the counts."""
+def counted_stacked_d(monkeypatch, builds, refs):
+    """``_Symbols.d``, which the cached symbols hold, rebuilt around a counter of its builds
+    in ``builds["d"]``; ``refs`` collects weak references to the arrays built."""
+    real = vars(simulation._Symbols)["d"].func
+
+    def build(sym):
+        builds["d"] += 1
+        out = real(sym)
+        refs.append(weakref.ref(out))
+        return out
+
+    counted = cached_property(build)
+    counted.__set_name__(simulation._Symbols, "d")
+    builds["d"] = 0
+    monkeypatch.setattr(simulation._Symbols, "d", counted)
+
+
+def counted_caches(monkeypatch, stacked=None):
+    """Each per-time operator cache, and the symbols' stacked d, rebuilt around a counter of
+    its builds; returns the counts.  ``stacked`` collects weak references to the d built."""
     builds = {}
+    counted_stacked_d(monkeypatch, builds, [] if stacked is None else stacked)
     for module, name in OPERATOR_CACHES:
         cached = getattr(module, name)
 
@@ -1013,13 +1120,15 @@ class TestLockstep:
             assert run_record(a) == run_record(b)
 
     def test_a_row_builds_each_operator_once(self, monkeypatch):
-        builds = counted_caches(monkeypatch)
-        sizes = []
+        stacked = []
+        builds = counted_caches(monkeypatch, stacked)
+        sizes, alive = [], []
         real_step = simulation.step
 
         def step(*a):
             out = real_step(*a)
             sizes.append([getattr(m, n).cache_info() for m, n in OPERATOR_CACHES])
+            alive.append(sum(ref() is not None for ref in stacked))
             return out
 
         monkeypatch.setattr(simulation, "step", step)
@@ -1033,14 +1142,22 @@ class TestLockstep:
         # three cells build each time's operators as often as one cell does
         assert counts[0] == counts[1]
         assert counts[0]["_propagator_coeffs"] == 2 * 100  # both half steps of each step
+        # for the curl and the projections at the stage times t + dt/2 and t + dt of each step
+        assert counts[0]["d"] >= 2 * 100
         # the caches hold one step's operators at most, whatever the horizon
         assert len(sizes) == 400
         assert all(info.currsize <= info.maxsize <= 4 for infos in sizes for info in infos)
+        assert max(alive) <= 4  # those of the cached symbols alone
 
-    def test_a_finished_run_holds_no_operators(self):
+    def test_a_finished_run_holds_no_operators(self, monkeypatch):
+        builds, stacked = {}, []
+        counted_stacked_d(monkeypatch, builds, stacked)
         results = run(self.cfgs([1.0, 10.0], t_end=0.2))
         assert all(r.status == "completed" for r in results)
         assert {c.__wrapped__.__name__ for c in simulation._TIME_CACHES} == {
             name for _, name in OPERATOR_CACHES
         }
         assert all(c.cache_info().currsize == 0 for c in simulation._TIME_CACHES)
+        # each stacked d went with the cached symbols that held it
+        gc.collect()
+        assert builds["d"] > 0 and all(ref() is None for ref in stacked)

@@ -19,6 +19,7 @@ from rotcouette.threshold import (
     ThresholdResult,
     _cell_seed,
     _repair_monotone,
+    _t975,
     classify_run,
     default_horizon,
     fit_gamma,
@@ -94,6 +95,22 @@ class TestRepairAndFit:
         gamma, ci = fit_gamma(nus, stars)
         assert gamma == pytest.approx(2.0, abs=1e-6)
         assert ci[0] <= 2.0 <= ci[1]
+
+    def test_t_quantile_matches_scipy(self):
+        from scipy.stats import t
+
+        dofs = np.arange(1, 201)
+        ours = np.array([_t975(int(n)) for n in dofs])
+        assert np.max(np.abs(ours / t.ppf(0.975, dofs) - 1.0)) <= 1.3e-3
+        assert ours[:2] == pytest.approx(t.ppf(0.975, [1, 2]), rel=1e-12)
+
+    def test_fit_gamma_interval_is_student_t(self):
+        x = np.log([1e-1, 1e-2, 1e-3])
+        y = 2.0 * x + np.array([0.0, 0.3, 0.0])
+        gamma, ci = fit_gamma(np.exp(x), np.exp(y))
+        resid = y - np.polyval(np.polyfit(x, y, 1), x)
+        se = math.sqrt(np.sum(resid**2) / np.sum((x - x.mean()) ** 2))  # one residual dof
+        assert ci == pytest.approx((gamma - 12.7062047 * se, gamma + 12.7062047 * se), rel=1e-7)
 
     def test_fit_gamma_two_points_has_no_interval(self, tmp_path):
         # no residual degree of freedom: a zero-width interval would claim certainty
