@@ -290,7 +290,8 @@ def _box_symbols(grid: GridSpec, t: float):
 # ``divergence_defect`` takes a ``VelocityField``.
 
 
-_STACKED_MODES = 5000  # modes per component up to which the stacked projection is the faster
+_STACKED_MODES = 5000  # below the stacked projection's measured crossovers, 5031 to 7560
+# modes per component (BENCH_stage_passes.json, "projection_paths")
 
 
 def leray_project_L(f: np.ndarray, sym) -> np.ndarray:
@@ -303,11 +304,10 @@ def leray_project_L(f: np.ndarray, sym) -> np.ndarray:
     where the count of array operations sets the cost, d . f, i d and
     (i d) psi are each taken on all components at once from the stacked
     ``sym.d``; above it, where memory traffic does, one component at a time
-    on the broadcast symbols (a 32x128x32 box, projected once per time as a
-    linear step does, took 1.2x as long stacked).  Both give every element
-    the operations, in the order, of the per-component formulas.  Folding
-    the two factors of i into a sign, f - d (d . f) / |d|^2, would give the
-    same values but other signed zeros.
+    on the broadcast symbols.  Both give every element the operations, in
+    the order, of the per-component formulas.  Folding the two factors of i
+    into a sign, f - d (d . f) / |d|^2, would give the same values but other
+    signed zeros.
     """
     k, etal, l, w = sym
     stacked = f[0].size <= _STACKED_MODES
