@@ -20,11 +20,16 @@ snapshot by ``_full`` as it writes it, as ``initial_condition`` is of ``_initial
 Advection is evaluated in rotational form on the physical grid and
 re-projected, which keeps it energy-neutral.  The box reaches the grid and
 comes back through dense partial DFTs over the retained modes alone, three
-matrix products each way (``_to_grid``, ``_to_box``): no FFT transforms the
-zero padding, and no mode outside the box is ever computed.  The curl, the
-cross product and the projection act on all components at once, on stacked
-arrays ordered so that each is a few array operations (``_Symbols``); every
-element sees the operations, in the order, of the per-component formulas.
+matrix products each way (``_to_grid``, ``_to_box``): y first, on the box
+before it is expanded, then x, then z.  No FFT transforms the zero padding,
+and no mode outside the box is ever computed.  The physical samples are
+field major, (n, Nx, Ny, Nz), so the cross product runs on whole field
+planes.  The curl, the cross product and the projection act on all
+components at once, on stacked arrays ordered so that each is a few array
+operations (``_Symbols``); every element sees the operations, in the order,
+of the per-component formulas.  Every large intermediate of a stage lives in
+one scratch workspace per grid (``_workspace``), which ``run`` frees with its
+operator caches, so a stage allocates only box-sized arrays.
 """
 
 from __future__ import annotations
@@ -329,33 +334,80 @@ def leray_project_L(f: np.ndarray, sym) -> np.ndarray:
     return f
 
 
+class _Workspace:
+    """Scratch arrays of the advection stage on one grid, written with ``out=``.
+
+    ``box`` holds the six fields of a stage and ``prod`` the cross product
+    with one field of scratch.  The transforms' buffers are flat and sized
+    for six fields; ``views(n)`` shapes their leading parts for n fields,
+    once per n, as the y step's box side (j leading) and grid side, the x
+    step's box side (k leading) and grid side, and the samples.  The forward
+    and the inverse transform share them step by step.
+    """
+
+    def __init__(self, grid: GridSpec):
+        (nx, ny, nz), (cx, cy, cz) = grid.shape, grid.dealias_cutoffs
+        nk, nj, nl = 2 * cx + 1, 2 * cy + 1, cz + 1
+        self.box = np.empty((6, nk, nj, nl), dtype=np.complex128)
+        self.prod = np.empty((4, nx, ny, nz))
+        self._shapes = lambda n: (
+            (nj, n, nk, nl), (ny, n, nk, nl), (n, nk, ny, nl), (n, nx, ny, nl), (n, nx, ny, nz)
+        )
+        self._flat = [np.empty(math.prod(s), dtype=np.complex128) for s in self._shapes(6)[:4]]
+        self._flat.append(np.empty(6 * grid.n_modes))
+        self._views: dict[int, tuple] = {}
+
+    def views(self, n: int) -> tuple:
+        """(j-leading box, y grid side, k-leading box, x grid side, samples) for n fields."""
+        if n not in self._views:
+            shapes = self._shapes(n)
+            self._views[n] = tuple(b[: math.prod(s)].reshape(s) for b, s in zip(self._flat, shapes))
+        return self._views[n]
+
+
+@_time_cache(maxsize=2)  # one grid per row; a second grid does not evict the first
+def _workspace(grid: GridSpec) -> _Workspace:
+    return _Workspace(grid)
+
+
 def _to_grid(c: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Physical samples, as (Ny, n, Nx, Nz), of n real fields given by their box amplitudes.
+    """Physical samples, as (n, Nx, Ny, Nz), of n <= 6 real fields given by their box amplitudes.
 
     The box c is (n, 2cx+1, 2cy+1, cz+1).  Partial DFTs over the retained
-    modes only, one axis at a time as matrix products: x, then y with j moved
-    to the front (one product), then the real step in z.
+    modes only, one axis at a time as matrix products: y on the box with j
+    moved to the front (one product), then x on each field, then the real
+    step in z.  The samples are the grid's workspace (``_workspace``), which
+    the next ``_to_grid`` on that grid overwrites.
     """
     ex, ey, az = _waves(grid, True).to_grid
-    n, nk, nj, nl = c.shape
-    g = (ex @ c.reshape(n, nk, nj * nl)).reshape(n, grid.Nx, nj, nl)
-    g = ey @ g.transpose(2, 0, 1, 3).reshape(nj, -1)
-    return (g.view(np.float64).reshape(-1, 2 * nl) @ az).reshape(grid.Ny, n, grid.Nx, grid.Nz)
+    n = len(c)
+    jb, yb, kb, xz, g = _workspace(grid).views(n)
+    nk, ny, nl = kb.shape[1:]
+    np.copyto(jb, c.transpose(2, 0, 1, 3))
+    np.matmul(ey, jb.reshape(len(jb), -1), out=yb.reshape(ny, -1))
+    np.copyto(kb, yb.transpose(1, 2, 0, 3))
+    np.matmul(ex, kb.reshape(n, nk, -1), out=xz.reshape(n, grid.Nx, -1))
+    np.matmul(xz.view(np.float64).reshape(-1, 2 * nl), az, out=g.reshape(-1, grid.Nz))
+    return g
 
 
 def _to_box(p: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Box amplitudes (n, 2cx+1, 2cy+1, cz+1) of physical samples p laid out as (Ny, n, Nx, Nz).
+    """Fresh box amplitudes (n, 2cx+1, 2cy+1, cz+1) of physical samples p, (n, Nx, Ny, Nz).
 
     The conjugate transposes of ``_to_grid``'s products in reverse order: z
-    (with the 1 / n_modes of the amplitudes), y, then x moved to the front.
-    Only the retained modes are computed; no padded spectrum is formed or cut.
+    (with the 1 / n_modes of the amplitudes), x on each field, then y with
+    the samples' y moved to the front.  Only the retained modes are
+    computed; no padded spectrum is formed or cut.
     """
     exh, eyh, bz = _waves(grid, True).to_box
-    ny, n, nx, nz = p.shape
-    nk, nj, nl = exh.shape[0], eyh.shape[0], bz.shape[1] // 2
-    h = (p.reshape(-1, nz) @ bz).view(np.complex128).reshape(ny, -1)
-    h = (eyh @ h).reshape(nj, n, nx, nl).transpose(2, 1, 0, 3).reshape(nx, -1)
-    return np.ascontiguousarray((exh @ h).reshape(nk, n, nj, nl).swapaxes(0, 1))
+    n = len(p)
+    jb, yb, kb, xz, _ = _workspace(grid).views(n)
+    nk, ny, nl = kb.shape[1:]
+    np.matmul(p.reshape(-1, grid.Nz), bz, out=xz.view(np.float64).reshape(-1, 2 * nl))
+    np.matmul(exh, xz.reshape(n, grid.Nx, -1), out=kb.reshape(n, nk, -1))
+    np.copyto(yb, kb.transpose(2, 0, 1, 3))
+    np.matmul(eyh, yb.reshape(ny, -1), out=jb.reshape(len(jb), -1))
+    return jb.transpose(1, 2, 0, 3).copy()
 
 
 def nonlinear_rhs(u: np.ndarray, sym, grid: GridSpec, t: float) -> np.ndarray:
@@ -365,24 +417,29 @@ def nonlinear_rhs(u: np.ndarray, sym, grid: GridSpec, t: float) -> np.ndarray:
     six fields (u2, u3, u1, w3, w1, w2) of u and w = curl_L u go to the
     physical grid by ``_to_grid``, the three products come back to the box by
     ``_to_box``, then ``leray_project_L`` with sym = ``frame_symbols(grid, t,
-    box=True)``.  In that order the curl is i (d u_rot - d_rot u) and the
-    cross product (v2 w3, v3 w1, v1 w2) - (v3 w2, v1 w3, v2 w1), each a few
-    operations on stacked arrays, with d and d_rot from ``sym.d``.
+    box=True)``.  In that order the curl is i (d u_rot - d_rot u), a few
+    operations on stacked arrays with d and d_rot from ``sym.d``, and the
+    cross product is (v2 w3, v3 w1, v1 w2), one product of whole field
+    planes, less (v3 w2, v1 w3, v2 w1), one plane at a time.  The six
+    fields, the samples and the products are the grid's workspace
+    (``_workspace``).
     With 3 kc < N no alias lands in the box, and P_L annihilates the gradient
     grad_L |u|^2 / 2 that separates the forms.
     """
     d = sym.d
-    c = np.empty((6,) + u.shape[1:], dtype=np.complex128)
+    ws = _workspace(grid)
+    c = ws.box
     np.take(u, [1, 2, 0], axis=0, out=c[:3])
     np.multiply(d[:3], c[:3], out=c[3:])
     c[3:] -= d[1:] * u
     c[3:] *= 1j
     g = _to_grid(c, grid)
-    prod = g[:, :3] * g[:, 3:]
-    prod[:, :2] -= g[:, 1:3] * g[:, 5:2:-2]
-    prod[:, 2] -= g[:, 0] * g[:, 4]
-    a = _to_box(prod, grid)
-    if not np.isfinite(a).all():
+    prod = ws.prod
+    np.multiply(g[:3], g[3:], out=prod[:3])
+    for p, (i, j) in zip(prod, ((1, 5), (2, 3), (0, 4))):
+        p -= np.multiply(g[i], g[j], out=prod[3])
+    a = _to_box(prod[:3], grid)
+    if not np.isfinite(a.view(np.float64)).all():
         raise BlowUpError("non-finite values in the advection term", time=t)
     return leray_project_L(a, sym)
 
@@ -653,14 +710,14 @@ def run(cfgs: Sequence[SimConfig]) -> list[RunResult]:
     Each round every live run takes one step through its own ``step`` call; a
     run builds its initial condition just before its first step.  Runs on one
     grid with the same nu and dt share the cached symbols, propagators and
-    ledger weights of each time; the caches hold about one step's operators,
-    so a row builds each of them once, and ``run`` empties them when it
-    returns.  Each run (``_advance``) reports a diagnostic row every
-    ``diag_every`` steps and at t = 0 and the end, keeps snapshots at the
-    ``snapshot_every`` cadence, and turns a blow-up into a ``blown_up`` result
-    with its time.  Any other exception ends its run alone, as an ``error``
-    result holding it.  Each result is the one its configuration gives when
-    run alone.
+    ledger weights of each time, and runs on one grid the stage workspace;
+    the caches hold about one step's operators, so a row builds each of them
+    once, and ``run`` empties them when it returns.  Each run
+    (``_advance``) reports a diagnostic row every ``diag_every`` steps and at
+    t = 0 and the end, keeps snapshots at the ``snapshot_every`` cadence, and
+    turns a blow-up into a ``blown_up`` result with its time.  Any other
+    exception ends its run alone, as an ``error`` result holding it.  Each
+    result is the one its configuration gives when run alone.
     """
     results = [RunResult(cfg=cfg) for cfg in cfgs]
     live = [(res, _advance(res)) for res in results]
@@ -673,7 +730,8 @@ def run(cfgs: Sequence[SimConfig]) -> list[RunResult]:
             except Exception as exc:  # it ends this run alone
                 res.status, res.error = "error", exc
         live = going
-    for cache in _TIME_CACHES:  # what follows a run need not hold a step's operators (~5 MiB on 32x128x32)
+    for cache in _TIME_CACHES:  # what follows a run need not hold a step's operators and workspace
+        # (~5 and 25 MiB on 32x128x32)
         cache.cache_clear()
     return results
 

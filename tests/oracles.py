@@ -637,21 +637,23 @@ def two_multiply_apply(coeffs):
 def rotational_nonlinear_rhs(u, sym, grid: GridSpec, t: float):
     """``nonlinear_rhs`` one component at a time: the curl, the cross product and ``psi_project_L``.
 
-    The same transforms as the package, so its stacked operators must match
-    this bit for bit.
+    The same transforms as the package, with the six fields in its order
+    (u2, u3, u1, w3, w1, w2): a BLAS product may round a column by its
+    position in the matrix, so the fields must sit where the package puts
+    them.  Its stacked operators must then match this bit for bit.
     """
     k, etal, l, _ = sym
     u1, u2, u3 = u
     c = np.empty((6,) + u.shape[1:], dtype=np.complex128)
-    c[:3] = u
-    np.multiply(1j, etal * u3 - l * u2, out=c[3])
-    np.multiply(1j, l * u1 - k * u3, out=c[4])
-    np.multiply(1j, k * u2 - etal * u1, out=c[5])
-    v1, v2, v3, o1, o2, o3 = _to_grid(c, grid).swapaxes(0, 1)
-    prod = np.empty((grid.Ny, 3, grid.Nx, grid.Nz))
-    np.subtract(v2 * o3, v3 * o2, out=prod[:, 0])
-    np.subtract(v3 * o1, v1 * o3, out=prod[:, 1])
-    np.subtract(v1 * o2, v2 * o1, out=prod[:, 2])
+    c[:3] = u2, u3, u1
+    np.multiply(1j, k * u2 - etal * u1, out=c[3])
+    np.multiply(1j, etal * u3 - l * u2, out=c[4])
+    np.multiply(1j, l * u1 - k * u3, out=c[5])
+    v2, v3, v1, o3, o1, o2 = _to_grid(c, grid)
+    prod = np.empty((3,) + grid.shape)
+    np.subtract(v2 * o3, v3 * o2, out=prod[0])
+    np.subtract(v3 * o1, v1 * o3, out=prod[1])
+    np.subtract(v1 * o2, v2 * o1, out=prod[2])
     a = _to_box(prod, grid)
     if not np.isfinite(a).all():
         raise BlowUpError("non-finite values in the advection term", time=t)

@@ -3,6 +3,7 @@
 import gc
 import math
 import sys
+import tracemalloc
 import weakref
 from dataclasses import replace
 from functools import cached_property, lru_cache
@@ -458,11 +459,11 @@ class TestNonlinearRhs:
                         at.append((-k % grid.Nx, -j % grid.Ny, 0))
                     for i in at:
                         c[(0,) + tuple(int(np.flatnonzero(a == n)[0]) for a, n in zip(axes, i))] = 1.0
-                    phase = (k * x[None, :, None] + grid.eta_spacing * j * y[:, None, None]
+                    phase = (k * x[:, None, None] + grid.eta_spacing * j * y[None, :, None]
                              + l * z[None, None, :])
                     got = simulation._to_grid(c, grid)
-                    assert got.shape == (grid.Ny, 1, grid.Nx, grid.Nz)
-                    assert np.max(np.abs(got[:, 0] - 2.0 * np.cos(phase))) <= 1e-13
+                    assert got.shape == (1, grid.Nx, grid.Ny, grid.Nz)
+                    assert np.max(np.abs(got[0] - 2.0 * np.cos(phase))) <= 1e-13
                     assert np.max(np.abs(simulation._to_box(got, grid) - c)) <= 1e-13
 
     def test_makes_no_fft_call(self, monkeypatch):
@@ -557,6 +558,59 @@ class TestStackedOperatorsKeepBytes:
         got = leray_project_L(c.copy(), sym)
         assert divergence_defect(VelocityField(NONCUBIC, got, t)) < 1e-12
         assert same_bits(got, psi_project_L(c.copy(), sym))
+
+
+class TestWorkspace:
+    """The stage's scratch arrays are one workspace per grid (``simulation._workspace``):
+    what a call returns is its own, whatever runs after it, on any grid."""
+
+    GRIDS = {"8x16x8": GRID, "6x24x10": NONCUBIC, "4x8x4": GridSpec(4, 8, 4, Ly=8.0)}
+
+    def calls(self, name, n=3):
+        """n (box, symbols, time) inputs on one grid."""
+        grid, rng = self.GRIDS[name], np.random.default_rng(len(name))
+        return [(random_box(grid, rng), frame_symbols(grid, 0.25 * i, box=True), grid, 0.25 * i)
+                for i in range(n)]
+
+    def test_a_result_outlives_later_calls(self):
+        first = {}
+        for name in ("8x16x8", "6x24x10"):
+            a, b = [nonlinear_rhs(*x) for x in self.calls(name, 2)]
+            assert not np.shares_memory(a, b) and a.flags.c_contiguous
+            first[name] = a, a.copy()
+        for name in ("6x24x10", "8x16x8", "4x8x4"):  # a third grid evicts a workspace
+            for x in self.calls(name):
+                nonlinear_rhs(*x)
+        for got, kept in first.values():
+            assert same_bits(got, kept)
+
+    def test_alternating_grids_repeat_each_grid_alone(self):
+        inputs = {name: self.calls(name) for name in self.GRIDS}
+        alone = {}
+        for name, xs in inputs.items():
+            simulation._workspace.cache_clear()
+            alone[name] = [nonlinear_rhs(*x) for x in xs]
+        simulation._workspace.cache_clear()
+        for i in range(3):
+            for name in ("8x16x8", "6x24x10", "8x16x8", "4x8x4", "6x24x10"):
+                assert same_bits(nonlinear_rhs(*inputs[name][i]), alone[name][i])
+
+    @pytest.mark.parametrize(
+        "grid", [GridSpec(16, 64, 16, Ly=8.0), GRID], ids=["16x64x16", "8x16x8"]
+    )
+    def test_a_warm_call_allocates_less_than_the_physical_fields(self, grid):
+        u = random_box(grid, np.random.default_rng(17))
+        sym = frame_symbols(grid, 0.3, box=True)
+        want = nonlinear_rhs(u, sym, grid, 0.3)  # builds the workspace and sym.d
+        tracemalloc.start()
+        try:
+            got = nonlinear_rhs(u, sym, grid, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert same_bits(got, want)
+        # the six physical fields alone are 6 Nx Ny Nz doubles; only box-sized arrays are new
+        assert peak < 6 * grid.n_modes * 8
 
 
 class TestStep:
@@ -1028,6 +1082,7 @@ class TestRunCarriesTheBox:
 OPERATOR_CACHES = (
     (simulation, "_box_symbols"),
     (simulation, "_propagator_coeffs"),
+    (simulation, "_workspace"),
     (diagnostics, "_ledger_weights"),
 )
 
@@ -1051,8 +1106,9 @@ def counted_stacked_d(monkeypatch, builds, refs):
 
 def counted_caches(monkeypatch, stacked=None):
     """Each per-time operator cache, and the symbols' stacked d, rebuilt around a counter of
-    its builds; returns the counts.  ``stacked`` collects weak references to the d built."""
-    builds = {}
+    its builds; returns the counts.  ``stacked`` collects weak references to the d built.
+    ``run`` empties the counted caches when it returns, as it does the real ones."""
+    builds, counted = {}, []
     counted_stacked_d(monkeypatch, builds, [] if stacked is None else stacked)
     for module, name in OPERATOR_CACHES:
         cached = getattr(module, name)
@@ -1062,7 +1118,9 @@ def counted_caches(monkeypatch, stacked=None):
             return _fn(*key)
 
         builds[name] = 0
-        monkeypatch.setattr(module, name, lru_cache(maxsize=cached.cache_info().maxsize)(build))
+        counted.append(lru_cache(maxsize=cached.cache_info().maxsize)(build))
+        monkeypatch.setattr(module, name, counted[-1])
+    monkeypatch.setattr(simulation, "_TIME_CACHES", counted)
     return builds
 
 
@@ -1142,6 +1200,7 @@ class TestLockstep:
         # three cells build each time's operators as often as one cell does
         assert counts[0] == counts[1]
         assert counts[0]["_propagator_coeffs"] == 2 * 100  # both half steps of each step
+        assert counts[0]["_workspace"] == 1  # one grid, so one workspace for the whole row
         # for the curl and the projections at the stage times t + dt/2 and t + dt of each step
         assert counts[0]["d"] >= 2 * 100
         # the caches hold one step's operators at most, whatever the horizon
@@ -1150,14 +1209,24 @@ class TestLockstep:
         assert max(alive) <= 4  # those of the cached symbols alone
 
     def test_a_finished_run_holds_no_operators(self, monkeypatch):
-        builds, stacked = {}, []
+        builds, stacked, spaces = {}, [], []
         counted_stacked_d(monkeypatch, builds, stacked)
+        real_step = simulation.step
+
+        def step(u, t, dt, cfg):
+            out = real_step(u, t, dt, cfg)
+            spaces.append(weakref.ref(simulation._workspace(cfg.grid)))
+            return out
+
+        monkeypatch.setattr(simulation, "step", step)
         results = run(self.cfgs([1.0, 10.0], t_end=0.2))
         assert all(r.status == "completed" for r in results)
         assert {c.__wrapped__.__name__ for c in simulation._TIME_CACHES} == {
             name for _, name in OPERATOR_CACHES
         }
         assert all(c.cache_info().currsize == 0 for c in simulation._TIME_CACHES)
-        # each stacked d went with the cached symbols that held it
+        # each stacked d went with the cached symbols that held it, and the
+        # workspace that the steps shared went with its cache
         gc.collect()
         assert builds["d"] > 0 and all(ref() is None for ref in stacked)
+        assert len(spaces) == 2 * 4 and all(ref() is None for ref in spaces)
