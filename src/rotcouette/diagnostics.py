@@ -170,21 +170,42 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i->", a.ravel(), b.ravel()))
 
 
-@_time_cache(maxsize=2)  # the row time of a lockstep round, and the next
-def _ledger_weights(grid: GridSpec, nu: float, t: float) -> tuple:
-    """M^2, -Mdot/M and m on the k != 0 rows of the box, and w on its k = 0 plane.
+# the norms of the k = 0 plane, in the order of ``_ledger_constants``' plane weights
+_PLANE_NORMS = ("Q0_{}_HN", "grad_Q0_{}_HN", "U0_{}_HNm1", "grad_U0_{}_HNm1")
 
-    Read-only.  The plane's w is 0 at the mean mode, not the unit-safe 1 of
-    ``frame_symbols``, since grad_U0 must not count the mean mode.
+
+@_time_cache(maxsize=2)  # one (grid, nu, sigma) per row; a second does not evict the first
+def _ledger_constants(grid: GridSpec, nu: float, N: float) -> tuple:
+    """The ledger's time-independent weights, built once per run: read-only.
+
+    The constants of m, M and -Mdot M on the k != 0 rows of the box
+    (``_kernels.weight_constants``), and the four weights of the k = 0
+    plane, where w = eta^2 + l^2 has no t: hsN w^2 and hsN w^3 for Q0 and
+    its gradient, hsNm1 and hsNm1 w for U0 and its gradient.  The plane's w
+    is 0 at the mean mode, not the unit-safe 1 of ``frame_symbols``, since
+    grad_U0 must not count the mean mode.
     """
     wv = _waves(grid, True)
-    k = wv.k[1:]
-    M2 = _kernels.M_values(t, k, wv.eta, wv.l, nu)[..., 0] ** 2
-    dmm = _kernels.neg_MdotM_values(t, k, wv.eta, wv.l, nu)[..., 0]
-    m = _kernels.m_values(t, k, wv.eta, wv.l, nu)
-    w0 = frame_symbols(grid, t, box=True)[3][0].copy()
+    w0 = (wv.k2[:1] + wv.eta * wv.eta + wv.l2)[0]  # the frame symbol's w on the plane, at any t
     w0[0, 0] = 0.0
-    weights = (M2, dmm, m, w0)
+    hq = _box_sobolev_weights(grid, N)[0] * w0 * w0
+    hsNm1 = _box_sobolev_weights(grid, N - 1.0)[0]
+    plane = (hq, hq * w0, hsNm1, hsNm1 * w0)
+    for a in plane:
+        a.flags.writeable = False
+    return _kernels.weight_constants(wv.k[1:], wv.eta, wv.l, nu), plane
+
+
+@_time_cache(maxsize=2)  # the row time of a lockstep round, and the next
+def _ledger_weights(grid: GridSpec, nu: float, N: float, t: float) -> tuple:
+    """M^2 and -Mdot M = M^2 nu^{1/3} / (1 + x^2), as (nk-1, nj), and m on the k != 0 rows of the box.
+
+    Only what depends on t is computed here, from ``_ledger_constants`` and
+    the box's frame symbol w(t).  Read-only.
+    """
+    consts, _ = _ledger_constants(grid, nu, N)
+    M2, dmm, m = _kernels.weights(consts, t, frame_symbols(grid, t, box=True)[3][1:])
+    weights = (M2[..., 0], dmm[..., 0], m)
     for a in weights:
         a.flags.writeable = False
     return weights
@@ -200,7 +221,7 @@ def bootstrap_report(box: np.ndarray, t: float, cfg: SimConfig, acc: Accumulator
     weighted sum of one power spectrum P_i = |c_i|^2, since |K1|^2 =
     |k,l|^2 w P1, |K2|^2 = k^2 w P2 and |Q_i|^2 = w^2 P_i; an
     l > 0 mode counts twice, for itself and its reflection, whose weights
-    are equal, and the l = 0 plane, stored whole, once.  M^2 and -Mdot/M
+    are equal, and the l = 0 plane, stored whole, once.  M^2 and -Mdot M
     have no l, so each k != 0 family (K1, K2, m Q3) takes one product with
     the Sobolev weight, one sum over l and dot products over (k, eta); the
     x-averaged norms are taken on the k = 0 plane alone.
@@ -213,9 +234,8 @@ def bootstrap_report(box: np.ndarray, t: float, cfg: SimConfig, acc: Accumulator
     grid = cfg.grid
     N = cfg.N
     sym = frame_symbols(grid, t, box=True)
-    M2, dmm, m, w0 = _ledger_weights(grid, cfg.nu, t)
-    hsN = _box_sobolev_weights(grid, N)
-    hsNm1 = _box_sobolev_weights(grid, N - 1.0)
+    M2, dmm, m = _ledger_weights(grid, cfg.nu, N, t)
+    plane = _ledger_constants(grid, cfg.nu, N)[1]
     P = box.real**2 + box.imag**2
     P[..., 1:] *= 2.0
 
@@ -227,13 +247,13 @@ def bootstrap_report(box: np.ndarray, t: float, cfg: SimConfig, acc: Accumulator
     # k != 0: rows 1.. of the box
     wv = _waves(grid, True)
     wn = sym[3][1:]
-    h = hsN[1:]
+    h = _box_sobolev_weights(grid, N)[1:]
     P1, P2, P3 = P[:, 1:]
     hw = h * wn
     hwP1 = hw * P1
     hwP2 = hw * P2
     families = (  # hsN times |K1|^2, |K2|^2 and |m Q3|^2
-        ("MK1_neq_HN", "dMM_K1_HN", "gradL_MK1_HN", hwP1 * (wv.k2[1:] + wv.l2)),
+        ("MK1_neq_HN", "dMM_K1_HN", "gradL_MK1_HN", hwP1 * wv.kl2[1:]),
         ("MK2_neq_HN", "dMM_K2_HN", "gradL_MK2_HN", hwP2 * wv.k2[1:]),
         ("mMQ3_neq_HN", "dMM_mQ3_HN", "gradL_mMQ3_HN", h * (m * wn) ** 2 * P3),
     )
@@ -256,15 +276,8 @@ def bootstrap_report(box: np.ndarray, t: float, cfg: SimConfig, acc: Accumulator
     norms["gradL_U12_neq_HN"] = norm(float(hwP1.sum() + hwP2.sum()))
 
     # k = 0: the x-averaged plane, where w = eta^2 + l^2
-    hq = hsN[0] * w0 * w0
-    weights0 = {
-        "Q0_{}_HN": hq,
-        "grad_Q0_{}_HN": hq * w0,
-        "U0_{}_HNm1": hsNm1[0],
-        "grad_U0_{}_HNm1": hsNm1[0] * w0,
-    }
     for i, p in enumerate(P, start=1):
-        for name, weight in weights0.items():
+        for name, weight in zip(_PLANE_NORMS, plane):
             norms[name.format(i)] = norm(_dot(weight, p[0]))
 
     norms["div_defect"] = _divergence_max(box, sym)

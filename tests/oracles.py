@@ -7,9 +7,11 @@ shortcuts, the linear generator instead of its exact propagator, plain
 mode loops instead of vectorised norms, one ``repr`` per CSV field
 instead of deduplicated string tables, the half-spectrum stepper with
 dealias masks instead of the one on the retained box, and the initial
-condition and Sobolev norms on the full layout instead of the box, and
-the per-component curl, cross product, projection and propagator rows
-instead of the stacked ones (``rotational_nonlinear_rhs``).
+condition and Sobolev norms on the full layout instead of the box, the
+per-component curl, cross product, projection and propagator rows
+instead of the stacked ones (``rotational_nonlinear_rhs``), and the
+weights m, M and -Mdot M as one expression per time (``m_values``,
+``M_values``, ``neg_MdotM_values``) instead of per-run constants.
 ``full_step`` is no oracle: it runs the package's box stepper on a
 full-layout field.
 
@@ -31,10 +33,9 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import expm
 
-from rotcouette import _kernels
 from rotcouette.diagnostics import EnergyReport, compute_K_check
 from rotcouette.linear import ModeStateK, _require_nonzero_k, evolve_K_closed
-from rotcouette.multipliers import M_closed, M_log_derivative, m_exact
+from rotcouette.multipliers import WINDOW, M_closed, M_log_derivative, m_exact
 from rotcouette.simulation import (
     BlowUpError,
     VelocityField,
@@ -400,17 +401,69 @@ def row_by_row_snapshot_csv(path, U: VelocityField, nu: float) -> Path:
     return path
 
 
+def _ratio(k, eta):
+    """eta/k where k != 0 (0 elsewhere), with the k != 0 mask."""
+    nonzero = k != 0
+    return nonzero, np.where(nonzero, eta / np.where(nonzero, k, 1.0), 0.0)
+
+
+def m_values(t, k, eta, l, nu):
+    """The stretching weight m over broadcast mode arrays, in one expression per time.
+
+    The reference for ``_kernels.weights``, which splits it into constants
+    and a per-time evaluation.
+    """
+    lw = WINDOW * nu ** (-1.0 / 3.0)
+    nonzero, ratio = _ratio(k, eta)
+    wt = k * k + (eta - k * t) ** 2 + l * l
+    w_end = k * k + (WINDOW * k) ** 2 * nu ** (-2.0 / 3.0) + l * l
+    w0 = k * k + eta * eta + l * l
+    kl2 = k * k + l * l
+    tend = ratio + lw
+
+    neg = nonzero & (ratio > -lw) & (ratio < 0.0)
+    pos = nonzero & (ratio >= 0.0)
+    safe_wt = np.where(wt > 0.0, wt, 1.0)
+    safe_end = np.where(w_end > 0.0, w_end, 1.0)
+    out = np.where(neg, np.where(t < tend, w0 / safe_wt, w0 / safe_end), 1.0)
+    return np.where(
+        pos,
+        np.where(t < ratio, 1.0, np.where(t < tend, kl2 / safe_wt, kl2 / safe_end)),
+        out,
+    )
+
+
+def _M(t, nonzero, ratio, third):
+    expo = -(np.arctan(third * (t - ratio)) + np.arctan(third * ratio))
+    return np.where(nonzero, np.exp(expo), 1.0)
+
+
+def M_values(t, k, eta, l, nu):
+    """The ghost weight M over broadcast mode arrays; the reference for ``_kernels.weights``."""
+    nonzero, ratio = _ratio(k, eta)
+    return _M(t, nonzero, ratio, nu ** (1.0 / 3.0))
+
+
+def neg_MdotM_values(t, k, eta, l, nu):
+    """-Mdot M over broadcast mode arrays; the reference for ``_kernels.weights``."""
+    nonzero, ratio = _ratio(k, eta)
+    third = nu ** (1.0 / 3.0)
+    M = _M(t, nonzero, ratio, third)
+    x = third * (t - ratio)
+    return np.where(nonzero, M * M * third / (1.0 + x * x), 0.0)
+
+
 def _weighted_norm(grid: GridSpec, coeffs: np.ndarray, weight_sq) -> float:
     power = coeffs.real**2 + coeffs.imag**2
     return float(np.sqrt(np.sum(weight_sq * power) * grid.cell_measure))
 
 
 def _multiplier_grids(grid: GridSpec, t: float, nu: float):
-    """m over the coefficient layout; M and -Mdot/M, which have no l, as (Nx,Ny,1)."""
+    """m over the coefficient layout; M and -Mdot M, which have no l, as (Nx,Ny,1)."""
     wv = _waves(grid, False)
-    m = _kernels.m_values(t, wv.k, wv.eta, wv.l, nu)
-    M = _kernels.M_values(t, wv.k, wv.eta, wv.l, nu)
-    dmm = _kernels.neg_MdotM_values(t, wv.k, wv.eta, wv.l, nu)
+    m = m_values(t, wv.k, wv.eta, wv.l, nu)
+    M = M_values(t, wv.k, wv.eta, wv.l, nu)
+    dmm = neg_MdotM_values(t, wv.k, wv.eta, wv.l, nu)
     return m, M, dmm
 
 

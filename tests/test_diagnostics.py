@@ -6,20 +6,24 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from rotcouette import diagnostics, simulation
 from rotcouette.diagnostics import (
     Accumulators,
     bootstrap_report,
     compute_K_check,
 )
-from rotcouette.multipliers import M_closed, m_exact
+from rotcouette.multipliers import WINDOW, M_closed, m_exact
 from rotcouette.reporting import energy_columns, write_snapshot_csv
 from rotcouette.simulation import SimConfig, VelocityField, _box, _full, initial_condition
 from rotcouette.spectral import GridSpec, WaveVector
 
 from oracles import (
+    M_values,
     compute_Q,
     full_step,
+    m_values,
     neg_MdotM,
+    neg_MdotM_values,
     reference_bootstrap_report,
     run_one,
     slow_weighted_norm,
@@ -235,6 +239,44 @@ class TestBootstrapReport:
             eps_star = lhs / (8.0 * size)
             assert rows(eps_star * (1.0 - 1e-6))[-1].flags[flag], flag
             assert not rows(eps_star * (1.0 + 1e-6))[-1].flags[flag], flag
+
+
+class TestLedgerWeights:
+    """The ledger's weights from per-run constants equal the one-expression oracle bit for bit."""
+
+    TIMES = (0.0, 0.01, 0.37, 1.0, 5.0, 50.0, 1e3, 2e5, 1e7)
+
+    @pytest.fixture(autouse=True)
+    def empty_caches(self):
+        yield
+        for cache in simulation._TIME_CACHES:
+            cache.cache_clear()
+
+    @pytest.mark.parametrize("nu", [5e-2, 1e-2, 1e-3, 1e-6])
+    @pytest.mark.parametrize(
+        "grid",
+        [GRID, GridSpec(16, 64, 16, Ly=8.0), GridSpec(32, 128, 32, Ly=8.0), GridSpec(6, 24, 10, Ly=3.0)],
+        ids=["8x16x8", "16x64x16", "32x128x32", "6x24x10"],
+    )
+    def test_weights_match_oracle_bit_for_bit(self, grid, nu):
+        wv = simulation._waves(grid, True)
+        k = wv.k[1:]
+        # m's window opens and closes exactly at these: t = eta/k of a mode, and eta/k + lw
+        lw = WINDOW * nu ** (-1.0 / 3.0)
+        opens = float(wv.eta[0, 1, 0] / k[0, 0, 0])
+        closes = [r + lw for r in (opens, -opens)]
+        N = SimConfig(nu=nu, grid=grid).N
+        for t in self.TIMES + (opens, *closes):
+            got = diagnostics._ledger_weights(grid, nu, N, t)
+            want = (
+                M_values(t, k, wv.eta, wv.l, nu)[..., 0] ** 2,
+                neg_MdotM_values(t, k, wv.eta, wv.l, nu)[..., 0],
+                m_values(t, k, wv.eta, wv.l, nu),
+            )
+            for name, a, b in zip(("M2", "neg_MdotM", "m"), got, want):
+                assert a.shape == b.shape
+                bits = [np.ascontiguousarray(x).view(np.int64) for x in (a, b)]
+                assert np.array_equal(*bits), (name, t)
 
 
 def _random_box(grid, seed):

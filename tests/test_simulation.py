@@ -1083,6 +1083,7 @@ OPERATOR_CACHES = (
     (simulation, "_box_symbols"),
     (simulation, "_propagator_coeffs"),
     (simulation, "_workspace"),
+    (diagnostics, "_ledger_constants"),
     (diagnostics, "_ledger_weights"),
 )
 
@@ -1201,6 +1202,8 @@ class TestLockstep:
         assert counts[0] == counts[1]
         assert counts[0]["_propagator_coeffs"] == 2 * 100  # both half steps of each step
         assert counts[0]["_workspace"] == 1  # one grid, so one workspace for the whole row
+        assert counts[0]["_ledger_constants"] == 1  # and one (grid, nu, sigma), so one set of constants
+        assert counts[0]["_ledger_weights"] == 100 // 5 + 1  # one per row time
         # for the curl and the projections at the stage times t + dt/2 and t + dt of each step
         assert counts[0]["d"] >= 2 * 100
         # the caches hold one step's operators at most, whatever the horizon
