@@ -29,7 +29,10 @@ components at once, on stacked arrays ordered so that each is a few array
 operations (``_Symbols``); every element sees the operations, in the order,
 of the per-component formulas.  Every large intermediate of a stage lives in
 one scratch workspace per grid (``_workspace``), which ``run`` frees with its
-operator caches, so a stage allocates only box-sized arrays.
+operator caches, so a stage allocates only box-sized arrays.  The workspace is
+the stage's plan: it holds the operands of every product, shaped once per grid
+and field count, so a stage makes one workspace lookup and then only
+arithmetic calls.
 """
 
 from __future__ import annotations
@@ -273,6 +276,16 @@ class _Symbols(tuple):
         d.flags.writeable = False
         return d
 
+    @cached_property
+    def dvec(self) -> np.ndarray:
+        """d[:3], the planes (k, eta - k t, l), as a view kept beside d."""
+        return self.d[:3]
+
+    @cached_property
+    def drot(self) -> np.ndarray:
+        """d[1:], the rotation (eta - k t, l, k), as a view kept beside d."""
+        return self.d[1:]
+
 
 def _symbols(wv: _Waves, t: float) -> _Symbols:
     etal = wv.eta - wv.k * t
@@ -317,7 +330,7 @@ def leray_project_L(f: np.ndarray, sym) -> np.ndarray:
     k, etal, l, w = sym
     stacked = f[0].size <= _STACKED_MODES
     if stacked:
-        p = sym.d[:3] * f
+        p = sym.dvec * f
         psi = p[0] + p[1]
         psi += p[2]
     else:
@@ -326,7 +339,7 @@ def leray_project_L(f: np.ndarray, sym) -> np.ndarray:
     psi /= w
     psi[0, 0, 0] = 0.0
     if stacked:
-        np.multiply(1j, sym.d[:3], out=p)
+        np.multiply(1j, sym.dvec, out=p)
         f += np.multiply(p, psi, out=p)
     else:
         for fi, di in zip(f, (k, etal, l)):
@@ -334,35 +347,87 @@ def leray_project_L(f: np.ndarray, sym) -> np.ndarray:
     return f
 
 
-class _Workspace:
-    """Scratch arrays of the advection stage on one grid, written with ``out=``.
+class _Plan:
+    """The operands of both transforms for n fields, shaped once as views of the workspace.
 
-    ``box`` holds the six fields of a stage and ``prod`` the cross product
-    with one field of scratch.  The transforms' buffers are flat and sized
-    for six fields; ``views(n)`` shapes their leading parts for n fields,
-    once per n, as the y step's box side (j leading) and grid side, the x
-    step's box side (k leading) and grid side, and the samples.  The forward
-    and the inverse transform share them step by step.
+    Named by step: the y step's box side (``jb``, j leading; ``jb2`` for the
+    product, ``jb_box`` in box order) and grid side (``yb``, ``yb2``, and
+    ``yb_k`` k leading), the x step's box side (``kb``, ``kb3``, ``kb_j`` j
+    leading) and grid side (``xz3``, and ``xz_re``, its real (re, im) pairs
+    for the z step), and the samples (``g``, ``g2``).  The forward and the
+    inverse transform share them step by step.
+    """
+
+    def __init__(self, flat: list, shapes: tuple, wv: _Waves):
+        self.ex, self.ey, self.az = wv.to_grid
+        self.exh, self.eyh, self.bz = wv.to_box
+        jb, yb, kb, xz, g = (f[: math.prod(s)].reshape(s) for f, s in zip(flat, shapes))
+        self.jb, self.jb2, self.jb_box = jb, jb.reshape(len(jb), -1), jb.transpose(1, 2, 0, 3)
+        self.yb, self.yb2, self.yb_k = yb, yb.reshape(len(yb), -1), yb.transpose(1, 2, 0, 3)
+        self.kb, self.kb3, self.kb_j = kb, kb.reshape(kb.shape[:2] + (-1,)), kb.transpose(2, 0, 1, 3)
+        self.xz3 = xz.reshape(xz.shape[:2] + (-1,))
+        self.xz_re = xz.view(np.float64).reshape(-1, len(self.az))
+        self.g, self.g2 = g, g.reshape(-1, g.shape[-1])
+
+    def to_grid(self, c_j: np.ndarray) -> np.ndarray:
+        """``_to_grid`` of a box given as its (j, n, k, l) view c_j; returns ``g``."""
+        np.copyto(self.jb, c_j)
+        np.matmul(self.ey, self.jb2, out=self.yb2)
+        np.copyto(self.kb, self.yb_k)
+        np.matmul(self.ex, self.kb3, out=self.xz3)
+        np.matmul(self.xz_re, self.az, out=self.g2)
+        return self.g
+
+    def to_box(self, p2: np.ndarray) -> np.ndarray:
+        """``_to_box`` of samples given as their (n Nx Ny, Nz) view p2, as a fresh box."""
+        np.matmul(p2, self.bz, out=self.xz_re)
+        np.matmul(self.exh, self.xz3, out=self.kb3)
+        np.copyto(self.yb, self.kb_j)
+        np.matmul(self.eyh, self.yb2, out=self.jb2)
+        return self.jb_box.copy()
+
+
+class _Workspace:
+    """The advection stage's plan on one grid: its scratch arrays and every operand, shaped once.
+
+    ``box`` holds the six fields of a stage: (u2, u3, u1) in ``u_rot``, as
+    ``u.take`` puts them there by the index ``rot``, and the curl in ``w``;
+    ``box_j`` is its view for the y step and ``curl`` box-sized scratch for
+    the curl's d_rot u.  The transforms' buffers are flat and sized for six
+    fields; ``plan(n)`` shapes their leading parts for n fields once per n
+    (``_Plan``), and ``six`` and ``three`` are the stage's two plans.
+    ``prod`` holds the cross product in ``prod_v`` and one field of scratch
+    in ``prod_s``, with ``samples`` its view for the z step; ``g_v``, ``g_w``
+    and the triples of ``cross`` are its operands, planes of ``six.g``.
     """
 
     def __init__(self, grid: GridSpec):
         (nx, ny, nz), (cx, cy, cz) = grid.shape, grid.dealias_cutoffs
         nk, nj, nl = 2 * cx + 1, 2 * cy + 1, cz + 1
         self.box = np.empty((6, nk, nj, nl), dtype=np.complex128)
+        self.u_rot, self.w, self.box_j = self.box[:3], self.box[3:], self.box.transpose(2, 0, 1, 3)
+        self.rot = np.array([1, 2, 0])
+        self.curl = np.empty((3, nk, nj, nl), dtype=np.complex128)
         self.prod = np.empty((4, nx, ny, nz))
+        self.prod_v, self.prod_s = self.prod[:3], self.prod[3]
+        self.samples = self.prod_v.reshape(-1, nz)
         self._shapes = lambda n: (
             (nj, n, nk, nl), (ny, n, nk, nl), (n, nk, ny, nl), (n, nx, ny, nl), (n, nx, ny, nz)
         )
         self._flat = [np.empty(math.prod(s), dtype=np.complex128) for s in self._shapes(6)[:4]]
         self._flat.append(np.empty(6 * grid.n_modes))
-        self._views: dict[int, tuple] = {}
+        self._wv, self._plans = _waves(grid, True), {}
+        self.six, self.three = self.plan(6), self.plan(3)
+        g = self.six.g
+        self.g_v, self.g_w = g[:3], g[3:]
+        pairs = ((1, 5), (2, 3), (0, 4))  # (v3 w2, v1 w3, v2 w1)
+        self.cross = tuple((p, g[i], g[j]) for p, (i, j) in zip(self.prod_v, pairs))
 
-    def views(self, n: int) -> tuple:
-        """(j-leading box, y grid side, k-leading box, x grid side, samples) for n fields."""
-        if n not in self._views:
-            shapes = self._shapes(n)
-            self._views[n] = tuple(b[: math.prod(s)].reshape(s) for b, s in zip(self._flat, shapes))
-        return self._views[n]
+    def plan(self, n: int) -> _Plan:
+        """The transforms' operands for n <= 6 fields, shaped on first use."""
+        if n not in self._plans:
+            self._plans[n] = _Plan(self._flat, self._shapes(n), self._wv)
+        return self._plans[n]
 
 
 @_time_cache(maxsize=2)  # one grid per row; a second grid does not evict the first
@@ -376,19 +441,11 @@ def _to_grid(c: np.ndarray, grid: GridSpec) -> np.ndarray:
     The box c is (n, 2cx+1, 2cy+1, cz+1).  Partial DFTs over the retained
     modes only, one axis at a time as matrix products: y on the box with j
     moved to the front (one product), then x on each field, then the real
-    step in z.  The samples are the grid's workspace (``_workspace``), which
-    the next ``_to_grid`` on that grid overwrites.
+    step in z.  The products run on the grid's plan for n fields
+    (``_Workspace.plan``, ``_Plan.to_grid``), and the samples are its
+    buffer, which the next ``_to_grid`` on that grid overwrites.
     """
-    ex, ey, az = _waves(grid, True).to_grid
-    n = len(c)
-    jb, yb, kb, xz, g = _workspace(grid).views(n)
-    nk, ny, nl = kb.shape[1:]
-    np.copyto(jb, c.transpose(2, 0, 1, 3))
-    np.matmul(ey, jb.reshape(len(jb), -1), out=yb.reshape(ny, -1))
-    np.copyto(kb, yb.transpose(1, 2, 0, 3))
-    np.matmul(ex, kb.reshape(n, nk, -1), out=xz.reshape(n, grid.Nx, -1))
-    np.matmul(xz.view(np.float64).reshape(-1, 2 * nl), az, out=g.reshape(-1, grid.Nz))
-    return g
+    return _workspace(grid).plan(len(c)).to_grid(c.transpose(2, 0, 1, 3))
 
 
 def _to_box(p: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -396,18 +453,10 @@ def _to_box(p: np.ndarray, grid: GridSpec) -> np.ndarray:
 
     The conjugate transposes of ``_to_grid``'s products in reverse order: z
     (with the 1 / n_modes of the amplitudes), x on each field, then y with
-    the samples' y moved to the front.  Only the retained modes are
-    computed; no padded spectrum is formed or cut.
+    the samples' y moved to the front, on the same plan (``_Plan.to_box``).
+    Only the retained modes are computed; no padded spectrum is formed or cut.
     """
-    exh, eyh, bz = _waves(grid, True).to_box
-    n = len(p)
-    jb, yb, kb, xz, _ = _workspace(grid).views(n)
-    nk, ny, nl = kb.shape[1:]
-    np.matmul(p.reshape(-1, grid.Nz), bz, out=xz.view(np.float64).reshape(-1, 2 * nl))
-    np.matmul(exh, xz.reshape(n, grid.Nx, -1), out=kb.reshape(n, nk, -1))
-    np.copyto(yb, kb.transpose(2, 0, 1, 3))
-    np.matmul(eyh, yb.reshape(ny, -1), out=jb.reshape(len(jb), -1))
-    return jb.transpose(1, 2, 0, 3).copy()
+    return _workspace(grid).plan(len(p)).to_box(p.reshape(-1, grid.Nz))
 
 
 def nonlinear_rhs(u: np.ndarray, sym, grid: GridSpec, t: float) -> np.ndarray:
@@ -415,30 +464,30 @@ def nonlinear_rhs(u: np.ndarray, sym, grid: GridSpec, t: float) -> np.ndarray:
 
     Evaluated in rotational form, P_L (u x curl_L u), as a fresh array: the
     six fields (u2, u3, u1, w3, w1, w2) of u and w = curl_L u go to the
-    physical grid by ``_to_grid``, the three products come back to the box by
-    ``_to_box``, then ``leray_project_L`` with sym = ``frame_symbols(grid, t,
-    box=True)``.  In that order the curl is i (d u_rot - d_rot u), a few
-    operations on stacked arrays with d and d_rot from ``sym.d``, and the
-    cross product is (v2 w3, v3 w1, v1 w2), one product of whole field
-    planes, less (v3 w2, v1 w3, v2 w1), one plane at a time.  The six
-    fields, the samples and the products are the grid's workspace
-    (``_workspace``).
+    physical grid as ``_to_grid`` takes them, the three products come back
+    to the box as ``_to_box`` does, then ``leray_project_L`` with sym =
+    ``frame_symbols(grid, t, box=True)``.  In that order the curl is
+    i (d u_rot - d_rot u), a few operations on stacked arrays with d and
+    d_rot the views ``sym.dvec`` and ``sym.drot``, and the cross product is (v2 w3, v3 w1, v1 w2),
+    one product of whole field planes, less (v3 w2, v1 w3, v2 w1), one plane
+    at a time.  The grid's workspace (``_workspace``) holds every operand of
+    those products, shaped once per grid and field count, so the stage makes
+    one workspace lookup and then only arithmetic calls.
     With 3 kc < N no alias lands in the box, and P_L annihilates the gradient
     grad_L |u|^2 / 2 that separates the forms.
     """
-    d = sym.d
     ws = _workspace(grid)
-    c = ws.box
-    np.take(u, [1, 2, 0], axis=0, out=c[:3])
-    np.multiply(d[:3], c[:3], out=c[3:])
-    c[3:] -= d[1:] * u
-    c[3:] *= 1j
-    g = _to_grid(c, grid)
-    prod = ws.prod
-    np.multiply(g[:3], g[3:], out=prod[:3])
-    for p, (i, j) in zip(prod, ((1, 5), (2, 3), (0, 4))):
-        p -= np.multiply(g[i], g[j], out=prod[3])
-    a = _to_box(prod[:3], grid)
+    w = ws.w
+    u.take(ws.rot, 0, ws.u_rot, "wrap")  # in range; "raise" would buffer the output
+    np.multiply(sym.dvec, ws.u_rot, out=w)
+    w -= np.multiply(sym.drot, u, out=ws.curl)
+    w *= 1j
+    ws.six.to_grid(ws.box_j)
+    s = ws.prod_s
+    np.multiply(ws.g_v, ws.g_w, out=ws.prod_v)
+    for p, gi, gj in ws.cross:
+        p -= np.multiply(gi, gj, out=s)
+    a = ws.three.to_box(ws.samples)
     if not np.isfinite(a.view(np.float64)).all():
         raise BlowUpError("non-finite values in the advection term", time=t)
     return leray_project_L(a, sym)

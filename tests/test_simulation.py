@@ -585,15 +585,60 @@ class TestWorkspace:
             assert same_bits(got, kept)
 
     def test_alternating_grids_repeat_each_grid_alone(self):
+        # stage calls (six fields out, three back) between transforms of one and
+        # of three fields, on three grids: every plan is shaped for its own grid and n
         inputs = {name: self.calls(name) for name in self.GRIDS}
+        boxes = {name: [x[0][:1] for x in xs] + [x[0] for x in xs] for name, xs in inputs.items()}
+
+        def calls(name, i):
+            grid, out = self.GRIDS[name], [nonlinear_rhs(*inputs[name][i])]
+            for c in boxes[name][i::3]:  # n = 1, then n = 3
+                out.append(simulation._to_grid(c, grid).copy())
+                out.append(simulation._to_box(out[-1], grid))
+            return out
+
         alone = {}
-        for name, xs in inputs.items():
+        for name in self.GRIDS:
             simulation._workspace.cache_clear()
-            alone[name] = [nonlinear_rhs(*x) for x in xs]
+            alone[name] = [calls(name, i) for i in range(3)]
         simulation._workspace.cache_clear()
         for i in range(3):
             for name in ("8x16x8", "6x24x10", "8x16x8", "4x8x4", "6x24x10"):
-                assert same_bits(nonlinear_rhs(*inputs[name][i]), alone[name][i])
+                got = calls(name, i)
+                assert [len(a) for a in got] == [3, 1, 1, 3, 3]
+                assert all(same_bits(a, b) for a, b in zip(got, alone[name][i]))
+
+    def test_a_warm_stage_looks_up_only_its_workspace(self, monkeypatch):
+        x = self.calls("8x16x8", 1)[0]
+        want = nonlinear_rhs(*x)  # builds the workspace and the symbols' views of d
+        calls = count_calls(monkeypatch, "_workspace", "_waves")
+        assert same_bits(nonlinear_rhs(*x), want)
+        assert calls == {"_workspace": 1, "_waves": 0}
+
+    # each operand of the transforms' products and copies, by the workspace buffer it views
+    PLAN_BUFFERS = {
+        "jb": 0, "jb2": 0, "jb_box": 0, "yb": 1, "yb2": 1, "yb_k": 1,
+        "kb": 2, "kb3": 2, "kb_j": 2, "xz3": 3, "xz_re": 3, "g": 4, "g2": 4,
+    }
+    STAGE_BUFFERS = {
+        "u_rot": "box", "w": "box", "box_j": "box", "prod_v": "prod", "prod_s": "prod",
+        "samples": "prod",
+    }
+
+    @pytest.mark.parametrize("name", list(GRIDS))
+    def test_every_operand_is_a_view_of_its_buffer(self, name):
+        ws = simulation._workspace(self.GRIDS[name])
+        for n in (1, 3, 6):
+            plan = ws.plan(n)
+            assert ws.plan(n) is plan
+            for op, i in self.PLAN_BUFFERS.items():
+                assert np.shares_memory(getattr(plan, op), ws._flat[i]), f"{op} for n = {n}"
+        assert ws.six is ws.plan(6) and ws.three is ws.plan(3)
+        for op, buffer in self.STAGE_BUFFERS.items():
+            assert np.shares_memory(getattr(ws, op), getattr(ws, buffer)), op
+        samples = [ws.g_v, ws.g_w] + [g for _, gi, gj in ws.cross for g in (gi, gj)]
+        assert all(np.shares_memory(g, ws.six.g) for g in samples)
+        assert all(np.shares_memory(p, ws.prod_v) for p, _, _ in ws.cross)
 
     @pytest.mark.parametrize(
         "grid", [GridSpec(16, 64, 16, Ly=8.0), GRID], ids=["16x64x16", "8x16x8"]
