@@ -7,13 +7,16 @@ planar energies, doubly weighted third-component energies, x-averaged norms at
 one derivative less, and the L2-in-time members accumulated by trapezoid rule.
 Each row checks the nine a-priori hypotheses of the bootstrap, bounds of
 size 8*{eps, C0 eps nu^{-1/3}, C1 eps/nu, C0 eps/nu} for user-supplied
-constants C0 > C1; ``_BOUNDS`` states all nine, one flag per line.
+constants C0 > C1; ``_BOUNDS`` states all nine, one flag per line.  One
+``bootstrap_report`` call reports a stack of states at one time, each with
+its own constants and accumulators.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from typing import Sequence
 
 import numpy as np
 
@@ -112,36 +115,21 @@ FLAG_NAMES = list(_BOUNDS)
 
 
 class Accumulators:
-    """Trapezoid-rule running integrals of squared integrands, plus maxima.
+    """One run's running maxima and trapezoid-rule integrals of its squared integrands.
 
-    Owned by a single run; ``update`` must be called with increasing times.
+    ``run`` keeps one beside each run's result, and ``bootstrap_report``
+    advances it at each of the run's rows, together with those of the other
+    boxes of its batch.  Row times must be nondecreasing: a repeated time
+    adds a zero-width trapezoid.  ``integrals`` follows
+    ``ACCUMULATED_COLUMNS`` and ``maxima`` the running-max columns of
+    ``_BOUNDS``; the report holds the square roots of the integrals.
     """
 
     def __init__(self) -> None:
-        self.integrals: dict[str, float] = {}
-        self.maxima: dict[str, float] = {}
-        self._prev_t: float | None = None
-        self._prev_sq: dict[str, float] = {}
-
-    def update(self, t: float, integrands: dict[str, float]) -> dict[str, float]:
-        sq = {name: v * v for name, v in integrands.items()}
-        if self._prev_t is not None:
-            dt = t - self._prev_t
-            if dt < 0:
-                raise ValueError("accumulator times must be nondecreasing")
-            for name, v in sq.items():
-                prev = self._prev_sq.get(name, 0.0)
-                self.integrals[name] = self.integrals.get(name, 0.0) + 0.5 * dt * (prev + v)
-        else:
-            for name in sq:
-                self.integrals.setdefault(name, 0.0)
-        self._prev_t = t
-        self._prev_sq = sq
-        return {name: math.sqrt(v) for name, v in self.integrals.items()}
-
-    def note_max(self, values: dict[str, float]) -> None:
-        for name, v in values.items():
-            self.maxima[name] = max(self.maxima.get(name, 0.0), v)
+        self.t: float | None = None  # the time of the last row, None before the first
+        self.sq = np.zeros(len(ACCUMULATED_COLUMNS))  # and its squared integrands
+        self.integrals = np.zeros(len(ACCUMULATED_COLUMNS))
+        self.maxima = np.zeros(len(_BOUNDS))
 
 
 def compute_K_check(U: VelocityField, t: float | None = None):
@@ -161,17 +149,56 @@ def compute_K_check(U: VelocityField, t: float | None = None):
     return (SpectralField(grid, k1, t), SpectralField(grid, k2, t))
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """sum(a * b) for equal shapes, without the product temporary.
+_EINSUM_ROW = 8192  # numpy's default buffer, in elements; einsum ignores np.setbufsize
+
+
+def _dots(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum(x * w_j) over the last axis of x, for each row of x and each row w_j of w: (..., len(w)).
 
     einsum, not np.dot: a multithreaded BLAS dot was tens of times slower on
-    the 1 MiB weight arrays of a 32x128x32 grid.
+    the 1 MiB weight arrays of a 32x128x32 grid.  einsum sums each row of a
+    stack in the order in which it sums that row alone while the row fits
+    its buffer (``_EINSUM_ROW``), but a longer row of a stack in
+    buffer-sized pieces, so longer rows go one at a time.
     """
-    return float(np.einsum("i,i->", a.ravel(), b.ravel()))
+    n = w.shape[-1]
+    if n <= _EINSUM_ROW:
+        return np.einsum("...i,ji->...j", x, w)
+    rows = [[np.einsum("i,i->", r, wj) for wj in w] for r in x.reshape(-1, n)]
+    return np.array(rows).reshape(x.shape[:-1] + (len(w),))
 
 
 # the norms of the k = 0 plane, in the order of ``_ledger_constants``' plane weights
 _PLANE_NORMS = ("Q0_{}_HN", "grad_Q0_{}_HN", "U0_{}_HNm1", "grad_U0_{}_HNm1")
+
+# the norms sqrt(total * cell_measure), in the order in which the ledger gathers their totals
+_TOTALS = (
+    "MK1_neq_HN", "dMM_K1_HN", "MK2_neq_HN", "dMM_K2_HN", "mMQ3_neq_HN", "dMM_mQ3_HN",
+    "gradL_MK1_HN", "gradL_MK2_HN", "gradL_mMQ3_HN", "Kcheck_neq_HN", "mQ3_neq_HN",
+    "U1_neq_HN", "U2_neq_HN", "U3_neq_HN", "U12_neq_L2", "gradL_U12_neq_HN",
+    *(name.format(i) for i in (1, 2, 3) for name in _PLANE_NORMS),
+)
+_INTEGRANDS = [_TOTALS.index(c[4:]) for c in ACCUMULATED_COLUMNS]
+_MAXED = [_TOTALS.index(x) for x, *_ in _BOUNDS.values()]
+_SIZES = ("1", "C0 nu^-1/3", "C1/nu", "C0/nu")
+_FLAG_SIZES = [_SIZES.index(size) for *_, size in _BOUNDS.values()]
+
+
+def _flag_terms(part: int, offset: int) -> list:
+    """For each p, every flag's column of its p-th term of part 1 (the sqrt(nu)-weighted
+    integrals) or part 2 (the unweighted) of ``_BOUNDS`` in the ledger's terms, at offset
+    + its place in ``ACCUMULATED_COLUMNS``; a flag with fewer terms reads the zero column."""
+    bounds = list(_BOUNDS.values())
+    zero = 2 * len(ACCUMULATED_COLUMNS)
+    return [
+        np.array([offset + ACCUMULATED_COLUMNS.index(b[part][p]) if p < len(b[part]) else zero
+                  for b in bounds])
+        for p in range(max(len(b[part]) for b in bounds))
+    ]
+
+
+# the ledger's terms are [sqrt(nu) integrals, integrals, 0]
+_WEIGHTED, _UNWEIGHTED = _flag_terms(1, 0), _flag_terms(2, len(ACCUMULATED_COLUMNS))
 
 
 @_time_cache(maxsize=2)  # one (grid, nu, sigma) per row; a second does not evict the first
@@ -179,122 +206,150 @@ def _ledger_constants(grid: GridSpec, nu: float, N: float) -> tuple:
     """The ledger's time-independent weights, built once per run: read-only.
 
     The constants of m, M and -Mdot M on the k != 0 rows of the box
-    (``_kernels.weight_constants``), and the four weights of the k = 0
-    plane, where w = eta^2 + l^2 has no t: hsN w^2 and hsN w^3 for Q0 and
-    its gradient, hsNm1 and hsNm1 w for U0 and its gradient.  The plane's w
-    is 0 at the mean mode, not the unit-safe 1 of ``frame_symbols``, since
-    grad_U0 must not count the mean mode.
+    (``_kernels.weight_constants``); the factors k^2 + l^2 and k^2 of |K1|^2
+    and |K2|^2 on those rows, stacked as (2, 2cx, 1, cz+1); and the four
+    weights of the k = 0 plane, stacked as (4, (2cy+1)(cz+1)), where w =
+    eta^2 + l^2 has no t: hsN w^2 and hsN w^3 for Q0 and its gradient,
+    hsNm1 and hsNm1 w for U0 and its gradient.  The plane's w is 0 at the
+    mean mode, not the unit-safe 1 of ``frame_symbols``, since grad_U0 must
+    not count the mean mode.
     """
     wv = _waves(grid, True)
     w0 = (wv.k2[:1] + wv.eta * wv.eta + wv.l2)[0]  # the frame symbol's w on the plane, at any t
     w0[0, 0] = 0.0
     hq = _box_sobolev_weights(grid, N)[0] * w0 * w0
     hsNm1 = _box_sobolev_weights(grid, N - 1.0)[0]
-    plane = (hq, hq * w0, hsNm1, hsNm1 * w0)
-    for a in plane:
-        a.flags.writeable = False
-    return _kernels.weight_constants(wv.k[1:], wv.eta, wv.l, nu), plane
+    plane = np.stack((hq, hq * w0, hsNm1, hsNm1 * w0)).reshape(4, -1)
+    kk = np.stack((wv.kl2[1:], np.broadcast_to(wv.k2[1:], wv.kl2[1:].shape)))
+    plane.flags.writeable = kk.flags.writeable = False
+    return _kernels.weight_constants(wv.k[1:], wv.eta, wv.l, nu), plane, kk
 
 
 @_time_cache(maxsize=2)  # the row time of a lockstep round, and the next
 def _ledger_weights(grid: GridSpec, nu: float, N: float, t: float) -> tuple:
-    """M^2 and -Mdot M = M^2 nu^{1/3} / (1 + x^2), as (nk-1, nj), and m on the k != 0 rows of the box.
+    """M^2 and -Mdot M = M^2 nu^{1/3} / (1 + x^2), stacked as (2, nk-1, nj), and m on the k != 0 rows of the box.
 
     Only what depends on t is computed here, from ``_ledger_constants`` and
     the box's frame symbol w(t).  Read-only.
     """
-    consts, _ = _ledger_constants(grid, nu, N)
+    consts = _ledger_constants(grid, nu, N)[0]
     M2, dmm, m = _kernels.weights(consts, t, frame_symbols(grid, t, box=True)[3][1:])
-    weights = (M2[..., 0], dmm[..., 0], m)
+    weights = (np.stack((M2[..., 0], dmm[..., 0])), m)
     for a in weights:
         a.flags.writeable = False
     return weights
 
 
-def bootstrap_report(box: np.ndarray, t: float, cfg: SimConfig, acc: Accumulators) -> EnergyReport:
-    """Evaluate every tracked norm at time t and update the time integrals.
+def bootstrap_report(
+    boxes: np.ndarray, t: float, cfgs: Sequence[SimConfig], accs: Sequence[Accumulators]
+) -> list[EnergyReport]:
+    """Evaluate every tracked norm of a batch of states at time t and advance their integrals.
 
-    ``box`` is the retained (3, 2cx+1, 2cy+1, cz+1) box of ``cfg.grid`` that
-    ``step`` carries (``simulation._box`` of a field): the velocity is its
-    expansion, zero off the box and each l < 0 mode the conjugate of its
-    l > 0 reflection, as every state of ``run`` is.  Every norm is a
-    weighted sum of one power spectrum P_i = |c_i|^2, since |K1|^2 =
-    |k,l|^2 w P1, |K2|^2 = k^2 w P2 and |Q_i|^2 = w^2 P_i; an
-    l > 0 mode counts twice, for itself and its reflection, whose weights
-    are equal, and the l = 0 plane, stored whole, once.  M^2 and -Mdot M
-    have no l, so each k != 0 family (K1, K2, m Q3) takes one product with
-    the Sobolev weight, one sum over l and dot products over (k, eta); the
-    x-averaged norms are taken on the k = 0 plane alone.
+    ``boxes`` stacks B retained (3, 2cx+1, 2cy+1, cz+1) boxes of one grid
+    as (B, 3, 2cx+1, 2cy+1, cz+1), each as ``step`` carries it
+    (``simulation._box`` of a field): the velocity is its expansion, zero
+    off the box and each l < 0 mode the conjugate of its l > 0 reflection,
+    as every state of ``run`` is.  Box b is reported with its own
+    configuration ``cfgs[b]`` (its eps, C0 and C1) and accumulators
+    ``accs[b]``; the configurations share grid, nu and sigma, as ``run``
+    groups its rows.  Every norm is a weighted sum of one power spectrum
+    P_i = |c_i|^2, since |K1|^2 = |k,l|^2 w P1, |K2|^2 = k^2 w P2 and
+    |Q_i|^2 = w^2 P_i; an l > 0 mode counts twice, for itself and its
+    reflection, whose weights are equal, and the l = 0 plane, stored whole,
+    once.  M^2 and -Mdot M have no l, so each k != 0 family (K1, K2, m Q3)
+    takes one product with the Sobolev weight, one sum over l and dot
+    products over (k, eta); the x-averaged norms are taken on the k = 0
+    plane alone.
+
+    Each array operation acts on the whole batch, and each reduction runs
+    over each box's own contiguous axes (``_dots``), so every report equals,
+    bit for bit, that of its box alone; a batch of one, ``box[None]``, is a
+    view.  The accumulators change only once every report is computed, so a
+    batch that raises leaves them as they were.
 
     Each flag of ``_BOUNDS`` compares its running max plus its running
     integrals with its bound for the configured constants; a raised flag
     before t = 1 is informational only,
     since the hypotheses are formulated past the local-existence window.
     """
-    grid = cfg.grid
-    N = cfg.N
+    cfg = cfgs[0]
+    grid, nu, N = cfg.grid, cfg.nu, cfg.N
+    if any((c.grid, c.nu, c.sigma) != (grid, nu, cfg.sigma) for c in cfgs):
+        raise ValueError("the boxes of a ledger batch must share grid, nu and sigma")
+    B = len(boxes)
     sym = frame_symbols(grid, t, box=True)
-    M2, dmm, m = _ledger_weights(grid, cfg.nu, N, t)
-    plane = _ledger_constants(grid, cfg.nu, N)[1]
-    P = box.real**2 + box.imag**2
+    Md, m = _ledger_weights(grid, nu, N, t)
+    plane, kk = _ledger_constants(grid, nu, N)[1:]
+    P = np.square(boxes.real, order="C")
+    P += np.square(boxes.imag)
     P[..., 1:] *= 2.0
 
-    def norm(total: float) -> float:
-        return math.sqrt(total * grid.cell_measure)
-
-    norms: dict[str, float] = {}
-
-    # k != 0: rows 1.. of the box
-    wv = _waves(grid, True)
+    # k != 0: rows 1.. of each box
+    Pk = P[:, :, 1:]
     wn = sym[3][1:]
     h = _box_sobolev_weights(grid, N)[1:]
-    P1, P2, P3 = P[:, 1:]
-    hw = h * wn
-    hwP1 = hw * P1
-    hwP2 = hw * P2
-    families = (  # hsN times |K1|^2, |K2|^2 and |m Q3|^2
-        ("MK1_neq_HN", "dMM_K1_HN", "gradL_MK1_HN", hwP1 * wv.kl2[1:]),
-        ("MK2_neq_HN", "dMM_K2_HN", "gradL_MK2_HN", hwP2 * wv.k2[1:]),
-        ("mMQ3_neq_HN", "dMM_mQ3_HN", "gradL_mMQ3_HN", h * (m * wn) ** 2 * P3),
-    )
-    plain = []
-    for name_M, name_dmm, name_grad, A in families:
-        a = A.sum(axis=2)
-        b = np.einsum("ijk,ijk->ij", A, wn)
-        plain.append(float(a.sum()))
-        norms[name_M] = norm(_dot(a, M2))
-        norms[name_dmm] = norm(_dot(a, dmm))
-        norms[name_grad] = norm(_dot(b, M2))
-    norms["Kcheck_neq_HN"] = norm(plain[0] + plain[1])
-    norms["mQ3_neq_HN"] = norm(plain[2])
-    for i, p in enumerate((P1, P2, P3), start=1):
-        norms[f"U{i}_neq_HN"] = norm(_dot(h, p))
-    norms["U_neq_HN_total"] = math.sqrt(
-        norms["U1_neq_HN"] ** 2 + norms["U2_neq_HN"] ** 2 + norms["U3_neq_HN"] ** 2
-    )
-    norms["U12_neq_L2"] = norm(float(P1.sum() + P2.sum()))
-    norms["gradL_U12_neq_HN"] = norm(float(hwP1.sum() + hwP2.sum()))
+    hwP = h * wn * Pk[:, :2]
+    A = np.empty(Pk.shape)  # hsN times |K1|^2, |K2|^2 and |m Q3|^2
+    np.multiply(hwP, kk, out=A[:, :2])
+    np.multiply(h * (m * wn) ** 2, Pk[:, 2], out=A[:, 2])
+    a = A.sum(axis=-1).reshape(B, 3, -1)
+    b = np.einsum("bfijk,ijk->bfij", A, wn).reshape(B, 3, -1)
+    Md = Md.reshape(2, -1)
+    plain = a.sum(axis=-1)
+    pair = Pk[:, :2].reshape(B, 2, -1).sum(axis=-1)
+    hpair = hwP.reshape(B, 2, -1).sum(axis=-1)
+    totals = np.concatenate((
+        _dots(a, Md).reshape(B, 6),
+        _dots(b, Md[:1])[..., 0],
+        plain[:, :1] + plain[:, 1:2],
+        plain[:, 2:],
+        _dots(Pk.reshape(B, 3, -1), h.reshape(1, -1))[..., 0],
+        pair[:, :1] + pair[:, 1:],
+        hpair[:, :1] + hpair[:, 1:],
+        _dots(P[:, :, 0].reshape(B, 3, -1), plane).reshape(B, 12),  # k = 0: the x-averaged plane
+    ), axis=1)
+    norms = np.sqrt(totals * grid.cell_measure)
 
-    # k = 0: the x-averaged plane, where w = eta^2 + l^2
-    for i, p in enumerate(P, start=1):
-        for name, weight in zip(_PLANE_NORMS, plane):
-            norms[name.format(i)] = norm(_dot(weight, p[0]))
+    # the trapezoid rule from each box's last row; a first row starts its integrals at 0
+    last = [acc.t for acc in accs]
+    if any(s is not None and s > t for s in last):
+        raise ValueError("accumulator times must be nondecreasing")
+    sq = np.square(norms[:, _INTEGRANDS])
+    dt = t - np.array([t if s is None else s for s in last])
+    integrals = np.array([acc.integrals for acc in accs])
+    integrals += (0.5 * dt)[:, None] * (np.array([acc.sq for acc in accs]) + sq)
+    first = [i for i, s in enumerate(last) if s is None]
+    if first:
+        integrals[first] = 0.0
+    running = norms[:, _MAXED]
+    maxima = np.array([acc.maxima for acc in accs])
+    maxima = np.where(running > maxima, running, maxima)  # as max(maximum, value)
+    roots = np.sqrt(integrals)
 
-    norms["div_defect"] = _divergence_max(box, sym)
+    terms = np.concatenate((math.sqrt(nu) * roots, roots, np.zeros((B, 1))), axis=1)
+    weighted = terms[:, _WEIGHTED[0]]
+    for c in _WEIGHTED[1:]:
+        weighted = weighted + terms[:, c]
+    lhs = maxima + weighted
+    for c in _UNWEIGHTED:
+        lhs = lhs + terms[:, c]
+    third = nu ** (-1.0 / 3.0)
+    sizes = [
+        (8.0 * c.eps, 8.0 * c.C0 * c.eps * third, 8.0 * c.C1 * c.eps / nu, 8.0 * c.C0 * c.eps / nu)
+        for c in cfgs
+    ]
+    flags = (lhs > np.array([[f[i] for i in _FLAG_SIZES] for f in sizes])).tolist()
 
-    norms.update(acc.update(t, {c: norms[c[4:]] for c in ACCUMULATED_COLUMNS}))
-    acc.note_max({x: norms[x] for x, *_ in _BOUNDS.values()})
-
-    eps, nu = cfg.eps, cfg.nu
-    rnu = math.sqrt(nu)
-    bound = {
-        "1": 8.0 * eps,
-        "C0 nu^-1/3": 8.0 * cfg.C0 * eps * nu ** (-1.0 / 3.0),
-        "C1/nu": 8.0 * cfg.C1 * eps / nu,
-        "C0/nu": 8.0 * cfg.C0 * eps / nu,
-    }
-    flags = {}
-    for flag, (x, weighted, unweighted, size) in _BOUNDS.items():
-        lhs = acc.maxima[x] + sum(rnu * norms[n] for n in weighted)
-        flags[flag] = sum((norms[n] for n in unweighted), lhs) > bound[size]
-    return EnergyReport(t=t, norms=norms, flags=flags)
+    rows = np.concatenate((norms, _divergence_max(boxes, sym)[:, None], roots), axis=1).tolist()
+    n = len(_TOTALS)
+    reports = []
+    for row, row_flags in zip(rows, flags):
+        values = dict(zip(_TOTALS, row[:n]))
+        u1, u2, u3 = values["U1_neq_HN"], values["U2_neq_HN"], values["U3_neq_HN"]
+        values["U_neq_HN_total"] = math.sqrt(u1**2 + u2**2 + u3**2)
+        values["div_defect"] = row[n]
+        values.update(zip(ACCUMULATED_COLUMNS, row[n + 1:]))
+        reports.append(EnergyReport(t=t, norms=values, flags=dict(zip(FLAG_NAMES, row_flags))))
+    for i, acc in enumerate(accs):
+        acc.t, acc.sq, acc.integrals, acc.maxima = t, sq[i], integrals[i], maxima[i]
+    return reports

@@ -219,8 +219,8 @@ def _box_sobolev_weights(grid: GridSpec, s: float) -> np.ndarray:
 
 
 def _box(U: VelocityField) -> np.ndarray:
-    """The retained box of U as a fresh (3, 2cx+1, 2cy+1, cz+1) array."""
-    return U.coeffs.reshape(3, -1)[:, _waves(U.grid, True).index]
+    """The retained box of U as a fresh C-contiguous (3, 2cx+1, 2cy+1, cz+1) array."""
+    return U.coeffs.reshape(3, -1).take(_waves(U.grid, True).index, axis=1)
 
 
 def _full(grid: GridSpec, b: np.ndarray, t: float) -> VelocityField:
@@ -493,19 +493,20 @@ def nonlinear_rhs(u: np.ndarray, sym, grid: GridSpec, t: float) -> np.ndarray:
     return leray_project_L(a, sym)
 
 
-def _divergence_max(c: np.ndarray, sym) -> float:
-    """Max per-mode |k c1 + (eta - k t) c2 + l c3| of a stacked array, either layout.
+def _divergence_max(c: np.ndarray, sym) -> np.ndarray:
+    """Max per-mode |k c1 + (eta - k t) c2 + l c3| of each stacked array of c, (..., 3, nk, nj, nl).
 
-    At a conjugate reflection the sum is minus the conjugate, bit for bit, so
-    the box of a real field has the maximum of its full layout.
+    Either layout.  At a conjugate reflection the sum is minus the conjugate,
+    bit for bit, so the box of a real field has the maximum of its full layout.
     """
     k, etal, l, _ = sym
-    return float(np.max(np.abs(k * c[0] + etal * c[1] + l * c[2])))
+    d = k * c[..., 0, :, :, :] + etal * c[..., 1, :, :, :] + l * c[..., 2, :, :, :]
+    return np.abs(d).max(axis=(-3, -2, -1))
 
 
 def divergence_defect(U: VelocityField) -> float:
     """Max per-mode |i k u1 + i (eta - k t) u2 + i l u3| (frame divergence) at t = U.time."""
-    return _divergence_max(U.coeffs, frame_symbols(U.grid, U.time))
+    return float(_divergence_max(U.coeffs, frame_symbols(U.grid, U.time)))
 
 
 def advective_rate_bound(u: np.ndarray, t_horizon: float, grid: GridSpec) -> float:
@@ -762,39 +763,82 @@ def run(cfgs: Sequence[SimConfig]) -> list[RunResult]:
     ledger weights of each time, and runs on one grid the stage workspace;
     the caches hold about one step's operators, so a row builds each of them
     once, and ``run`` empties them when it returns.  Each run
-    (``_advance``) reports a diagnostic row every ``diag_every`` steps and at
+    (``_advance``) owes a diagnostic row every ``diag_every`` steps and at
     t = 0 and the end, keeps snapshots at the ``snapshot_every`` cadence, and
-    turns a blow-up into a ``blown_up`` result with its time.  Any other
-    exception ends its run alone, as an ``error`` result holding it.  Each
-    result is the one its configuration gives when run alone.
+    turns a blow-up into a ``blown_up`` result with its time.  The rows that
+    a round owes are reported together, one ledger call per grid, nu, sigma
+    and row time (``_report``), each run with its own ``Accumulators``.  Any
+    other exception ends its run alone, as an ``error`` result holding it.
+    Each result is the one its configuration gives when run alone.
     """
+    from .diagnostics import Accumulators
+
     results = [RunResult(cfg=cfg) for cfg in cfgs]
-    live = [(res, _advance(res)) for res in results]
+    live = [(res, _advance(res), Accumulators()) for res in results]
     while live:
-        going = []
-        for res, cell in live:
+        going, due = [], []
+        for res, cell, acc in live:
             try:
-                if next(cell, False):
-                    going.append((res, cell))
+                rows = next(cell, None)
             except Exception as exc:  # it ends this run alone
                 res.status, res.error = "error", exc
-        live = going
+                continue
+            if rows is not None:
+                going.append((res, cell, acc))
+                due.append((res, acc, rows))
+        # the first round owes each run its t = 0 row and perhaps its first step's:
+        # every run's first row goes before every second one, so each run's rows keep their order
+        for i in range(max((len(rows) for *_, rows in due), default=0)):
+            _report([(res, acc, rows[i]) for res, acc, rows in due
+                     if len(rows) > i and res.status != "error"])
+        live = [cell for cell in going if cell[0].status != "error"]
     for cache in _TIME_CACHES:  # what follows a run need not hold a step's operators and workspace
         # (~5 and 25 MiB on 32x128x32)
         cache.cache_clear()
     return results
 
 
-def _advance(result: RunResult) -> Iterator[bool]:
-    """The run of ``result.cfg``, filling ``result``; yields after each step."""
-    from .diagnostics import Accumulators, bootstrap_report
+def _report(rows: list) -> None:
+    """Append to each run the report of its row, (result, accumulators, (t, box)).
 
+    One ``bootstrap_report`` call takes the rows of one grid, nu, sigma and
+    t, stacked; a lone row goes as a view of its box.  If that call raises,
+    its rows go again one at a time, so that the exception ends only its own
+    run, as an ``error`` result.
+    """
+    from .diagnostics import bootstrap_report  # the module attribute, which a tracer may wrap
+
+    groups: dict[tuple, list] = {}
+    for res, acc, (t, box) in rows:
+        groups.setdefault((res.cfg.grid, res.cfg.nu, res.cfg.sigma, t), []).append((res, acc, box))
+    for (*_, t), group in groups.items():
+        results, accs, boxes = zip(*group)
+        stacked = boxes[0][None] if len(boxes) == 1 else np.stack(boxes)
+        try:
+            reports = bootstrap_report(stacked, t, [res.cfg for res in results], accs)
+        except Exception as exc:
+            if len(group) == 1:
+                results[0].status, results[0].error = "error", exc
+            else:  # again one row at a time, so that the exception ends only its own run
+                for res, acc, box in group:
+                    _report([(res, acc, (t, box))])
+            continue
+        for res, report in zip(results, reports):
+            res.reports.append(report)
+
+
+def _advance(result: RunResult) -> Iterator[tuple]:
+    """The run of ``result.cfg``, filling ``result`` but for its reports.
+
+    After each step it yields the rows (t, box) that it owes, which ``run``
+    reports before the next step: the t = 0 row with the first step's, and
+    after a blow-up the last state's, if it has none.
+    """
     cfg = result.cfg
     u = _initial_box(cfg)
     rate = advective_rate_bound(u, cfg.t_end, cfg.grid)
     if cfg.snapshot_every > 0:
         result.snapshots.append((0.0, u))
-    acc = Accumulators()
 
     dt = cfg.dt
     if dt is None:
@@ -809,10 +853,7 @@ def _advance(result: RunResult) -> Iterator[bool]:
         logger.warning(msg)
         result.warnings.append(msg)
 
-    def emit(t: float, b: np.ndarray) -> None:
-        result.reports.append(bootstrap_report(b, t, cfg, acc))
-
-    emit(0.0, u)
+    rows = [(0.0, u)]
     warned_resolution = False
     t = 0.0
     try:
@@ -821,7 +862,7 @@ def _advance(result: RunResult) -> Iterator[bool]:
             u = step(u, t, dt, cfg)
             t_step, t = t + dt, i * dt  # a snapshot keeps the step's own time tag
             if i % cfg.diag_every == 0 or i == n_steps:
-                emit(t, u)
+                rows.append((t, u))
                 if not warned_resolution:
                     frac = _band_edge_fraction(u, cfg.grid)
                     if frac > 1e-8:
@@ -834,10 +875,17 @@ def _advance(result: RunResult) -> Iterator[bool]:
                         warned_resolution = True
             if cfg.snapshot_every > 0 and (i % cfg.snapshot_every == 0 or i == n_steps):
                 result.snapshots.append((t_step, u))  # step's fresh box, never written into
-            yield True
+            yield rows
+            rows = []
     except BlowUpError as exc:
         result.status = "blown_up"
         result.t_fail = exc.time
         result.warnings.append(str(exc))
-        if result.reports[-1].t < t:
-            emit(t, u)
+        if (rows[-1][0] if rows else result.reports[-1].t) < t:
+            rows.append((t, u))
+    except Exception:
+        if rows:  # the t = 0 row, owed before a first step that failed
+            yield rows
+        raise
+    if rows:
+        yield rows

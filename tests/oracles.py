@@ -4,7 +4,8 @@ Everything here recomputes quantities by a route disjoint from the package
 code path: quadrature instead of closed-form antiderivatives, fixed-step RK4
 instead of exact solutions, dense matrix exponentials instead of nilpotent
 shortcuts, the linear generator instead of its exact propagator, plain
-mode loops instead of vectorised norms, one ``repr`` per CSV field
+mode loops and accumulators kept by name instead of vectorised norms and
+batched accumulators, one ``repr`` per CSV field
 instead of deduplicated string tables, the half-spectrum stepper with
 dealias masks instead of the one on the retained box, and the initial
 condition and Sobolev norms on the full layout instead of the box, the
@@ -467,7 +468,36 @@ def _multiplier_grids(grid: GridSpec, t: float, nu: float):
     return m, M, dmm
 
 
-def reference_bootstrap_report(U, t: float, cfg, acc):
+class ReferenceAccumulators:
+    """Trapezoid-rule running integrals and running maxima of one run, kept by name, one
+    float at a time: the accumulators that ``diagnostics.Accumulators`` replaced."""
+
+    def __init__(self) -> None:
+        self.integrals: dict[str, float] = {}
+        self.maxima: dict[str, float] = {}
+        self._prev_t: float | None = None
+        self._prev_sq: dict[str, float] = {}
+
+    def update(self, t: float, integrands: dict[str, float]) -> dict[str, float]:
+        sq = {name: v * v for name, v in integrands.items()}
+        if self._prev_t is not None:
+            dt = t - self._prev_t
+            for name, v in sq.items():
+                prev = self._prev_sq.get(name, 0.0)
+                self.integrals[name] = self.integrals.get(name, 0.0) + 0.5 * dt * (prev + v)
+        else:
+            for name in sq:
+                self.integrals.setdefault(name, 0.0)
+        self._prev_t = t
+        self._prev_sq = sq
+        return {name: math.sqrt(v) for name, v in self.integrals.items()}
+
+    def note_max(self, values: dict[str, float]) -> None:
+        for name, v in values.items():
+            self.maxima[name] = max(self.maxima.get(name, 0.0), v)
+
+
+def reference_bootstrap_report(U, t: float, cfg, acc: ReferenceAccumulators):
     """The weighted energy ledger as thirty masked full-grid norm passes.
 
     This is the loop structure ``diagnostics.bootstrap_report`` replaced:

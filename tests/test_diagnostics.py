@@ -14,11 +14,12 @@ from rotcouette.diagnostics import (
 )
 from rotcouette.multipliers import WINDOW, M_closed, m_exact
 from rotcouette.reporting import energy_columns, write_snapshot_csv
-from rotcouette.simulation import SimConfig, VelocityField, _box, _full, initial_condition
+from rotcouette.simulation import SimConfig, VelocityField, _box, _full, _initial_box, initial_condition
 from rotcouette.spectral import GridSpec, WaveVector
 
 from oracles import (
     M_values,
+    ReferenceAccumulators,
     compute_Q,
     full_step,
     m_values,
@@ -35,6 +36,12 @@ GRID = GridSpec(8, 16, 8, Ly=32.0)
 
 def mode_index(grid, k, j, l):
     return (k % grid.Nx, j % grid.Ny, l % grid.Nz)
+
+
+def report(box, t, cfg, acc):
+    """The ledger of one box: a batch of one."""
+    (rep,) = bootstrap_report(box[None], t, [cfg], [acc])
+    return rep
 
 
 def zero_state(grid):
@@ -122,7 +129,7 @@ class TestBootstrapReport:
 
     def test_zero_field_no_flags(self):
         cfg = self.cfg(eps=0.0)
-        rep = bootstrap_report(_box(zero_state(GRID)), 0.0, cfg, Accumulators())
+        rep = report(_box(zero_state(GRID)), 0.0, cfg, Accumulators())
         assert all(v == 0.0 for v in rep.norms.values())
         assert not any(rep.flags.values())
 
@@ -131,7 +138,7 @@ class TestBootstrapReport:
         U = _full(small, _random_box(small, 72), 0.8)
         U.coeffs[:, 0, 0, 0] = 0.0
         cfg = SimConfig(nu=3e-2, grid=small, eps=1e-4)
-        rep = bootstrap_report(_box(U), 0.8, cfg, Accumulators())
+        rep = report(_box(U), 0.8, cfg, Accumulators())
         nu = cfg.nu
         N = cfg.N
         t = 0.8
@@ -196,7 +203,7 @@ class TestBootstrapReport:
         U = _random_field(GRID, 73)
         U.coeffs *= 1e3
         cfg = self.cfg(eps=1e-8)
-        rep = bootstrap_report(_box(U), 0.0, cfg, Accumulators())
+        rep = report(_box(U), 0.0, cfg, Accumulators())
         assert all(rep.flags.values())
 
     def test_each_flag_switches_at_its_bound(self):
@@ -209,7 +216,7 @@ class TestBootstrapReport:
 
         def rows(eps):
             acc = Accumulators()
-            return [bootstrap_report(_box(U), t, replace(cfg, eps=eps), acc) for t in times]
+            return [report(_box(U), t, replace(cfg, eps=eps), acc) for t in times]
 
         a, b = (r.norms for r in rows(1.0))
         r = math.sqrt(nu)
@@ -267,7 +274,8 @@ class TestLedgerWeights:
         closes = [r + lw for r in (opens, -opens)]
         N = SimConfig(nu=nu, grid=grid).N
         for t in self.TIMES + (opens, *closes):
-            got = diagnostics._ledger_weights(grid, nu, N, t)
+            Md, m = diagnostics._ledger_weights(grid, nu, N, t)
+            got = (Md[0], Md[1], m)
             want = (
                 M_values(t, k, wv.eta, wv.l, nu)[..., 0] ** 2,
                 neg_MdotM_values(t, k, wv.eta, wv.l, nu)[..., 0],
@@ -326,9 +334,9 @@ def _stepped_field(grid, seed):
 
 def _assert_matches_reference(U):
     cfg = SimConfig(nu=3e-2, grid=U.grid, eps=1e-4)
-    acc, ref_acc = Accumulators(), Accumulators()
+    acc, ref_acc = Accumulators(), ReferenceAccumulators()
     for t in (0.0, 0.8, 5.5):
-        rep = bootstrap_report(_box(U), t, cfg, acc)
+        rep = report(_box(U), t, cfg, acc)
         ref = reference_bootstrap_report(U, t, cfg, ref_acc)
         assert rep.t == ref.t
         assert rep.norms.keys() == ref.norms.keys()
@@ -337,27 +345,27 @@ def _assert_matches_reference(U):
         assert rep.flags == ref.flags
 
 
+LEDGER_FIXTURES = [
+    (_random_field, GridSpec(4, 8, 4, Ly=32.0)),
+    (_random_field, GridSpec(8, 16, 8, Ly=32.0)),
+    (_zero_plane_field, GridSpec(8, 16, 8, Ly=32.0)),
+    (lambda grid, seed: zero_state(grid), GridSpec(8, 16, 8, Ly=32.0)),
+    (_stepped_field, GridSpec(16, 64, 16, Ly=8.0)),
+    (_random_field, GridSpec(6, 24, 10, Ly=16.0)),
+    (_l0_plane_field, GridSpec(8, 16, 8, Ly=32.0)),
+    (_initial(ic_mode=(1, 2, 1)), GridSpec(8, 16, 8, Ly=32.0)),
+    (_initial(ic_mode=(0, 2, 1)), GridSpec(8, 16, 8, Ly=32.0)),
+    (_initial(ic_kind="random_band"), GridSpec(6, 24, 10, Ly=16.0)),
+]
+LEDGER_IDS = ["random-4x8x4", "random-8x16x8", "zero-plane", "zero", "stepped-16x64x16",
+              "random-6x24x10", "l0-plane-not-self-conjugate", "single-mode", "single-mode-k0",
+              "random-band-6x24x10"]
+
+
 class TestReportMatchesReference:
     """The one-pass ledger against the thirty-pass report it replaced."""
 
-    @pytest.mark.parametrize(
-        "make, grid",
-        [
-            (_random_field, GridSpec(4, 8, 4, Ly=32.0)),
-            (_random_field, GridSpec(8, 16, 8, Ly=32.0)),
-            (_zero_plane_field, GridSpec(8, 16, 8, Ly=32.0)),
-            (lambda grid, seed: zero_state(grid), GridSpec(8, 16, 8, Ly=32.0)),
-            (_stepped_field, GridSpec(16, 64, 16, Ly=8.0)),
-            (_random_field, GridSpec(6, 24, 10, Ly=16.0)),
-            (_l0_plane_field, GridSpec(8, 16, 8, Ly=32.0)),
-            (_initial(ic_mode=(1, 2, 1)), GridSpec(8, 16, 8, Ly=32.0)),
-            (_initial(ic_mode=(0, 2, 1)), GridSpec(8, 16, 8, Ly=32.0)),
-            (_initial(ic_kind="random_band"), GridSpec(6, 24, 10, Ly=16.0)),
-        ],
-        ids=["random-4x8x4", "random-8x16x8", "zero-plane", "zero", "stepped-16x64x16",
-             "random-6x24x10", "l0-plane-not-self-conjugate", "single-mode", "single-mode-k0",
-             "random-band-6x24x10"],
-    )
+    @pytest.mark.parametrize("make, grid", LEDGER_FIXTURES, ids=LEDGER_IDS)
     def test_norms_and_flags(self, make, grid):
         _assert_matches_reference(make(grid, 74))
 
@@ -369,9 +377,96 @@ class TestReportMatchesReference:
 
     def test_energy_columns_unchanged(self):
         ref = reference_bootstrap_report(
-            _random_field(GRID, 75), 0.8, SimConfig(nu=1e-2, grid=GRID), Accumulators()
+            _random_field(GRID, 75), 0.8, SimConfig(nu=1e-2, grid=GRID), ReferenceAccumulators()
         )
         assert energy_columns() == ["t"] + list(ref.norms) + list(ref.flags)
+
+
+def _assert_batch_equals_each_box_alone(boxes, grid):
+    """Rows of a batch of boxes against one-box calls, over three row times (one repeated)."""
+    B = len(boxes)
+    # each box with its own constants, and its own history: none, or one or two earlier rows
+    cfgs = [SimConfig(nu=3e-2, grid=grid, eps=1e-4 * 3.0**i, C0=100.0 + i, C1=10.0 - i)
+            for i in range(B)]
+    accs, alone = [Accumulators() for _ in range(B)], [Accumulators() for _ in range(B)]
+    for i in range(B):
+        for t in (0.1, 0.3)[: i % 3]:
+            for acc in (accs[i], alone[i]):
+                report(boxes[i], t, cfgs[i], acc)
+    for t in (0.8, 0.8, 5.5):
+        batch = bootstrap_report(np.stack(boxes), t, cfgs, accs)
+        assert len(batch) == B
+        for i, rep in enumerate(batch):
+            assert _bits(rep) == _bits(report(boxes[i], t, cfgs[i], alone[i]))
+
+
+def _bits(rep):
+    """A report with each norm as its bit pattern."""
+    return rep.t, {name: float.hex(v) for name, v in rep.norms.items()}, rep.flags
+
+
+class TestBatchedLedger:
+    """A batch of boxes reports each box as a call on that box alone does, bit for bit."""
+
+    @pytest.mark.parametrize("B", [1, 3, 8])
+    @pytest.mark.parametrize("make, grid", LEDGER_FIXTURES, ids=LEDGER_IDS)
+    def test_batch_equals_each_box_alone(self, make, grid, B):
+        _assert_batch_equals_each_box_alone([_box(make(grid, 74 + i)) for i in range(B)], grid)
+
+    def test_rows_longer_than_einsums_buffer(self):
+        # 32x128x32: the k != 0 rows of a component hold 20 * 85 * 11 = 18700 modes,
+        # past einsum's buffer of 8192, in which it would sum a stack's rows in pieces
+        grid = GridSpec(32, 128, 32, Ly=8.0)
+        _assert_batch_equals_each_box_alone([_box(_random_field(grid, 74 + i)) for i in range(3)], grid)
+
+    def test_dots_sum_each_row_as_alone(self):
+        # the order of the one-row sums that the ledger took before it was batched, also for
+        # rows past einsum's buffer, which einsum would sum in pieces in a stack of rows
+        rng = np.random.default_rng(80)
+        for n in (100, 8192, 8193, 18700):
+            x, w = rng.random((2, 3, n)), rng.random((2, n))
+            want = np.array([[[np.einsum("i,i->", r, wj) for wj in w] for r in xb] for xb in x])
+            assert np.array_equal(diagnostics._dots(x, w).view(np.int64), want.view(np.int64)), n
+
+    def test_file_initial_condition_is_contiguous(self, tmp_path):
+        grid = GridSpec(16, 64, 16, Ly=8.0)
+        path = write_snapshot_csv(tmp_path / "ic.csv", _stepped_field(grid, 74), 5e-2)
+        cfg = SimConfig(nu=5e-2, grid=grid, ic_kind="file", ic_file=str(path))
+        b = _initial_box(cfg)
+        assert b.flags.c_contiguous
+        assert _box(initial_condition(cfg)).flags.c_contiguous
+        # and the ledger does not depend on the layout: a copy, and the same values laid out
+        # component innermost, report the same bits
+        strided = np.moveaxis(np.ascontiguousarray(np.moveaxis(b, 0, -1)), -1, 0)
+        assert not strided.flags.c_contiguous
+        want = _bits(report(b, 0.0, cfg, Accumulators()))
+        for other in (b.copy(), strided):
+            assert _bits(report(other, 0.0, cfg, Accumulators())) == want
+
+    def test_a_first_row_starts_its_integrals_at_zero(self):
+        # even when its norms overflow, where a zero-width trapezoid would be 0 * inf
+        box = _box(_random_field(GRID, 79)) * 1e200
+        cfg = SimConfig(nu=1e-2, grid=GRID)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = report(box, 0.0, cfg, Accumulators())
+        assert math.isinf(rep.norms["U1_neq_HN"])
+        assert all(rep.norms[c] == 0.0 for c in diagnostics.ACCUMULATED_COLUMNS)
+
+    def test_batch_must_share_grid_nu_and_sigma(self):
+        U = _random_field(GRID, 77)
+        boxes = np.stack([_box(U)] * 2)
+        base = SimConfig(nu=1e-2, grid=GRID)
+        for other in (replace(base, nu=2e-2), replace(base, sigma=6.0)):
+            with pytest.raises(ValueError, match="share grid, nu and sigma"):
+                bootstrap_report(boxes, 0.0, [base, other], [Accumulators(), Accumulators()])
+
+    def test_times_must_not_decrease(self):
+        box, cfg, acc = _box(_random_field(GRID, 78)), SimConfig(nu=1e-2, grid=GRID), Accumulators()
+        report(box, 1.0, cfg, acc)
+        report(box, 1.0, cfg, acc)  # a repeated time adds a zero-width trapezoid
+        with pytest.raises(ValueError, match="nondecreasing"):
+            report(box, 0.5, cfg, acc)
+        assert acc.t == 1.0
 
 
 class TestEnergyIdentity:

@@ -1213,6 +1213,87 @@ class TestLockstep:
         for i in (0, 2):
             assert run_record(together[i]) == run_record(alone[i])
 
+    def test_a_failing_first_step_keeps_the_t0_row(self, monkeypatch):
+        cfgs = self.cfgs([1.0, 2.0])
+        alone = run_one(cfgs[1])
+        real_step = simulation.step
+
+        def failing(u, t, dt, cfg):
+            if cfg.eps == 2.0:
+                raise RuntimeError("injected")
+            return real_step(u, t, dt, cfg)
+
+        monkeypatch.setattr(simulation, "step", failing)
+        together = run(cfgs)
+        assert together[1].status == "error" and str(together[1].error) == "injected"
+        assert run_record(together[1])[-1] == run_record(alone)[-1][:1]  # the t = 0 row alone
+        assert run_record(together[0]) == run_record(run_one(cfgs[0]))
+
+    def test_a_failing_ledger_ends_its_cell_alone(self, monkeypatch):
+        cfgs = self.cfgs([1.0, 2.0, 10.0])
+        alone = [run_one(cfg) for cfg in cfgs]
+        real_report = diagnostics.bootstrap_report
+
+        def failing(boxes, t, cfgs, accs):
+            if t > 0.35 and any(cfg.eps == 2.0 for cfg in cfgs):
+                raise RuntimeError("injected")
+            return real_report(boxes, t, cfgs, accs)
+
+        monkeypatch.setattr(diagnostics, "bootstrap_report", failing)
+        together = run(cfgs)
+        assert [r.status for r in together] == ["completed", "error", "completed"]
+        assert str(together[1].error) == "injected"
+        # its rows up to the failing one are those of the run alone
+        assert together[1].reports[-1].t == pytest.approx(0.3)
+        assert run_record(together[1])[-1] == run_record(alone[1])[-1][: len(together[1].reports)]
+        for i in (0, 2):
+            assert run_record(together[i]) == run_record(alone[i])
+
+    @pytest.mark.parametrize("eps", [[1.0, 2.0, 10.0], [1.0, 1e4, 10.0]], ids=["completed", "blow-up"])
+    def test_one_ledger_call_per_row_time(self, monkeypatch, eps):
+        calls = []
+        real_report = diagnostics.bootstrap_report
+
+        def counted(boxes, t, cfgs, accs):
+            calls.append((t, len(boxes)))
+            return real_report(boxes, t, cfgs, accs)
+
+        monkeypatch.setattr(diagnostics, "bootstrap_report", counted)
+        results = run(self.cfgs(eps))
+        times = [r.t for res in results for r in res.reports]
+        # one call per time at which any cell reports, taking every cell that reports then;
+        # a blown-up cell's last row, between two row times, is a call of its own
+        assert sorted(calls) == sorted((t, times.count(t)) for t in set(times))
+        if eps[1] == 1e4:
+            assert results[1].status == "blown_up" and (results[1].reports[-1].t, 1) in calls
+        else:
+            assert calls == [(r.t, 3) for r in results[0].reports]
+
+    def test_mixed_grids_viscosities_and_sigmas(self, monkeypatch):
+        grids = (GRID, GridSpec(6, 24, 10, Ly=16.0))
+        cfgs = [
+            SimConfig(nu=nu, grid=grid, sigma=sigma, eps=eps, seed=i, dt=0.05, t_end=0.5,
+                      ic_kind="random_band", diag_every=2)
+            for i, (grid, nu, sigma, eps) in enumerate(
+                (g, nu, s, e) for g in grids for nu in (1e-2, 2e-2) for s in (5.0, 6.0) for e in (1.0, 30.0)
+            )
+        ]
+        alone = [run_one(cfg) for cfg in cfgs]
+        calls = []
+        real_report = diagnostics.bootstrap_report
+
+        def counted(boxes, t, cfgs, accs):
+            calls.append(len(boxes))
+            return real_report(boxes, t, cfgs, accs)
+
+        monkeypatch.setattr(diagnostics, "bootstrap_report", counted)
+        together = run(cfgs)
+        assert all(r.status == "completed" for r in together)
+        for a, b in zip(together, alone):
+            assert run_record(a) == run_record(b)
+        # two cells per (grid, nu, sigma), each with the t = 0 row and five more
+        assert calls == [2] * (8 * 6)
+
     def test_own_step_sizes_share_nothing(self, monkeypatch):
         cfgs = self.cfgs([1e2, 3e2], dt=None, t_end=0.02, diag_every=1)
         alone = [run_one(cfg) for cfg in cfgs]
