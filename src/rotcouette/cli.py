@@ -31,12 +31,10 @@ from .linear import (
 )
 from .multipliers import (
     WINDOW,
-    M_closed,
     M_log_derivative,
-    SwitchingTimeError,
-    m_exact,
     m_log_derivative,
     m_ode_residual,
+    mode_weights,
 )
 from .simulation import BlowUpError, SimConfig, _full, run
 from .spectral import WaveVector
@@ -295,14 +293,12 @@ def cmd_multipliers(args) -> int:
     )
     columns = "t,k,eta,l,nu,m,M,mdot_over_m,Mdot_over_M,m_ode_residual".split(",")
     rows = []
-    for kv in modes:
-        for t in ts.tolist():
-            try:
-                resid = m_ode_residual(t, kv, nu)
-            except SwitchingTimeError:  # not differentiable there: an empty field
-                resid = None
+    M, m = (a.tolist() for a in mode_weights(ts, modes, nu))  # one row of times per mode
+    for kv, M_kv, m_kv in zip(modes, M, m):
+        # None, an empty field, where m is not differentiable
+        for t, M_t, m_t, resid in zip(ts.tolist(), M_kv, m_kv, m_ode_residual(ts, kv, nu)):
             rows.append((
-                t, str(kv.k), kv.eta, str(kv.l), nu, m_exact(t, kv, nu), M_closed(t, kv, nu),
+                t, str(kv.k), kv.eta, str(kv.l), nu, m_t, M_t,
                 m_log_derivative(t, kv, nu), M_log_derivative(t, kv, nu), resid,
             ))
     manifest.add(reporting.write_csv(outdir / "multipliers.csv", columns, rows))

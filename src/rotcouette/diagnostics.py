@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import _kernels
+from .multipliers import weight_constants, weights
 from .simulation import SimConfig, VelocityField, _divergence_max, _time_cache, _waves, frame_symbols
 from .simulation import _box_sobolev_weights
 from .spectral import GridSpec, SpectralField
@@ -206,7 +206,7 @@ def _ledger_constants(grid: GridSpec, nu: float, N: float) -> tuple:
     """The ledger's time-independent weights, built once per run: read-only.
 
     The constants of m, M and -Mdot M on the k != 0 rows of the box
-    (``_kernels.weight_constants``); the factors k^2 + l^2 and k^2 of |K1|^2
+    (``multipliers.weight_constants``); the factors k^2 + l^2 and k^2 of |K1|^2
     and |K2|^2 on those rows, stacked as (2, 2cx, 1, cz+1); and the four
     weights of the k = 0 plane, stacked as (4, (2cy+1)(cz+1)), where w =
     eta^2 + l^2 has no t: hsN w^2 and hsN w^3 for Q0 and its gradient,
@@ -222,7 +222,7 @@ def _ledger_constants(grid: GridSpec, nu: float, N: float) -> tuple:
     plane = np.stack((hq, hq * w0, hsNm1, hsNm1 * w0)).reshape(4, -1)
     kk = np.stack((wv.kl2[1:], np.broadcast_to(wv.k2[1:], wv.kl2[1:].shape)))
     plane.flags.writeable = kk.flags.writeable = False
-    return _kernels.weight_constants(wv.k[1:], wv.eta, wv.l, nu), plane, kk
+    return weight_constants(wv.k[1:], wv.eta, wv.l, nu), plane, kk
 
 
 @_time_cache(maxsize=2)  # the row time of a lockstep round, and the next
@@ -233,11 +233,11 @@ def _ledger_weights(grid: GridSpec, nu: float, N: float, t: float) -> tuple:
     the box's frame symbol w(t).  Read-only.
     """
     consts = _ledger_constants(grid, nu, N)[0]
-    M2, dmm, m = _kernels.weights(consts, t, frame_symbols(grid, t, box=True)[3][1:])
-    weights = (np.stack((M2[..., 0], dmm[..., 0])), m)
-    for a in weights:
+    M, dmm, m = weights(consts, t, frame_symbols(grid, t, box=True)[3][1:])
+    out = (np.stack(((M * M)[..., 0], dmm[..., 0])), m)
+    for a in out:
         a.flags.writeable = False
-    return weights
+    return out
 
 
 def bootstrap_report(

@@ -7,20 +7,31 @@ t = eta/k and is constant elsewhere, with an exact piecewise-rational
 formula.  The ghost weight M spends a fixed total decrement around the
 critical time of every non-zero mode; its log-derivative is an arctan kernel,
 so M itself is an explicit double-arctan exponential confined to [e^{-pi}, 1].
+
+Both have one implementation, which the ledger and the ``multipliers``
+command call: ``weight_constants`` builds what does not depend on t once per
+mode arrays and viscosity, and ``weights`` evaluates M, -Mdot M and m at t
+from it and the frame symbol w(t).  The arrays broadcast, and each element
+takes the operations, in the order, of the closed forms that
+``tests/oracles.py`` keeps as the reference.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+
+import numpy as np
 
 from .spectral import WaveVector, w_symbol
 
 __all__ = [
-    "SwitchingTimeError",
-    "m_exact",
+    "WeightConstants",
+    "weight_constants",
+    "weights",
+    "mode_weights",
     "m_log_derivative",
     "m_ode_residual",
-    "M_closed",
     "M_log_derivative",
     "WINDOW",
 ]
@@ -31,37 +42,69 @@ __all__ = [
 WINDOW = 1000.0
 
 
-class SwitchingTimeError(ValueError):
-    """Requested a derivative at a non-differentiable branch-switching time."""
+@dataclass(frozen=True, eq=False)
+class WeightConstants:
+    """The time-independent parts of m, M and -Mdot M on one set of modes; read-only."""
+
+    third: float  # nu^{1/3}
+    nonzero: np.ndarray  # k != 0
+    ratio: np.ndarray  # eta/k, the critical time (0 where k = 0)
+    arc0: np.ndarray  # arctan(nu^{1/3} eta/k)
+    start: np.ndarray  # m's window opens: eta/k if eta/k >= 0, -inf if -lw < eta/k < 0, else +inf
+    tend: np.ndarray  # and closes, at eta/k + lw
+    num: np.ndarray  # m's numerator in the window: |k, l|^2, or |k, eta, l|^2 if it opened before 0
+    end: np.ndarray  # m after the window: num over w at the closing time
 
 
-def m_exact(t: float, kv: WaveVector, nu: float) -> float:
-    """Exact piecewise value of the stretching weight at time t >= 0.
-
-    k = 0 modes and modes whose window closed before t = 0 keep the value 1;
-    inside the window the weight is the ratio of the frame Laplacian symbol
-    at the window opening to its current value, and past the window it stays
-    frozen at the closing value.
-    """
-    if t < 0:
-        raise ValueError(f"m_exact requires t >= 0, got {t}")
-    if kv.k == 0:
-        return 1.0
-    ratio = kv.eta / kv.k
+def weight_constants(k, eta, l, nu) -> WeightConstants:
+    """The constants of ``weights`` on the broadcast mode arrays k, eta, l at viscosity nu."""
+    third = nu ** (1.0 / 3.0)
     lw = WINDOW * nu ** (-1.0 / 3.0)
-    if ratio <= -lw:
-        return 1.0
-    wt = w_symbol(t, kv)
-    w_end = kv.k * kv.k + (WINDOW * kv.k) ** 2 * nu ** (-2.0 / 3.0) + kv.l * kv.l
-    if ratio < 0.0:
-        w0 = kv.k * kv.k + kv.eta * kv.eta + kv.l * kv.l
-        return w0 / wt if t < ratio + lw else w0 / w_end
-    kl2 = kv.k * kv.k + kv.l * kv.l
-    if t < ratio:
-        return 1.0
-    if t < ratio + lw:
-        return kl2 / wt
-    return kl2 / w_end
+    nonzero = k != 0
+    ratio = np.where(nonzero, eta / np.where(nonzero, k, 1.0), 0.0)
+    w_end = k * k + (WINDOW * k) ** 2 * nu ** (-2.0 / 3.0) + l * l
+    neg = nonzero & (ratio > -lw) & (ratio < 0.0)
+    pos = nonzero & (ratio >= 0.0)
+    num = np.where(neg, k * k + eta * eta + l * l, k * k + l * l)
+    c = WeightConstants(
+        third=third,
+        nonzero=nonzero,
+        ratio=ratio,
+        arc0=np.arctan(third * ratio),
+        start=np.where(pos, ratio, np.where(neg, -np.inf, np.inf)),
+        tend=ratio + lw,
+        num=num,
+        end=num / np.where(w_end > 0.0, w_end, 1.0),
+    )
+    for a in vars(c).values():
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    return c
+
+
+def weights(c: WeightConstants, t, w) -> tuple:
+    """(M, -Mdot M, m) at time t >= 0, given the frame symbol w(t), positive wherever k != 0.
+
+    -Mdot M = M^2 nu^{1/3} / (1 + x^2) with x = nu^{1/3} (t - eta/k).  M and
+    -Mdot M have no l: they broadcast as k, eta and t do.
+    """
+    x = c.third * (t - c.ratio)
+    M = np.where(c.nonzero, np.exp(-(np.arctan(x) + c.arc0)), 1.0)
+    dmm = np.where(c.nonzero, M * M * c.third / (1.0 + x * x), 0.0)
+    m = np.where(t >= c.start, np.where(t < c.tend, c.num / w, c.end), 1.0)
+    return M, dmm, m
+
+
+def mode_weights(t, modes: list[WaveVector], nu: float) -> tuple:
+    """(M, m) of each mode at each time t >= 0 of t, as (len(modes), len(t)) arrays."""
+    k, eta, l = (np.array([[float(getattr(kv, a))] for kv in modes]) for a in ("k", "eta", "l"))
+    t = np.asarray(t, dtype=float)
+    if (t < 0.0).any():
+        raise ValueError(f"the weights are defined for t >= 0, got {t.min()}")
+    d = eta - k * t
+    w = k * k + d * d + l * l  # w_symbol; unit-safe where it vanishes, as the frame symbol's
+    M, _, m = weights(weight_constants(k, eta, l, nu), t, np.where(w > 0.0, w, 1.0))
+    return M, m
 
 
 def m_log_derivative(t: float, kv: WaveVector, nu: float) -> float:
@@ -74,39 +117,25 @@ def m_log_derivative(t: float, kv: WaveVector, nu: float) -> float:
     return 0.0
 
 
-def m_ode_residual(t: float, kv: WaveVector, nu: float, h: float = 1e-4) -> float:
-    """|d/dt log m - ODE right-hand side| by central differences.
+def m_ode_residual(t, kv: WaveVector, nu: float, h: float = 1e-4) -> list:
+    """|d/dt log m - ODE right-hand side| at each time of t, by central differences of m.
 
-    Raises ``SwitchingTimeError`` when the stencil straddles a branch switch
-    (window opening/closing or the t = 0 boundary), where the weight is
-    continuous but not differentiable.
+    m is ``mode_weights``'.  None at a time whose stencil straddles a branch
+    switch (window opening or closing, or the t = 0 boundary), where the
+    weight is continuous but not differentiable.
     """
+    ts = np.asarray(t, dtype=float).ravel().tolist()
     if kv.k == 0:
-        return 0.0
-    if t < 2.0 * h:
-        raise SwitchingTimeError(f"t={t} too close to the domain boundary for stencil h={h}")
+        return [0.0] * len(ts)
     ratio = kv.eta / kv.k
-    for switch in (ratio, ratio + WINDOW * nu ** (-1.0 / 3.0)):
-        if abs(t - switch) < 2.0 * h:
-            raise SwitchingTimeError(f"t={t} within stencil distance of switching time {switch}")
-    fd = (math.log(m_exact(t + h, kv, nu)) - math.log(m_exact(t - h, kv, nu))) / (2.0 * h)
-    return abs(fd - m_log_derivative(t, kv, nu))
-
-
-def M_closed(t: float, kv: WaveVector, nu: float) -> float:
-    """Exact ghost weight: exp(-arctan(nu^{1/3}(t - eta/k)) - arctan(nu^{1/3} eta/k)).
-
-    Solves the arctan-kernel ODE with M(0) = 1; the exponent lives in
-    (-pi, 0], so e^{-pi} < M <= 1 uniformly in the mode and the viscosity.
-    k = 0 modes carry the constant weight 1.
-    """
-    if t < 0:
-        raise ValueError(f"M_closed requires t >= 0, got {t}")
-    if kv.k == 0:
-        return 1.0
-    third = nu ** (1.0 / 3.0)
-    ratio = kv.eta / kv.k
-    return math.exp(-(math.atan(third * (t - ratio)) + math.atan(third * ratio)))
+    switches = (0.0, ratio, ratio + WINDOW * nu ** (-1.0 / 3.0))
+    smooth = [t for t in ts if all(abs(t - s) >= 2.0 * h for s in switches)]
+    m = mode_weights([t + h for t in smooth] + [t - h for t in smooth], [kv], nu)[1][0].tolist()
+    resid = {
+        t: abs((math.log(right) - math.log(left)) / (2.0 * h) - m_log_derivative(t, kv, nu))
+        for t, right, left in zip(smooth, m, m[len(smooth):])
+    }
+    return [resid.get(t) for t in ts]
 
 
 def M_log_derivative(t: float, kv: WaveVector, nu: float) -> float:

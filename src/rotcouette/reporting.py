@@ -140,6 +140,24 @@ def write_snapshot_csv(path: str | Path, U: VelocityField, nu: float) -> Path:
     return path
 
 
+def _bad_row(fh, first: int) -> str | None:
+    """"line N: why" of the first row from file line ``first`` on that is not 10 numbers, if any."""
+    fh.seek(0)
+    for n, line in enumerate(fh, start=1):
+        text = line.split("#", 1)[0]  # comments and blank lines are skipped, as np.loadtxt does
+        if n < first or not text.strip():
+            continue
+        fields = text.split(",")
+        if len(fields) < 10:
+            return f"line {n}: {line.strip()!r} has {len(fields)} fields, not 10"
+        for v in fields[:10]:
+            try:
+                float(v)
+            except ValueError:
+                return f"line {n}: {v.strip()!r} is not a number"
+    return None
+
+
 def read_snapshot_csv(path: str | Path) -> VelocityField:
     """The field of a snapshot CSV; a ValueError naming the file and line refuses malformed input.
 
@@ -169,7 +187,11 @@ def read_snapshot_csv(path: str | Path) -> VelocityField:
                                  f"{count} number(s)")
             fields += values
         # then one row per mode, parsed from the same handle
-        cols = np.loadtxt(fh, delimiter=",", ndmin=2, usecols=range(10)).T
+        try:
+            cols = np.loadtxt(fh, delimiter=",", ndmin=2, usecols=range(10)).T
+        except ValueError as exc:  # numpy's row numbers are not file lines
+            why = _bad_row(fh, n + 1) or f"has a malformed row ({exc})"
+            raise ValueError(f"snapshot {path} {why}") from exc
     nx, ny, nz, ly, t = fields
     grid = GridSpec(Nx=nx, Ny=ny, Nz=nz, Ly=ly)
     for name, c, size in zip("kjl", cols, grid.shape):

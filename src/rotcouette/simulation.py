@@ -20,9 +20,9 @@ snapshot by ``_full`` as it writes it, as ``initial_condition`` is of ``_initial
 Advection is evaluated in rotational form on the physical grid and
 re-projected, which keeps it energy-neutral.  The box reaches the grid and
 comes back through dense partial DFTs over the retained modes alone, three
-matrix products each way (``_to_grid``, ``_to_box``): y first, on the box
-before it is expanded, then x, then z.  No FFT transforms the zero padding,
-and no mode outside the box is ever computed.  The physical samples are
+matrix products each way (``_Plan.to_grid``, ``_Plan.to_box``): y first,
+on the box before it is expanded, then x, then z.  No FFT transforms the
+zero padding, and no mode outside the box is ever computed.  The physical samples are
 field major, (n, Nx, Ny, Nz), so the cross product runs on whole field
 planes.  The curl, the cross product and the projection act on all
 components at once, on stacked arrays ordered so that each is a few array
@@ -172,8 +172,8 @@ class _Waves:
     kl2: np.ndarray  # k^2 + l^2, (nk, 1, nl)
     index: np.ndarray | None = None  # box only: flat positions of the box in (Nx, Ny, Nz)
     mirror: np.ndarray | None = None  # and of the reflections of its l > 0 modes there;
-    to_grid: tuple | None = None  # the partial DFT matrices (Ex, Ey, Az) of ``_to_grid``
-    to_box: tuple | None = None  # and (Ex^H, Ey^H, Bz) of ``_to_box``
+    to_grid: tuple | None = None  # the partial DFT matrices (Ex, Ey, Az) of ``_Plan.to_grid``
+    to_box: tuple | None = None  # and (Ex^H, Ey^H, Bz) of ``_Plan.to_box``
 
 
 def _dft(n: int, m: np.ndarray) -> np.ndarray:
@@ -370,7 +370,13 @@ class _Plan:
         self.g, self.g2 = g, g.reshape(-1, g.shape[-1])
 
     def to_grid(self, c_j: np.ndarray) -> np.ndarray:
-        """``_to_grid`` of a box given as its (j, n, k, l) view c_j; returns ``g``."""
+        """Samples ``g``, (n, Nx, Ny, Nz), of n real fields whose box has the (j, n, k, l) view c_j.
+
+        Partial DFTs over the retained modes only, one axis at a time as
+        matrix products: y on the box with j moved to the front (one
+        product), then x on each field, then the real step in z.  The next
+        ``to_grid`` on the grid overwrites ``g``.
+        """
         np.copyto(self.jb, c_j)
         np.matmul(self.ey, self.jb2, out=self.yb2)
         np.copyto(self.kb, self.yb_k)
@@ -379,7 +385,13 @@ class _Plan:
         return self.g
 
     def to_box(self, p2: np.ndarray) -> np.ndarray:
-        """``_to_box`` of samples given as their (n Nx Ny, Nz) view p2, as a fresh box."""
+        """A fresh box, (n, 2cx+1, 2cy+1, cz+1), of samples given by their (n Nx Ny, Nz) view p2.
+
+        The conjugate transposes of ``to_grid``'s products in reverse order:
+        z (with the 1 / n_modes of the amplitudes), x on each field, then y
+        with the samples' y moved to the front.  Only the retained modes are
+        computed; no padded spectrum is formed or cut.
+        """
         np.matmul(p2, self.bz, out=self.xz_re)
         np.matmul(self.exh, self.xz3, out=self.kb3)
         np.copyto(self.yb, self.kb_j)
@@ -394,8 +406,8 @@ class _Workspace:
     ``u.take`` puts them there by the index ``rot``, and the curl in ``w``;
     ``box_j`` is its view for the y step and ``curl`` box-sized scratch for
     the curl's d_rot u.  The transforms' buffers are flat and sized for six
-    fields; ``plan(n)`` shapes their leading parts for n fields once per n
-    (``_Plan``), and ``six`` and ``three`` are the stage's two plans.
+    fields; ``six`` and ``three`` shape their leading parts for the six
+    fields that go to the grid and the three that come back (``_Plan``).
     ``prod`` holds the cross product in ``prod_v`` and one field of scratch
     in ``prod_s``, with ``samples`` its view for the z step; ``g_v``, ``g_w``
     and the triples of ``cross`` are its operands, planes of ``six.g``.
@@ -411,23 +423,16 @@ class _Workspace:
         self.prod = np.empty((4, nx, ny, nz))
         self.prod_v, self.prod_s = self.prod[:3], self.prod[3]
         self.samples = self.prod_v.reshape(-1, nz)
-        self._shapes = lambda n: (
-            (nj, n, nk, nl), (ny, n, nk, nl), (n, nk, ny, nl), (n, nx, ny, nl), (n, nx, ny, nz)
-        )
-        self._flat = [np.empty(math.prod(s), dtype=np.complex128) for s in self._shapes(6)[:4]]
+        shapes = [((nj, n, nk, nl), (ny, n, nk, nl), (n, nk, ny, nl), (n, nx, ny, nl),
+                   (n, nx, ny, nz)) for n in (6, 3)]
+        self._flat = [np.empty(math.prod(s), dtype=np.complex128) for s in shapes[0][:4]]
         self._flat.append(np.empty(6 * grid.n_modes))
-        self._wv, self._plans = _waves(grid, True), {}
-        self.six, self.three = self.plan(6), self.plan(3)
+        wv = _waves(grid, True)
+        self.six, self.three = (_Plan(self._flat, s, wv) for s in shapes)
         g = self.six.g
         self.g_v, self.g_w = g[:3], g[3:]
         pairs = ((1, 5), (2, 3), (0, 4))  # (v3 w2, v1 w3, v2 w1)
         self.cross = tuple((p, g[i], g[j]) for p, (i, j) in zip(self.prod_v, pairs))
-
-    def plan(self, n: int) -> _Plan:
-        """The transforms' operands for n <= 6 fields, shaped on first use."""
-        if n not in self._plans:
-            self._plans[n] = _Plan(self._flat, self._shapes(n), self._wv)
-        return self._plans[n]
 
 
 @_time_cache(maxsize=2)  # one grid per row; a second grid does not evict the first
@@ -435,37 +440,14 @@ def _workspace(grid: GridSpec) -> _Workspace:
     return _Workspace(grid)
 
 
-def _to_grid(c: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Physical samples, as (n, Nx, Ny, Nz), of n <= 6 real fields given by their box amplitudes.
-
-    The box c is (n, 2cx+1, 2cy+1, cz+1).  Partial DFTs over the retained
-    modes only, one axis at a time as matrix products: y on the box with j
-    moved to the front (one product), then x on each field, then the real
-    step in z.  The products run on the grid's plan for n fields
-    (``_Workspace.plan``, ``_Plan.to_grid``), and the samples are its
-    buffer, which the next ``_to_grid`` on that grid overwrites.
-    """
-    return _workspace(grid).plan(len(c)).to_grid(c.transpose(2, 0, 1, 3))
-
-
-def _to_box(p: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Fresh box amplitudes (n, 2cx+1, 2cy+1, cz+1) of physical samples p, (n, Nx, Ny, Nz).
-
-    The conjugate transposes of ``_to_grid``'s products in reverse order: z
-    (with the 1 / n_modes of the amplitudes), x on each field, then y with
-    the samples' y moved to the front, on the same plan (``_Plan.to_box``).
-    Only the retained modes are computed; no padded spectrum is formed or cut.
-    """
-    return _workspace(grid).plan(len(p)).to_box(p.reshape(-1, grid.Nz))
-
-
 def nonlinear_rhs(u: np.ndarray, sym, grid: GridSpec, t: float) -> np.ndarray:
     """Dealiased advection with its pressure correction, -P_L (u . grad_L u), box layout.
 
     Evaluated in rotational form, P_L (u x curl_L u), as a fresh array: the
     six fields (u2, u3, u1, w3, w1, w2) of u and w = curl_L u go to the
-    physical grid as ``_to_grid`` takes them, the three products come back
-    to the box as ``_to_box`` does, then ``leray_project_L`` with sym =
+    physical grid by the workspace's plan ``six`` (``_Plan.to_grid``), the
+    three products come back to the box by its plan ``three``
+    (``_Plan.to_box``), then ``leray_project_L`` with sym =
     ``frame_symbols(grid, t, box=True)``.  In that order the curl is
     i (d u_rot - d_rot u), a few operations on stacked arrays with d and
     d_rot the views ``sym.dvec`` and ``sym.drot``, and the cross product is (v2 w3, v3 w1, v1 w2),
@@ -671,6 +653,8 @@ def _initial_box(cfg: SimConfig) -> np.ndarray:
         U = read_snapshot_csv(cfg.ic_file)
         if U.grid != grid:
             raise ValueError("snapshot grid does not match the configured grid")
+        if not np.isfinite(U.coeffs.view(np.float64)).all():  # read as written; a run cannot start
+            raise ValueError(f"snapshot {cfg.ic_file} holds a coefficient that is not finite")
         if np.any(U.coeffs[:, ~grid.dealias_mask]):
             raise ValueError("snapshot holds modes outside the dealiased band")
         # a step reads only the l >= 0 box, so the l < 0 half must be its reflection

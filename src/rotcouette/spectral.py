@@ -8,9 +8,9 @@ so that differential operators act through the symbols (ik, i eta, il).  An
 amplitude is the forward DFT of the physical samples divided by the mode
 count Nx*Ny*Nz, which keeps single-mode values grid independent; a sample is
 the unnormalised sum of the amplitudes.  The stepper evaluates these sums on
-the retained modes only, as matrix products (``simulation._to_grid`` and
-``simulation._to_box``): the y sum on the retained box, then x, then z, with
-the samples of n fields laid out field major as (n, Nx, Ny, Nz).
+the retained modes only, as matrix products (``simulation._Plan``'s
+``to_grid`` and ``to_box``): the y sum on the retained box, then x, then z,
+with the samples of n fields laid out field major as (n, Nx, Ny, Nz).
 
 In the frame advected by the background shear, the Laplacian is diagonal with
 the time-dependent symbol w(t) = k^2 + (eta - k t)^2 + l^2.  Both w and its

@@ -12,7 +12,8 @@ condition and Sobolev norms on the full layout instead of the box, the
 per-component curl, cross product, projection and propagator rows
 instead of the stacked ones (``rotational_nonlinear_rhs``), and the
 weights m, M and -Mdot M as one expression per time (``m_values``,
-``M_values``, ``neg_MdotM_values``) instead of per-run constants.
+``M_values``, ``neg_MdotM_values``) instead of per-run constants, and
+their scalar closed forms (``m_exact``, ``M_closed``) at one mode and time.
 ``full_step`` is no oracle: it runs the package's box stepper on a
 full-layout field.
 
@@ -20,7 +21,7 @@ The last section holds the helpers that only the tests call: a single
 run that raises what ended it, its snapshots as fields, physical
 synthesis, Hermitian symmetrisation, the band-edge monitor on a full
 field, the Laplacian unknowns, the enhanced-dissipation envelope check
-and the scans of the two spectral weights over sample sets.
+and the scans of the package's two spectral weights over sample sets.
 """
 
 from __future__ import annotations
@@ -36,16 +37,15 @@ from scipy.linalg import expm
 
 from rotcouette.diagnostics import EnergyReport, compute_K_check
 from rotcouette.linear import ModeStateK, _require_nonzero_k, evolve_K_closed
-from rotcouette.multipliers import WINDOW, M_closed, M_log_derivative, m_exact
+from rotcouette.multipliers import WINDOW, M_log_derivative, weight_constants, weights
 from rotcouette.simulation import (
     BlowUpError,
     VelocityField,
     _box,
     _full,
     _propagator_coeffs,
-    _to_box,
-    _to_grid,
     _waves,
+    _workspace,
     frame_symbols,
     leray_project_L,
     run,
@@ -411,7 +411,7 @@ def _ratio(k, eta):
 def m_values(t, k, eta, l, nu):
     """The stretching weight m over broadcast mode arrays, in one expression per time.
 
-    The reference for ``_kernels.weights``, which splits it into constants
+    The reference for ``multipliers.weights``, which splits it into constants
     and a per-time evaluation.
     """
     lw = WINDOW * nu ** (-1.0 / 3.0)
@@ -440,18 +440,63 @@ def _M(t, nonzero, ratio, third):
 
 
 def M_values(t, k, eta, l, nu):
-    """The ghost weight M over broadcast mode arrays; the reference for ``_kernels.weights``."""
+    """The ghost weight M over broadcast mode arrays; the reference for ``multipliers.weights``."""
     nonzero, ratio = _ratio(k, eta)
     return _M(t, nonzero, ratio, nu ** (1.0 / 3.0))
 
 
 def neg_MdotM_values(t, k, eta, l, nu):
-    """-Mdot M over broadcast mode arrays; the reference for ``_kernels.weights``."""
+    """-Mdot M over broadcast mode arrays; the reference for ``multipliers.weights``."""
     nonzero, ratio = _ratio(k, eta)
     third = nu ** (1.0 / 3.0)
     M = _M(t, nonzero, ratio, third)
     x = third * (t - ratio)
     return np.where(nonzero, M * M * third / (1.0 + x * x), 0.0)
+
+
+def m_exact(t: float, kv: WaveVector, nu: float) -> float:
+    """Exact piecewise value of the stretching weight at time t >= 0, one branch per case.
+
+    k = 0 modes and modes whose window closed before t = 0 keep the value 1;
+    inside the window the weight is the ratio of the frame Laplacian symbol
+    at the window opening to its current value, and past the window it stays
+    frozen at the closing value.
+    """
+    if t < 0:
+        raise ValueError(f"m_exact requires t >= 0, got {t}")
+    if kv.k == 0:
+        return 1.0
+    ratio = kv.eta / kv.k
+    lw = WINDOW * nu ** (-1.0 / 3.0)
+    if ratio <= -lw:
+        return 1.0
+    wt = w_symbol(t, kv)
+    w_end = kv.k * kv.k + (WINDOW * kv.k) ** 2 * nu ** (-2.0 / 3.0) + kv.l * kv.l
+    if ratio < 0.0:
+        w0 = kv.k * kv.k + kv.eta * kv.eta + kv.l * kv.l
+        return w0 / wt if t < ratio + lw else w0 / w_end
+    kl2 = kv.k * kv.k + kv.l * kv.l
+    if t < ratio:
+        return 1.0
+    if t < ratio + lw:
+        return kl2 / wt
+    return kl2 / w_end
+
+
+def M_closed(t: float, kv: WaveVector, nu: float) -> float:
+    """Exact ghost weight: exp(-arctan(nu^{1/3}(t - eta/k)) - arctan(nu^{1/3} eta/k)).
+
+    Solves the arctan-kernel ODE with M(0) = 1; the exponent lives in
+    (-pi, 0], so e^{-pi} < M <= 1 uniformly in the mode and the viscosity.
+    k = 0 modes carry the constant weight 1.
+    """
+    if t < 0:
+        raise ValueError(f"M_closed requires t >= 0, got {t}")
+    if kv.k == 0:
+        return 1.0
+    third = nu ** (1.0 / 3.0)
+    ratio = kv.eta / kv.k
+    return math.exp(-(math.atan(third * (t - ratio)) + math.atan(third * ratio)))
 
 
 def _weighted_norm(grid: GridSpec, coeffs: np.ndarray, weight_sq) -> float:
@@ -732,12 +777,13 @@ def rotational_nonlinear_rhs(u, sym, grid: GridSpec, t: float):
     np.multiply(1j, k * u2 - etal * u1, out=c[3])
     np.multiply(1j, etal * u3 - l * u2, out=c[4])
     np.multiply(1j, l * u1 - k * u3, out=c[5])
-    v2, v3, v1, o3, o1, o2 = _to_grid(c, grid)
+    ws = _workspace(grid)
+    v2, v3, v1, o3, o1, o2 = ws.six.to_grid(c.transpose(2, 0, 1, 3))
     prod = np.empty((3,) + grid.shape)
     np.subtract(v2 * o3, v3 * o2, out=prod[0])
     np.subtract(v3 * o1, v1 * o3, out=prod[1])
     np.subtract(v1 * o2, v2 * o1, out=prod[2])
-    a = _to_box(prod, grid)
+    a = ws.three.to_box(prod.reshape(-1, grid.Nz))
     if not np.isfinite(a).all():
         raise BlowUpError("non-finite values in the advection term", time=t)
     return psi_project_L(a, sym)
@@ -883,6 +929,18 @@ class MBoundsReport:
         return self.upper_bound_ok and self.c1 > 0.0 and self.c2 > 0.0
 
 
+def kernel_weights(samples: Sequence[tuple[float, WaveVector]], nu: float) -> tuple:
+    """(M, -Mdot M, m, w) at each (t, kv) of samples from ``multipliers.weights``, the ledger's kernels.
+
+    Each a 1-D array; w is the frame symbol w(t) of the sample.
+    """
+    t = np.array([ti for ti, _ in samples], dtype=float)
+    k, eta, l = (np.array([float(getattr(kv, a)) for _, kv in samples]) for a in ("k", "eta", "l"))
+    d = eta - k * t
+    w = k * k + d * d + l * l
+    return weights(weight_constants(k, eta, l, nu), t, np.where(w > 0.0, w, 1.0)) + (w,)
+
+
 def check_m_bounds(samples: Sequence[tuple[float, WaveVector]], nu: float) -> MBoundsReport:
     """Verify m <= 1 and report the sharpest admissible lower-bound constants.
 
@@ -890,22 +948,15 @@ def check_m_bounds(samples: Sequence[tuple[float, WaveVector]], nu: float) -> MB
     largest with m >= c2 * (k^2 + l^2) / w (modes with k = l = 0 are skipped
     in the c2 scan since both sides vanish).
     """
-    m_max = 0.0
-    c1 = math.inf
-    c2 = math.inf
-    nu23 = nu ** (2.0 / 3.0)
-    for t, kv in samples:
-        m = m_exact(t, kv, nu)
-        m_max = max(m_max, m)
-        c1 = min(c1, m / nu23)
-        kl2 = kv.k * kv.k + kv.l * kv.l
-        if kl2 > 0:
-            c2 = min(c2, m * w_symbol(t, kv) / kl2)
+    _, _, m, w = kernel_weights(samples, nu)
+    kl2 = np.array([float(kv.k * kv.k + kv.l * kv.l) for _, kv in samples])
+    nz = kl2 > 0
+    m_max = float(m.max(initial=0.0))
     return MBoundsReport(
         n_samples=len(samples),
         m_max=m_max,
-        c1=c1,
-        c2=c2,
+        c1=float((m / nu ** (2.0 / 3.0)).min(initial=math.inf)),
+        c2=float((m[nz] * w[nz] / kl2[nz]).min(initial=math.inf)),
         upper_bound_ok=m_max <= 1.0 + 1e-12,
     )
 
@@ -933,18 +984,13 @@ def check_M_bounds_and_coercivity(
     is scanned over the k != 0 samples only; its positive lower bound is what
     converts ghost-weight dissipation into an integrated-decay estimate.
     """
-    M_min = math.inf
-    M_max = 0.0
-    inf = math.inf
-    n = 0
-    for t, kv in samples:
-        n += 1
-        M = M_closed(t, kv, nu)
-        M_min = min(M_min, M)
-        M_max = max(M_max, M)
-        if kv.k != 0:
-            value = nu ** (-1.0 / 6.0) * math.sqrt(neg_MdotM(t, kv, nu)) + nu ** (
-                1.0 / 3.0
-            ) * math.sqrt(w_symbol(t, kv))
-            inf = min(inf, value)
-    return MCoercivityReport(n_samples=n, M_min=M_min, M_max=M_max, coercivity_inf=inf)
+    samples = list(samples)
+    M, dmm, _, w = kernel_weights(samples, nu)
+    nonzero = np.array([kv.k != 0 for _, kv in samples], dtype=bool)
+    value = nu ** (-1.0 / 6.0) * np.sqrt(dmm) + nu ** (1.0 / 3.0) * np.sqrt(w)
+    return MCoercivityReport(
+        n_samples=len(samples),
+        M_min=float(M.min(initial=math.inf)),
+        M_max=float(M.max(initial=0.0)),
+        coercivity_inf=float(value[nonzero].min(initial=math.inf)),
+    )

@@ -19,11 +19,7 @@ from rotcouette.linear import (
     zero_mode_evolve,
     ZeroModeState,
 )
-from rotcouette.multipliers import (
-    WINDOW,
-    M_closed,
-    m_ode_residual,
-)
+from rotcouette.multipliers import WINDOW, m_ode_residual, mode_weights
 from rotcouette.simulation import SimConfig, divergence_defect
 from rotcouette.spectral import GridSpec, WaveVector, integral_w
 from rotcouette.threshold import ClassifyCriteria, classify_run, default_horizon
@@ -169,7 +165,7 @@ def test_criterion_05_multiplier_consistency():
         if hi <= lo:
             continue
         t = float(rng.uniform(lo, min(hi, lo + 200.0)))
-        assert m_ode_residual(t, kv, nu) <= 1e-6
+        assert m_ode_residual(t, kv, nu)[0] <= 1e-6
         checked += 1
 
     # (b) ghost weight against RK4 on 500 instances
@@ -181,7 +177,7 @@ def test_criterion_05_multiplier_consistency():
     ts = rng.uniform(0.1, 50.0, n)
     oracle = rk4_M_batch(nus, k, eta, ts)
     for i, kv in enumerate(modes):
-        got = M_closed(float(ts[i]), kv, float(nus[i]))
+        got = float(mode_weights([ts[i]], [kv], float(nus[i]))[0][0, 0])
         assert abs(got - float(oracle[i])) <= 1e-8
 
     # (c) bounds on 1e5 samples split across a nu ladder; c1 reported

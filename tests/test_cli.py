@@ -210,6 +210,11 @@ MALFORMED_SNAPSHOTS = {
     "index-outside-the-grid": (5, "9" + ZERO_ROW[1:], "line 6: k = 9 is not an integer in [-4, 4)"),
     # else the cast to integers truncates it to l = 1
     "index-not-an-integer": (5, "0,0,1.5" + ZERO_ROW[5:], "line 6: l = 1.5 is not an integer in [-4, 4)"),
+    # numpy's own messages name neither the file nor its line
+    "row-with-nine-fields": (6, ZERO_ROW[:-4], f"line 7: {ZERO_ROW[:-4]!r} has 9 fields, not 10"),
+    "field-not-a-number": (6, "0,0,1,0.0,abc" + ZERO_ROW[13:], "line 7: 'abc' is not a number"),
+    # read as written, but else the run starts from it and blows up at its first step
+    "coefficient-not-finite": (5, ZERO_ROW[:-7] + "nan,0.0", "holds a coefficient that is not finite"),
 }
 
 

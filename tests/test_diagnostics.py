@@ -12,16 +12,18 @@ from rotcouette.diagnostics import (
     bootstrap_report,
     compute_K_check,
 )
-from rotcouette.multipliers import WINDOW, M_closed, m_exact
+from rotcouette.multipliers import WINDOW
 from rotcouette.reporting import energy_columns, write_snapshot_csv
 from rotcouette.simulation import SimConfig, VelocityField, _box, _full, _initial_box, initial_condition
 from rotcouette.spectral import GridSpec, WaveVector
 
 from oracles import (
+    M_closed,
     M_values,
     ReferenceAccumulators,
     compute_Q,
     full_step,
+    m_exact,
     m_values,
     neg_MdotM,
     neg_MdotM_values,

@@ -461,10 +461,15 @@ class TestNonlinearRhs:
                         c[(0,) + tuple(int(np.flatnonzero(a == n)[0]) for a, n in zip(axes, i))] = 1.0
                     phase = (k * x[:, None, None] + grid.eta_spacing * j * y[None, :, None]
                              + l * z[None, None, :])
-                    got = simulation._to_grid(c, grid)
-                    assert got.shape == (1, grid.Nx, grid.Ny, grid.Nz)
+                    # through the stage's two plans: six fields out, three back
+                    ws = simulation._workspace(grid)
+                    six = np.concatenate((c, np.zeros((5,) + c.shape[1:], dtype=complex)))
+                    got = ws.six.to_grid(six.transpose(2, 0, 1, 3))
+                    assert got.shape == (6, grid.Nx, grid.Ny, grid.Nz)
                     assert np.max(np.abs(got[0] - 2.0 * np.cos(phase))) <= 1e-13
-                    assert np.max(np.abs(simulation._to_box(got, grid) - c)) <= 1e-13
+                    assert np.max(np.abs(got[1:])) == 0.0
+                    back = ws.three.to_box(got[:3].reshape(-1, grid.Nz))
+                    assert np.max(np.abs(back[:1] - c)) <= 1e-13 and np.max(np.abs(back[1:])) == 0.0
 
     def test_makes_no_fft_call(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -585,16 +590,16 @@ class TestWorkspace:
             assert same_bits(got, kept)
 
     def test_alternating_grids_repeat_each_grid_alone(self):
-        # stage calls (six fields out, three back) between transforms of one and
-        # of three fields, on three grids: every plan is shaped for its own grid and n
+        # stage calls between transforms by the workspace's two plans (six fields
+        # out, three back), on three grids: every plan is shaped for its own grid
         inputs = {name: self.calls(name) for name in self.GRIDS}
-        boxes = {name: [x[0][:1] for x in xs] + [x[0] for x in xs] for name, xs in inputs.items()}
 
         def calls(name, i):
-            grid, out = self.GRIDS[name], [nonlinear_rhs(*inputs[name][i])]
-            for c in boxes[name][i::3]:  # n = 1, then n = 3
-                out.append(simulation._to_grid(c, grid).copy())
-                out.append(simulation._to_box(out[-1], grid))
+            grid, (u, *_) = self.GRIDS[name], inputs[name][i]
+            ws, out = simulation._workspace(grid), [nonlinear_rhs(*inputs[name][i])]
+            out.append(ws.six.to_grid(np.concatenate((u, 2.0 * u)).transpose(2, 0, 1, 3)).copy())
+            out.append(ws.three.to_box(out[-1][3:].reshape(-1, grid.Nz)))
+            out.append(nonlinear_rhs(*inputs[name][i]))
             return out
 
         alone = {}
@@ -605,7 +610,7 @@ class TestWorkspace:
         for i in range(3):
             for name in ("8x16x8", "6x24x10", "8x16x8", "4x8x4", "6x24x10"):
                 got = calls(name, i)
-                assert [len(a) for a in got] == [3, 1, 1, 3, 3]
+                assert [len(a) for a in got] == [3, 6, 3, 3]
                 assert all(same_bits(a, b) for a, b in zip(got, alone[name][i]))
 
     def test_a_warm_stage_looks_up_only_its_workspace(self, monkeypatch):
@@ -628,12 +633,10 @@ class TestWorkspace:
     @pytest.mark.parametrize("name", list(GRIDS))
     def test_every_operand_is_a_view_of_its_buffer(self, name):
         ws = simulation._workspace(self.GRIDS[name])
-        for n in (1, 3, 6):
-            plan = ws.plan(n)
-            assert ws.plan(n) is plan
+        for n, plan in ((6, ws.six), (3, ws.three)):
             for op, i in self.PLAN_BUFFERS.items():
                 assert np.shares_memory(getattr(plan, op), ws._flat[i]), f"{op} for n = {n}"
-        assert ws.six is ws.plan(6) and ws.three is ws.plan(3)
+            assert len(plan.g) == n
         for op, buffer in self.STAGE_BUFFERS.items():
             assert np.shares_memory(getattr(ws, op), getattr(ws, buffer)), op
         samples = [ws.g_v, ws.g_w] + [g for _, gi, gj in ws.cross for g in (gi, gj)]
