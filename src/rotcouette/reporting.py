@@ -6,11 +6,11 @@ bodies, so re-running a command with an identical config and seed reproduces
 the data files byte for byte.  A snapshot keeps those bytes but formats each
 distinct magnitude once; every other CSV goes through ``write_csv``, whose
 one field rule writes a flag as 1 or 0, a missing value (None) as an empty
-field, text as it is, and anything else as the ``repr`` of its float.  The
-manifest records the config hash, the code and numpy versions, the BLAS
-library that numpy calls (the advection's matrix products run there, so the
-bytes of a nonlinear run hold for one numpy/BLAS build), wall times, the
-produced file list and, for a simulation, how the run ended.
+field, text with ``;`` for each comma, and anything else as the ``repr`` of its
+float.  The manifest records the config hash, the code and numpy versions,
+the BLAS library that numpy calls (the advection's matrix products run there,
+so the bytes of a nonlinear run hold for one numpy/BLAS build), wall times,
+the produced file list and, for a simulation, how the run ended.
 """
 
 from __future__ import annotations
@@ -18,9 +18,10 @@ from __future__ import annotations
 import hashlib
 import json
 import time as _time
+from dataclasses import astuple, fields
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Literal, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from . import __version__
 from .diagnostics import ACCUMULATED_COLUMNS, FLAG_NAMES, INSTANT_COLUMNS, EnergyReport
 from .simulation import VelocityField
 from .spectral import GridSpec
+from .threshold import CellResult
 
 __all__ = [
     "fmt",
@@ -50,13 +52,13 @@ def energy_columns() -> list[str]:
 
 
 def _field(v) -> str:
-    """The one rule for a CSV field: a flag is 1 or 0, None is empty, text is kept."""
+    """The one rule for a CSV field: a flag is 1 or 0, None is empty, text keeps all but commas."""
     if isinstance(v, (bool, np.bool_)):
         return "1" if v else "0"
     if v is None:
         return ""
     if isinstance(v, str):
-        return v
+        return v.replace(",", ";")
     return fmt(v)
 
 
@@ -140,16 +142,21 @@ def write_snapshot_csv(path: str | Path, U: VelocityField, nu: float) -> Path:
     return path
 
 
-def _bad_row(fh, first: int) -> str | None:
-    """"line N: why" of the first row from file line ``first`` on that is not 10 numbers, if any."""
+def _rows(fh, first: int):
+    """(file line, text) of each row from file line ``first`` on, as ``np.loadtxt`` reads them."""
     fh.seek(0)
     for n, line in enumerate(fh, start=1):
         text = line.split("#", 1)[0]  # comments and blank lines are skipped, as np.loadtxt does
-        if n < first or not text.strip():
-            continue
+        if n >= first and text.strip():
+            yield n, text
+
+
+def _bad_row(fh, first: int) -> str | None:
+    """"line N: why" of the first row from file line ``first`` on that is not 10 numbers, if any."""
+    for n, text in _rows(fh, first):
         fields = text.split(",")
         if len(fields) < 10:
-            return f"line {n}: {line.strip()!r} has {len(fields)} fields, not 10"
+            return f"line {n}: {text.strip()!r} has {len(fields)} fields, not 10"
         for v in fields[:10]:
             try:
                 float(v)
@@ -192,14 +199,15 @@ def read_snapshot_csv(path: str | Path) -> VelocityField:
         except ValueError as exc:  # numpy's row numbers are not file lines
             why = _bad_row(fh, n + 1) or f"has a malformed row ({exc})"
             raise ValueError(f"snapshot {path} {why}") from exc
-    nx, ny, nz, ly, t = fields
-    grid = GridSpec(Nx=nx, Ny=ny, Nz=nz, Ly=ly)
-    for name, c, size in zip("kjl", cols, grid.shape):
-        bad = (c != np.round(c)) | (c < -(size // 2)) | (c >= size // 2)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ValueError(f"snapshot {path} line {n + 1 + i}: {name} = {c[i]:g} is not an integer "
-                             f"in [{-(size // 2)}, {size // 2})")
+        nx, ny, nz, ly, t = fields
+        grid = GridSpec(Nx=nx, Ny=ny, Nz=nz, Ly=ly)
+        for name, c, size in zip("kjl", cols, grid.shape):
+            bad = (c != np.round(c)) | (c < -(size // 2)) | (c >= size // 2)
+            if bad.any():
+                i = int(np.argmax(bad))
+                at = [m for m, _ in _rows(fh, n + 1)][i]  # the file line of row i
+                raise ValueError(f"snapshot {path} line {at}: {name} = {c[i]:g} is not an integer "
+                                 f"in [{-(size // 2)}, {size // 2})")
     ik, ij, il = cols[:3].astype(np.int64)  # each in [-N/2, N/2): a negative one counts from the end
     coeffs = np.zeros((3,) + grid.shape, dtype=np.complex128)
     # real and imaginary parts assigned apart: re + 1j * im turns a -0.0 real part into 0.0
@@ -253,40 +261,45 @@ class Manifest:
         return path
 
 
+_CELL_COLUMNS = [f.metadata.get("column", f.name) for f in fields(CellResult)]
+
+
 def write_cells_csv(path: str | Path, cells) -> Path:
-    rows = (
-        (c.nu, c.eps, c.outcome, c.peak_norm, c.t_peak, c.status.replace(",", ";"), c.refined)
-        for c in sorted(cells, key=lambda c: (c.nu, c.eps))
-    )
-    return write_csv(path, ["nu", "eps", "stable", "peak_norm", "t_peak", "status", "refined"], rows)
+    """One row per cell in (nu, eps) order; a column is a field's name or its "column" metadata."""
+    return write_csv(path, _CELL_COLUMNS, map(astuple, sorted(cells, key=lambda c: (c.nu, c.eps))))
+
+
+def _cell_value(tp, name: str, text: str):
+    """A field as the type ``tp``: float, str, a bool written 0 or 1, or a Literal's value."""
+    if tp is bool or get_origin(tp) is Literal:
+        allowed = ("0", "1") if tp is bool else get_args(tp)
+        if text not in allowed:
+            raise ValueError(f"{name} {text!r} is not {', '.join(allowed[:-1])} or {allowed[-1]}")
+        return text == "1" if tp is bool else text
+    return {float: float, str: str}[tp](text)  # closed: another declared type raises KeyError
 
 
 def read_cells_csv(path: str | Path) -> dict:
     """Parse a cells CSV into a resume checkpoint; bisection and ``error:`` cells rerun."""
-    from .threshold import CellResult
-
     path = Path(path)
-    out = {}
     if not path.exists():
-        return out
-    for n, line in enumerate(path.read_text().splitlines()[1:], start=2):
+        return {}
+    lines, header, out = path.read_text().splitlines(), ",".join(_CELL_COLUMNS), {}
+    if lines and lines[0] != header:
+        raise ValueError(f"{path} line 1: {lines[0]!r} is not the header {header!r}")
+    hints = get_type_hints(CellResult)
+    for n, line in enumerate(lines[1:], start=2):
         if not line:
             continue
         where, values = f"{path} line {n}", line.split(",")
-        if len(values) != 7:
-            raise ValueError(f"{where}: {len(values)} fields, expected 7")
-        nu_s, eps_s, outcome, peak, tpk, status, refined = values
-        if outcome not in ("stable", "unstable", "inconclusive"):
-            raise ValueError(f"{where}: outcome {outcome!r} is not stable, unstable or inconclusive")
-        if refined not in ("0", "1"):
-            raise ValueError(f"{where}: refined {refined!r} is not 0 or 1")
+        if len(values) != len(_CELL_COLUMNS):
+            raise ValueError(f"{where}: {len(values)} fields, expected {len(_CELL_COLUMNS)}")
         try:
-            nu, eps, peak_norm, t_peak = (float(v) for v in (nu_s, eps_s, peak, tpk))
+            cell = CellResult(*(_cell_value(hints[f.name], f.name, v)
+                                for f, v in zip(fields(CellResult), values)))
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
-        cell = CellResult(nu=nu, eps=eps, outcome=outcome, peak_norm=peak_norm, t_peak=t_peak,
-                          status=status, refined=refined == "1")
-        if not cell.refined and not status.startswith("error:"):
+        if not cell.refined and not cell.status.startswith("error:"):
             out[(cell.nu, cell.eps)] = cell
     return out
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -98,9 +98,11 @@ class SweepConfig:
 
 @dataclass
 class CellResult:
+    """One sweep cell: its fields, in order and by type, are the columns of ``cells.csv``."""
+
     nu: float
     eps: float
-    outcome: str  # stable | unstable | inconclusive
+    outcome: Literal["stable", "unstable", "inconclusive"] = field(metadata={"column": "stable"})
     peak_norm: float
     t_peak: float
     status: str  # completed | blown_up | error: ...

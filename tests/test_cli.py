@@ -213,6 +213,9 @@ MALFORMED_SNAPSHOTS = {
     # numpy's own messages name neither the file nor its line
     "row-with-nine-fields": (6, ZERO_ROW[:-4], f"line 7: {ZERO_ROW[:-4]!r} has 9 fields, not 10"),
     "field-not-a-number": (6, "0,0,1,0.0,abc" + ZERO_ROW[13:], "line 7: 'abc' is not a number"),
+    # numpy skips a comment line and a blank line, which the line count must not skip
+    "index-after-a-comment": (7, "# a comment\n\n9,0,2" + ZERO_ROW[5:],
+                              "line 10: k = 9 is not an integer in [-4, 4)"),
     # read as written, but else the run starts from it and blows up at its first step
     "coefficient-not-finite": (5, ZERO_ROW[:-7] + "nan,0.0", "holds a coefficient that is not finite"),
 }
@@ -521,12 +524,55 @@ class TestCsvFields:
         from rotcouette.reporting import write_csv
 
         row = [True, False, None, "stable", "12", 0.0, -0.0, 5e-324, math.inf, math.nan,
-               np.float64(0.1), 1, np.True_]
+               np.float64(0.1), 1, np.True_, "error: a, b"]
         path = write_csv(tmp_path / "row.csv", [f"c{i}" for i in range(len(row))], [row])
         assert path.read_bytes() == (
-            b"c0,c1,c2,c3,c4,c5,c6,c7,c8,c9,c10,c11,c12\n"
-            b"1,0,,stable,12,0.0,-0.0,5e-324,inf,nan,0.1,1.0,1\n"
+            b"c0,c1,c2,c3,c4,c5,c6,c7,c8,c9,c10,c11,c12,c13\n"
+            b"1,0,,stable,12,0.0,-0.0,5e-324,inf,nan,0.1,1.0,1,error: a; b\n"
         )
+
+
+# the first line of cells.csv: CellResult's fields, with outcome under the header stable
+CELLS_HEADER = "nu,eps,stable,peak_norm,t_peak,status,refined"
+
+
+class TestCellsFormat:
+    def test_round_trip(self, tmp_path):
+        from dataclasses import astuple, replace
+
+        from rotcouette.reporting import read_cells_csv, write_cells_csv
+        from rotcouette.threshold import CellResult
+
+        cells = [
+            CellResult(1e-2, 10.0, "stable", 1.25, 0.0, "completed"),
+            CellResult(1e-2, 1e3, "unstable", math.inf, 0.35, "blown_up"),
+            CellResult(2e-2, 0.1 + 0.2, "inconclusive", 5e-324, -0.0, "completed, then checked"),
+            CellResult(2e-2, 1e3, "inconclusive", math.nan, math.nan, "error: a, b"),
+            CellResult(2e-2, 31.6, "stable", 3.5, 0.5, "completed", refined=True),
+            CellResult(2e-2, 56.2, "unstable", 7.0, 0.25, "blown_up", refined=True),
+        ]
+        path = write_cells_csv(tmp_path / "cells.csv", cells[::-1])  # written in (nu, eps) order
+        assert path.read_text() == (
+            CELLS_HEADER + "\n"
+            "0.01,10.0,stable,1.25,0.0,completed,0\n"
+            "0.01,1000.0,unstable,inf,0.35,blown_up,0\n"
+            "0.02,0.30000000000000004,inconclusive,5e-324,-0.0,completed; then checked,0\n"
+            "0.02,31.6,stable,3.5,0.5,completed,1\n"
+            "0.02,56.2,unstable,7.0,0.25,blown_up,1\n"
+            "0.02,1000.0,inconclusive,nan,nan,error: a; b,0\n"
+        )
+        # every row is parsed; a refined or error: cell is then left out, so a resume reruns it
+        kept = [replace(c, status=c.status.replace(",", ";")) for c in cells[:3]]
+        back = read_cells_csv(path)
+        assert list(back) == [(c.nu, c.eps) for c in kept]
+        # repr tells -0.0 from 0.0 and a bool from a number
+        assert [repr(astuple(c)) for c in back.values()] == [repr(astuple(c)) for c in kept]
+
+    def test_empty_file_resumes_no_cell(self, tmp_path):
+        from rotcouette.reporting import read_cells_csv
+
+        (tmp_path / "cells.csv").write_text("")
+        assert read_cells_csv(tmp_path / "cells.csv") == {}
 
 
 class TestReproducibility:
@@ -743,12 +789,15 @@ class TestSimulateCommand:
         assert "injected" in capsys.readouterr().err and not out.exists()
 
 
-# a cells.csv row edit (its fields in, its fields out) and the start of the refusal's message
+# the index of a cells.csv line (the header is line 0), its edit (its fields in, its fields
+# out) and the start of the refusal's message
 MALFORMED_CELLS = {
-    "cut-row": (lambda row: row[:4], "4 fields, expected 7"),
-    "bad-number": (lambda row: row[:3] + ["1.0e"] + row[4:], "could not convert string to float"),
-    "bad-outcome": (lambda row: row[:2] + ["stabel"] + row[3:], "outcome 'stabel'"),
-    "bad-refined": (lambda row: row[:6] + ["yes"], "refined 'yes'"),
+    "cut-row": (2, lambda row: row[:4], "4 fields, expected 7"),
+    "bad-number": (2, lambda row: row[:3] + ["1.0e"] + row[4:], "could not convert string to float"),
+    "bad-outcome": (2, lambda row: row[:2] + ["stabel"] + row[3:], "outcome 'stabel'"),
+    "bad-refined": (2, lambda row: row[:6] + ["yes"], "refined 'yes'"),
+    "bad-header": (0, lambda row: row[:2] + ["outcome"] + row[3:],
+                   repr(CELLS_HEADER.replace("stable", "outcome")) + " is not the header"),
 }
 
 
@@ -973,11 +1022,39 @@ class TestSweepCommand:
         assert "no manifest.json" in capsys.readouterr().err
         assert calls == [] and {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    def test_resume_from_a_literal_cells_csv(self, tmp_path, monkeypatch):
+        from rotcouette import threshold
+
+        calls = []
+
+        def fake_cells(scfg, nu, row):
+            calls.append((nu, [eps for eps, _ in row]))
+            return [threshold.CellResult(nu, eps, "stable", eps, 0.0, "completed") for eps, _ in row]
+
+        monkeypatch.setattr(threshold, "_run_cells", fake_cells)
+        cfg = sweep_ini(tmp_path)
+        out = tmp_path / "out"
+        argv = ["sweep", "--config", str(cfg), "--out", str(out)]
+        assert main(argv) == EXIT_OK  # for the manifest, whose config hash a resume checks
+        rows = [
+            "0.01,1e-07,stable,1e-07,0.0,completed,0",
+            "0.01,1e-06,unstable,2.5,1.5,blown_up,0",
+            "0.02,1e-07,inconclusive,0.125,2.0,completed,0",
+            "0.02,1e-06,inconclusive,nan,nan,error: boom; again,0",
+        ]
+        (out / "cells.csv").write_text("\n".join([CELLS_HEADER] + rows) + "\n")
+        calls.clear()
+        assert main(argv + ["--resume"]) == EXIT_OK
+        # only the error cell runs again; every other row is written back as it was read
+        assert calls == [(2e-2, [1e-6])]
+        rows[3] = "0.02,1e-06,stable,1e-06,0.0,completed,0"
+        assert (out / "cells.csv").read_text() == "\n".join([CELLS_HEADER] + rows) + "\n"
+
     @pytest.mark.parametrize("case", sorted(MALFORMED_CELLS))
     def test_resume_rejects_malformed_cells_csv(self, tmp_path, monkeypatch, capsys, case):
         from rotcouette import threshold
 
-        edit, message = MALFORMED_CELLS[case]
+        i, edit, message = MALFORMED_CELLS[case]
 
         def fake_cells(scfg, nu, row):
             return [threshold.CellResult(nu, eps, "stable", eps, 0.0, "completed") for eps, _ in row]
@@ -988,11 +1065,12 @@ class TestSweepCommand:
         argv = ["sweep", "--config", str(cfg), "--out", str(out)]
         assert main(argv) == EXIT_OK
         lines = (out / "cells.csv").read_text().splitlines()
-        lines[2] = ",".join(edit(lines[2].split(",")))
+        lines[i] = ",".join(edit(lines[i].split(",")))
         (out / "cells.csv").write_text("\n".join(lines) + "\n")
         before = {p.name: p.read_bytes() for p in out.iterdir()}
         assert main(argv + ["--resume"]) == EXIT_USAGE
-        assert capsys.readouterr().err.startswith(f"usage error: {out / 'cells.csv'} line 3: {message}")
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: {out / 'cells.csv'} line {i + 1}: {message}")
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 

@@ -161,7 +161,7 @@ class TestSweep:
         cfg = self.small_sweep_config()
         first = sweep(cfg)
         marker = {
-            (c.nu, c.eps): replace_cell_status(c, "checkpointed") for c in first.cells
+            (c.nu, c.eps): replace(c, status="checkpointed") for c in first.cells
         }
         second = sweep(cfg, checkpoint=marker)
         assert all(c.status == "checkpointed" for c in second.cells)
@@ -292,13 +292,6 @@ class TestBisect:
             assert result.eps_star[nu] == max(
                 e for e in cfg.eps_grid() if e < self.THRESHOLD[nu]
             )
-
-
-def replace_cell_status(cell, status):
-    return CellResult(
-        nu=cell.nu, eps=cell.eps, outcome=cell.outcome, peak_norm=cell.peak_norm,
-        t_peak=cell.t_peak, status=status, refined=cell.refined,
-    )
 
 
 def arrays_in(value):
