@@ -180,25 +180,6 @@ _TOTALS = (
 )
 _INTEGRANDS = [_TOTALS.index(c[4:]) for c in ACCUMULATED_COLUMNS]
 _MAXED = [_TOTALS.index(x) for x, *_ in _BOUNDS.values()]
-_SIZES = ("1", "C0 nu^-1/3", "C1/nu", "C0/nu")
-_FLAG_SIZES = [_SIZES.index(size) for *_, size in _BOUNDS.values()]
-
-
-def _flag_terms(part: int, offset: int) -> list:
-    """For each p, every flag's column of its p-th term of part 1 (the sqrt(nu)-weighted
-    integrals) or part 2 (the unweighted) of ``_BOUNDS`` in the ledger's terms, at offset
-    + its place in ``ACCUMULATED_COLUMNS``; a flag with fewer terms reads the zero column."""
-    bounds = list(_BOUNDS.values())
-    zero = 2 * len(ACCUMULATED_COLUMNS)
-    return [
-        np.array([offset + ACCUMULATED_COLUMNS.index(b[part][p]) if p < len(b[part]) else zero
-                  for b in bounds])
-        for p in range(max(len(b[part]) for b in bounds))
-    ]
-
-
-# the ledger's terms are [sqrt(nu) integrals, integrals, 0]
-_WEIGHTED, _UNWEIGHTED = _flag_terms(1, 0), _flag_terms(2, len(ACCUMULATED_COLUMNS))
 
 
 @_time_cache(maxsize=2)  # one (grid, nu, sigma) per row; a second does not evict the first
@@ -225,19 +206,15 @@ def _ledger_constants(grid: GridSpec, nu: float, N: float) -> tuple:
     return weight_constants(wv.k[1:], wv.eta, wv.l, nu), plane, kk
 
 
-@_time_cache(maxsize=2)  # the row time of a lockstep round, and the next
 def _ledger_weights(grid: GridSpec, nu: float, N: float, t: float) -> tuple:
     """M^2 and -Mdot M = M^2 nu^{1/3} / (1 + x^2), stacked as (2, nk-1, nj), and m on the k != 0 rows of the box.
 
     Only what depends on t is computed here, from ``_ledger_constants`` and
-    the box's frame symbol w(t).  Read-only.
+    the box's frame symbol w(t); ``run`` reports the rows of one time in one call.
     """
     consts = _ledger_constants(grid, nu, N)[0]
     M, dmm, m = weights(consts, t, frame_symbols(grid, t, box=True)[3][1:])
-    out = (np.stack(((M * M)[..., 0], dmm[..., 0])), m)
-    for a in out:
-        a.flags.writeable = False
-    return out
+    return np.stack(((M * M)[..., 0], dmm[..., 0])), m
 
 
 def bootstrap_report(
@@ -326,19 +303,16 @@ def bootstrap_report(
     maxima = np.where(running > maxima, running, maxima)  # as max(maximum, value)
     roots = np.sqrt(integrals)
 
-    terms = np.concatenate((math.sqrt(nu) * roots, roots, np.zeros((B, 1))), axis=1)
-    weighted = terms[:, _WEIGHTED[0]]
-    for c in _WEIGHTED[1:]:
-        weighted = weighted + terms[:, c]
-    lhs = maxima + weighted
-    for c in _UNWEIGHTED:
-        lhs = lhs + terms[:, c]
-    third = nu ** (-1.0 / 3.0)
-    sizes = [
-        (8.0 * c.eps, 8.0 * c.C0 * c.eps * third, 8.0 * c.C1 * c.eps / nu, 8.0 * c.C0 * c.eps / nu)
-        for c in cfgs
-    ]
-    flags = (lhs > np.array([[f[i] for i in _FLAG_SIZES] for f in sizes])).tolist()
+    # each flag of _BOUNDS: max_s X + sqrt(nu) sum Y + sum Z > 8 F eps, each sum started from 0
+    root = dict(zip(ACCUMULATED_COLUMNS, roots.T))
+    eps, C0, C1 = (np.array([getattr(c, a) for c in cfgs]) for a in ("eps", "C0", "C1"))
+    bound = {"1": 8.0 * eps, "C0 nu^-1/3": 8.0 * C0 * eps * nu ** (-1.0 / 3.0),
+             "C1/nu": 8.0 * C1 * eps / nu, "C0/nu": 8.0 * C0 * eps / nu}
+    flags = np.array([
+        sum((root[z] for z in Z), maxima[:, i] + sum((math.sqrt(nu) * root[y] for y in Y), 0.0))
+        > bound[size]
+        for i, (_, Y, Z, size) in enumerate(_BOUNDS.values())
+    ]).T.tolist()
 
     rows = np.concatenate((norms, _divergence_max(boxes, sym)[:, None], roots), axis=1).tolist()
     n = len(_TOTALS)

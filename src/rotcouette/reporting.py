@@ -208,7 +208,17 @@ def read_snapshot_csv(path: str | Path) -> VelocityField:
                 at = [m for m, _ in _rows(fh, n + 1)][i]  # the file line of row i
                 raise ValueError(f"snapshot {path} line {at}: {name} = {c[i]:g} is not an integer "
                                  f"in [{-(size // 2)}, {size // 2})")
-    ik, ij, il = cols[:3].astype(np.int64)  # each in [-N/2, N/2): a negative one counts from the end
+        ik, ij, il = cols[:3].astype(np.int64)  # each in [-N/2, N/2): a negative one counts from the end
+        flat = np.ravel_multi_index((ik, ij, il), grid.shape, mode="wrap")
+        if np.bincount(flat).max(initial=0) > 1:  # else the last row of a repeated mode is kept
+            seen = {}
+            for i, mode in enumerate(flat.tolist()):
+                if mode in seen:
+                    break
+                seen[mode] = i
+            lines = [m for m, _ in _rows(fh, n + 1)]
+            raise ValueError(f"snapshot {path} line {lines[i]}: mode (k, j, l) = "
+                             f"({ik[i]}, {ij[i]}, {il[i]}) repeats line {lines[seen[mode]]}")
     coeffs = np.zeros((3,) + grid.shape, dtype=np.complex128)
     # real and imaginary parts assigned apart: re + 1j * im turns a -0.0 real part into 0.0
     coeffs.real[:, ik, ij, il] = cols[4::2]

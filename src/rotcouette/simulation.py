@@ -591,8 +591,9 @@ def step(u: np.ndarray, t: float, dt: float, cfg: SimConfig) -> np.ndarray:
     else:
         ph = propagator(grid, t, tm, nu)
         ph2 = propagator(grid, tm, t1, nu)
-        symm = frame_symbols(grid, tm, box=True)
+        # t before tm: t is often the last step's t + dt, which a new tm would evict first
         k1 = nonlinear_rhs(u, frame_symbols(grid, t, box=True), grid, t)
+        symm = frame_symbols(grid, tm, box=True)
         pu, pk = ph(u), ph(k1)
         k2 = nonlinear_rhs(pu + 0.5 * dt * pk, symm, grid, tm)
         k3 = nonlinear_rhs(pu + 0.5 * dt * k2, symm, grid, tm)
@@ -741,18 +742,20 @@ def _band_edge_fraction(b: np.ndarray, grid: GridSpec) -> float:
 def run(cfgs: Sequence[SimConfig]) -> list[RunResult]:
     """Integrate each configuration from its initial state to its t_end, in lockstep.
 
-    Each round every live run takes one step through its own ``step`` call; a
-    run builds its initial condition just before its first step.  Runs on one
-    grid with the same nu and dt share the cached symbols, propagators and
-    ledger weights of each time, and runs on one grid the stage workspace;
-    the caches hold about one step's operators, so a row builds each of them
+    In its first round a run builds its initial condition; in each later
+    round every live run takes one step through its own ``step`` call.  Runs
+    on one grid with the same nu and dt share the cached symbols and
+    propagators of each time, and runs on one grid the stage workspace; the
+    caches hold about one step's operators, so a row builds each of them
     once, and ``run`` empties them when it returns.  Each run
-    (``_advance``) owes a diagnostic row every ``diag_every`` steps and at
-    t = 0 and the end, keeps snapshots at the ``snapshot_every`` cadence, and
-    turns a blow-up into a ``blown_up`` result with its time.  The rows that
-    a round owes are reported together, one ledger call per grid, nu, sigma
-    and row time (``_report``), each run with its own ``Accumulators``.  Any
-    other exception ends its run alone, as an ``error`` result holding it.
+    (``_advance``) owes a diagnostic row at t = 0, every ``diag_every``
+    steps and at the end, at most one per round, keeps snapshots at the
+    ``snapshot_every`` cadence, and turns a blow-up into a ``blown_up``
+    result with its time.  The rows that a round owes are reported together,
+    one ledger call per grid, nu, sigma and row time (``_report``), which
+    builds that time's ledger weights once, each run with its own
+    ``Accumulators``.  Any other exception ends its run alone, as an
+    ``error`` result holding it.
     Each result is the one its configuration gives when run alone.
     """
     from .diagnostics import Accumulators
@@ -763,18 +766,16 @@ def run(cfgs: Sequence[SimConfig]) -> list[RunResult]:
         going, due = [], []
         for res, cell, acc in live:
             try:
-                rows = next(cell, None)
+                row = next(cell)
+            except StopIteration:
+                continue
             except Exception as exc:  # it ends this run alone
                 res.status, res.error = "error", exc
                 continue
-            if rows is not None:
-                going.append((res, cell, acc))
-                due.append((res, acc, rows))
-        # the first round owes each run its t = 0 row and perhaps its first step's:
-        # every run's first row goes before every second one, so each run's rows keep their order
-        for i in range(max((len(rows) for *_, rows in due), default=0)):
-            _report([(res, acc, rows[i]) for res, acc, rows in due
-                     if len(rows) > i and res.status != "error"])
+            going.append((res, cell, acc))
+            if row is not None:
+                due.append((res, acc, row))
+        _report(due)
         live = [cell for cell in going if cell[0].status != "error"]
     for cache in _TIME_CACHES:  # what follows a run need not hold a step's operators and workspace
         # (~5 and 25 MiB on 32x128x32)
@@ -811,12 +812,12 @@ def _report(rows: list) -> None:
             res.reports.append(report)
 
 
-def _advance(result: RunResult) -> Iterator[tuple]:
+def _advance(result: RunResult) -> Iterator[tuple | None]:
     """The run of ``result.cfg``, filling ``result`` but for its reports.
 
-    After each step it yields the rows (t, box) that it owes, which ``run``
-    reports before the next step: the t = 0 row with the first step's, and
-    after a blow-up the last state's, if it has none.
+    Each ``next`` yields the row (t, box) that it owes, or None, which
+    ``run`` reports before the next step: first the t = 0 row, then the
+    row of each step, and after a blow-up the last state's, if it has none.
     """
     cfg = result.cfg
     u = _initial_box(cfg)
@@ -837,16 +838,17 @@ def _advance(result: RunResult) -> Iterator[tuple]:
         logger.warning(msg)
         result.warnings.append(msg)
 
-    rows = [(0.0, u)]
     warned_resolution = False
-    t = 0.0
+    t = last = 0.0  # the time of the state and of its last row
+    yield t, u
     try:
         for i in range(1, n_steps + 1):
             # through the module global, so that a wrapper of simulation.step sees every call
             u = step(u, t, dt, cfg)
             t_step, t = t + dt, i * dt  # a snapshot keeps the step's own time tag
+            row = None
             if i % cfg.diag_every == 0 or i == n_steps:
-                rows.append((t, u))
+                row, last = (t, u), t
                 if not warned_resolution:
                     frac = _band_edge_fraction(u, cfg.grid)
                     if frac > 1e-8:
@@ -859,17 +861,10 @@ def _advance(result: RunResult) -> Iterator[tuple]:
                         warned_resolution = True
             if cfg.snapshot_every > 0 and (i % cfg.snapshot_every == 0 or i == n_steps):
                 result.snapshots.append((t_step, u))  # step's fresh box, never written into
-            yield rows
-            rows = []
+            yield row
     except BlowUpError as exc:
         result.status = "blown_up"
         result.t_fail = exc.time
         result.warnings.append(str(exc))
-        if (rows[-1][0] if rows else result.reports[-1].t) < t:
-            rows.append((t, u))
-    except Exception:
-        if rows:  # the t = 0 row, owed before a first step that failed
-            yield rows
-        raise
-    if rows:
-        yield rows
+        if last < t:
+            yield t, u

@@ -216,6 +216,8 @@ MALFORMED_SNAPSHOTS = {
     # numpy skips a comment line and a blank line, which the line count must not skip
     "index-after-a-comment": (7, "# a comment\n\n9,0,2" + ZERO_ROW[5:],
                               "line 10: k = 9 is not an integer in [-4, 4)"),
+    # else the later row of the mode is kept and the mode it replaced is read as zero
+    "mode-repeated": (6, ZERO_ROW, "line 7: mode (k, j, l) = (0, 0, 0) repeats line 6"),
     # read as written, but else the run starts from it and blows up at its first step
     "coefficient-not-finite": (5, ZERO_ROW[:-7] + "nan,0.0", "holds a coefficient that is not finite"),
 }

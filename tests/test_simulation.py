@@ -1132,7 +1132,6 @@ OPERATOR_CACHES = (
     (simulation, "_propagator_coeffs"),
     (simulation, "_workspace"),
     (diagnostics, "_ledger_constants"),
-    (diagnostics, "_ledger_weights"),
 )
 
 
@@ -1320,6 +1319,13 @@ class TestLockstep:
             return out
 
         monkeypatch.setattr(simulation, "step", step)
+        real_weights, builds["_ledger_weights"] = diagnostics._ledger_weights, 0
+
+        def weights(*key):
+            builds["_ledger_weights"] += 1
+            return real_weights(*key)
+
+        monkeypatch.setattr(diagnostics, "_ledger_weights", weights)
         cfgs = self.cfgs([1e-3, 1e-2, 1e-1], t_end=5.0, diag_every=5)
         counts = []
         for row in (cfgs[:1], cfgs):
@@ -1339,6 +1345,24 @@ class TestLockstep:
         assert len(sizes) == 400
         assert all(info.currsize <= info.maxsize <= 4 for infos in sizes for info in infos)
         assert max(alive) <= 4  # those of the cached symbols alone
+
+    def test_each_stage_time_builds_its_symbols_once(self, monkeypatch):
+        built = []
+        real = simulation._box_symbols
+
+        def build(grid, t):
+            built.append(t)
+            return real.__wrapped__(grid, t)
+
+        counted = lru_cache(maxsize=real.cache_info().maxsize)(build)
+        monkeypatch.setattr(simulation, "_box_symbols", counted)
+        monkeypatch.setattr(simulation, "_TIME_CACHES",
+                            [counted if c is real else c for c in simulation._TIME_CACHES])
+        results = run(self.cfgs([1.0, 10.0], t_end=1.0, diag_every=5))
+        assert all(r.status == "completed" and r.n_steps == 20 for r in results)
+        # t + dt/2 and t + dt of each step, t = 0, and each step start i dt that is not
+        # the last step's t + dt; a step start evicted before it is read would be built again
+        assert len(built) == len(set(built)) >= 2 * 20 + 1
 
     def test_a_finished_run_holds_no_operators(self, monkeypatch):
         builds, stacked, spaces = {}, [], []

@@ -311,7 +311,7 @@ def test_shared_operators_are_read_only_and_unchanged(monkeypatch):
     cached = [
         (simulation, "_waves"), (diagnostics, "_waves"), (simulation, "_box_symbols"),
         (simulation, "_propagator_coeffs"), (diagnostics, "_ledger_constants"),
-        (diagnostics, "_ledger_weights"), (diagnostics, "_box_sobolev_weights"),
+        (diagnostics, "_box_sobolev_weights"),
     ]
     for module, name in cached:
         def spy(*key, _real=getattr(module, name)):
